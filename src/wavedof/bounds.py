@@ -67,6 +67,9 @@ class PhysicalConfig:
     c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
+        for name in ("R", "W", "T", "f0", "c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.R < 0:
             raise ConfigError(f"radius must be >= 0, got {self.R}")
         if self.W < 0:
@@ -154,13 +157,13 @@ def exact_mode_sum(dim: Dimension, cfg: PhysicalConfig) -> int:
         n = iceil(a * cfg.f0)
         return (n + 1) ** 2 if dim is Dimension.THREE_D else n + 1
     if hi - lo > 2000:
-        # Vectorized snap-ceiling; int64 is ample for any feasible sweep.
+        # Vectorized snap-ceiling; the sums run over Python ints, because
+        # a sum of squares overflows int64 at large R and F0.
         v = a * np.arange(lo, hi + 1, dtype=float) / cfg.T
         r = np.round(v)
         n = np.where(np.abs(v - r) <= _SNAP * np.maximum(1.0, np.abs(v)), r, np.ceil(v))
-        n = n.astype(np.int64) + 1
-        total = int(np.sum(n * n)) if dim is Dimension.THREE_D else int(np.sum(n))
-        return total
+        n = (n.astype(np.int64) + 1).tolist()
+        return sum(d * d for d in n) if dim is Dimension.THREE_D else sum(n)
     total = 0
     for i in range(lo, hi + 1):
         n = iceil(a * i / cfg.T)

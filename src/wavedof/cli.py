@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bounds import (ConfigError, Dimension, PhysicalConfig, bound_report,
-                     exact_mode_sum, frequency_bins)
+from .bounds import (BoundReport, ConfigError, Dimension, PhysicalConfig,
+                     bound_report, exact_mode_sum, frequency_bins)
 from .modes import ModeCapError, enumerate_modes, synthesize_field
 from .rankcheck import (RankPolicy, ResolutionError, SpectrumReport,
                         build_grid, diagonal_normalize, eigen_spectrum,
@@ -48,9 +48,8 @@ EXIT_RESOLUTION = 4
 
 SWEEP_PARAMS = ("R", "W", "T", "F0")
 
-#: quantities a sweep may emit (BoundReport field names)
-SWEEP_QUANTITIES = ("d_2wt", "d_space2d", "d_space3d", "thm1", "thm2",
-                    "exact2d", "exact3d", "asym3d", "avg_density", "n0")
+#: quantities a sweep may emit
+SWEEP_QUANTITIES = BoundReport._FIELDS
 
 FIGURE_PRESETS = {
     # fixed parameters from the survey captions; axis spans chosen to
@@ -461,24 +460,15 @@ def cmd_verify(args) -> int:
         print(f"wrote report to {args.output}")
     else:
         print(text)
-    if args.gram_spectrum_csv or args.ensemble_spectrum_csv:
-        meta = doc["metadata"]
-        if args.gram_spectrum_csv:
-            spec = SpectrumReport(np.array(doc["gram"]["eigenvalues"]),
-                                  doc["gram"]["trace"],
-                                  doc["gram"]["rank_threshold"],
-                                  doc["gram"]["rank_energy"],
+    # Rebuilt from the rounded report values, so the CSV matches the JSON.
+    for kind, path in (("gram", args.gram_spectrum_csv),
+                       ("ensemble", args.ensemble_spectrum_csv)):
+        if path:
+            part = doc[kind]
+            spec = SpectrumReport(np.array(part["eigenvalues"]), part["trace"],
+                                  part["rank_threshold"], part["rank_energy"],
                                   policy.epsilon, policy.eta)
-            write_spectrum_csv(args.gram_spectrum_csv, spec,
-                               {**meta, "spectrum": "gram"})
-        if args.ensemble_spectrum_csv:
-            spec = SpectrumReport(np.array(doc["ensemble"]["eigenvalues"]),
-                                  doc["ensemble"]["trace"],
-                                  doc["ensemble"]["rank_threshold"],
-                                  doc["ensemble"]["rank_energy"],
-                                  policy.epsilon, policy.eta)
-            write_spectrum_csv(args.ensemble_spectrum_csv, spec,
-                               {**meta, "spectrum": "ensemble"})
+            write_spectrum_csv(path, spec, {**doc["metadata"], "spectrum": kind})
     return EXIT_OK
 
 

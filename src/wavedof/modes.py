@@ -245,33 +245,24 @@ def jacobi_anger_values(wv: WaveVector, points: np.ndarray, N: int) -> np.ndarra
     pts = np.asarray(points, dtype=float)
     r = np.linalg.norm(pts, axis=-1)
     r_uni, r_inv = np.unique(r, return_inverse=True)
-    safe_r = np.where(r > 0, r, 1.0)
-    out = np.zeros(len(pts), dtype=complex)
-    if wv.dim is Dimension.TWO_D:
+    spherical = wv.dim is Dimension.THREE_D
+    rad = specfun.bessel_table(N, wv.k * r_uni, spherical=spherical)
+    if not spherical:
+        # +/-m pairs combine: i^m J_m e^{im dtheta} + i^-m J_-m e^{-im dtheta}
+        # = 2 i^m J_m cos(m dtheta).
         dtheta = np.arctan2(pts[:, 1], pts[:, 0]) - math.atan2(wv.k_hat[1], wv.k_hat[0])
-        for m in range(-N, N + 1):
-            rad = np.array([specfun.bessel_J(abs(m), wv.k * rv) for rv in r_uni])[r_inv]
-            if m < 0 and m % 2:
-                rad = -rad
-            out += (1j**m) * rad * np.exp(1j * m * dtheta)
-        out[r == 0] = 1.0
+        out = rad[0][r_inv] + 0.0j
+        for m in range(1, N + 1):
+            out += 2.0 * (1j**m) * rad[m][r_inv] * np.cos(m * dtheta)
         return out
-    mu_r = np.clip(pts[:, 2] / safe_r, -1.0, 1.0)
-    phi_r = np.arctan2(pts[:, 1], pts[:, 0])
-    mu_uni, mu_inv = np.unique(mu_r, return_inverse=True)
-    mu_k = min(max(wv.k_hat[2], -1.0), 1.0)
-    phi_k = math.atan2(wv.k_hat[1], wv.k_hat[0])
-    plm_r = specfun.norm_assoc_legendre_table(N, mu_uni)
-    plm_k = specfun.norm_assoc_legendre_table(N, np.array([mu_k]))[:, :, 0]
+    # Addition theorem: 4 pi sum_m Y_n^m(rhat) conj(Y_n^m(khat))
+    # = (2n+1) P_n(rhat . khat), with P_n by its three-term recurrence.
+    cos_g = np.clip(pts @ np.asarray(wv.k_hat) / np.where(r > 0, r, 1.0), -1.0, 1.0)
+    p_prev, p_cur = np.zeros_like(cos_g), np.ones_like(cos_g)
+    out = np.zeros(len(pts), dtype=complex)
     for n in range(N + 1):
-        rad = np.array([specfun.spherical_bessel_j(n, wv.k * rv) for rv in r_uni])[r_inv]
-        # m-sum: the +/-m pairs conjugate each other, so only m >= 0 is needed.
-        msum = plm_r[n, 0][mu_inv] * plm_k[n, 0] + 0.0j
-        for m in range(1, n + 1):
-            msum += 2.0 * plm_r[n, m][mu_inv] * plm_k[n, m] * np.cos(m * (phi_r - phi_k))
-        out += (1j**n) * rad * msum
-    out *= specfun.FOUR_PI
-    out[r == 0] = 1.0
+        out += (1j**n) * (2 * n + 1) * rad[n][r_inv] * p_cur
+        p_prev, p_cur = p_cur, ((2 * n + 1) * cos_g * p_cur - n * p_prev) / (n + 1)
     return out
 
 
@@ -319,33 +310,27 @@ def mode_matrix(modes: Sequence[ModeIndex], grid, cfg: PhysicalConfig) -> np.nda
     t_nodes = ax["t_nodes"]
     it = ax["t_index"]
     ir = ax["r_index"]
-    r_nodes = ax["r_nodes"]
-    if grid.dim is Dimension.TWO_D:
-        theta = ax["phi_nodes"]
-        ith = ax["phi_index"]
-        for j, md in enumerate(modes):
-            _, k = mode_wavenumber(md.i, cfg)
-            rad = np.array([specfun.bessel_J(abs(md.m), k * r) for r in r_nodes])
-            if md.m < 0 and md.m % 2:
-                rad = -rad
-            ang = np.exp(1j * md.m * theta)
-            tf = np.exp(2j * math.pi * md.i * t_nodes / cfg.T) / sqrt_t
-            A[:, j] = rad[ir] * ang[ith] * tf[it]
-        return A
-    mu = ax["mu_nodes"]
+    spherical = grid.dim is Dimension.THREE_D
+    # One radial table per frequency bin, up to the bin's highest order.
+    top: dict = {}
+    for md in modes:
+        top[md.i] = max(top.get(md.i, 0), md.n if spherical else abs(md.m))
+    radial = {i: specfun.bessel_table(n, mode_wavenumber(i, cfg)[1] * ax["r_nodes"],
+                                      spherical=spherical)
+              for i, n in top.items()}
+    if spherical:
+        imu = ax["mu_index"]
+        plm = specfun.norm_assoc_legendre_table(max(top.values()), ax["mu_nodes"])
     phi = ax["phi_nodes"]
-    imu = ax["mu_index"]
     iphi = ax["phi_index"]
-    n_max = max(md.n for md in modes)
-    plm = specfun.norm_assoc_legendre_table(n_max, mu)
     for j, md in enumerate(modes):
-        _, k = mode_wavenumber(md.i, cfg)
-        rad = np.array([specfun.spherical_bessel_j(md.n, k * r) for r in r_nodes])
         mm = abs(md.m)
-        ylm_mu = plm[md.n, mm]
-        ang = ylm_mu[imu] * np.exp(1j * md.m * phi[iphi])
+        ang = np.exp(1j * md.m * phi)[iphi]
+        if spherical:
+            ang *= plm[md.n, mm][imu]
         if md.m < 0 and mm % 2:
             ang = -ang
+        rad = radial[md.i][md.n if spherical else mm]
         tf = np.exp(2j * math.pi * md.i * t_nodes / cfg.T) / sqrt_t
         A[:, j] = rad[ir] * ang * tf[it]
     return A

@@ -1,4 +1,4 @@
-"""Scalar special functions underlying the wave-mode basis.
+"""Special functions underlying the wave-mode basis.
 
 Spherical Bessel functions j_n, cylindrical Bessel functions J_n,
 Legendre polynomials, associated Legendre functions and fully
@@ -11,9 +11,10 @@ Conventions
 * ``sph_harm`` is orthonormal on the unit sphere:
   Y_n^m(theta, phi) = sqrt((2n+1)/(4 pi) (n-m)!/(n+m)!) P_n^m(cos theta) e^{i m phi},
   so that integral of Y_n^m conj(Y_n'^m') over the sphere is a double delta.
-* Bessel functions use upward recurrence where it is stable (n <= x) and
-  a normalized downward (Miller) recurrence otherwise; upward recurrence
-  loses all accuracy once the order exceeds the argument.
+* Bessel values come from one kernel, ``bessel_table``, which runs a
+  normalized downward (Miller) recurrence over an array of arguments and
+  returns every order 0..n_max at once. ``bessel_J`` and
+  ``spherical_bessel_j`` read one entry of a one-column table.
 
 All functions are pure and carry no state; they are safe to call
 concurrently.
@@ -31,7 +32,6 @@ FOUR_PI = 4.0 * math.pi
 
 # Magnitude guard for the unnormalized downward recurrence.
 _RESCALE_LIMIT = 1e250
-_RESCALE = 1e-250
 
 
 @dataclass(frozen=True)
@@ -58,106 +58,81 @@ def _check_order(n: int, x: float) -> None:
         raise ValueError(f"argument must be >= 0, got {x}")
 
 
-def _j0(x: float) -> float:
-    return math.sin(x) / x
-
-
-def _j1(x: float) -> float:
-    if x < 0.5:
-        # sin x/x^2 - cos x/x cancels catastrophically near zero.
-        x2 = x * x
-        term, total = x / 3.0, x / 3.0
-        k = 1
-        while True:
-            term *= -x2 / (2 * k * (2 * k + 3))
-            total += term
-            k += 1
-            if abs(term) < 1e-18 * abs(total):
-                return total
-    return math.sin(x) / (x * x) - math.cos(x) / x
-
-
 def _miller_start(n: int, x: float) -> int:
     # Enough head-room above both the order and the turning point k ~ x;
     # the Airy transition zone is O(x^(1/3)) wide.
     return max(n, int(x)) + 32 + int(10.0 * x ** (1.0 / 3.0))
 
 
+def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
+    """Bessel values J_n(x), or j_n(x) with ``spherical``, for n = 0..n_max.
+
+    Returns an array of shape (n_max+1, len(x)). One downward (Miller)
+    recurrence runs over every column at once; downward recurrence
+    stays accurate for every order, where upward recurrence loses all
+    accuracy once the order exceeds the argument. A column that grows
+    past a magnitude guard is rescaled on its own. Cylindrical columns
+    are normalized through J_0(x) + 2 sum_k J_{2k}(x) = 1, which fixes
+    both scale and sign; spherical columns are anchored on the closed
+    form of j_0 or j_1, whichever is farther from a zero. Columns at
+    x = 0 are exact.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if n_max < 0:
+        raise ValueError(f"order must be >= 0, got {n_max}")
+    if not np.all(np.isfinite(x) & (x >= 0)):
+        raise ValueError("arguments must be finite and >= 0")
+    out = np.zeros((n_max + 1, x.size))
+    out[0, x == 0] = 1.0
+    pos = x > 0
+    if not pos.any():
+        return out
+    xs = x[pos]
+    m = _miller_start(n_max, float(xs.max()))
+    m += m % 2
+    table = np.empty((n_max + 1, xs.size))
+    jp = np.zeros(xs.size)           # unnormalized value at order k + 1
+    jc = np.full(xs.size, 1e-30)     # unnormalized value at order k
+    total = np.zeros(xs.size)        # 2 sum_k J_{2k}, cylindrical only
+    # The guard leaves head-room for one step's growth, at most (2m+2)/x.
+    limit = np.minimum(_RESCALE_LIMIT, 1e300 * xs / (2 * m + 2))
+    for k in range(m, 0, -1):
+        jp, jc = jc, (2 * k + spherical) / xs * jc - jp
+        if k - 1 <= n_max:
+            table[k - 1] = jc
+        if not spherical and k % 2 == 0:
+            total += 2.0 * jp        # jp now holds the value at even order k
+        big = np.abs(jc) > limit
+        if big.any():
+            f = 1.0 / np.abs(jc[big])
+            jp[big] *= f
+            jc[big] *= f
+            total[big] *= f
+            table[min(k - 1, n_max + 1):, big] *= f
+    if spherical:
+        # The closed form of j_1 cancels catastrophically near zero, so it
+        # is taken at max(x, 1); below x = 1, |j_0(x)| > 0.84 > |j_1(1)|
+        # picks j_0 either way.
+        xc = np.maximum(xs, 1.0)
+        j0 = np.sin(xs) / xs
+        j1 = np.sin(xc) / (xc * xc) - np.cos(xc) / xc
+        scale = np.where(np.abs(j0) >= np.abs(j1), j0 / jc, j1 / jp)
+    else:
+        scale = 1.0 / (total + jc)
+    out[:, pos] = table * scale
+    return out
+
+
 def spherical_bessel_j(n: int, x: float) -> float:
     """Spherical Bessel function j_n(x) for n >= 0, x >= 0."""
     _check_order(n, x)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    if n == 0:
-        return _j0(x)
-    if n == 1:
-        return _j1(x)
-    if n <= x:
-        jm, jc = _j0(x), _j1(x)
-        for k in range(1, n):
-            jm, jc = jc, (2 * k + 1) / x * jc - jm
-        return jc
-    return _sph_downward(n, x)
-
-
-def _sph_downward(n: int, x: float) -> float:
-    m = _miller_start(n, x)
-    jp = 0.0       # unnormalized j_{k+1}
-    jc = 1e-30     # unnormalized j_k
-    jn_u = j1_u = j0_u = 0.0
-    scale_n = 1.0
-    for k in range(m, 0, -1):
-        jm = (2 * k + 1) / x * jc - jp
-        jp, jc = jc, jm
-        if k - 1 == n:
-            jn_u, scale_n = jc, 1.0
-        if abs(jc) > _RESCALE_LIMIT:
-            jp *= _RESCALE
-            jc *= _RESCALE
-            scale_n *= _RESCALE
-    j0_u, j1_u = jc, jp
-    # Anchor on whichever closed form is farther from a zero.
-    j0t, j1t = _j0(x), _j1(x)
-    if abs(j0t) >= abs(j1t):
-        ratio = j0t / j0_u
-    else:
-        ratio = j1t / j1_u
-    return jn_u * scale_n * ratio
+    return float(bessel_table(n, x, spherical=True)[n, 0])
 
 
 def bessel_J(n: int, x: float) -> float:
-    """Cylindrical Bessel function J_n(x) for integer n >= 0, x >= 0.
-
-    Downward (Miller) recurrence normalized through
-    J_0(x) + 2 sum_k J_{2k}(x) = 1, which fixes both scale and sign.
-    """
+    """Cylindrical Bessel function J_n(x) for integer n >= 0, x >= 0."""
     _check_order(n, x)
-    if x == 0.0:
-        return 1.0 if n == 0 else 0.0
-    m = _miller_start(n, x)
-    if m % 2:
-        m += 1
-    jp = 0.0
-    jc = 1e-30
-    jn_u = 0.0
-    scale_n = 1.0
-    total = 0.0
-    for k in range(m, 0, -1):
-        jm = 2 * k / x * jc - jp
-        jp, jc = jc, jm
-        if k % 2 == 0:
-            total += 2.0 * jp   # jp now holds the value at even index k
-        if k - 1 == n:
-            jn_u, scale_n = jc, 1.0
-        if abs(jc) > _RESCALE_LIMIT:
-            jp *= _RESCALE
-            jc *= _RESCALE
-            total *= _RESCALE
-            scale_n *= _RESCALE
-    total += jc  # J_0 term
-    if n == 0:
-        return jc / total
-    return jn_u * scale_n / total
+    return float(bessel_table(n, x)[n, 0])
 
 
 def legendre_p(n: int, u: float) -> float:

@@ -37,6 +37,10 @@ def test_config_invariants():
         PhysicalConfig(R=1, W=0, T=0, f0=1, c=0)
     with pytest.raises(ConfigError):
         PhysicalConfig(R=1, W=5, T=1, f0=1)  # band edge below zero
+    for field in ("R", "W", "T", "f0", "c"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                PhysicalConfig(**{"R": 1, "W": 0, "T": 1, "f0": 1, "c": 1, field: bad})
 
 
 def test_dof_time_band():
@@ -92,16 +96,20 @@ def test_exact_mode_sum_against_brute_force():
 
 def test_exact_mode_sum_vectorized_path_matches_loop():
     # > 2000 bins takes the numpy branch; check it against a per-bin loop
-    cfg = natural(0.3 / E_PI, 1500.0, 1.0, 2000.0)
-    lo, hi = math.ceil((cfg.f0 - cfg.W) * cfg.T), math.floor((cfg.f0 + cfg.W) * cfg.T)
-    ref3 = ref2 = 0
-    for i in range(lo, hi + 1):
-        v = E_PI * cfg.R * i / cfg.T
-        n = math.ceil(v - 1e-9 * max(1.0, v))
-        ref3 += (n + 1) ** 2
-        ref2 += n + 1
-    assert exact_mode_sum(THREE_D, cfg) == ref3
-    assert exact_mode_sum(TWO_D, cfg) == ref2
+    # in Python ints. The second config has 10,001 bins and a 3D total
+    # beyond the int64 range.
+    for cfg in (natural(0.3 / E_PI, 1500.0, 1.0, 2000.0),
+                PhysicalConfig(R=1e7, W=5e5, T=1e-2, f0=1e9)):
+        lo, hi = math.ceil((cfg.f0 - cfg.W) * cfg.T), math.floor((cfg.f0 + cfg.W) * cfg.T)
+        ref3 = ref2 = 0
+        for i in range(lo, hi + 1):
+            v = E_PI * cfg.R * i / cfg.T / cfg.c
+            n = math.ceil(v - 1e-9 * max(1.0, v))
+            ref3 += (n + 1) ** 2
+            ref2 += n + 1
+        assert exact_mode_sum(THREE_D, cfg) == ref3
+        assert exact_mode_sum(TWO_D, cfg) == ref2
+    assert ref3 == 810381777798852280300
 
 
 def test_closed_form_3d_calibration():

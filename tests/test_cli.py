@@ -58,6 +58,15 @@ def test_bounds_invariant_violation(capsys):
     assert "band edge below zero" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_bounds_rejects_non_finite(value, capsys):
+    rc = main(["bounds", "--R", value, "--W", "1", "--T", "1", "--F0", "10"])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: R must be finite")
+    assert "Traceback" not in err
+
+
 def test_config_file_precedence(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("R = 0\nW = 3\nT = 1\nF0 = 10\n")

@@ -142,6 +142,17 @@ def test_mode_matrix_matches_scalar_evaluation():
         j = int(rng.integers(0, len(modes)))
         ref = evaluate_mode(modes[j], GRID_2D.points[s], GRID_2D.times[s], CAL_2D)
         assert abs(A[s, j] - ref) <= 1e-12 * max(1.0, abs(ref))
+    # 3D: modes from all three bins, negative odd orders included
+    grid3 = build_grid(THREE_D, CAL_3D, (4, 12, 6))
+    modes3 = [md for md in enumerate_modes(THREE_D, CAL_3D)
+              if (md.n, md.m) in {(0, 0), (3, -3), (5, -1), (8, 2), (9, -7),
+                                  (10, 4), (11, -5)}]
+    assert {md.i for md in modes3} == {9, 10, 11}
+    A3 = mode_matrix(modes3, grid3, CAL_3D)
+    for s in rng.integers(0, len(grid3), 8):
+        for j, md in enumerate(modes3):
+            ref = evaluate_mode(md, grid3.points[s], grid3.times[s], CAL_3D)
+            assert abs(A3[s, j] - ref) <= 1e-12 * max(1.0, abs(ref)), md
 
 
 def test_plane_wave_basics():

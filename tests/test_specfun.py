@@ -3,13 +3,14 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
 from wavedof import (Angle, assoc_legendre, bessel_J, legendre_p,
                      norm_assoc_legendre, sph_harm, spherical_bessel_j)
-from wavedof.specfun import norm_assoc_legendre_table
+from wavedof.specfun import bessel_table, norm_assoc_legendre_table
 
 from oracles import (cyl_bessel_series, rodrigues_assoc_legendre,
                      sph_bessel_reference, sph_bessel_series)
@@ -38,9 +39,10 @@ def test_sph_bessel_frozen_value():
 
 
 def test_sph_bessel_against_series_oracle():
-    # downward recurrence vs ascending series, n <= 100, x <= 100
+    # downward recurrence vs ascending series, n <= 100, x <= 100; at
+    # x = 1e-100 one recurrence step grows by more than the overflow range
     for n in (0, 1, 2, 5, 10, 25, 50, 100):
-        for x in (1e-3, 0.1, 1.0, 3.0, 9.5, 30.0, 100.0):
+        for x in (1e-300, 1e-100, 1e-3, 0.1, 1.0, 3.0, 9.5, 30.0, 100.0):
             ref = sph_bessel_series(n, x, dps=150)
             if abs(ref) < 1e-280:
                 continue
@@ -82,7 +84,7 @@ def test_cyl_bessel_frozen_value():
 
 def test_cyl_bessel_against_series_oracle():
     for n in (0, 1, 2, 6, 20, 60, 150, 200):
-        for x in (1e-3, 0.4, 2.0, 7.5, 15.0, 40.0, 90.0):
+        for x in (1e-300, 1e-100, 1e-3, 0.4, 2.0, 7.5, 15.0, 40.0, 90.0):
             ref = cyl_bessel_series(n, x, dps=150)
             if abs(ref) < 1e-280:
                 continue
@@ -100,6 +102,25 @@ def test_cyl_bessel_recurrence_residual():
             assert abs(lhs - jm - jp) / scale <= 1e-10, (n, x)
 
 
+def test_bessel_table_against_references():
+    # one call per kind over mixed arguments, including x = 0 and x > n_max
+    xs = [0.0, 1e-3, 0.1, 1.0, 9.5, 30.0, 100.0, 199.0, 200.0, 201.0, 300.0, 500.0]
+    sph = bessel_table(200, xs, spherical=True)
+    cyl = bessel_table(200, xs)
+    assert sph.shape == cyl.shape == (201, len(xs))
+    assert sph[0, 0] == cyl[0, 0] == 1.0
+    assert not sph[1:, 0].any() and not cyl[1:, 0].any()
+    with mp.workdps(40):
+        for j, x in enumerate(xs[1:], 1):
+            for n in range(201):
+                ref_s = sph_bessel_reference(n, x)
+                ref_c = float(mp.besselj(n, x))
+                if abs(ref_s) >= 1e-280:
+                    assert sph[n, j] == pytest.approx(ref_s, rel=1e-10), (n, x)
+                if abs(ref_c) >= 1e-280:
+                    assert cyl[n, j] == pytest.approx(ref_c, rel=1e-10), (n, x)
+
+
 def test_bessel_rejects_bad_domain():
     with pytest.raises(ValueError):
         spherical_bessel_j(-1, 1.0)
@@ -107,6 +128,11 @@ def test_bessel_rejects_bad_domain():
         spherical_bessel_j(2, -0.5)
     with pytest.raises(ValueError):
         bessel_J(-3, 1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            bessel_table(3, [1.0, bad])
+    with pytest.raises(ValueError):
+        bessel_table(-1, [1.0])
 
 
 def test_legendre_polynomial_basics():
