@@ -35,9 +35,9 @@ from . import __version__
 from .bounds import (BoundReport, ConfigError, Dimension, PhysicalConfig,
                      bound_report, exact_mode_sum, frequency_bins)
 from .modes import ModeCapError, enumerate_modes, synthesize_field
-from .rankcheck import (RankPolicy, ResolutionError, SpectrumReport,
-                        build_grid, diagonal_normalize, eigen_spectrum,
-                        ensemble_spectrum, gram_of_modes)
+from .rankcheck import (GridError, RankPolicy, ResolutionError,
+                        SpectrumReport, build_grid, diagonal_normalize,
+                        eigen_spectrum, ensemble_spectrum, gram_of_modes)
 
 PRNG_NAME = "numpy-pcg64"
 
@@ -431,28 +431,51 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
     return doc
 
 
-def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
-    dim = _dim_from_args(args)
-    resolution = tuple(int(s) for s in args.resolution.split(","))
-    if len(resolution) != 3:
-        raise ConfigError("--resolution expects n_radial,n_angular,n_time")
-    if args.policy is not None:
+def _parse_resolution(text: str) -> tuple:
+    try:
+        resolution = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        resolution = ()
+    if len(resolution) != 3 or min(resolution) < 1:
+        raise ConfigError("--resolution expects three positive integers "
+                          f"n_radial,n_angular,n_time, got {text!r}")
+    return resolution
+
+
+def _policy_from_args(args) -> RankPolicy:
+    if args.policy is None:
+        eps, eta = args.epsilon, args.eta
+    else:
         try:
             eps, eta = (float(s) for s in args.policy.split(":"))
         except ValueError as exc:
             raise ConfigError(f"--policy expects EPSILON:ETA, got {args.policy!r}") from exc
-        policy = RankPolicy(epsilon=eps, eta=eta)
-    else:
-        policy = RankPolicy(epsilon=args.epsilon, eta=args.eta)
+    try:
+        return RankPolicy(epsilon=eps, eta=eta)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def cmd_verify(args) -> int:
+    cfg = _config_from_args(args)
+    dim = _dim_from_args(args)
+    resolution = _parse_resolution(args.resolution)
+    policy = _policy_from_args(args)
     seed = args.seed
     if seed is None and args.config:
         seed = _read_config_file(args.config).get("seed")
     if seed is None:
         seed = 0
-    doc = verify_report(cfg, dim, waves=args.waves, fields=args.fields,
-                        seed=seed, resolution=resolution, policy=policy,
-                        two_sided=args.two_sided)
+    for name, value, least in (("--fields", args.fields, 1),
+                               ("--waves", args.waves, 1), ("--seed", seed, 0)):
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
+    try:
+        doc = verify_report(cfg, dim, waves=args.waves, fields=args.fields,
+                            seed=seed, resolution=resolution, policy=policy,
+                            two_sided=args.two_sided)
+    except GridError as exc:
+        raise ConfigError(str(exc)) from exc
     text = json.dumps(doc, indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:

@@ -9,6 +9,12 @@ integer multiples of 1/T.
 The default 2D order range is m = 0..N(i), matching the counted set;
 ``two_sided=True`` switches to the full circular-harmonic range
 m = -N(i)..N(i), which is what a physical field actually excites.
+
+On a tensor-product grid each mode is a product of one factor per axis
+(radial, polar in 3D, azimuthal, time); :func:`mode_factors` evaluates
+those factors once per axis node, the Gram assembly in ``rankcheck``
+works on them directly, and :func:`mode_matrix` joins them into the
+dense (points x modes) matrix that :func:`project_field` needs.
 """
 
 from __future__ import annotations
@@ -296,43 +302,56 @@ def field_values(pws: PlaneWaveSet, positions: np.ndarray,
     return np.exp(1j * phase) @ pws.amplitudes
 
 
+def mode_factors(modes: Sequence[ModeIndex], grid,
+                 cfg: PhysicalConfig) -> dict:
+    """Per-axis factors of every mode on a tensor-product grid.
+
+    Returns {"r": (n_r, M), "mu": (n_mu, M) in 3D only, "phi": (n_phi, M),
+    "t": (n_t, M)}, in the grid's axis order. Mode j at the grid node
+    (r, [mu], phi, t) is the product of column j of each factor: the
+    Bessel radial factor, the orthonormal Legendre factor, e^{i m phi}
+    (negated for odd negative m) and exp(2j pi i t / T) / sqrt(T).
+    """
+    ax = grid.axes
+    spherical = grid.dim is Dimension.THREE_D
+    bins = np.array([md.i for md in modes])
+    m = np.array([md.m for md in modes])
+    order = np.array([md.n for md in modes]) if spherical else np.abs(m)
+    # One radial table per frequency bin, up to the bin's highest order.
+    # Bins come from a set: np.unique's first call imports numpy.ma (~20 ms).
+    radial = np.empty((len(ax["r_nodes"]), len(modes)))
+    for i in set(bins.tolist()):
+        sel = bins == i
+        table = specfun.bessel_table(int(order[sel].max()),
+                                     mode_wavenumber(i, cfg)[1] * ax["r_nodes"],
+                                     spherical=spherical)
+        radial[:, sel] = table[order[sel]].T
+    out = {"r": radial}
+    if spherical:
+        plm = specfun.norm_assoc_legendre_table(int(order.max()), ax["mu_nodes"])
+        out["mu"] = plm[order, np.abs(m)].T
+    sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
+    out["phi"] = np.exp(1j * np.outer(ax["phi_nodes"], m)) * sign
+    phase = np.outer(ax["t_nodes"], 2j * math.pi * bins) / cfg.T
+    out["t"] = np.exp(phase) / math.sqrt(cfg.T)
+    return out
+
+
 def mode_matrix(modes: Sequence[ModeIndex], grid, cfg: PhysicalConfig) -> np.ndarray:
     """Matrix of mode values over grid points, shape (points, modes).
 
-    Exploits the tensor-product structure of the grid: radial, angular
-    and time factors are evaluated once per distinct node and combined
-    through index arrays.
+    Column j is the outer product of the per-axis factors of mode j
+    (:func:`mode_factors`), raveled in the grid's point order. Columns
+    are filled one at a time, so no second (points x modes) array is
+    allocated.
     """
-    ax = grid.axes
-    sqrt_t = math.sqrt(cfg.T)
-    P = len(grid.weights)
-    A = np.empty((P, len(modes)), dtype=complex)
-    t_nodes = ax["t_nodes"]
-    it = ax["t_index"]
-    ir = ax["r_index"]
-    spherical = grid.dim is Dimension.THREE_D
-    # One radial table per frequency bin, up to the bin's highest order.
-    top: dict = {}
-    for md in modes:
-        top[md.i] = max(top.get(md.i, 0), md.n if spherical else abs(md.m))
-    radial = {i: specfun.bessel_table(n, mode_wavenumber(i, cfg)[1] * ax["r_nodes"],
-                                      spherical=spherical)
-              for i, n in top.items()}
-    if spherical:
-        imu = ax["mu_index"]
-        plm = specfun.norm_assoc_legendre_table(max(top.values()), ax["mu_nodes"])
-    phi = ax["phi_nodes"]
-    iphi = ax["phi_index"]
-    for j, md in enumerate(modes):
-        mm = abs(md.m)
-        ang = np.exp(1j * md.m * phi)[iphi]
-        if spherical:
-            ang *= plm[md.n, mm][imu]
-        if md.m < 0 and mm % 2:
-            ang = -ang
-        rad = radial[md.i][md.n if spherical else mm]
-        tf = np.exp(2j * math.pi * md.i * t_nodes / cfg.T) / sqrt_t
-        A[:, j] = rad[ir] * ang * tf[it]
+    factors = list(mode_factors(modes, grid, cfg).values())
+    A = np.empty((len(grid.weights), len(modes)), dtype=complex)
+    for j in range(len(modes)):
+        col = factors[0][:, j]
+        for f in factors[1:]:
+            col = np.multiply.outer(col, f[:, j])
+        A[:, j] = col.ravel()
     return A
 
 

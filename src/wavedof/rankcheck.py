@@ -2,7 +2,12 @@
 
 Builds Gauss-Legendre product grids over ball x time, assembles Gram and
 ensemble covariance matrices, and reduces Hermitian spectra to two
-effective-rank readouts:
+effective-rank readouts. The grid is a tensor product (r x [mu] x phi x
+t), and so is every mode and every plane wave, so both matrices are
+assembled axis by axis: the Gram matrix is the elementwise product of
+one small weighted Gram per axis, and each ensemble field is a
+(spatial nodes x waves) by (waves x time nodes) matrix product. Neither
+forms a (points x modes) or (points x waves) array. The readouts are:
 
 * threshold rank: eigenvalues >= epsilon * lambda_max,
 * energy rank: smallest leading set capturing an eta fraction of the trace.
@@ -20,7 +25,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import Dimension, PhysicalConfig
-from .modes import ModeIndex, PlaneWaveSet, field_values, mode_matrix
+from .modes import ModeIndex, PlaneWaveSet, mode_factors
 
 
 class ResolutionError(RuntimeError):
@@ -69,8 +74,11 @@ class SpaceTimeGrid:
 
     ``points`` has shape (P, 2 or 3) in meters, ``times`` shape (P,) in
     seconds, ``weights`` shape (P,) carrying the full measure (volume x
-    time). ``axes`` keeps the tensor-product node arrays and per-point
-    index arrays so mode evaluation can factorize.
+    time). The grid is a tensor product over the axes r, mu (3D only),
+    phi and t, with points in that index order and t fastest. ``axes``
+    keeps each axis's ``<axis>_nodes`` and ``<axis>_weights`` (their
+    product is ``weights``) and the distinct positions ``space_points``,
+    so mode and field evaluation can factorize.
     """
 
     dim: Dimension
@@ -84,53 +92,60 @@ class SpaceTimeGrid:
         return len(self.weights)
 
 
+def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
+                        n_ang: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Gauss-Legendre product quadrature over a disc (2D) or ball (3D).
+
+    Radial weights carry r (2D) or r^2 (3D). In 3D the angular nodes are
+    n_ang Gauss-Legendre points in mu = cos(theta) crossed with 2*n_ang
+    uniform azimuths; in 2D they are n_ang uniform azimuths. Returns
+    (points, weights, axes) with points in (r, [mu], phi) index order,
+    phi fastest, and axes holding each axis's nodes and weights.
+    """
+    xr, wxr = leggauss(n_r)
+    r = radius * (xr + 1.0) / 2.0
+    wr = wxr * radius / 2.0 * r
+    if dim is Dimension.THREE_D:
+        wr = wr * r
+    n_phi = n_ang if dim is Dimension.TWO_D else 2 * n_ang
+    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
+    wphi = np.full(n_phi, 2.0 * math.pi / n_phi)
+    axes = {"r_nodes": r, "r_weights": wr}
+    if dim is Dimension.TWO_D:
+        w = wr[:, None] * wphi[None, :]
+        coords = (r[:, None] * np.cos(phi), r[:, None] * np.sin(phi))
+    else:
+        mu, wmu = leggauss(n_ang)
+        axes.update(mu_nodes=mu, mu_weights=wmu)
+        w = wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]
+        rs = r[:, None] * np.sqrt(1.0 - mu**2)
+        coords = (rs[:, :, None] * np.cos(phi), rs[:, :, None] * np.sin(phi),
+                  np.broadcast_to((r[:, None] * mu)[:, :, None], w.shape))
+    axes.update(phi_nodes=phi, phi_weights=wphi)
+    return np.stack([c.ravel() for c in coords], axis=-1), w.ravel(), axes
+
+
 def build_grid(dim: Dimension, cfg: PhysicalConfig,
                resolution: tuple) -> SpaceTimeGrid:
     """Gauss-Legendre grid over the observation region and time window.
 
-    ``resolution`` is (n_radial, n_angular, n_time). In 3D the angular
-    nodes are n_angular Gauss-Legendre points in cos(theta) crossed with
-    2*n_angular uniform azimuths; in 2D they are n_angular uniform
-    azimuths. Radial weights carry r^2 (3D) or r (2D).
+    ``resolution`` is (n_radial, n_angular, n_time); the spatial nodes
+    are those of :func:`ball_grid` and the n_time time nodes are
+    Gauss-Legendre points over [0, T].
     """
     n_r, n_ang, n_t = resolution
     if min(n_r, n_ang, n_t) < 1:
         raise GridError("all resolution counts must be >= 1")
     if cfg.R <= 0 or cfg.T <= 0:
         raise GridError("grids need R > 0 and T > 0")
-    xr, wxr = leggauss(n_r)
-    r = cfg.R * (xr + 1.0) / 2.0
+    space, ws, axes = _spatial_quadrature(dim, cfg.R, n_r, n_ang)
     xt, wxt = leggauss(n_t)
     t = cfg.T * (xt + 1.0) / 2.0
     wt = wxt * cfg.T / 2.0
-    if dim is Dimension.TWO_D:
-        wr = wxr * cfg.R / 2.0 * r
-        phi = 2.0 * math.pi * np.arange(n_ang) / n_ang
-        wphi = np.full(n_ang, 2.0 * math.pi / n_ang)
-        ir, ip, it = np.meshgrid(np.arange(n_r), np.arange(n_ang),
-                                 np.arange(n_t), indexing="ij")
-        ir, ip, it = ir.ravel(), ip.ravel(), it.ravel()
-        pts = np.stack([r[ir] * np.cos(phi[ip]), r[ir] * np.sin(phi[ip])], axis=-1)
-        w = wr[ir] * wphi[ip] * wt[it]
-        axes = {"r_nodes": r, "r_index": ir, "phi_nodes": phi, "phi_index": ip,
-                "t_nodes": t, "t_index": it}
-        return SpaceTimeGrid(dim, pts, t[it], w, tuple(resolution), axes)
-    wr = wxr * cfg.R / 2.0 * r * r
-    mu, wmu = leggauss(n_ang)
-    n_phi = 2 * n_ang
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    wphi = np.full(n_phi, 2.0 * math.pi / n_phi)
-    ir, im, ip, it = np.meshgrid(np.arange(n_r), np.arange(n_ang),
-                                 np.arange(n_phi), np.arange(n_t), indexing="ij")
-    ir, im, ip, it = ir.ravel(), im.ravel(), ip.ravel(), it.ravel()
-    st = np.sqrt(1.0 - mu**2)
-    pts = np.stack([r[ir] * st[im] * np.cos(phi[ip]),
-                    r[ir] * st[im] * np.sin(phi[ip]),
-                    r[ir] * mu[im]], axis=-1)
-    w = wr[ir] * wmu[im] * wphi[ip] * wt[it]
-    axes = {"r_nodes": r, "r_index": ir, "mu_nodes": mu, "mu_index": im,
-            "phi_nodes": phi, "phi_index": ip, "t_nodes": t, "t_index": it}
-    return SpaceTimeGrid(dim, pts, t[it], w, tuple(resolution), axes)
+    axes.update(t_nodes=t, t_weights=wt, space_points=space)
+    return SpaceTimeGrid(dim, np.repeat(space, n_t, axis=0), np.tile(t, len(ws)),
+                         (ws[:, None] * wt[None, :]).ravel(), tuple(resolution),
+                         axes)
 
 
 def check_gram_resolution(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
@@ -160,11 +175,17 @@ def _mirror_upper(g: np.ndarray) -> np.ndarray:
 
 def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
                   cfg: PhysicalConfig) -> np.ndarray:
-    """Weighted Gram matrix G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s))."""
+    """Weighted Gram matrix G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)).
+
+    Modes, points and weights are all products over the grid axes, so the
+    sum factors: G is the elementwise product of one weighted Gram per
+    axis, and no (points x modes) matrix is formed.
+    """
     check_gram_resolution(modes, grid, cfg)
-    A = mode_matrix(modes, grid, cfg)
-    g = (A.conj() * grid.weights[:, None]).T @ A
-    return _mirror_upper(g.conj())
+    g = np.ones((len(modes), len(modes)), dtype=complex)
+    for axis, f in mode_factors(modes, grid, cfg).items():
+        g *= (f * grid.axes[f"{axis}_weights"][:, None]).T @ f.conj()
+    return _mirror_upper(g)
 
 
 def diagonal_normalize(g: np.ndarray) -> np.ndarray:
@@ -190,13 +211,43 @@ def ensemble_covariance(fields: Sequence[PlaneWaveSet],
     return _mirror_upper(c)
 
 
+#: complex entries per block of ensemble rows (2 MB)
+_BLOCK_ENTRIES = 1 << 17
+
+
+def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
+    """Yield the rows sqrt(w_s) x_f(s) of the ensemble, block by block.
+
+    Each block covers a run of spatial nodes with all their times, in the
+    grid's point order, and has shape (fields, nodes x n_time). A plane
+    wave is a space factor times a time factor, so over a block a field
+    is (nodes x waves) (waves x time nodes), with the amplitudes folded
+    into the time factor; raveled, t is fastest, as in the grid.
+    """
+    space, t = grid.axes["space_points"], grid.axes["t_nodes"]
+    sw = np.sqrt(grid.weights).reshape(len(space), len(t))
+    n_f, n_w = len(fields), max(len(pws) for pws in fields)
+    # Every field's waves, zero-padded to n_w; padded waves have amplitude 0.
+    dirs = np.zeros((n_f, space.shape[1], n_w))
+    k = np.zeros((n_f, 1, n_w))
+    in_time = np.zeros((n_f, n_w, len(t)), dtype=complex)
+    for f, pws in enumerate(fields):
+        n = len(pws)
+        dirs[f, :, :n] = pws.directions.T
+        k[f, 0, :n] = 2.0 * math.pi * pws.frequencies / pws.c
+        in_time[f, :n] = pws.amplitudes[:, None] * np.exp(
+            1j * (2.0 * math.pi * pws.frequencies[:, None] * t[None, :]))
+    step = max(1, _BLOCK_ENTRIES // (n_f * max(n_w, len(t))))
+    for lo in range(0, len(space), step):
+        nodes = slice(lo, lo + step)
+        in_space = np.exp(1j * ((space[nodes] @ dirs) * k))
+        yield (in_space @ in_time * sw[nodes]).reshape(n_f, -1)
+
+
 def _weighted_field_rows(fields: Sequence[PlaneWaveSet],
                          grid: SpaceTimeGrid) -> np.ndarray:
-    sw = np.sqrt(grid.weights)
-    xw = np.empty((len(fields), len(grid.weights)), dtype=complex)
-    for row, pws in enumerate(fields):
-        xw[row] = field_values(pws, grid.points, grid.times) * sw
-    return xw
+    """Rows sqrt(w_s) x_f(s) of the ensemble, shape (fields, points)."""
+    return np.hstack(list(_weighted_field_blocks(fields, grid)))
 
 
 def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
@@ -209,9 +260,11 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
     """
     if len(fields) == 0:
         raise ValueError("ensemble must be nonempty")
-    xw = _weighted_field_rows(fields, grid)
-    dual = _mirror_upper(xw @ xw.conj().T / len(fields))
-    return eigen_spectrum(dual, policy)
+    # Summed block by block, so no (fields x points) array is formed.
+    dual = np.zeros((len(fields), len(fields)), dtype=complex)
+    for xw in _weighted_field_blocks(fields, grid):
+        dual += xw @ xw.conj().T
+    return eigen_spectrum(_mirror_upper(dual / len(fields)), policy)
 
 
 def eigen_spectrum(matrix: np.ndarray,
@@ -270,27 +323,7 @@ def ball_grid(dim: Dimension, radius: float,
         raise GridError("resolution counts must be >= 1")
     if radius <= 0:
         raise GridError("radius must be > 0")
-    xr, wxr = leggauss(n_r)
-    r = radius * (xr + 1.0) / 2.0
-    if dim is Dimension.TWO_D:
-        wr = wxr * radius / 2.0 * r
-        phi = 2.0 * math.pi * np.arange(n_ang) / n_ang
-        rr, pp = np.meshgrid(r, phi, indexing="ij")
-        w = (wr[:, None] * np.full(n_ang, 2.0 * math.pi / n_ang)[None, :]).ravel()
-        pts = np.stack([rr.ravel() * np.cos(pp.ravel()),
-                        rr.ravel() * np.sin(pp.ravel())], axis=-1)
-        return pts, w
-    wr = wxr * radius / 2.0 * r * r
-    mu, wmu = leggauss(n_ang)
-    n_phi = 2 * n_ang
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-    rr, mm, pp = np.meshgrid(r, mu, phi, indexing="ij")
-    w = (wr[:, None, None] * wmu[None, :, None]
-         * np.full(n_phi, 2.0 * math.pi / n_phi)[None, None, :]).ravel()
-    st = np.sqrt(1.0 - mm.ravel()**2)
-    pts = np.stack([rr.ravel() * st * np.cos(pp.ravel()),
-                    rr.ravel() * st * np.sin(pp.ravel()),
-                    rr.ravel() * mm.ravel()], axis=-1)
+    pts, w, _ = _spatial_quadrature(dim, radius, n_r, n_ang)
     return pts, w
 
 

@@ -3,8 +3,9 @@
 Each oracle reaches its result by a different route than the library:
 extended-precision ascending series for Bessel functions, exact
 integer-coefficient Rodrigues differentiation for associated Legendre,
-a literal (i, n, m) counting loop for mode sums, and characteristic
-polynomial roots for small eigenproblems.
+a literal (i, n, m) counting loop for mode sums, characteristic
+polynomial roots for small eigenproblems, and the dense per-point
+routes that the factored Gram and the separable ensemble rows replace.
 """
 
 import math
@@ -12,6 +13,8 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+
+from wavedof.modes import field_values, mode_matrix
 
 E_PI = math.e * math.pi
 
@@ -107,3 +110,17 @@ def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:
         coeffs.append(ck)
     roots = np.roots(np.array(coeffs))
     return np.sort(roots.real)[::-1]
+
+
+def dense_gram(modes, grid, cfg) -> np.ndarray:
+    """G = A^T W conj(A) from the full (points x modes) mode matrix A."""
+    a = mode_matrix(modes, grid, cfg)
+    a *= np.sqrt(grid.weights)[:, None]
+    return a.T @ a.conj()
+
+
+def pointwise_field_rows(fields, grid) -> np.ndarray:
+    """Rows sqrt(w_s) x_f(s), one plane-wave phase per (point, wave)."""
+    sw = np.sqrt(grid.weights)
+    return np.array([field_values(pws, grid.points, grid.times) * sw
+                     for pws in fields])

@@ -341,3 +341,22 @@ def test_criterion_10_verify_determinism(tmp_path):
     ok = d1 == d2
     _report(10, "verify determinism", ok)
     assert ok
+
+
+def test_criterion_11_gram_rank_at_3d_calibration(tmp_path):
+    # The paper's 3D calibration point: thm2 = exact3d = 365 modes.
+    out = tmp_path / "cal3d.json"
+    rc = main(["verify", "--dim", "3d", "--R", repr(1.0 / E_PI), "--W", "1",
+               "--T", "1", "--F0", "10", "--c", "1",
+               "--resolution", "12,23,52", "--fields", "4", "--waves", "16",
+               "-o", str(out)])
+    got = None
+    if rc == 0:
+        doc = json.loads(out.read_text())
+        got = (doc["gram"]["modes"], doc["gram"]["rank_threshold"],
+               doc["bounds"]["exact3d"])
+    ok = got == (365, 365, 365)
+    _report(11, "3D gram rank at calibration", ok,
+            f"exit {rc}, modes/rank/exact3d {got}")
+    assert rc == 0
+    assert ok, got

@@ -268,3 +268,16 @@ def test_verify_spectrum_csv_export(tmp_path):
         fractions = [float(ln.split(",")[2]) for ln in lines[1:]]
         assert fractions == sorted(fractions)
         assert fractions[-1] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("bad", [
+    ["--fields", "0"], ["--waves", "0"], ["--seed", "-1"],
+    ["--resolution", "0,24,21"], ["--resolution", "a,b,c"],
+    ["--epsilon", "2"], ["--policy", "0.5:2"], ["--R", "0"],
+], ids=lambda bad: " ".join(bad))
+def test_verify_rejects_bad_arguments(bad, tmp_path, capsys):
+    rc = main(["verify", *NARROW_FLAGS, *bad, "-o", str(tmp_path / "v.json")])
+    err = capsys.readouterr().err
+    assert rc == EXIT_CONFIG
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1 and "Traceback" not in err

@@ -10,16 +10,18 @@ from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
                      eigen_spectrum, ensemble_covariance, ensemble_spectrum,
                      enumerate_modes, gram_of_modes, synthesize_field,
                      truncation_degree, truncation_error)
+from wavedof import rankcheck
 from wavedof.modes import ModeIndex, mode_matrix
 from wavedof.rankcheck import GridError, ball_grid
 
-from oracles import charpoly_eigenvalues
+from oracles import charpoly_eigenvalues, dense_gram, pointwise_field_rows
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
 
 CAL_2D = PhysicalConfig(R=1.0 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
 NARROW_2D = PhysicalConfig(R=0.1, W=0.01, T=0.3, f0=10.0, c=1.0)
+HALF_CAL_3D = PhysicalConfig(R=0.5 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
 
 
 def test_grid_weight_sum_3d():
@@ -78,6 +80,42 @@ def test_gram_exactly_hermitian():
     modes = enumerate_modes(TWO_D, CAL_2D)
     gram = gram_of_modes(modes, g, CAL_2D)
     assert np.max(np.abs(gram - gram.conj().T)) == 0.0
+
+
+@pytest.mark.parametrize("dim, cfg, two_sided, resolution, count", [
+    (TWO_D, CAL_2D, False, (8, 24, 52), 33),
+    (TWO_D, CAL_2D, True, (8, 24, 52), 63),
+    (THREE_D, HALF_CAL_3D, False, (8, 13, 52), 121),
+], ids=["cal2d-one-sided", "cal2d-two-sided", "3d-121-modes"])
+def test_factored_gram_matches_dense_oracle(dim, cfg, two_sided, resolution,
+                                            count):
+    g = build_grid(dim, cfg, resolution)
+    modes = enumerate_modes(dim, cfg, two_sided=two_sided)
+    assert len(modes) == count
+    dense = dense_gram(modes, g, cfg)
+    gram = gram_of_modes(modes, g, cfg)
+    assert np.max(np.abs(gram - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+@pytest.mark.parametrize("dim, cfg, resolution", [
+    (TWO_D, NARROW_2D, (8, 24, 21)),
+    (THREE_D, HALF_CAL_3D, (5, 9, 20)),
+], ids=["narrow2d", "3d"])
+def test_separable_field_rows_match_pointwise(dim, cfg, resolution,
+                                              monkeypatch):
+    # Small blocks, so rows and the dual come from many blocks, the last
+    # one short; fields of 16 and 13 waves exercise the padding.
+    monkeypatch.setattr(rankcheck, "_BLOCK_ENTRIES", 700)
+    g = build_grid(dim, cfg, resolution)
+    fields = [synthesize_field(dim, cfg, 16 - 3 * (j % 2), seed=40 + j)
+              for j in range(5)]
+    want = pointwise_field_rows(fields, g)
+    got = rankcheck._weighted_field_rows(fields, g)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    dual = want @ want.conj().T / len(fields)
+    spec = ensemble_spectrum(fields, g)
+    assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(dual)[::-1],
+                       rtol=0, atol=1e-12 * spec.trace)
 
 
 def test_gram_resolution_preconditions():
