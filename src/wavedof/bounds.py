@@ -8,7 +8,10 @@ space-frequency lattice directly, so the two can be compared.
 
 Ceilinged quantities snap values within a 1e-9 relative distance of an
 integer before rounding up, which keeps counts exact when products such
-as e*pi*R/c * f are integral up to floating-point noise.
+as e*pi*R/c * f are integral up to floating-point noise. Lattice counts
+stay exact beyond int64. :class:`ConfigError` (CLI exit 2) also flags a
+count that overflows the float range; :class:`ModeCapError` (exit 3) a
+lattice with more frequency bins than DEFAULT_MODE_CAP.
 """
 
 from __future__ import annotations
@@ -24,9 +27,15 @@ SPEED_OF_LIGHT = 3e8
 
 _SNAP = 1e-9
 
+DEFAULT_MODE_CAP = 10_000_000
+
 
 class ConfigError(ValueError):
     """A physical configuration violates its invariants."""
+
+
+class ModeCapError(RuntimeError):
+    """Requested enumeration exceeds the configured mode cap."""
 
 
 class Dimension(enum.Enum):
@@ -36,20 +45,24 @@ class Dimension(enum.Enum):
     THREE_D = "3d"
 
 
+def _snap(v, rounding):
+    """Elementwise ``rounding`` (np.ceil or np.floor) to integral floats,
+    after snapping values within _SNAP (relative) of an integer onto it."""
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ConfigError("a count overflows the float range")
+    r = np.rint(v)  # half to even, as round()
+    return np.where(np.abs(v - r) <= _SNAP * np.maximum(1.0, np.abs(v)), r, rounding(v))
+
+
 def iceil(v: float) -> int:
     """Ceiling with a relative snap to nearby integers."""
-    r = round(v)
-    if abs(v - r) <= _SNAP * max(1.0, abs(v)):
-        return int(r)
-    return math.ceil(v)
+    return int(_snap(v, np.ceil))
 
 
 def ifloor(v: float) -> int:
     """Floor with a relative snap to nearby integers."""
-    r = round(v)
-    if abs(v - r) <= _SNAP * max(1.0, abs(v)):
-        return int(r)
-    return math.floor(v)
+    return int(_snap(v, np.floor))
 
 
 @dataclass(frozen=True)
@@ -123,52 +136,47 @@ def truncation_degree(R: float, k: float) -> int:
     return iceil(math.e * k * R / 2.0)
 
 
-def frequency_bins(cfg: PhysicalConfig) -> list[FrequencyBin]:
-    """Discrete frequency bins i/T covering the band, with per-bin degrees.
+def bin_degrees(cfg: PhysicalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Arrays (i, f, degree) of the frequency bins i/T covering the band:
+    indices (Python ints beyond int64), frequencies, and degrees
+    N(i) = ceil(e*pi*R*f/c) as integral floats, exact; read with ``int()``.
 
     Bins are the integers i with F0 - W <= i/T <= F0 + W. When no
     integer falls inside the band (possible only for 2WT < 1), a single
     stand-in bin at the center frequency is returned with i = round(F0*T)
     so that narrowband configurations keep their single-frequency count.
+    Each bin holds a mode, so more than DEFAULT_MODE_CAP bins raise
+    :class:`ModeCapError` before anything is allocated.
     """
     if cfg.T <= 0:
         raise ConfigError("frequency bins require T > 0")
     lo = iceil((cfg.f0 - cfg.W) * cfg.T)
     hi = ifloor((cfg.f0 + cfg.W) * cfg.T)
+    if hi - lo >= DEFAULT_MODE_CAP:
+        raise ModeCapError(f"{hi - lo + 1} frequency bins exceed the mode cap "
+                           f"of {DEFAULT_MODE_CAP}")
     a = cfg.space_factor
     if lo > hi:
-        return [FrequencyBin(round(cfg.f0 * cfg.T), cfg.f0, iceil(a * cfg.f0))]
-    return [FrequencyBin(i, i / cfg.T, iceil(a * i / cfg.T)) for i in range(lo, hi + 1)]
+        i, f, v = np.array([round(cfg.f0 * cfg.T)]), np.array([cfg.f0]), [a * cfg.f0]
+    else:
+        i = np.arange(lo, hi + 1, dtype=np.int64 if hi < 2**63 else object)
+        x = i.astype(float)
+        with np.errstate(over="ignore"):  # _snap rejects the overflow
+            f, v = x / cfg.T, a * x / cfg.T
+    return i, f, _snap(v, np.ceil)
+
+
+def frequency_bins(cfg: PhysicalConfig) -> list[FrequencyBin]:
+    """List view of :func:`bin_degrees`: one :class:`FrequencyBin` per bin."""
+    return [FrequencyBin(i, f, int(n))
+            for i, f, n in zip(*(a.tolist() for a in bin_degrees(cfg)))]
 
 
 def exact_mode_sum(dim: Dimension, cfg: PhysicalConfig) -> int:
-    """Exact count of the discrete space-frequency mode lattice.
-
-    Sums (N(i)+1)^2 in 3D, or N(i)+1 in 2D, over the frequency bins,
-    where N(i) = ceil(e*pi*R*f(i)/c). Rejects T <= 0; use dof_space for
-    the instantaneous narrowband count.
-    """
-    if cfg.T <= 0:
-        raise ConfigError("exact_mode_sum requires T > 0; use dof_space for T = 0")
-    lo = iceil((cfg.f0 - cfg.W) * cfg.T)
-    hi = ifloor((cfg.f0 + cfg.W) * cfg.T)
-    a = cfg.space_factor
-    if lo > hi:
-        n = iceil(a * cfg.f0)
-        return (n + 1) ** 2 if dim is Dimension.THREE_D else n + 1
-    if hi - lo > 2000:
-        # Vectorized snap-ceiling; the sums run over Python ints, because
-        # a sum of squares overflows int64 at large R and F0.
-        v = a * np.arange(lo, hi + 1, dtype=float) / cfg.T
-        r = np.round(v)
-        n = np.where(np.abs(v - r) <= _SNAP * np.maximum(1.0, np.abs(v)), r, np.ceil(v))
-        n = (n.astype(np.int64) + 1).tolist()
-        return sum(d * d for d in n) if dim is Dimension.THREE_D else sum(n)
-    total = 0
-    for i in range(lo, hi + 1):
-        n = iceil(a * i / cfg.T)
-        total += (n + 1) ** 2 if dim is Dimension.THREE_D else n + 1
-    return total
+    """Exact lattice count: (N(i)+1)^2 in 3D, or N(i)+1 in 2D, summed over
+    :func:`bin_degrees` in Python ints. Rejects T <= 0; use dof_space there."""
+    n = [int(d) + 1 for d in bin_degrees(cfg)[2].tolist()]
+    return sum(k * k for k in n) if dim is Dimension.THREE_D else sum(n)
 
 
 def closed_form_bound(dim: Dimension, cfg: PhysicalConfig) -> float:
@@ -234,22 +242,26 @@ class BoundReport:
 
 def bound_report(cfg: PhysicalConfig) -> BoundReport:
     """Evaluate every bound for one configuration."""
+    space2d = dof_space(Dimension.TWO_D, cfg.f0, cfg.R, cfg.c)
+    space3d = dof_space(Dimension.THREE_D, cfg.f0, cfg.R, cfg.c)
     if cfg.T > 0:
         exact2d = exact_mode_sum(Dimension.TWO_D, cfg)
         exact3d = exact_mode_sum(Dimension.THREE_D, cfg)
     else:
-        exact2d = dof_space(Dimension.TWO_D, cfg.f0, cfg.R, cfg.c)
-        exact3d = dof_space(Dimension.THREE_D, cfg.f0, cfg.R, cfg.c)
-    return BoundReport(
-        config=cfg,
-        d_2wt=dof_time_band(cfg.W, cfg.T),
-        d_space2d=dof_space(Dimension.TWO_D, cfg.f0, cfg.R, cfg.c),
-        d_space3d=dof_space(Dimension.THREE_D, cfg.f0, cfg.R, cfg.c),
-        thm1=closed_form_bound(Dimension.TWO_D, cfg),
-        thm2=closed_form_bound(Dimension.THREE_D, cfg),
-        exact2d=exact2d,
-        exact3d=exact3d,
-        asym3d=asymptotic_dof_3d(cfg),
-        avg_density=average_mode_density_3d(cfg),
-        n0=(cfg.f0 - cfg.W) * cfg.space_factor,
-    )
+        exact2d, exact3d = space2d, space3d
+    try:
+        return BoundReport(
+            config=cfg,
+            d_2wt=dof_time_band(cfg.W, cfg.T),
+            d_space2d=space2d,
+            d_space3d=space3d,
+            thm1=closed_form_bound(Dimension.TWO_D, cfg),
+            thm2=closed_form_bound(Dimension.THREE_D, cfg),
+            exact2d=exact2d,
+            exact3d=exact3d,
+            asym3d=asymptotic_dof_3d(cfg),
+            avg_density=average_mode_density_3d(cfg),
+            n0=(cfg.f0 - cfg.W) * cfg.space_factor,
+        )
+    except OverflowError as exc:  # float ** overflows; float * gives inf
+        raise ConfigError("a closed-form bound overflows the float range") from exc

@@ -8,8 +8,10 @@ modes    dump the enumerated mode table -> CSV
 verify   quadrature Gram + ensemble covariance rank experiment -> JSON
 figure   canned sweeps (fig3 | fig4 | fig5) reproducing the survey plots
 
-Exit codes: 0 success, 2 configuration invariant violated, 3 mode cap
-exceeded, 4 grid resolution below minimum.
+Exit codes: 0 success; 2 configuration error (violated invariant, malformed
+number, axis or config file, overflowing count, unopenable file); 3 mode
+cap exceeded (also by the frequency bins alone); 4 grid resolution below
+minimum.
 
 File formats: CSV is UTF-8 with LF line endings, ``# key = value``
 metadata lines, then a header row; numbers carry 12 significant digits
@@ -24,9 +26,7 @@ import argparse
 import datetime as _dt
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,11 +117,11 @@ def run_metadata(seed=None, extra: dict | None = None) -> dict:
     return meta
 
 
-def _threads() -> int:
+def _number(text: str, what: str, kind=float):
     try:
-        return max(1, int(os.environ.get("WAVEDOF_THREADS", "1")))
-    except ValueError:
-        return 1
+        return kind(text)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} expects a number, got {text!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,8 @@ def _read_config_file(path: str) -> dict:
             key, val = (s.strip() for s in line.split("=", 1))
             if key not in ("R", "W", "T", "F0", "c", "seed"):
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = float(val) if key != "seed" else int(float(val))
+            out[key] = _number(val, f"{path}:{lineno}: {key}",
+                               float if key != "seed" else lambda s: int(float(s)))
     return out
 
 
@@ -202,9 +203,10 @@ def _parse_axis(text: str) -> Axis:
         raise ConfigError(f"axis parameter must be one of {SWEEP_PARAMS}, got {name!r}")
     if scale not in ("linear", "log"):
         raise ConfigError(f"axis scale must be linear or log, got {scale!r}")
-    lo, hi, count = float(lo), float(hi), int(count)
-    if not lo < hi:
-        raise ConfigError(f"axis needs min < max, got {lo} >= {hi}")
+    lo, hi, count = (_number(lo, "axis min"), _number(hi, "axis max"),
+                     _number(count, "axis count", int))
+    if not -math.inf < lo < hi < math.inf:
+        raise ConfigError(f"axis needs finite min < max, got {lo}, {hi}")
     if count < 2:
         raise ConfigError(f"axis needs count >= 2, got {count}")
     if scale == "log" and lo <= 0:
@@ -224,7 +226,7 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         key, val = item.split("=", 1)
         if key not in SWEEP_PARAMS + ("c",):
             raise ConfigError(f"unknown fixed parameter {key!r}")
-        fixed[key] = float(val)
+        fixed[key] = _number(val, f"--fixed {key}")
     quantities = tuple(args.quantities.split(","))
     for q in quantities:
         if q not in SWEEP_QUANTITIES:
@@ -236,25 +238,18 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     return SweepSpec(a1, a2, fixed, quantities)
 
 
-def _sweep_cell(spec: SweepSpec, v1: float, v2: float) -> list:
-    params = dict(spec.fixed)
-    params[spec.axis1.name] = v1
-    params[spec.axis2.name] = v2
-    cfg = PhysicalConfig(R=params["R"], W=params["W"], T=params["T"],
-                         f0=params["F0"], c=params.get("c", 3e8))
-    rep = bound_report(cfg).as_dict()
-    return [v1, v2] + [rep[q] for q in spec.quantities]
-
-
 def evaluate_sweep(spec: SweepSpec) -> list[list]:
     """Row-major evaluation over axis1 x axis2; deterministic order."""
-    cells = [(v1, v2) for v1 in spec.axis1.values() for v2 in spec.axis2.values()]
-    workers = _threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda c: _sweep_cell(spec, *c), cells))
-    else:
-        rows = [_sweep_cell(spec, *c) for c in cells]
+    rows = []
+    for v1 in spec.axis1.values():
+        for v2 in spec.axis2.values():
+            params = dict(spec.fixed)
+            params[spec.axis1.name] = v1
+            params[spec.axis2.name] = v2
+            cfg = PhysicalConfig(R=params["R"], W=params["W"], T=params["T"],
+                                 f0=params["F0"], c=params.get("c", 3e8))
+            rep = bound_report(cfg).as_dict()
+            rows.append([v1, v2] + [rep[q] for q in spec.quantities])
     return rows
 
 
@@ -432,10 +427,7 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
 
 
 def _parse_resolution(text: str) -> tuple:
-    try:
-        resolution = tuple(int(s) for s in text.split(","))
-    except ValueError:
-        resolution = ()
+    resolution = tuple(_number(s, "--resolution", int) for s in text.split(","))
     if len(resolution) != 3 or min(resolution) < 1:
         raise ConfigError("--resolution expects three positive integers "
                           f"n_radial,n_angular,n_time, got {text!r}")
@@ -559,7 +551,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ModeCapError as exc:

@@ -27,14 +27,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import specfun
-from .bounds import (ConfigError, Dimension, PhysicalConfig,
-                     frequency_bins)
-
-DEFAULT_MODE_CAP = 10_000_000
-
-
-class ModeCapError(RuntimeError):
-    """Requested enumeration exceeds the configured mode cap."""
+from .bounds import (DEFAULT_MODE_CAP, ConfigError, Dimension, ModeCapError,
+                     PhysicalConfig, bin_degrees)
 
 
 class ProjectionRankError(RuntimeError):
@@ -117,17 +111,16 @@ class CoefficientVector:
     residual: float
 
 
+def _lattice_count(dim: Dimension, degrees: list, two_sided: bool) -> int:
+    if dim is Dimension.THREE_D:
+        return sum((n + 1) ** 2 for n in degrees)
+    return sum(2 * n + 1 if two_sided else n + 1 for n in degrees)
+
+
 def mode_count(dim: Dimension, cfg: PhysicalConfig, two_sided: bool = False) -> int:
     """Number of modes enumerate_modes would produce."""
-    total = 0
-    for b in frequency_bins(cfg):
-        if dim is Dimension.THREE_D:
-            total += (b.degree + 1) ** 2
-        elif two_sided:
-            total += 2 * b.degree + 1
-        else:
-            total += b.degree + 1
-    return total
+    return _lattice_count(dim, [int(n) for n in bin_degrees(cfg)[2].tolist()],
+                          two_sided)
 
 
 def enumerate_modes(dim: Dimension, cfg: PhysicalConfig, *,
@@ -137,19 +130,21 @@ def enumerate_modes(dim: Dimension, cfg: PhysicalConfig, *,
 
     Raises :class:`ModeCapError` when the count exceeds ``cap``.
     """
-    total = mode_count(dim, cfg, two_sided)
+    bins, _, degrees = bin_degrees(cfg)
+    degrees = [int(n) for n in degrees.tolist()]
+    total = _lattice_count(dim, degrees, two_sided)
     if total > cap:
         raise ModeCapError(f"{total} modes exceed the cap of {cap}")
     out: list[ModeIndex] = []
-    for b in frequency_bins(cfg):
+    for i, degree in zip(bins.tolist(), degrees):
         if dim is Dimension.THREE_D:
-            for n in range(b.degree + 1):
+            for n in range(degree + 1):
                 for m in range(-n, n + 1):
-                    out.append(ModeIndex(b.i, n, m, dim))
+                    out.append(ModeIndex(i, n, m, dim))
         else:
-            lo = -b.degree if two_sided else 0
-            for m in range(lo, b.degree + 1):
-                out.append(ModeIndex(b.i, 0, m, dim))
+            lo = -degree if two_sided else 0
+            for m in range(lo, degree + 1):
+                out.append(ModeIndex(i, 0, m, dim))
     return out
 
 

@@ -82,6 +82,16 @@ def test_exact_mode_sum_empty_bin_range():
     assert len(bins) == 1 and bins[0].f == 10.5
 
 
+def test_frequency_bins_beyond_int64():
+    # bin indices near 1e19 exceed int64; they stay exact, consecutive ints
+    cfg = PhysicalConfig(R=1e-12, W=5000.0, T=1.0, f0=1e19)
+    bins = frequency_bins(cfg)
+    lo, hi = int((cfg.f0 - cfg.W) * cfg.T), int((cfg.f0 + cfg.W) * cfg.T)
+    assert [b.i for b in bins] == list(range(lo, hi + 1))
+    assert all(type(b.i) is int and b.f == float(b.i) for b in bins)
+    assert exact_mode_sum(TWO_D, cfg) == 2 * len(bins)  # N(i) = 1 throughout
+
+
 def test_exact_mode_sum_against_brute_force():
     rng = np.random.default_rng(42)
     for _ in range(40):
@@ -95,21 +105,35 @@ def test_exact_mode_sum_against_brute_force():
 
 
 def test_exact_mode_sum_vectorized_path_matches_loop():
-    # > 2000 bins takes the numpy branch; check it against a per-bin loop
-    # in Python ints. The second config has 10,001 bins and a 3D total
-    # beyond the int64 range.
-    for cfg in (natural(0.3 / E_PI, 1500.0, 1.0, 2000.0),
-                PhysicalConfig(R=1e7, W=5e5, T=1e-2, f0=1e9)):
+    # exact_mode_sum against a per-bin loop in Python ints that applies the
+    # documented snap literally: round, keep the rounded value within
+    # 1e-9 * max(1, |v|), else take the ceiling. The second and third
+    # configs have 10,001 bins and totals beyond the int64 range (the
+    # third in 2D too). Degrees of the third reach 3e21, where one float
+    # ulp exceeds 1, so v is formed as the library forms it,
+    # (e pi R / c) * i / T.
+    def snap_ceil(v):
+        r = round(v)
+        return r if abs(v - r) <= 1e-9 * max(1.0, abs(v)) else math.ceil(v)
+
+    for cfg, pinned in (
+            (natural(0.3 / E_PI, 1500.0, 1.0, 2000.0), None),
+            (PhysicalConfig(R=1e7, W=5e5, T=1e-2, f0=1e9),
+             (2846862744188, 810381777798852280300)),
+            (PhysicalConfig(R=1e20, W=5e5, T=1e-2, f0=1e9),
+             (28468627320319443675916049,
+              81038177087822031058275904537151593057286629137))):
         lo, hi = math.ceil((cfg.f0 - cfg.W) * cfg.T), math.floor((cfg.f0 + cfg.W) * cfg.T)
+        a = math.e * math.pi * cfg.R / cfg.c
         ref3 = ref2 = 0
         for i in range(lo, hi + 1):
-            v = E_PI * cfg.R * i / cfg.T / cfg.c
-            n = math.ceil(v - 1e-9 * max(1.0, v))
+            n = snap_ceil(a * i / cfg.T)
             ref3 += (n + 1) ** 2
             ref2 += n + 1
         assert exact_mode_sum(THREE_D, cfg) == ref3
         assert exact_mode_sum(TWO_D, cfg) == ref2
-    assert ref3 == 810381777798852280300
+        if pinned:
+            assert (ref2, ref3) == pinned
 
 
 def test_closed_form_3d_calibration():

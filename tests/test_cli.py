@@ -1,11 +1,15 @@
 """Command surface: flags, exit codes, file formats, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
-import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavedof.cli import (EXIT_CAP, EXIT_CONFIG, EXIT_OK, EXIT_RESOLUTION,
                          FIGURE_PRESETS, fmt_num, main, parse_sweep_csv,
@@ -67,6 +71,31 @@ def test_bounds_rejects_non_finite(value, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, code, message", [
+    # 2e9 + 1 frequency bins: refused before the bins are allocated
+    (["--R", "1", "--W", "1e9", "--T", "1", "--F0", "1e9"], EXIT_CAP,
+     "mode cap exceeded: 2000000001 frequency bins"),
+    # e pi R f / c overflows the float range
+    (["--R", "1e300", "--W", "1", "--T", "1", "--F0", "1e300"], EXIT_CONFIG,
+     "configuration error: a count overflows the float range"),
+    (["--R", "1e300", "--W", "1", "--T", "0", "--F0", "1e300"], EXIT_CONFIG,
+     "configuration error: a count overflows the float range"),
+], ids=["bins-over-cap", "overflow", "overflow-T0"])
+def test_bounds_rejects_lattice_out_of_range(flags, code, message, capsys):
+    assert main(["bounds", *flags]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_bounds_exact_beyond_int64(capsys):
+    assert main(["bounds", "--R", "1e20", "--W", "5e5", "--T", "1e-2",
+                 "--F0", "1e9"]) == EXIT_OK
+    rows = dict(ln.split() for ln in capsys.readouterr().out.splitlines())
+    assert rows["exact2d"] == "28468627320319443675916049"
+    assert rows["exact3d"] == "81038177087822031058275904537151593057286629137"
+
+
 def test_config_file_precedence(tmp_path, capsys):
     conf = tmp_path / "run.conf"
     conf.write_text("R = 0\nW = 3\nT = 1\nF0 = 10\n")
@@ -118,17 +147,80 @@ def test_sweep_rejects_bad_axis(tmp_path):
     assert rc == EXIT_CONFIG  # F0 missing
 
 
-def test_sweep_deterministic_and_threaded(tmp_path):
+SWEEP_FLAGS = ["--axis1", "R:0.1:1:2:linear", "--axis2", "W:10:100:2:log",
+               "--fixed", "T=1", "--fixed", "F0=1000"]
+
+
+@pytest.mark.parametrize("case", [
+    "axis-count", "fixed-value", "missing-config", "config-value", "output-dir"])
+def test_malformed_input_exits_config(case, tmp_path, capsys):
+    conf = tmp_path / "bad.conf"
+    conf.write_text("R = abc\nW = 1\nT = 1\nF0 = 10\n")
+    out = str(tmp_path / "s.csv")
+    argv = {
+        "axis-count": ["sweep", "--axis1", "R:0.1:1:abc:linear", *SWEEP_FLAGS[2:],
+                       "-o", out],
+        "fixed-value": ["sweep", *SWEEP_FLAGS, "--fixed", "T=abc", "-o", out],
+        "missing-config": ["bounds", "--config", str(tmp_path / "missing.conf")],
+        "config-value": ["bounds", "--config", str(conf)],
+        "output-dir": ["sweep", *SWEEP_FLAGS,
+                       "-o", str(tmp_path / "missing" / "x.csv")],
+    }[case]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+NUMBER = st.sampled_from(["0", "0.5", "1", "10", "2.4e9", "1e300", "-1",
+                          "nan", "inf", "abc"])
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for bounds, sweep or modes over a small set of good and bad tokens."""
+    names = draw(st.permutations(["R", "W", "T", "F0"]))
+    command = draw(st.sampled_from(["bounds", "sweep", "modes"]))
+    if command == "sweep":
+        argv = ["sweep", "--quantities", "thm2,exact2d,exact3d"]
+        for flag, name in (("--axis1", names[0]), ("--axis2", names[1])):
+            count = draw(st.sampled_from(["1", "2", "3", "abc"]))
+            scale = draw(st.sampled_from(["linear", "log"]))
+            argv += [flag, f"{name}:{draw(NUMBER)}:{draw(NUMBER)}:{count}:{scale}"]
+        for name in names[2:]:
+            argv += ["--fixed", f"{name}={draw(NUMBER)}"]
+        return argv
+    argv = [command]
+    for name in names:
+        argv += [f"--{name}", draw(NUMBER)]
+    if command == "modes":
+        argv += ["--dim", draw(st.sampled_from(["2d", "3d"])), "--cap", "1000"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        if argv[0] != "bounds":
+            argv = argv + ["-o", f"{tmp}/out.csv"]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a non-numeric flag value
+            code = exc.code
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CAP, EXIT_RESOLUTION), (argv, code)
+    assert "Traceback" not in err.getvalue()
+
+
+def test_sweep_deterministic(tmp_path):
     args = ["sweep", "--axis1", "R:0.01:1:5:log", "--axis2", "W:1e3:1e6:5:log",
             "--fixed", "T=5e-4", "--fixed", "F0=2.4e9",
             "--quantities", "thm2,exact3d"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["-o", str(a)]) == EXIT_OK
-    os.environ["WAVEDOF_THREADS"] = "4"
-    try:
-        assert main(args + ["-o", str(b)]) == EXIT_OK
-    finally:
-        del os.environ["WAVEDOF_THREADS"]
+    assert main(args + ["-o", str(b)]) == EXIT_OK
 
     def numeric_part(path):
         return [ln for ln in path.read_text().splitlines()

@@ -25,11 +25,18 @@ def test_enumerate_counts_match_exact_sums():
     assert len(enumerate_modes(THREE_D, CAL_3D)) == 365
     assert len(enumerate_modes(TWO_D, CAL_2D)) == 33
     rng = np.random.default_rng(8)
-    for _ in range(25):
-        cfg = PhysicalConfig(R=rng.uniform(0, 2) / E_PI, W=rng.uniform(0, 3),
-                             T=rng.uniform(0.1, 2.5), f0=rng.uniform(3, 15), c=1.0)
+    configs = [PhysicalConfig(R=rng.uniform(0, 2) / E_PI, W=rng.uniform(0, 3),
+                              T=rng.uniform(0.1, 2.5), f0=rng.uniform(3, 15), c=1.0)
+               for _ in range(25)]
+    # no integer in (F0 - W) T .. (F0 + W) T: one stand-in bin at F0
+    configs.append(PhysicalConfig(R=1.0 / E_PI, W=0.001, T=0.2, f0=10.5, c=1.0))
+    for cfg in configs:
         for dim in (TWO_D, THREE_D):
-            assert len(enumerate_modes(dim, cfg)) == exact_mode_sum(dim, cfg)
+            assert (len(enumerate_modes(dim, cfg)) == exact_mode_sum(dim, cfg)
+                    == mode_count(dim, cfg))
+        two = enumerate_modes(TWO_D, cfg, two_sided=True)
+        assert len(two) == mode_count(TWO_D, cfg, two_sided=True)
+    assert len(enumerate_modes(THREE_D, configs[-1])) == 12 ** 2
 
 
 def test_enumerate_point_region():
