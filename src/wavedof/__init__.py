@@ -18,8 +18,8 @@ from .modes import (CoefficientVector, ModeCapError, ModeIndex, PlaneWaveSet,
                     project_field, synthesize_field)
 from .rankcheck import (RankPolicy, ResolutionError, SpaceTimeGrid,
                         SpectrumReport, build_grid, diagonal_normalize,
-                        effective_rank, eigen_spectrum, ensemble_covariance,
-                        ensemble_spectrum, gram_of_modes, truncation_error)
+                        effective_rank, eigen_spectrum, ensemble_spectrum,
+                        gram_of_modes, truncation_error)
 from .specfun import (Angle, assoc_legendre, bessel_J, legendre_p,
                       norm_assoc_legendre, sph_harm, spherical_bessel_j)
 
@@ -30,10 +30,10 @@ __all__ = [
     "WaveVector", "assoc_legendre", "asymptotic_dof_3d",
     "average_mode_density_3d", "bessel_J", "bound_report", "build_grid",
     "closed_form_bound", "diagonal_normalize", "dof_space", "dof_time_band",
-    "effective_rank", "eigen_spectrum", "ensemble_covariance",
-    "ensemble_spectrum", "enumerate_modes", "evaluate_mode", "exact_mode_sum",
-    "frequency_bins", "gram_of_modes", "jacobi_anger_partial", "legendre_p",
-    "mode_wavenumber", "norm_assoc_legendre", "plane_wave", "project_field",
-    "sph_harm", "spherical_bessel_j", "synthesize_field", "truncation_degree",
+    "effective_rank", "eigen_spectrum", "ensemble_spectrum", "enumerate_modes",
+    "evaluate_mode", "exact_mode_sum", "frequency_bins", "gram_of_modes",
+    "jacobi_anger_partial", "legendre_p", "mode_wavenumber",
+    "norm_assoc_legendre", "plane_wave", "project_field", "sph_harm",
+    "spherical_bessel_j", "synthesize_field", "truncation_degree",
     "truncation_error",
 ]

@@ -299,12 +299,33 @@ def _color(frac: float) -> str:
     return f"#{r:02x}40{b:02x}"
 
 
+def _color_coordinates(values: list) -> tuple[np.ndarray, str]:
+    """Values as floats to color by, and the scale they are on.
+
+    Linear while every value fits a float. An exact count past the float
+    range (about 1e308) switches the whole map to log10, which
+    ``math.log10`` takes from a Python int of any size; values <= 0 have
+    no log and come back as nan.
+    """
+    try:
+        return np.array(values, dtype=float), "linear"
+    except OverflowError:
+        return np.array([math.log10(v) if v > 0 else math.nan
+                         for v in values]), "log10"
+
+
 def render_sweep_svg(spec: SweepSpec, rows: list[list], quantity: str) -> str:
-    """Heatmap of one quantity; color is linear between grid min and max."""
+    """Heatmap of one quantity; color is linear between grid min and max.
+
+    Counts too large for a float are colored by log10 instead, and cells
+    without a finite coordinate are gray.
+    """
     qi = 2 + list(spec.quantities).index(quantity)
     n1, n2 = spec.axis1.count, spec.axis2.count
-    vals = np.array([r[qi] for r in rows], dtype=float).reshape(n1, n2)
-    lo, hi = float(vals.min()), float(vals.max())
+    coords, scale = _color_coordinates([r[qi] for r in rows])
+    vals = coords.reshape(n1, n2)
+    finite = vals[np.isfinite(vals)]
+    lo, hi = (float(finite.min()), float(finite.max())) if finite.size else (0.0, 0.0)
     span = hi - lo if hi > lo else 1.0
     cell, margin = 14, 40
     width, height = margin + n2 * cell + 10, margin + n1 * cell + 10
@@ -313,14 +334,16 @@ def render_sweep_svg(spec: SweepSpec, rows: list[list], quantity: str) -> str:
              f'height="{height}">',
              "<!-- " + " ".join(f"{k}={v}" for k, v in meta.items()) + " -->",
              f'<text x="4" y="14" font-size="11">{quantity}: '
-             f'{fmt_num(lo)} (blue) to {fmt_num(hi)} (red), linear</text>',
+             f'{fmt_num(lo)} (blue) to {fmt_num(hi)} (red), {scale}</text>',
              f'<text x="4" y="28" font-size="11">rows: {spec.axis1.name}, '
              f'cols: {spec.axis2.name}</text>']
     for i1 in range(n1):
         for i2 in range(n2):
-            frac = (vals[i1, i2] - lo) / span
+            v = vals[i1, i2]
+            # an overflowed closed form (inf) or a value without a log
+            fill = _color((v - lo) / span) if math.isfinite(v) else "#808080"
             parts.append(f'<rect x="{margin + i2 * cell}" y="{margin + i1 * cell}" '
-                         f'width="{cell}" height="{cell}" fill="{_color(frac)}"/>')
+                         f'width="{cell}" height="{cell}" fill="{fill}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

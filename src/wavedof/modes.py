@@ -12,9 +12,16 @@ m = -N(i)..N(i), which is what a physical field actually excites.
 
 On a tensor-product grid each mode is a product of one factor per axis
 (radial, polar in 3D, azimuthal, time); :func:`mode_factors` evaluates
-those factors once per axis node, the Gram assembly in ``rankcheck``
-works on them directly, and :func:`mode_matrix` joins them into the
-dense (points x modes) matrix that :func:`project_field` needs.
+those factors once per axis node. :func:`weighted_gram` (the Gram of
+``rankcheck``) and :func:`project_field` work on them directly, one
+axis at a time. :func:`mode_matrix` joins them into the dense
+(points x modes) matrix; nothing in the package calls it, and it stays
+as the public dense reference.
+
+The Jacobi-Anger partial sum of a plane wave is likewise one radial
+table times one angular table (:func:`jacobi_anger_tables`), which both
+the per-point :func:`jacobi_anger_values` and the ball-averaged
+``rankcheck.truncation_error`` read.
 """
 
 from __future__ import annotations
@@ -204,67 +211,55 @@ def jacobi_anger_partial(wv: WaveVector, position, N: int) -> complex:
 
     3D: 4 pi sum_{n<=N} j^n j_n(k r) sum_m Y_n^m(rhat) conj(Y_n^m(khat)).
     2D: sum_{|m|<=N} j^m J_m(k r) e^{j m (theta_r - theta_k)}.
+    One point of :func:`jacobi_anger_values`.
+    """
+    pts = np.asarray(position, dtype=float)[None]
+    return complex(jacobi_anger_values(wv, pts, N)[0])
+
+
+#: j^n for n mod 4, exact (numpy's complex power is not)
+_J_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def jacobi_anger_tables(wv: WaveVector, r, directions,
+                        N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Radial and angular tables of the degree-N partial sum.
+
+    The partial sum of :func:`jacobi_anger_partial` at radius ``r[a]``
+    along the unit vector ``directions[b]`` is ``(radial @ angular)[a, b]``.
+    ``radial`` (len(r), N+1) holds j^n (2n+1) j_n(k r) in 3D, where the
+    addition theorem folds the m-sum into (2n+1) P_n(rhat . khat), and
+    j^m eps_m J_m(k r) in 2D, where the +m and -m terms fold into
+    eps_m cos(m dtheta) (eps_0 = 1, eps_m = 2). ``angular`` (N+1, n_dir)
+    holds P_n(rhat . khat) or cos(m dtheta).
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    pos = np.asarray(position, dtype=float)
-    r = float(np.linalg.norm(pos))
-    if wv.dim is Dimension.TWO_D:
-        if r == 0.0:
-            return 1.0 + 0.0j
-        dtheta = math.atan2(pos[1], pos[0]) - math.atan2(wv.k_hat[1], wv.k_hat[0])
-        total = specfun.bessel_J(0, wv.k * r) + 0.0j
-        for m in range(1, N + 1):
-            jm = specfun.bessel_J(m, wv.k * r)
-            # +m and -m terms combined; J_{-m} = (-1)^m J_m.
-            total += (1j**m) * jm * cmath.exp(1j * m * dtheta)
-            total += (1j**-m) * ((-1) ** m) * jm * cmath.exp(-1j * m * dtheta)
-        return total
-    if r == 0.0:
-        return 1.0 + 0.0j
-    ra = specfun.Angle(math.acos(min(max(pos[2] / r, -1.0), 1.0)),
-                       math.atan2(pos[1], pos[0]))
-    ka = specfun.Angle(math.acos(min(max(wv.k_hat[2], -1.0), 1.0)),
-                       math.atan2(wv.k_hat[1], wv.k_hat[0]))
-    total = 0.0 + 0.0j
-    for n in range(N + 1):
-        inner = 0.0 + 0.0j
-        for m in range(-n, n + 1):
-            inner += specfun.sph_harm(n, m, ra) * specfun.sph_harm(n, m, ka).conjugate()
-        total += (1j**n) * specfun.spherical_bessel_j(n, wv.k * r) * inner
-    return specfun.FOUR_PI * total
+    n = np.arange(N + 1)
+    u = np.asarray(directions, dtype=float)
+    spherical = wv.dim is Dimension.THREE_D
+    weight = _J_POWERS[n % 4] * ((2 * n + 1) if spherical else np.minimum(n, 1) + 1)
+    radial = specfun.bessel_table(N, wv.k * np.asarray(r, dtype=float),
+                                  spherical=spherical).T * weight
+    if spherical:
+        cos_g = np.clip(u @ np.asarray(wv.k_hat), -1.0, 1.0)
+        return radial, specfun.legendre_table(N, cos_g)
+    dtheta = np.arctan2(u[:, 1], u[:, 0]) - math.atan2(wv.k_hat[1], wv.k_hat[0])
+    return radial, np.cos(np.outer(n, dtheta))
 
 
 def jacobi_anger_values(wv: WaveVector, points: np.ndarray, N: int) -> np.ndarray:
-    """Vectorized counterpart of :func:`jacobi_anger_partial`.
-
-    Evaluates the same degree-N partial sum at every row of ``points``;
-    used where per-point scalar evaluation would dominate the runtime.
-    """
-    if N < 0:
-        raise ValueError("N must be >= 0")
+    """Degree-N partial sum of :func:`jacobi_anger_partial` at every row of
+    ``points``, from one radial row per distinct radius and one angular
+    column per point of :func:`jacobi_anger_tables`."""
     pts = np.asarray(points, dtype=float)
     r = np.linalg.norm(pts, axis=-1)
     r_uni, r_inv = np.unique(r, return_inverse=True)
-    spherical = wv.dim is Dimension.THREE_D
-    rad = specfun.bessel_table(N, wv.k * r_uni, spherical=spherical)
-    if not spherical:
-        # +/-m pairs combine: i^m J_m e^{im dtheta} + i^-m J_-m e^{-im dtheta}
-        # = 2 i^m J_m cos(m dtheta).
-        dtheta = np.arctan2(pts[:, 1], pts[:, 0]) - math.atan2(wv.k_hat[1], wv.k_hat[0])
-        out = rad[0][r_inv] + 0.0j
-        for m in range(1, N + 1):
-            out += 2.0 * (1j**m) * rad[m][r_inv] * np.cos(m * dtheta)
-        return out
-    # Addition theorem: 4 pi sum_m Y_n^m(rhat) conj(Y_n^m(khat))
-    # = (2n+1) P_n(rhat . khat), with P_n by its three-term recurrence.
-    cos_g = np.clip(pts @ np.asarray(wv.k_hat) / np.where(r > 0, r, 1.0), -1.0, 1.0)
-    p_prev, p_cur = np.zeros_like(cos_g), np.ones_like(cos_g)
-    out = np.zeros(len(pts), dtype=complex)
-    for n in range(N + 1):
-        out += (1j**n) * (2 * n + 1) * rad[n][r_inv] * p_cur
-        p_prev, p_cur = p_cur, ((2 * n + 1) * cos_g * p_cur - n * p_prev) / (n + 1)
-    return out
+    # At r = 0 only the n = 0 radial entry is nonzero, and its angular
+    # entry is 1 whatever the direction.
+    radial, angular = jacobi_anger_tables(
+        wv, r_uni, pts / np.where(r > 0, r, 1.0)[:, None], N)
+    return np.einsum("pn,np->p", radial[r_inv], angular)
 
 
 def synthesize_field(dim: Dimension, cfg: PhysicalConfig, num_waves: int,
@@ -350,26 +345,66 @@ def mode_matrix(modes: Sequence[ModeIndex], grid, cfg: PhysicalConfig) -> np.nda
     return A
 
 
+def weighted_gram(factors: dict, axes: dict) -> np.ndarray:
+    """G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)) over a tensor-product grid.
+
+    ``factors`` is :func:`mode_factors` output and ``axes`` the grid's
+    axes. Modes, points and weights are all products over the axes, so
+    the sum factors: G is the elementwise product of one weighted Gram
+    per axis, and no (points x modes) matrix is formed.
+    """
+    m = factors["t"].shape[1]
+    g = np.ones((m, m), dtype=complex)
+    for axis, f in factors.items():
+        g *= (f * axes[f"{axis}_weights"][:, None]).T @ f.conj()
+    return g
+
+
 def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
                   cfg: PhysicalConfig, rcond: float = 1e-10) -> CoefficientVector:
     """Weighted least-squares projection of sampled field values onto modes.
 
     ``samples`` must align with ``grid`` points and there must be at
-    least as many points as modes. Raises :class:`ProjectionRankError`
-    when the weighted design matrix is numerically rank deficient.
+    least as many points as modes. With A the (points x modes) matrix
+    of mode values and W the weights, the normal system
+    (A^H W A) c = A^H W y is solved axis by axis: A^H W A is the
+    conjugate of :func:`weighted_gram`, A^H W y is contracted over t,
+    then phi, then mu (3D), then r, and the residual synthesizes A c the
+    same way, so A itself is never formed. Raises
+    :class:`ProjectionRankError` when a mode has no weight on the grid,
+    or when the diagonal-normalized normal matrix has an eigenvalue
+    ratio lambda_min / lambda_max below ``rcond``.
     """
     y = np.asarray(samples, dtype=complex)
     if y.shape != (len(grid.weights),):
         raise ValueError("samples must align with grid points")
     if len(modes) > len(y):
         raise ValueError("more modes than grid points")
-    A = mode_matrix(modes, grid, cfg)
-    sw = np.sqrt(grid.weights)
-    coeffs, _, rank, _ = np.linalg.lstsq(A * sw[:, None], y * sw, rcond=rcond)
-    if rank < len(modes):
+    factors = mode_factors(modes, grid, cfg)
+    axes = list(factors)                    # r, [mu], phi, t: t fastest
+    normal = weighted_gram(factors, grid.axes).conj()
+    diag = np.real(np.diag(normal))
+    if np.any(diag <= 0):
         raise ProjectionRankError(
-            f"design matrix rank {rank} < {len(modes)} modes; grid under-resolved")
-    resid = np.linalg.norm((A @ coeffs - y) * sw)
+            f"mode {modes[int(np.argmin(diag))]} has zero norm on the grid")
+    s = 1.0 / np.sqrt(diag)
+    lam, vec = np.linalg.eigh(normal * np.outer(s, s))
+    if lam[0] < rcond * lam[-1]:
+        raise ProjectionRankError(
+            f"normalized Gram eigenvalue ratio {lam[0] / lam[-1]:.1e} < {rcond:g}; "
+            "modes dependent or grid under-resolved")
+    # b = A^H W y: t by one matrix product, then each other axis in turn.
+    wf = {a: factors[a].conj() * grid.axes[f"{a}_weights"][:, None] for a in axes}
+    b = y.reshape(-1, len(wf["t"])) @ wf["t"]
+    for a in reversed(axes[:-1]):
+        b = np.einsum("anj,nj->aj", b.reshape(-1, *wf[a].shape), wf[a])
+    coeffs = s * (vec @ ((vec.conj().T @ (s * b[0])) / lam))
+    # A c: the spatial factors outer-multiplied into (nodes x modes), then t.
+    u = coeffs[None, :]
+    for a in axes[:-1]:
+        u = (u[:, None, :] * factors[a][None]).reshape(-1, len(modes))
+    sw = np.sqrt(grid.weights)
+    resid = np.linalg.norm(((u @ factors["t"].T).ravel() - y) * sw)
     denom = np.linalg.norm(y * sw)
     return CoefficientVector(coefficients=coeffs,
                              residual=float(resid / denom) if denom > 0 else 0.0)

@@ -1,13 +1,15 @@
 """Numerical verification of mode counts via quadrature and eigen-spectra.
 
-Builds Gauss-Legendre product grids over ball x time, assembles Gram and
-ensemble covariance matrices, and reduces Hermitian spectra to two
-effective-rank readouts. The grid is a tensor product (r x [mu] x phi x
-t), and so is every mode and every plane wave, so both matrices are
+Builds Gauss-Legendre product grids over ball x time, assembles Gram
+matrices and ensemble covariance spectra, and reduces Hermitian spectra
+to two effective-rank readouts. The grid is a tensor product (r x [mu] x
+phi x t), and so is every mode and every plane wave, so both are
 assembled axis by axis: the Gram matrix is the elementwise product of
 one small weighted Gram per axis, and each ensemble field is a
-(spatial nodes x waves) by (waves x time nodes) matrix product. Neither
-forms a (points x modes) or (points x waves) array. The readouts are:
+(spatial nodes x waves) by (waves x time nodes) matrix product. The
+harmonic truncation error uses the same structure over the ball: radial
+nodes x directions. No (points x modes), (points x waves) or
+(points x points) array is formed. The readouts are:
 
 * threshold rank: eigenvalues >= epsilon * lambda_max,
 * energy rank: smallest leading set capturing an eta fraction of the trace.
@@ -25,7 +27,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import Dimension, PhysicalConfig
-from .modes import ModeIndex, PlaneWaveSet, mode_factors
+from .modes import (ModeIndex, PlaneWaveSet, jacobi_anger_tables, mode_factors,
+                    weighted_gram)
 
 
 class ResolutionError(RuntimeError):
@@ -100,8 +103,13 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     n_ang Gauss-Legendre points in mu = cos(theta) crossed with 2*n_ang
     uniform azimuths; in 2D they are n_ang uniform azimuths. Returns
     (points, weights, axes) with points in (r, [mu], phi) index order,
-    phi fastest, and axes holding each axis's nodes and weights.
+    phi fastest, and axes holding each axis's nodes and weights plus the
+    unit ``directions`` (n_[mu] x n_phi, 2 or 3), in the same order.
     """
+    if min(n_r, n_ang) < 1:
+        raise GridError("resolution counts must be >= 1")
+    if radius <= 0:
+        raise GridError("radius must be > 0")
     xr, wxr = leggauss(n_r)
     r = radius * (xr + 1.0) / 2.0
     wr = wxr * radius / 2.0 * r
@@ -114,14 +122,19 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     if dim is Dimension.TWO_D:
         w = wr[:, None] * wphi[None, :]
         coords = (r[:, None] * np.cos(phi), r[:, None] * np.sin(phi))
+        directions = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     else:
         mu, wmu = leggauss(n_ang)
         axes.update(mu_nodes=mu, mu_weights=wmu)
         w = wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]
-        rs = r[:, None] * np.sqrt(1.0 - mu**2)
+        sin_t = np.sqrt(1.0 - mu**2)[:, None]
+        rs = r[:, None] * sin_t[:, 0]
         coords = (rs[:, :, None] * np.cos(phi), rs[:, :, None] * np.sin(phi),
                   np.broadcast_to((r[:, None] * mu)[:, :, None], w.shape))
-    axes.update(phi_nodes=phi, phi_weights=wphi)
+        directions = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi),
+                               np.broadcast_to(mu[:, None], (n_ang, n_phi))],
+                              axis=-1).reshape(-1, 3)
+    axes.update(phi_nodes=phi, phi_weights=wphi, directions=directions)
     return np.stack([c.ravel() for c in coords], axis=-1), w.ravel(), axes
 
 
@@ -177,15 +190,11 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
                   cfg: PhysicalConfig) -> np.ndarray:
     """Weighted Gram matrix G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)).
 
-    Modes, points and weights are all products over the grid axes, so the
-    sum factors: G is the elementwise product of one weighted Gram per
-    axis, and no (points x modes) matrix is formed.
+    The factored :func:`~wavedof.modes.weighted_gram`, after the grid
+    passes :func:`check_gram_resolution`, made exactly Hermitian.
     """
     check_gram_resolution(modes, grid, cfg)
-    g = np.ones((len(modes), len(modes)), dtype=complex)
-    for axis, f in mode_factors(modes, grid, cfg).items():
-        g *= (f * grid.axes[f"{axis}_weights"][:, None]).T @ f.conj()
-    return _mirror_upper(g)
+    return _mirror_upper(weighted_gram(mode_factors(modes, grid, cfg), grid.axes))
 
 
 def diagonal_normalize(g: np.ndarray) -> np.ndarray:
@@ -195,20 +204,6 @@ def diagonal_normalize(g: np.ndarray) -> np.ndarray:
         raise ValueError("Gram diagonal must be positive")
     s = 1.0 / np.sqrt(d)
     return g * np.outer(s, s)
-
-
-def ensemble_covariance(fields: Sequence[PlaneWaveSet],
-                        grid: SpaceTimeGrid) -> np.ndarray:
-    """Weighted second-moment matrix of an ensemble over grid points.
-
-    C[s, s'] = (1/F) sum_f sqrt(w_s) x_f(s) conj(x_f(s')) sqrt(w_s'),
-    a Hermitian positive-semidefinite matrix of size (points, points).
-    """
-    if len(fields) == 0:
-        raise ValueError("ensemble must be nonempty")
-    xw = _weighted_field_rows(fields, grid)
-    c = xw.conj().T @ xw / len(fields)
-    return _mirror_upper(c)
 
 
 #: complex entries per block of ensemble rows (2 MB)
@@ -244,19 +239,15 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
         yield (in_space @ in_time * sw[nodes]).reshape(n_f, -1)
 
 
-def _weighted_field_rows(fields: Sequence[PlaneWaveSet],
-                         grid: SpaceTimeGrid) -> np.ndarray:
-    """Rows sqrt(w_s) x_f(s) of the ensemble, shape (fields, points)."""
-    return np.hstack(list(_weighted_field_blocks(fields, grid)))
-
-
 def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
                       policy: RankPolicy = RankPolicy()) -> SpectrumReport:
     """Spectrum of the ensemble covariance, computed through its dual.
 
+    The covariance is the (points x points) matrix
+    C[s, s'] = (1/F) sum_f sqrt(w_s) x_f(s) conj(x_f(s')) sqrt(w_s').
     The F x F matrix (1/F) Xw Xw^H shares every nonzero eigenvalue and
-    the trace with the (points x points) covariance, so rank readouts
-    are identical while the eigenproblem stays small.
+    the trace with it, so rank readouts are identical while the
+    eigenproblem stays small.
     """
     if len(fields) == 0:
         raise ValueError("ensemble must be nonempty")
@@ -318,26 +309,21 @@ def ball_grid(dim: Dimension, radius: float,
 
     Returns (points, weights); ``resolution`` is (n_radial, n_angular).
     """
-    n_r, n_ang = resolution
-    if min(n_r, n_ang) < 1:
-        raise GridError("resolution counts must be >= 1")
-    if radius <= 0:
-        raise GridError("radius must be > 0")
-    pts, w, _ = _spatial_quadrature(dim, radius, n_r, n_ang)
+    pts, w, _ = _spatial_quadrature(dim, radius, *resolution)
     return pts, w
 
 
 def truncation_error(wv, radius: float, N: int,
                      resolution: tuple = (24, 24)) -> float:
     """Ball-averaged relative L2 error of the degree-N harmonic partial sum
-    against the plane-wave spatial factor exp(j k . r)."""
-    from .modes import jacobi_anger_values
+    against the plane-wave spatial factor exp(j k . r).
 
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    pts, w = ball_grid(wv.dim, radius, resolution)
-    kh = np.asarray(wv.k_hat)
-    exact = np.exp(1j * wv.k * (pts @ kh))
-    approx = jacobi_anger_values(wv, pts, N)
-    err = float(np.sum(w * np.abs(exact - approx) ** 2))
+    The quadrature of :func:`ball_grid` is radial nodes x directions, and
+    the partial sum is one radial table on the nodes times one angular
+    table on the directions (:func:`~wavedof.modes.jacobi_anger_tables`).
+    """
+    pts, w, axes = _spatial_quadrature(wv.dim, radius, *resolution)
+    radial, angular = jacobi_anger_tables(wv, axes["r_nodes"], axes["directions"], N)
+    exact = np.exp(1j * wv.k * (pts @ np.asarray(wv.k_hat)))
+    err = float(np.sum(w * np.abs(exact - (radial @ angular).ravel()) ** 2))
     return math.sqrt(err / float(np.sum(w)))

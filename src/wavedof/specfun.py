@@ -15,6 +15,9 @@ Conventions
   normalized downward (Miller) recurrence over an array of arguments and
   returns every order 0..n_max at once. ``bessel_J`` and
   ``spherical_bessel_j`` read one entry of a one-column table.
+* Legendre polynomials likewise come from ``legendre_table`` (every
+  degree 0..n_max over an array of arguments); ``legendre_p`` reads one
+  entry of it.
 
 All functions are pure and carry no state; they are safe to call
 concurrently.
@@ -135,16 +138,27 @@ def bessel_J(n: int, x: float) -> float:
     return float(bessel_table(n, x)[n, 0])
 
 
+def legendre_table(n_max: int, u) -> np.ndarray:
+    """Legendre polynomials P_n(u) for n = 0..n_max over an array of u.
+
+    Returns an array of shape (n_max+1, len(u)), filled by the three-term
+    recurrence (k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}.
+    """
+    if n_max < 0:
+        raise ValueError(f"degree must be >= 0, got {n_max}")
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty((n_max + 1, u.size))
+    out[0] = 1.0
+    if n_max >= 1:
+        out[1] = u
+    for k in range(1, n_max):
+        out[k + 1] = ((2 * k + 1) * u * out[k] - k * out[k - 1]) / (k + 1)
+    return out
+
+
 def legendre_p(n: int, u: float) -> float:
     """Legendre polynomial P_n(u)."""
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    if n == 0:
-        return 1.0
-    pm, pc = 1.0, u
-    for k in range(1, n):
-        pm, pc = pc, ((2 * k + 1) * u * pc - k * pm) / (k + 1)
-    return pc
+    return float(legendre_table(n, u)[n, 0])
 
 
 def _check_u(u: float) -> float:

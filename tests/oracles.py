@@ -4,17 +4,22 @@ Each oracle reaches its result by a different route than the library:
 extended-precision ascending series for Bessel functions, exact
 integer-coefficient Rodrigues differentiation for associated Legendre,
 a literal (i, n, m) counting loop for mode sums, characteristic
-polynomial roots for small eigenproblems, and the dense per-point
-routes that the factored Gram and the separable ensemble rows replace.
+polynomial roots for small eigenproblems, scalar spherical-harmonic
+sums for the Jacobi-Anger expansion, and the dense per-point routes
+that the factored Gram, projection and truncation error and the
+separable ensemble rows replace.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
-from wavedof.modes import field_values, mode_matrix
+from wavedof import rankcheck, specfun
+from wavedof.bounds import Dimension
+from wavedof.modes import field_values, jacobi_anger_values, mode_matrix
 
 E_PI = math.e * math.pi
 
@@ -124,3 +129,72 @@ def pointwise_field_rows(fields, grid) -> np.ndarray:
     sw = np.sqrt(grid.weights)
     return np.array([field_values(pws, grid.points, grid.times) * sw
                      for pws in fields])
+
+
+def weighted_field_rows(fields, grid) -> np.ndarray:
+    """Rows sqrt(w_s) x_f(s) of the ensemble, shape (fields, points), joined
+    from the library's separable blocks."""
+    return np.hstack(list(rankcheck._weighted_field_blocks(fields, grid)))
+
+
+def ensemble_covariance(fields, grid) -> np.ndarray:
+    """Weighted second-moment matrix of an ensemble over grid points.
+
+    C[s, s'] = (1/F) sum_f sqrt(w_s) x_f(s) conj(x_f(s')) sqrt(w_s'),
+    the (points x points) matrix whose spectrum ``ensemble_spectrum``
+    reads through its (fields x fields) dual.
+    """
+    if len(fields) == 0:
+        raise ValueError("ensemble must be nonempty")
+    xw = weighted_field_rows(fields, grid)
+    return rankcheck._mirror_upper(xw.conj().T @ xw / len(fields))
+
+
+def dense_projection(samples, modes, grid, cfg):
+    """(coefficients, residual) of the weighted least-squares fit by lstsq on
+    the full (points x modes) mode matrix."""
+    a = mode_matrix(modes, grid, cfg)
+    sw = np.sqrt(grid.weights)
+    coeffs = np.linalg.lstsq(a * sw[:, None], samples * sw, rcond=None)[0]
+    resid = np.linalg.norm((a @ coeffs - samples) * sw)
+    return coeffs, float(resid / np.linalg.norm(samples * sw))
+
+
+def jacobi_anger_scalar(wv, position, N: int) -> complex:
+    """Degree-N Jacobi-Anger partial sum at one point, term by term.
+
+    3D: 4 pi sum_{n<=N} j^n j_n(k r) sum_m Y_n^m(rhat) conj(Y_n^m(khat)),
+    with the m-sum taken over spherical harmonics rather than folded
+    into P_n by the addition theorem. 2D: the +m and -m terms of
+    sum_{|m|<=N} j^m J_m(k r) e^{j m (theta_r - theta_k)} one by one.
+    """
+    pos = np.asarray(position, dtype=float)
+    r = float(np.linalg.norm(pos))
+    if r == 0.0:
+        return 1.0 + 0.0j
+    if wv.dim is Dimension.TWO_D:
+        dtheta = math.atan2(pos[1], pos[0]) - math.atan2(wv.k_hat[1], wv.k_hat[0])
+        total = specfun.bessel_J(0, wv.k * r) + 0.0j
+        for m in range(1, N + 1):
+            jm = specfun.bessel_J(m, wv.k * r)
+            total += (1j**m) * jm * cmath.exp(1j * m * dtheta)
+            total += (1j**-m) * ((-1) ** m) * jm * cmath.exp(-1j * m * dtheta)
+        return total
+    ra = specfun.Angle(math.acos(min(max(pos[2] / r, -1.0), 1.0)),
+                       math.atan2(pos[1], pos[0]))
+    ka = specfun.Angle(math.acos(min(max(wv.k_hat[2], -1.0), 1.0)),
+                       math.atan2(wv.k_hat[1], wv.k_hat[0]))
+    total = 0.0 + 0.0j
+    for n in range(N + 1):
+        inner = sum(specfun.sph_harm(n, m, ra) * specfun.sph_harm(n, m, ka).conjugate()
+                    for m in range(-n, n + 1))
+        total += (1j**n) * specfun.spherical_bessel_j(n, wv.k * r) * inner
+    return specfun.FOUR_PI * total
+
+
+def pointwise_truncation_error(wv, radius: float, N: int, resolution) -> float:
+    """Relative L2 truncation error from one partial sum per ball point."""
+    pts, w = rankcheck.ball_grid(wv.dim, radius, resolution)
+    exact = np.exp(1j * wv.k * (pts @ np.asarray(wv.k_hat)))
+    err = float(np.sum(w * np.abs(exact - jacobi_anger_values(wv, pts, N)) ** 2))
+    return math.sqrt(err / float(np.sum(w)))

@@ -21,7 +21,7 @@ from wavedof import (Dimension, PhysicalConfig, RankPolicy, WaveVector,
                      exact_mode_sum, gram_of_modes, synthesize_field,
                      truncation_degree, truncation_error)
 from wavedof.cli import FIGURE_PRESETS, Axis, main, parse_sweep_csv
-from wavedof.modes import mode_count
+from wavedof.modes import mode_count, project_field
 from wavedof.specfun import (Angle, legendre_p, norm_assoc_legendre_table,
                              sph_harm, spherical_bessel_j)
 
@@ -360,3 +360,31 @@ def test_criterion_11_gram_rank_at_3d_calibration(tmp_path):
             f"exit {rc}, modes/rank/exact3d {got}")
     assert rc == 0
     assert ok, got
+
+
+def _plane_wave_samples(grid, wv):
+    return np.exp(1j * (wv.k * (grid.points @ np.asarray(wv.k_hat))
+                        + 2 * math.pi * wv.f * grid.times))
+
+
+def test_criterion_12_projection_at_3d_calibration():
+    # 365 modes on the 12,23,52 grid (660,192 points): in-band plane waves
+    # lie in the span of the modes, an out-of-band one does not.
+    cal = PhysicalConfig(R=1.0 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
+    grid = build_grid(THREE_D, cal, (12, 23, 52))
+    modes = enumerate_modes(THREE_D, cal)
+    rng = np.random.default_rng(12)
+    in_band = []
+    for _ in range(5):
+        wv = WaveVector.from_frequency(int(rng.integers(9, 12)) / cal.T,
+                                       rng.normal(size=3), cal.c)
+        in_band.append(project_field(_plane_wave_samples(grid, wv), modes,
+                                     grid, cal).residual)
+    wv = WaveVector.from_frequency(2 * (cal.f0 + cal.W), (0.0, 0.0, 1.0), cal.c)
+    out_band = project_field(_plane_wave_samples(grid, wv), modes, grid,
+                             cal).residual
+    ok = (len(modes), len(grid)) == (365, 660_192) \
+        and max(in_band) <= 0.02 and out_band >= 0.2
+    _report(12, "3D projection at calibration", ok,
+            f"in-band residuals {max(in_band):.4f} max, out-of-band {out_band:.3f}")
+    assert ok, (len(modes), len(grid), in_band, out_band)

@@ -199,13 +199,15 @@ def cli_argv(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(argv=cli_argv())
-def test_cli_fuzz_exits_cleanly(argv):
+@given(argv=cli_argv(), svg=st.booleans())
+def test_cli_fuzz_exits_cleanly(argv, svg):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         if argv[0] != "bounds":
             argv = argv + ["-o", f"{tmp}/out.csv"]
+        if argv[0] == "sweep" and svg:
+            argv = argv + ["--svg", f"{tmp}/out.svg"]
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse rejects a non-numeric flag value
@@ -238,6 +240,28 @@ def test_figure_presets_and_svg(tmp_path):
         assert len(rows) == spec.axis1.count * spec.axis2.count
         body = svg.read_text()
         assert body.startswith("<svg") and "linear" in body
+
+
+def test_sweep_svg_beyond_float_range(tmp_path):
+    # exact3d passes 1e308 here: the map switches to log10 of the counts.
+    # The closed form thm2 overflows to inf at R = 1e163: those cells are
+    # gray.
+    out, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+    argv = ["sweep", "--axis1", "R:1e150:1e163:2:log", "--axis2",
+            "W:0.1:0.4:2:linear", "--fixed", "T=1", "--fixed", "F0=1",
+            "--svg", str(svg), "-o", str(out)]
+    with np.errstate(over="ignore"):
+        assert main(argv + ["--quantities", "exact3d,thm2"]) == EXIT_OK
+        # Read as ints: parse_sweep_csv's floats overflow here.
+        counts = [int(ln.split(",")[2]) for ln in out.read_text().splitlines()[-4:]]
+        body = svg.read_text()
+        lo, hi = math.log10(min(counts)), math.log10(max(counts))
+        assert hi > 308
+        assert f"{fmt_num(lo)} (blue) to {fmt_num(hi)} (red), log10" in body
+        assert body.count("<rect") == 4 and "#808080" not in body
+        assert main(argv + ["--quantities", "thm2,exact3d"]) == EXIT_OK
+        body = svg.read_text()
+    assert "linear" in body and body.count('fill="#808080"') == 2
 
 
 def test_modes_csv_calibration(tmp_path, capsys):

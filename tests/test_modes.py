@@ -13,10 +13,13 @@ from wavedof import (Dimension, ModeCapError, PhysicalConfig, WaveVector,
 from wavedof.modes import (ModeIndex, ProjectionRankError, field_values,
                            jacobi_anger_values, mode_count, mode_matrix)
 
+from oracles import dense_projection, jacobi_anger_scalar
+
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
 
 CAL_3D = PhysicalConfig(R=1.0 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
+HALF_CAL_3D = PhysicalConfig(R=0.5 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
 CAL_2D = CAL_3D
 GRID_2D = build_grid(TWO_D, CAL_2D, (8, 24, 52))
 
@@ -299,6 +302,19 @@ def test_jacobi_anger_addition_theorem_route():
         assert abs(got - ref) <= 1e-11
 
 
+@pytest.mark.parametrize("dim", [TWO_D, THREE_D], ids=["2d", "3d"])
+def test_jacobi_anger_values_match_scalar_oracle(dim):
+    rng = np.random.default_rng(41)
+    d = 2 if dim is TWO_D else 3
+    wv = WaveVector.from_frequency(3.0, rng.normal(size=d), 1.0)
+    pts = rng.uniform(-0.5, 0.5, (30, d))
+    pts[0] = 0.0
+    pts[1] = pts[2]  # a repeated radius
+    got = jacobi_anger_values(wv, pts, 20)
+    want = np.array([jacobi_anger_scalar(wv, p, 20) for p in pts])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_synthesize_deterministic():
     a = synthesize_field(THREE_D, CAL_3D, 16, seed=42)
     b = synthesize_field(THREE_D, CAL_3D, 16, seed=42)
@@ -391,3 +407,34 @@ def test_project_rejects_rank_deficiency():
     samples = mode_matrix(modes, GRID_2D, CAL_2D)[:, 0]
     with pytest.raises(ProjectionRankError):
         project_field(samples, doubled, GRID_2D, CAL_2D)
+
+
+@pytest.mark.parametrize("dim, cfg, two_sided, grid", [
+    (TWO_D, CAL_2D, False, GRID_2D),
+    (TWO_D, CAL_2D, True, GRID_2D),
+    (THREE_D, HALF_CAL_3D, False, build_grid(THREE_D, HALF_CAL_3D, (5, 8, 20))),
+], ids=["2d-one-sided", "2d-two-sided", "3d-121-modes"])
+def test_project_matches_dense_oracle(dim, cfg, two_sided, grid):
+    modes = enumerate_modes(dim, cfg, two_sided=two_sided)
+    for seed in (3, 4):
+        pws = synthesize_field(dim, cfg, 16, seed=seed)
+        samples = field_values(pws, grid.points, grid.times)
+        got = project_field(samples, modes, grid, cfg)
+        coeffs, residual = dense_projection(samples, modes, grid, cfg)
+        assert (np.max(np.abs(got.coefficients - coeffs))
+                <= 1e-10 * np.max(np.abs(coeffs)))
+        assert abs(got.residual - residual) <= 1e-10
+
+
+def test_project_rejects_duplicate_and_zero_norm_modes():
+    modes = enumerate_modes(TWO_D, CAL_2D, two_sided=True)
+    samples = field_values(synthesize_field(TWO_D, CAL_2D, 4, seed=1),
+                           GRID_2D.points, GRID_2D.times)
+    with pytest.raises(ProjectionRankError):
+        project_field(samples, modes + [modes[7]], GRID_2D, CAL_2D)
+    # One polar node, at mu = 0, where P_1^0 vanishes: mode (10, 1, 0) is
+    # zero at every grid point.
+    grid = build_grid(THREE_D, CAL_3D, (2, 1, 8))
+    zero = [ModeIndex(10, 0, 0, THREE_D), ModeIndex(10, 1, 0, THREE_D)]
+    with pytest.raises(ProjectionRankError, match="zero norm"):
+        project_field(np.ones(len(grid)), zero, grid, CAL_3D)

@@ -7,14 +7,16 @@ import pytest
 
 from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
                      WaveVector, build_grid, diagonal_normalize, effective_rank,
-                     eigen_spectrum, ensemble_covariance, ensemble_spectrum,
-                     enumerate_modes, gram_of_modes, synthesize_field,
-                     truncation_degree, truncation_error)
+                     eigen_spectrum, ensemble_spectrum, enumerate_modes,
+                     gram_of_modes, synthesize_field, truncation_degree,
+                     truncation_error)
 from wavedof import rankcheck
 from wavedof.modes import ModeIndex, mode_matrix
 from wavedof.rankcheck import GridError, ball_grid
 
-from oracles import charpoly_eigenvalues, dense_gram, pointwise_field_rows
+from oracles import (charpoly_eigenvalues, dense_gram, ensemble_covariance,
+                     pointwise_field_rows, pointwise_truncation_error,
+                     weighted_field_rows)
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -110,7 +112,7 @@ def test_separable_field_rows_match_pointwise(dim, cfg, resolution,
     fields = [synthesize_field(dim, cfg, 16 - 3 * (j % 2), seed=40 + j)
               for j in range(5)]
     want = pointwise_field_rows(fields, g)
-    got = rankcheck._weighted_field_rows(fields, g)
+    got = weighted_field_rows(fields, g)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     dual = want @ want.conj().T / len(fields)
     spec = ensemble_spectrum(fields, g)
@@ -279,6 +281,23 @@ def test_truncation_error_2d():
     n = truncation_degree(1.0, 5.0)
     assert truncation_error(wv, 1.0, n) <= 0.1
     assert truncation_error(wv, 1.0, n + 8) <= truncation_error(wv, 1.0, n) / 100
+
+
+@pytest.mark.parametrize("dim, kR", [(TWO_D, 10.0), (TWO_D, 20.0), (TWO_D, 40.0),
+                                     (THREE_D, 10.0), (THREE_D, 20.0)])
+def test_truncation_error_matches_pointwise_oracle(dim, kR):
+    # The benchmark's expand cases and resolutions: 4(N+5) azimuths in
+    # 2D, N+6 polar nodes in 3D.
+    rng = np.random.default_rng(int(kR))
+    n = truncation_degree(1.0, kR)
+    res = (24, 4 * (n + 5)) if dim is TWO_D else (24, n + 6)
+    for _ in range(2):
+        wv = WaveVector.from_frequency(kR / (2 * math.pi),
+                                       rng.normal(size=2 if dim is TWO_D else 3), 1.0)
+        for N in (n, n + 5):
+            want = pointwise_truncation_error(wv, 1.0, N, res)
+            # Errors reach 1e-8; rounding moves them by about 1e-16.
+            assert abs(truncation_error(wv, 1.0, N, res) - want) <= 1e-14, N
 
 
 def test_ball_grid_measures():
