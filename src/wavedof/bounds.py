@@ -240,8 +240,15 @@ class BoundReport:
         return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bound_report(cfg: PhysicalConfig) -> BoundReport:
-    """Evaluate every bound for one configuration."""
+    """Evaluate every bound for one configuration.
+
+    A closed form past the float range reads inf, or raises
+    :class:`ConfigError` where Python's float ``**`` overflows; a count
+    past it raises ConfigError. That overflow is handled here, so numpy's
+    overflow warnings are silenced.
+    """
     space2d = dof_space(Dimension.TWO_D, cfg.f0, cfg.R, cfg.c)
     space3d = dof_space(Dimension.THREE_D, cfg.f0, cfg.R, cfg.c)
     if cfg.T > 0:

@@ -266,6 +266,14 @@ def render_sweep_csv(meta: dict, spec: SweepSpec, rows: list[list]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_cell(text: str):
+    # Integral cells are exact counts, which pass 2^53 and the float range.
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def parse_sweep_csv(text: str) -> tuple[dict, SweepSpec, list[list]]:
     """Inverse of :func:`render_sweep_csv`; re-rendering is byte-identical."""
     meta: dict = {}
@@ -285,7 +293,7 @@ def parse_sweep_csv(text: str) -> tuple[dict, SweepSpec, list[list]]:
         elif header is None:
             header = line.split(",")
         else:
-            rows.append([float(v) for v in line.split(",")])
+            rows.append([_parse_cell(v) for v in line.split(",")])
     if header is None or "axis1" not in axes or "axis2" not in axes:
         raise ValueError("not a sweep CSV")
     spec = SweepSpec(axes["axis1"], axes["axis2"], fixed, tuple(header[2:]))

@@ -22,6 +22,15 @@ The Jacobi-Anger partial sum of a plane wave is likewise one radial
 table times one angular table (:func:`jacobi_anger_tables`), which both
 the per-point :func:`jacobi_anger_values` and the ball-averaged
 ``rankcheck.truncation_error`` read.
+
+A plane-wave field factors the same way: each wave is a space factor
+times a time factor, so :func:`field_values` evaluates one table over
+the distinct positions x distinct times of its sample points and reads
+every point from it. On a tensor-product grid that takes one exponential
+per (spatial node, wave) and per (time node, wave), not per (point,
+wave). Point sets far from a product, such as scattered points, whose
+table would outgrow points x waves, fall back to one exponential per
+(point, wave).
 """
 
 from __future__ import annotations
@@ -283,13 +292,44 @@ def synthesize_field(dim: Dimension, cfg: PhysicalConfig, num_waves: int,
                         c=cfg.c, seed=seed)
 
 
+def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows of the 2-D ``a`` in sorted order, inverse index), from
+    one lexsort and its run boundaries; ``a == distinct[inverse]``."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    first = np.ones(len(s), dtype=bool)
+    np.any(s[1:] != s[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return s[first], inverse
+
+
 def field_values(pws: PlaneWaveSet, positions: np.ndarray,
                  times: np.ndarray) -> np.ndarray:
-    """Evaluate a plane-wave set at sample points (vectorized)."""
+    """Evaluate a plane-wave set at sample points (vectorized).
+
+    Wave w at (x, t) is a space factor exp(j k_w khat_w . x) times a time
+    factor a_w exp(2j pi f_w t). Over the distinct positions U and the
+    distinct times V the field is the table S @ Tm, with S (len(U) x
+    waves) and Tm (waves x len(V)), read at each point's (position,
+    time) pair: len(U) + len(V) exponentials per wave instead of one per
+    point. When that table would hold more entries than points x waves
+    (positions and times far from a product set, e.g. scattered
+    points), each point takes one exponential per wave instead, so no
+    array exceeds points x waves either way.
+    """
+    pos = np.asarray(positions, dtype=float)
+    t = np.asarray(times, dtype=float)
     k = 2.0 * math.pi * pws.frequencies / pws.c
-    phase = (positions @ pws.directions.T) * k[None, :] \
-        + 2.0 * math.pi * pws.frequencies[None, :] * np.asarray(times)[:, None]
-    return np.exp(1j * phase) @ pws.amplitudes
+    omega = 2.0 * math.pi * pws.frequencies
+    u, s_inv = _distinct_rows(pos)
+    tu, t_inv = _distinct_rows(t[:, None])
+    if len(u) * len(tu) > len(pos) * len(pws):
+        phase = (pos @ pws.directions.T) * k[None, :] + omega[None, :] * t[:, None]
+        return np.exp(1j * phase) @ pws.amplitudes
+    space = np.exp(1j * ((u @ pws.directions.T) * k[None, :]))
+    in_time = pws.amplitudes[:, None] * np.exp(1j * (omega[:, None] * tu[:, 0]))
+    return (space @ in_time)[s_inv, t_inv]
 
 
 def mode_factors(modes: Sequence[ModeIndex], grid,

@@ -19,6 +19,7 @@ Both policies are configuration-exposed through :class:`RankPolicy`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -95,6 +96,15 @@ class SpaceTimeGrid:
         return len(self.weights)
 
 
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], computed once
+    per n and shared, so both arrays are read-only."""
+    x, w = leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
                         n_ang: int) -> tuple[np.ndarray, np.ndarray, dict]:
     """Gauss-Legendre product quadrature over a disc (2D) or ball (3D).
@@ -110,7 +120,7 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
         raise GridError("resolution counts must be >= 1")
     if radius <= 0:
         raise GridError("radius must be > 0")
-    xr, wxr = leggauss(n_r)
+    xr, wxr = _gauss_legendre(n_r)
     r = radius * (xr + 1.0) / 2.0
     wr = wxr * radius / 2.0 * r
     if dim is Dimension.THREE_D:
@@ -124,7 +134,7 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
         coords = (r[:, None] * np.cos(phi), r[:, None] * np.sin(phi))
         directions = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     else:
-        mu, wmu = leggauss(n_ang)
+        mu, wmu = _gauss_legendre(n_ang)
         axes.update(mu_nodes=mu, mu_weights=wmu)
         w = wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]
         sin_t = np.sqrt(1.0 - mu**2)[:, None]
@@ -152,7 +162,7 @@ def build_grid(dim: Dimension, cfg: PhysicalConfig,
     if cfg.R <= 0 or cfg.T <= 0:
         raise GridError("grids need R > 0 and T > 0")
     space, ws, axes = _spatial_quadrature(dim, cfg.R, n_r, n_ang)
-    xt, wxt = leggauss(n_t)
+    xt, wxt = _gauss_legendre(n_t)
     t = cfg.T * (xt + 1.0) / 2.0
     wt = wxt * cfg.T / 2.0
     axes.update(t_nodes=t, t_weights=wt, space_points=space)

@@ -19,7 +19,7 @@ import numpy as np
 
 from wavedof import rankcheck, specfun
 from wavedof.bounds import Dimension
-from wavedof.modes import field_values, jacobi_anger_values, mode_matrix
+from wavedof.modes import jacobi_anger_values, mode_matrix
 
 E_PI = math.e * math.pi
 
@@ -82,17 +82,23 @@ def rodrigues_assoc_legendre(n: int, m: int, u: Fraction) -> float:
     return (-1) ** m * s * float(val)
 
 
+def snap(v: float, rounding) -> int:
+    """The library's documented snap, literally: round v to the nearest
+    integer, keep it if within 1e-9 * max(1, |v|), else ``rounding(v)``
+    (math.ceil or math.floor)."""
+    r = round(v)
+    return r if abs(v - r) <= 1e-9 * max(1.0, abs(v)) else rounding(v)
+
+
 def brute_force_mode_count(dim3: bool, R: float, W: float, T: float,
                            f0: float, c: float) -> int:
     """Count lattice tuples (i, n, m) one by one."""
-    eps = 1e-9
-    lo = math.ceil((f0 - W) * T - eps * max(1.0, abs((f0 - W) * T)))
-    hi = math.floor((f0 + W) * T + eps * max(1.0, abs((f0 + W) * T)))
+    lo = snap((f0 - W) * T, math.ceil)
+    hi = snap((f0 + W) * T, math.floor)
     count = 0
     for i in range(lo, hi + 1):
         f = i / T
-        v = E_PI * R * f / c
-        n_max = math.ceil(v - eps * max(1.0, abs(v)))
+        n_max = snap(E_PI * R * f / c, math.ceil)
         if dim3:
             for n in range(n_max + 1):
                 for _m in range(-n, n + 1):
@@ -127,8 +133,13 @@ def dense_gram(modes, grid, cfg) -> np.ndarray:
 def pointwise_field_rows(fields, grid) -> np.ndarray:
     """Rows sqrt(w_s) x_f(s), one plane-wave phase per (point, wave)."""
     sw = np.sqrt(grid.weights)
-    return np.array([field_values(pws, grid.points, grid.times) * sw
-                     for pws in fields])
+    rows = []
+    for pws in fields:
+        k = 2.0 * math.pi * pws.frequencies / pws.c
+        phase = ((grid.points @ pws.directions.T) * k
+                 + 2.0 * math.pi * pws.frequencies * grid.times[:, None])
+        rows.append((np.exp(1j * phase) @ pws.amplitudes) * sw)
+    return np.array(rows)
 
 
 def weighted_field_rows(fields, grid) -> np.ndarray:

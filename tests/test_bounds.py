@@ -12,7 +12,7 @@ from wavedof import (ConfigError, Dimension, PhysicalConfig, asymptotic_dof_3d,
                      dof_space, dof_time_band, exact_mode_sum, frequency_bins,
                      truncation_degree)
 
-from oracles import brute_force_mode_count
+from oracles import brute_force_mode_count, snap
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -112,10 +112,6 @@ def test_exact_mode_sum_vectorized_path_matches_loop():
     # third in 2D too). Degrees of the third reach 3e21, where one float
     # ulp exceeds 1, so v is formed as the library forms it,
     # (e pi R / c) * i / T.
-    def snap_ceil(v):
-        r = round(v)
-        return r if abs(v - r) <= 1e-9 * max(1.0, abs(v)) else math.ceil(v)
-
     for cfg, pinned in (
             (natural(0.3 / E_PI, 1500.0, 1.0, 2000.0), None),
             (PhysicalConfig(R=1e7, W=5e5, T=1e-2, f0=1e9),
@@ -127,7 +123,7 @@ def test_exact_mode_sum_vectorized_path_matches_loop():
         a = math.e * math.pi * cfg.R / cfg.c
         ref3 = ref2 = 0
         for i in range(lo, hi + 1):
-            n = snap_ceil(a * i / cfg.T)
+            n = snap(a * i / cfg.T, math.ceil)
             ref3 += (n + 1) ** 2
             ref2 += n + 1
         assert exact_mode_sum(THREE_D, cfg) == ref3

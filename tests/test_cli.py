@@ -6,9 +6,8 @@ import json
 import math
 import tempfile
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavedof.cli import (EXIT_CAP, EXIT_CONFIG, EXIT_OK, EXIT_RESOLUTION,
@@ -134,6 +133,42 @@ def test_sweep_csv_roundtrip(tmp_path):
     assert render_sweep_csv(meta, spec, rows) == text
 
 
+@pytest.mark.parametrize("argv", [
+    # exact3d past 2^53 (about 8e46 to 1e49)
+    ["--axis1", "R:1e20:1e21:2:log", "--axis2", "W:5e5:6e5:2:linear",
+     "--fixed", "T=1e-2", "--fixed", "F0=1e9", "--quantities", "exact3d"],
+    # exact3d past 1e308 beside thm2 overflowing to inf
+    ["--axis1", "R:1e150:1e163:2:log", "--axis2", "W:0.1:0.4:2:linear",
+     "--fixed", "T=1", "--fixed", "F0=1", "--quantities", "exact3d,thm2"],
+], ids=["past-2^53", "past-1e308"])
+def test_sweep_csv_roundtrip_exact_counts(argv, tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *argv, "-o", str(out)]) == EXIT_OK
+    text = out.read_text()
+    meta, spec, rows = parse_sweep_csv(text)
+    assert render_sweep_csv(meta, spec, rows) == text
+    counts = [row[2] for row in rows]
+    assert all(type(n) is int and n > 2**53 for n in counts)
+    assert [str(n) for n in counts] == [ln.split(",")[2]
+                                        for ln in text.splitlines()[-4:]]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_overflow_quiet(tmp_path, capsys):
+    # thm2 overflows the float range at R = 1e163; the cell reads inf,
+    # and nothing but the row count reaches stderr or stdout.
+    out = tmp_path / "s.csv"
+    argv = ["sweep", "--axis1", "R:1e150:1e163:2:log", "--axis2",
+            "W:0.1:0.4:2:linear", "--fixed", "T=1", "--fixed", "F0=1",
+            "--quantities", "thm2", "-o", str(out)]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out == f"wrote 4 rows to {out}\n"
+    cells = [ln.split(",")[2] for ln in out.read_text().splitlines()[-4:]]
+    assert cells == ["8.18943880447e+284", "9.74521609714e+284", "inf", "inf"]
+
+
 def test_sweep_rejects_bad_axis(tmp_path):
     out = tmp_path / "s.csv"
     rc = main(["sweep", "--axis1", "R:1:0.1:2:linear", "--axis2", "W:1:2:2:linear",
@@ -198,8 +233,12 @@ def cli_argv(draw):
     return argv
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None)
 @given(argv=cli_argv(), svg=st.booleans())
+@example(argv=["sweep", "--quantities", "thm2,exact2d,exact3d",
+               "--axis1", "R:10:1e300:2:log", "--axis2", "W:0.5:1:2:linear",
+               "--fixed", "T=1", "--fixed", "F0=10"], svg=True)
 def test_cli_fuzz_exits_cleanly(argv, svg):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
@@ -250,17 +289,15 @@ def test_sweep_svg_beyond_float_range(tmp_path):
     argv = ["sweep", "--axis1", "R:1e150:1e163:2:log", "--axis2",
             "W:0.1:0.4:2:linear", "--fixed", "T=1", "--fixed", "F0=1",
             "--svg", str(svg), "-o", str(out)]
-    with np.errstate(over="ignore"):
-        assert main(argv + ["--quantities", "exact3d,thm2"]) == EXIT_OK
-        # Read as ints: parse_sweep_csv's floats overflow here.
-        counts = [int(ln.split(",")[2]) for ln in out.read_text().splitlines()[-4:]]
-        body = svg.read_text()
-        lo, hi = math.log10(min(counts)), math.log10(max(counts))
-        assert hi > 308
-        assert f"{fmt_num(lo)} (blue) to {fmt_num(hi)} (red), log10" in body
-        assert body.count("<rect") == 4 and "#808080" not in body
-        assert main(argv + ["--quantities", "thm2,exact3d"]) == EXIT_OK
-        body = svg.read_text()
+    assert main(argv + ["--quantities", "exact3d,thm2"]) == EXIT_OK
+    counts = [row[2] for row in parse_sweep_csv(out.read_text())[2]]
+    body = svg.read_text()
+    lo, hi = math.log10(min(counts)), math.log10(max(counts))
+    assert hi > 308
+    assert f"{fmt_num(lo)} (blue) to {fmt_num(hi)} (red), log10" in body
+    assert body.count("<rect") == 4 and "#808080" not in body
+    assert main(argv + ["--quantities", "thm2,exact3d"]) == EXIT_OK
+    body = svg.read_text()
     assert "linear" in body and body.count('fill="#808080"') == 2
 
 

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,53 @@ def test_plane_wave_basics():
     # k z = pi at z = pi/k
     z = math.pi / wv.k
     assert plane_wave(wv, (0.0, 0.0, z), 0.0) == pytest.approx(-1.0, rel=1e-12)
+
+
+def _plane_wave_sum(pws, points, times):
+    wvs = pws.wavevectors()
+    return np.array([sum(a * plane_wave(wv, x, t) for a, wv in zip(pws.amplitudes, wvs))
+                     for x, t in zip(points, times)])
+
+
+def test_field_values_matches_plane_wave_sum():
+    rng = np.random.default_rng(17)
+    cases = []
+    for dim, cfg, res in ((TWO_D, CAL_2D, (4, 8, 10)),
+                          (THREE_D, HALF_CAL_3D, (3, 4, 6))):
+        g = build_grid(dim, cfg, res)
+        pws = synthesize_field(dim, cfg, 24, seed=5)
+        shuffled = rng.permutation(len(g))
+        repeated = rng.integers(0, len(g), 2 * len(g))
+        cases += [(pws, g.points, g.times, True),
+                  (pws, g.points[shuffled], g.times[shuffled], True),
+                  (pws, g.points[repeated], g.times[repeated], True)]
+        d = g.points.shape[1]
+        for n, tabled in ((16, True), (64, False)):
+            # Scattered: every position and every time distinct, so the
+            # distinct-position x distinct-time table has n^2 entries;
+            # 16^2 fits in 16 x 24 (points x waves), 64^2 does not.
+            pts = rng.uniform(-cfg.R, cfg.R, (n, d)) / math.sqrt(d)
+            cases.append((pws, pts, rng.uniform(0, cfg.T, n), tabled))
+    for pws, pts, ts, tabled in cases:
+        # which branch field_values takes
+        n_pos, n_t = len(np.unique(pts, axis=0)), len(np.unique(ts))
+        assert (n_pos * n_t <= len(pts) * len(pws)) == tabled
+        want = _plane_wave_sum(pws, pts, ts)
+        got = field_values(pws, pts, ts)
+        assert got.shape == want.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # 2,000 scattered points: the table would hold 2,000^2 entries (64 MB);
+    # the per-point branch stays within a few points x waves arrays.
+    pws = synthesize_field(TWO_D, CAL_2D, 8, seed=6)
+    pts, ts = rng.uniform(-0.1, 0.1, (2000, 2)), rng.uniform(0.0, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        field_values(pws, pts, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * len(pts) * len(pws)
 
 
 def test_plane_wave_satisfies_wave_equation():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
                      WaveVector, build_grid, diagonal_normalize, effective_rank,
@@ -57,6 +58,23 @@ def test_grid_integrates_full_period_sinusoid_to_zero():
     vals = np.exp(2j * math.pi * g.times / CAL_2D.T)
     total = np.sum(g.weights * vals) / np.sum(g.weights)
     assert abs(total) <= 1e-10
+
+
+@pytest.mark.parametrize("dim, res", [(TWO_D, (8, 24, 21)), (THREE_D, (5, 9, 20))])
+def test_grid_rules_cached_bit_identical(dim, res, monkeypatch):
+    x, w = rankcheck._gauss_legendre(res[2])
+    assert not x.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    cached = [build_grid(dim, HALF_CAL_3D, res) for _ in range(2)]
+    monkeypatch.setattr(rankcheck, "_gauss_legendre", leggauss)
+    fresh = build_grid(dim, HALF_CAL_3D, res)
+    for g in cached:
+        for name in ("points", "times", "weights"):
+            assert getattr(g, name).tobytes() == getattr(fresh, name).tobytes()
+        assert g.axes.keys() == fresh.axes.keys()
+        for key, val in fresh.axes.items():
+            assert g.axes[key].tobytes() == val.tobytes(), key
 
 
 def test_grid_rejects_zero_measure():
