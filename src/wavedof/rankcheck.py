@@ -6,10 +6,17 @@ to two effective-rank readouts. The grid is a tensor product (r x [mu] x
 phi x t), and so is every mode and every plane wave, so both are
 assembled axis by axis: the Gram matrix is the elementwise product of
 one small weighted Gram per axis, and each ensemble field is a
-(spatial nodes x waves) by (waves x time nodes) matrix product. The
-harmonic truncation error uses the same structure over the ball: radial
-nodes x directions. No (points x modes), (points x waves) or
-(points x points) array is formed. The readouts are:
+(spatial nodes x waves) by (waves x time nodes) matrix product. When the
+azimuth count is even, every spatial node x has its antipode -x on the
+grid with the same weight, and a field at -x is the one at x with its
+space phases conjugated; so the ensemble takes one cos and one sin per
+(antipodal node pair, wave) and never forms the two fields. In 2D with
+an odd azimuth count it takes cos + i sin per (node, wave). Its field
+Gram is summed block by block, each block's temporaries within
+``_BLOCK_ENTRIES`` complex entries (2 MB). The harmonic truncation error
+uses the same structure over the ball: radial nodes x directions. No
+(points x modes), (points x waves) or (points x points) array is
+formed. The readouts are:
 
 * threshold rank: eigenvalues >= epsilon * lambda_max,
 * energy rank: smallest leading set capturing an eta fraction of the trace.
@@ -106,15 +113,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
-                        n_ang: int) -> tuple[np.ndarray, np.ndarray, dict]:
+                        n_ang: int) -> tuple[np.ndarray, dict]:
     """Gauss-Legendre product quadrature over a disc (2D) or ball (3D).
 
     Radial weights carry r (2D) or r^2 (3D). In 3D the angular nodes are
     n_ang Gauss-Legendre points in mu = cos(theta) crossed with 2*n_ang
     uniform azimuths; in 2D they are n_ang uniform azimuths. Returns
-    (points, weights, axes) with points in (r, [mu], phi) index order,
-    phi fastest, and axes holding each axis's nodes and weights plus the
+    (weights, axes) with weights in (r, [mu], phi) index order, phi
+    fastest, and axes holding each axis's nodes and weights plus the
     unit ``directions`` (n_[mu] x n_phi, 2 or 3), in the same order.
+    The node coordinates are :func:`_ball_points` of the axes.
     """
     if min(n_r, n_ang) < 1:
         raise GridError("resolution counts must be >= 1")
@@ -131,21 +139,32 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     axes = {"r_nodes": r, "r_weights": wr}
     if dim is Dimension.TWO_D:
         w = wr[:, None] * wphi[None, :]
-        coords = (r[:, None] * np.cos(phi), r[:, None] * np.sin(phi))
         directions = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     else:
         mu, wmu = _gauss_legendre(n_ang)
         axes.update(mu_nodes=mu, mu_weights=wmu)
         w = wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]
         sin_t = np.sqrt(1.0 - mu**2)[:, None]
-        rs = r[:, None] * sin_t[:, 0]
-        coords = (rs[:, :, None] * np.cos(phi), rs[:, :, None] * np.sin(phi),
-                  np.broadcast_to((r[:, None] * mu)[:, :, None], w.shape))
         directions = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi),
                                np.broadcast_to(mu[:, None], (n_ang, n_phi))],
                               axis=-1).reshape(-1, 3)
     axes.update(phi_nodes=phi, phi_weights=wphi, directions=directions)
-    return np.stack([c.ravel() for c in coords], axis=-1), w.ravel(), axes
+    return w.ravel(), axes
+
+
+def _ball_points(dim: Dimension, axes: dict) -> np.ndarray:
+    """(nodes, 2 or 3) coordinates of the spatial quadrature nodes, in the
+    (r, [mu], phi) order of :func:`_spatial_quadrature`."""
+    r, phi = axes["r_nodes"], axes["phi_nodes"]
+    if dim is Dimension.TWO_D:
+        coords = (r[:, None] * np.cos(phi), r[:, None] * np.sin(phi))
+    else:
+        mu = axes["mu_nodes"]
+        rs = r[:, None] * np.sqrt(1.0 - mu**2)
+        coords = (rs[:, :, None] * np.cos(phi), rs[:, :, None] * np.sin(phi),
+                  np.broadcast_to((r[:, None] * mu)[:, :, None],
+                                  rs.shape + phi.shape))
+    return np.stack([c.ravel() for c in coords], axis=-1)
 
 
 def build_grid(dim: Dimension, cfg: PhysicalConfig,
@@ -161,7 +180,8 @@ def build_grid(dim: Dimension, cfg: PhysicalConfig,
         raise GridError("all resolution counts must be >= 1")
     if cfg.R <= 0 or cfg.T <= 0:
         raise GridError("grids need R > 0 and T > 0")
-    space, ws, axes = _spatial_quadrature(dim, cfg.R, n_r, n_ang)
+    ws, axes = _spatial_quadrature(dim, cfg.R, n_r, n_ang)
+    space = _ball_points(dim, axes)
     xt, wxt = _gauss_legendre(n_t)
     t = cfg.T * (xt + 1.0) / 2.0
     wt = wxt * cfg.T / 2.0
@@ -216,21 +236,46 @@ def diagonal_normalize(g: np.ndarray) -> np.ndarray:
     return g * np.outer(s, s)
 
 
-#: complex entries per block of ensemble rows (2 MB)
+#: complex entries of an ensemble block's temporaries (2 MB)
 _BLOCK_ENTRIES = 1 << 17
 
 
-def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
-    """Yield the rows sqrt(w_s) x_f(s) of the ensemble, block by block.
+def _antipodes(grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray] | None:
+    """(nodes, partners): spatial node indices such that node x and its
+    partner -x cover every node once, or None if the azimuth count is odd.
 
-    Each block covers a run of spatial nodes with all their times, in the
-    grid's point order, and has shape (fields, nodes x n_time). A plane
-    wave is a space factor times a time factor, so over a block a field
-    is (nodes x waves) (waves x time nodes), with the amplitudes folded
-    into the time factor; raveled, t is fastest, as in the grid.
+    The pairs come from the axis indices, (r, phi) <-> (r, phi + pi) and
+    in 3D (r, mu, phi) <-> (r, -mu, phi + pi); Gauss-Legendre mu nodes and
+    weights are symmetric, so partners have bit-identical weights.
+    """
+    n_phi = len(grid.axes["phi_nodes"])
+    if n_phi % 2:
+        return None
+    idx = np.arange(len(grid.axes["space_points"])).reshape(
+        len(grid.axes["r_nodes"]), -1, n_phi)
+    return idx[..., :n_phi // 2].ravel(), idx[:, ::-1, n_phi // 2:].ravel()
+
+
+def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
+    """Yield blocks Y of columns whose Y Y^H sum to Xw Xw^H, the ensemble's
+    field-Gram dual, where Xw has the rows sqrt(w_s) x_f(s).
+
+    A plane wave is a space factor times a time factor, so over a run of
+    spatial nodes a field is (nodes x waves) (waves x time nodes), with
+    the amplitudes folded into the time factor Tm. With p = cos(k.x) Tm
+    and q = sin(k.x) Tm, the field is p + i q at x and p - i q at -x, and
+    the pair adds 2 (p p^H + q q^H) to the dual. So on a grid with
+    antipodes (see :func:`_antipodes`) a block is sqrt(2 w) [p, q] over
+    one node of each pair; otherwise it is sqrt(w) (p + i q) over every
+    node. Both take one cos and one sin per (node, wave) and one real
+    matrix product, and a block's temporaries stay within
+    ``_BLOCK_ENTRIES`` complex entries.
     """
     space, t = grid.axes["space_points"], grid.axes["t_nodes"]
-    sw = np.sqrt(grid.weights).reshape(len(space), len(t))
+    w = grid.weights.reshape(len(space), len(t))
+    pairs = _antipodes(grid)
+    nodes = np.arange(len(space)) if pairs is None else pairs[0]
+    sw = np.sqrt((1.0 if pairs is None else 2.0) * w[nodes])
     n_f, n_w = len(fields), max(len(pws) for pws in fields)
     # Every field's waves, zero-padded to n_w; padded waves have amplitude 0.
     dirs = np.zeros((n_f, space.shape[1], n_w))
@@ -242,11 +287,25 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
         k[f, 0, :n] = 2.0 * math.pi * pws.frequencies / pws.c
         in_time[f, :n] = pws.amplitudes[:, None] * np.exp(
             1j * (2.0 * math.pi * pws.frequencies[:, None] * t[None, :]))
-    step = max(1, _BLOCK_ENTRIES // (n_f * max(n_w, len(t))))
-    for lo in range(0, len(space), step):
-        nodes = slice(lo, lo + step)
-        in_space = np.exp(1j * ((space[nodes] @ dirs) * k))
-        yield (in_space @ in_time * sw[nodes]).reshape(n_f, -1)
+    # Real and imaginary parts interleaved: a real product with it, viewed
+    # as complex, is the product with in_time.
+    in_time = in_time.view(float)
+    step = max(1, _BLOCK_ENTRIES // (2 * n_f * max(n_w, len(t))))
+    cs_buf = np.empty((n_f, 2 * step, n_w))
+    for lo in range(0, len(nodes), step):
+        run = nodes[lo:lo + step]
+        phase = space[run] @ dirs
+        phase *= k
+        cs = cs_buf[:, :2 * len(run)]
+        np.cos(phase, out=cs[:, :len(run)])
+        np.sin(phase, out=cs[:, len(run):])
+        pq = (cs @ in_time).view(complex)
+        run_sw = sw[lo:lo + step]
+        if pairs is None:
+            pq = (pq[:, :len(run)] + 1j * pq[:, len(run):]) * run_sw
+        else:
+            pq *= np.concatenate([run_sw, run_sw])
+        yield pq.reshape(n_f, -1)
 
 
 def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
@@ -319,8 +378,8 @@ def ball_grid(dim: Dimension, radius: float,
 
     Returns (points, weights); ``resolution`` is (n_radial, n_angular).
     """
-    pts, w, _ = _spatial_quadrature(dim, radius, *resolution)
-    return pts, w
+    w, axes = _spatial_quadrature(dim, radius, *resolution)
+    return _ball_points(dim, axes), w
 
 
 def truncation_error(wv, radius: float, N: int,
@@ -330,10 +389,12 @@ def truncation_error(wv, radius: float, N: int,
 
     The quadrature of :func:`ball_grid` is radial nodes x directions, and
     the partial sum is one radial table on the nodes times one angular
-    table on the directions (:func:`~wavedof.modes.jacobi_anger_tables`).
+    table on the directions (:func:`~wavedof.modes.jacobi_anger_tables`),
+    as is k . x = k outer(r, directions . k_hat).
     """
-    pts, w, axes = _spatial_quadrature(wv.dim, radius, *resolution)
-    radial, angular = jacobi_anger_tables(wv, axes["r_nodes"], axes["directions"], N)
-    exact = np.exp(1j * wv.k * (pts @ np.asarray(wv.k_hat)))
-    err = float(np.sum(w * np.abs(exact - (radial @ angular).ravel()) ** 2))
+    w, axes = _spatial_quadrature(wv.dim, radius, *resolution)
+    r, directions = axes["r_nodes"], axes["directions"]
+    radial, angular = jacobi_anger_tables(wv, r, directions, N)
+    exact = np.exp(1j * wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))
+    err = float(np.sum(w * np.abs(exact - radial @ angular).ravel() ** 2))
     return math.sqrt(err / float(np.sum(w)))

@@ -142,12 +142,6 @@ def pointwise_field_rows(fields, grid) -> np.ndarray:
     return np.array(rows)
 
 
-def weighted_field_rows(fields, grid) -> np.ndarray:
-    """Rows sqrt(w_s) x_f(s) of the ensemble, shape (fields, points), joined
-    from the library's separable blocks."""
-    return np.hstack(list(rankcheck._weighted_field_blocks(fields, grid)))
-
-
 def ensemble_covariance(fields, grid) -> np.ndarray:
     """Weighted second-moment matrix of an ensemble over grid points.
 
@@ -157,8 +151,9 @@ def ensemble_covariance(fields, grid) -> np.ndarray:
     """
     if len(fields) == 0:
         raise ValueError("ensemble must be nonempty")
-    xw = weighted_field_rows(fields, grid)
-    return rankcheck._mirror_upper(xw.conj().T @ xw / len(fields))
+    xw = pointwise_field_rows(fields, grid)
+    c = xw.conj().T @ xw / len(fields)
+    return (c + c.conj().T) / 2.0
 
 
 def dense_projection(samples, modes, grid, cfg):

@@ -16,8 +16,7 @@ from wavedof.modes import ModeIndex, mode_matrix
 from wavedof.rankcheck import GridError, ball_grid
 
 from oracles import (charpoly_eigenvalues, dense_gram, ensemble_covariance,
-                     pointwise_field_rows, pointwise_truncation_error,
-                     weighted_field_rows)
+                     pointwise_field_rows, pointwise_truncation_error)
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -119,23 +118,43 @@ def test_factored_gram_matches_dense_oracle(dim, cfg, two_sided, resolution,
 
 @pytest.mark.parametrize("dim, cfg, resolution", [
     (TWO_D, NARROW_2D, (8, 24, 21)),
+    (TWO_D, NARROW_2D, (8, 25, 21)),
     (THREE_D, HALF_CAL_3D, (5, 9, 20)),
-], ids=["narrow2d", "3d"])
+], ids=["narrow2d", "narrow2d-unpaired", "3d"])
 def test_separable_field_rows_match_pointwise(dim, cfg, resolution,
                                               monkeypatch):
-    # Small blocks, so rows and the dual come from many blocks, the last
-    # one short; fields of 16 and 13 waves exercise the padding.
-    monkeypatch.setattr(rankcheck, "_BLOCK_ENTRIES", 700)
+    # Small blocks, so the dual comes from many blocks, the last one
+    # short; fields of 16 and 13 waves exercise the padding.
+    monkeypatch.setattr(rankcheck, "_BLOCK_ENTRIES", 1500)
     g = build_grid(dim, cfg, resolution)
     fields = [synthesize_field(dim, cfg, 16 - 3 * (j % 2), seed=40 + j)
               for j in range(5)]
-    want = pointwise_field_rows(fields, g)
-    got = weighted_field_rows(fields, g)
+    rows = pointwise_field_rows(fields, g)
+    want = rows @ rows.conj().T
+    got = sum(y @ y.conj().T for y in rankcheck._weighted_field_blocks(fields, g))
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-    dual = want @ want.conj().T / len(fields)
     spec = ensemble_spectrum(fields, g)
-    assert np.allclose(spec.eigenvalues, np.linalg.eigvalsh(dual)[::-1],
+    assert np.allclose(spec.eigenvalues,
+                       np.linalg.eigvalsh(want / len(fields))[::-1],
                        rtol=0, atol=1e-12 * spec.trace)
+
+
+@pytest.mark.parametrize("dim, resolution", [
+    (TWO_D, (8, 24, 3)), (THREE_D, (5, 9, 3)), (THREE_D, (12, 23, 3)),
+])
+def test_antipodal_pairs(dim, resolution):
+    g = build_grid(dim, HALF_CAL_3D, resolution)
+    nodes, partners = rankcheck._antipodes(g)
+    space = g.axes["space_points"]
+    assert np.array_equal(np.sort(np.concatenate([nodes, partners])),
+                          np.arange(len(space)))
+    assert np.max(np.abs(space[partners] + space[nodes])) <= 1e-15 * HALF_CAL_3D.R
+    w = g.weights.reshape(len(space), -1)
+    assert w[partners].tobytes() == w[nodes].tobytes()
+
+
+def test_odd_azimuth_count_has_no_antipodes():
+    assert rankcheck._antipodes(build_grid(TWO_D, NARROW_2D, (8, 25, 3))) is None
 
 
 def test_gram_resolution_preconditions():
