@@ -15,9 +15,14 @@ Conventions
   normalized downward (Miller) recurrence over an array of arguments and
   returns every order 0..n_max at once. ``bessel_J`` and
   ``spherical_bessel_j`` read one entry of a one-column table.
-* Legendre polynomials likewise come from ``legendre_table`` (every
-  degree 0..n_max over an array of arguments); ``legendre_p`` reads one
-  entry of it.
+* Legendre values likewise come from one recurrence over the degree n
+  at a fixed order m, for Q_n^m = sqrt((n-m)!/(n+m)!) P_n^m. Its m = 0
+  column is P_n itself: ``legendre_table`` returns it over an array of
+  arguments, and ``legendre_p`` reads one entry of that.
+  ``norm_assoc_legendre_table`` scales the columns m = 0..n_max by
+  sqrt((2n+1)/(4 pi)). ``norm_assoc_legendre`` and ``assoc_legendre``
+  run one column on plain floats; ``assoc_legendre`` multiplies by
+  sqrt((n+m)!/(n-m)!), or divides for negative m.
 
 All functions are pure and carry no state; they are safe to call
 concurrently.
@@ -52,13 +57,6 @@ class Angle:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         object.__setattr__(self, "theta", min(max(self.theta, 0.0), math.pi))
         object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
-
-
-def _check_order(n: int, x: float) -> None:
-    if n < 0:
-        raise ValueError(f"order must be >= 0, got {n}")
-    if x < 0:
-        raise ValueError(f"argument must be >= 0, got {x}")
 
 
 def _miller_start(n: int, x: float) -> int:
@@ -128,32 +126,48 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
 
 def spherical_bessel_j(n: int, x: float) -> float:
     """Spherical Bessel function j_n(x) for n >= 0, x >= 0."""
-    _check_order(n, x)
     return float(bessel_table(n, x, spherical=True)[n, 0])
 
 
 def bessel_J(n: int, x: float) -> float:
     """Cylindrical Bessel function J_n(x) for integer n >= 0, x >= 0."""
-    _check_order(n, x)
     return float(bessel_table(n, x)[n, 0])
+
+
+def _legendre_column(n_max: int, m: int, u) -> list:
+    """Q_n^m(u) = sqrt((n-m)!/(n+m)!) P_n^m(u) for n = m..n_max, at fixed m >= 0.
+
+    The one Legendre recurrence; every public Legendre name reads it. u is
+    a float or an array, and both take the same arithmetic, so a scalar
+    read costs one O(n) column on plain floats. The start is
+    Q_m^m = (-1)^m sqrt(C(2m, m) / 4^m) (1-u^2)^(m/2), with the
+    Condon-Shortley phase; C(2m, m) / 4^m = prod_{k<=m} (2k-1)/(2k) is one
+    correctly rounded integer division. The power is 1 at m = 0 for
+    every real u, so P_n = Q_n^0 accepts u outside [-1, 1]. Upward in
+    degree, sqrt(n^2-m^2) Q_n = (2n-1) u Q_{n-1} - sqrt((n-1)^2-m^2) Q_{n-2},
+    which at m = 0 is the three-term Legendre recurrence, exactly.
+    """
+    c = math.sqrt(math.comb(2 * m, m) / 4**m)
+    q = (-c if m % 2 else c) * ((1.0 - u) * (1.0 + u)) ** (0.5 * m)
+    column, q_prev, d_prev = [q], 0.0, 0.0
+    for n in range(m + 1, n_max + 1):
+        d = math.sqrt(n * n - m * m)
+        q_prev, q = q, ((2 * n - 1) * u * q - d_prev * q_prev) / d
+        d_prev = d
+        column.append(q)
+    return column
 
 
 def legendre_table(n_max: int, u) -> np.ndarray:
     """Legendre polynomials P_n(u) for n = 0..n_max over an array of u.
 
-    Returns an array of shape (n_max+1, len(u)), filled by the three-term
-    recurrence (k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}.
+    Returns an array of shape (n_max+1, len(u)): the m = 0 column of the
+    Legendre recurrence, (k+1) P_{k+1} = (2k+1) u P_k - k P_{k-1}. Any
+    real u is accepted.
     """
     if n_max < 0:
         raise ValueError(f"degree must be >= 0, got {n_max}")
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.empty((n_max + 1, u.size))
-    out[0] = 1.0
-    if n_max >= 1:
-        out[1] = u
-    for k in range(1, n_max):
-        out[k + 1] = ((2 * k + 1) * u * out[k] - k * out[k - 1]) / (k + 1)
-    return out
+    return np.array(_legendre_column(n_max, 0, np.atleast_1d(np.asarray(u, dtype=float))))
 
 
 def legendre_p(n: int, u: float) -> float:
@@ -170,46 +184,20 @@ def _check_u(u: float) -> float:
 def assoc_legendre(n: int, m: int, u: float) -> float:
     """Ferrers associated Legendre function P_n^m(u), Condon-Shortley phase.
 
-    Accepts -n <= m <= n; rejects |m| > n.
+    Accepts -n <= m <= n; rejects |m| > n. P_n^{-m} = (-1)^m (n-m)!/(n+m)! P_n^m.
     """
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     if abs(m) > n:
         raise ValueError(f"|m| must be <= n, got m={m}, n={n}")
-    u = _check_u(u)
     mm = abs(m)
-    # P_mm^mm = (-1)^mm (2 mm - 1)!! (1-u^2)^(mm/2), then upward in degree.
-    pmm = 1.0
-    if mm > 0:
-        s = math.sqrt((1.0 - u) * (1.0 + u))
-        fact = 1.0
-        for _ in range(mm):
-            pmm *= -fact * s
-            fact += 2.0
-    if n == mm:
-        val = pmm
-    else:
-        pm1 = u * (2 * mm + 1) * pmm
-        if n == mm + 1:
-            val = pm1
-        else:
-            for k in range(mm + 2, n + 1):
-                pmm, pm1 = pm1, ((2 * k - 1) * u * pm1 - (k + mm - 1) * pmm) / (k - mm)
-            val = pm1
+    q = _legendre_column(n, mm, _check_u(u))[-1]
+    # sqrt((n+m)!/(n-m)!) as a product of square roots, which stays finite
+    # wherever the factorials themselves would overflow.
+    ratio = math.prod(math.sqrt(k) for k in range(n - mm + 1, n + mm + 1))
     if m >= 0:
-        return val
-    # P_n^{-m} = (-1)^m (n-m)!/(n+m)! P_n^m
-    for k in range(n - mm + 1, n + mm + 1):
-        val /= k
-    return val if mm % 2 == 0 else -val
-
-
-def _norm_mm(m: int) -> float:
-    # sqrt((2m+1)/(4 pi) * prod_{k<=m} (2k-1)/(2k)) with Condon-Shortley sign.
-    a = 1.0 / FOUR_PI
-    for k in range(1, m + 1):
-        a *= (2 * k + 1) / (2 * k)
-    return math.sqrt(a) * (-1 if m % 2 else 1)
+        return q * ratio
+    return (-q if mm % 2 else q) / ratio
 
 
 def norm_assoc_legendre(n: int, m: int, u: float) -> float:
@@ -220,19 +208,7 @@ def norm_assoc_legendre(n: int, m: int, u: float) -> float:
     """
     if n < 0 or not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    u = _check_u(u)
-    s = math.sqrt((1.0 - u) * (1.0 + u))
-    pmm = _norm_mm(m) * s**m
-    if n == m:
-        return pmm
-    pm1 = math.sqrt(2 * m + 3) * u * pmm
-    if n == m + 1:
-        return pm1
-    for k in range(m + 2, n + 1):
-        a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
-        b = math.sqrt((2 * k + 1) * ((k - 1) ** 2 - m * m) / ((2 * k - 3) * (k * k - m * m)))
-        pmm, pm1 = pm1, a * u * pm1 - b * pmm
-    return pm1
+    return math.sqrt((2 * n + 1) / FOUR_PI) * _legendre_column(n, m, _check_u(u))[-1]
 
 
 def sph_harm(n: int, m: int, angle: Angle) -> complex:
@@ -259,14 +235,8 @@ def norm_assoc_legendre_table(n_max: int, u) -> np.ndarray:
     if np.any(np.abs(u) > 1.0 + 1e-12):
         raise ValueError("arguments must lie in [-1, 1]")
     u = np.clip(u, -1.0, 1.0)
-    s = np.sqrt((1.0 - u) * (1.0 + u))
     out = np.zeros((n_max + 1, n_max + 1, u.size))
     for m in range(n_max + 1):
-        out[m, m] = _norm_mm(m) * s**m
-        if m + 1 <= n_max:
-            out[m + 1, m] = math.sqrt(2 * m + 3) * u * out[m, m]
-        for k in range(m + 2, n_max + 1):
-            a = math.sqrt((4 * k * k - 1) / (k * k - m * m))
-            b = math.sqrt((2 * k + 1) * ((k - 1) ** 2 - m * m) / ((2 * k - 3) * (k * k - m * m)))
-            out[k, m] = a * u * out[k - 1, m] - b * out[k - 2, m]
+        out[m:, m] = _legendre_column(n_max, m, u)
+    out *= np.sqrt((2 * np.arange(n_max + 1) + 1) / FOUR_PI)[:, None, None]
     return out

@@ -2,7 +2,8 @@
 
 Each oracle reaches its result by a different route than the library:
 extended-precision ascending series for Bessel functions, exact
-integer-coefficient Rodrigues differentiation for associated Legendre,
+integer-coefficient Rodrigues differentiation and an extended-precision
+unnormalized Ferrers recurrence for associated Legendre,
 a literal (i, n, m) counting loop for mode sums, characteristic
 polynomial roots for small eigenproblems, scalar spherical-harmonic
 sums for the Jacobi-Anger expansion, and the dense per-point routes
@@ -80,6 +81,32 @@ def rodrigues_assoc_legendre(n: int, m: int, u: Fraction) -> float:
     val /= Fraction(2) ** n * math.factorial(n)
     s = (1.0 - float(u) ** 2) ** (m / 2.0)
     return (-1) ** m * s * float(val)
+
+
+def ferrers_reference(n_max: int, m: int, u: float, normalized: bool = True,
+                      dps: int = 80) -> np.ndarray:
+    """P_n^m(u) for n = 0..n_max at one order m >= 0 (zero below n = m).
+
+    Runs the unnormalized Ferrers recurrence, P_m^m = (-1)^m (2m-1)!!
+    (1-u^2)^(m/2) and (n-m) P_n^m = (2n-1) u P_{n-1}^m - (n+m-1) P_{n-2}^m,
+    in dps-digit mpmath arithmetic, where its values cannot overflow.
+    With ``normalized`` each value is then scaled by
+    sqrt((2n+1)/(4 pi) (n-m)!/(n+m)!), the theta factor of Y_n^m.
+    mpmath's ``legenp`` fails to converge near n = 200 at its default
+    precision.
+    """
+    out = np.zeros(n_max + 1)
+    with mp.workdps(dps):
+        um = mp.mpf(u)
+        p_prev = mp.mpf(0)
+        p = (-1) ** m * mp.fac2(2 * m - 1) * ((1 - um) * (1 + um)) ** (mp.mpf(m) / 2)
+        ratio = 1 / mp.factorial(2 * m)       # (n-m)!/(n+m)! at n = m
+        for n in range(m, n_max + 1):
+            if n > m:
+                p_prev, p = p, ((2 * n - 1) * um * p - (n + m - 1) * p_prev) / (n - m)
+                ratio *= mp.mpf(n - m) / (n + m)
+            out[n] = float(mp.sqrt((2 * n + 1) * ratio / (4 * mp.pi)) * p if normalized else p)
+    return out
 
 
 def snap(v: float, rounding) -> int:

@@ -1,6 +1,7 @@
 """Special-function accuracy, recurrences, orthonormality."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,10 +11,12 @@ from numpy.polynomial.legendre import leggauss
 
 from wavedof import (Angle, assoc_legendre, bessel_J, legendre_p,
                      norm_assoc_legendre, sph_harm, spherical_bessel_j)
-from wavedof.specfun import bessel_table, norm_assoc_legendre_table
+from wavedof.specfun import (bessel_table, legendre_table,
+                             norm_assoc_legendre_table)
 
-from oracles import (cyl_bessel_series, rodrigues_assoc_legendre,
-                     sph_bessel_reference, sph_bessel_series)
+from oracles import (cyl_bessel_series, ferrers_reference,
+                     rodrigues_assoc_legendre, sph_bessel_reference,
+                     sph_bessel_series)
 
 # frozen from the extended-precision series oracle
 J50_AT_10 = 2.2306960232186468e-31
@@ -143,6 +146,16 @@ def test_legendre_polynomial_basics():
         assert legendre_p(2, u) == pytest.approx(1.5 * u * u - 0.5, abs=1e-14)
 
 
+def test_legendre_polynomials_outside_unit_interval():
+    # P_n is a polynomial, so any real u is accepted, without warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert legendre_p(2, 1.5) == 2.875
+        assert legendre_p(3, -2.0) == -17.0
+        table = legendre_table(3, [1.5, -2.0])
+    assert table.tolist() == [[1.0, 1.0], [1.5, -2.0], [2.875, 5.5], [6.1875, -17.0]]
+
+
 def test_assoc_legendre_trivial():
     assert assoc_legendre(0, 0, 0.3) == 1.0
     for u in np.linspace(-1, 1, 7):
@@ -216,6 +229,38 @@ def test_norm_assoc_legendre_table_matches_scalar():
             for j, u in enumerate(us):
                 assert table[n, m, j] == pytest.approx(
                     norm_assoc_legendre(n, m, u), rel=1e-12, abs=1e-13)
+
+
+# +-1 and +-0.999 are the poles, where the start (1-u^2)^(m/2) vanishes or
+# falls to about 1e-270 at m = 200; 0 and the interior points oscillate.
+LEGENDRE_REF_U = (-1.0, -0.999, -0.62, 0.0, 0.3, 0.87, 0.999, 1.0)
+LEGENDRE_REF_ORDERS = (0, 1, 2, 3, 8, 14, 25, 60, 100, 150, 199, 200)
+
+
+def _near_reference(got, ref, tol):
+    # relative error, measured against 1e-6 of the column's largest entry
+    # where the reference nears a zero; an all-zero column must be exact
+    floor = 1e-6 * np.max(np.abs(ref))
+    return bool(np.all(np.abs(got - ref) <= tol * np.maximum(np.abs(ref), floor)))
+
+
+def test_legendre_kernel_against_extended_precision():
+    """P_n and the orthonormal table for n <= 200 against 80-digit Ferrers.
+
+    Over every order m <= 200 the largest error is 9.0e-11, next to a zero
+    of a column (u = 0.87, n = 79, m = 14). Every Legendre read, table or
+    scalar, shares one recurrence, so this is its pin beyond n = 12, the
+    reach of the Rodrigues oracle.
+    """
+    n_max = 200
+    table = norm_assoc_legendre_table(n_max, LEGENDRE_REF_U)
+    p = legendre_table(n_max, LEGENDRE_REF_U)
+    for j, u in enumerate(LEGENDRE_REF_U):
+        ref = ferrers_reference(n_max, 0, u, normalized=False)
+        assert _near_reference(p[:, j], ref, 5e-10), u
+        for m in LEGENDRE_REF_ORDERS:
+            ref = ferrers_reference(n_max, m, u)
+            assert _near_reference(table[:, m, j], ref, 5e-10), (u, m)
 
 
 def test_sph_harm_quadrature_orthonormality():
