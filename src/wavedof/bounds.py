@@ -126,14 +126,22 @@ def dof_space(dim: Dimension, f: float, R: float, c: float = SPEED_OF_LIGHT) -> 
     """Single-frequency spatial mode count over a ball of radius R."""
     if f < 0 or R < 0:
         raise ConfigError("f and R must be >= 0")
-    n = iceil(math.e * math.pi * f * R / c)
-    return n + 1 if dim is Dimension.TWO_D else (n + 1) ** 2
+    return _lattice_count(dim, [iceil(math.e * math.pi * f * R / c)])
+
 
 def truncation_degree(R: float, k: float) -> int:
     """Largest harmonic degree observable at wave-number k: ceil(e*k*R/2)."""
     if R < 0 or k < 0:
         raise ConfigError("R and k must be >= 0")
     return iceil(math.e * k * R / 2.0)
+
+
+def _lattice_count(dim: Dimension, degrees, two_sided: bool = False) -> int:
+    """Modes over bins of the given integer degrees N, in Python ints:
+    (N+1)^2 per bin in 3D; N+1 per bin in 2D, or 2N+1 with ``two_sided``."""
+    if dim is Dimension.THREE_D:
+        return sum((n + 1) ** 2 for n in degrees)
+    return sum(2 * n + 1 if two_sided else n + 1 for n in degrees)
 
 
 def bin_degrees(cfg: PhysicalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,8 +183,7 @@ def frequency_bins(cfg: PhysicalConfig) -> list[FrequencyBin]:
 def exact_mode_sum(dim: Dimension, cfg: PhysicalConfig) -> int:
     """Exact lattice count: (N(i)+1)^2 in 3D, or N(i)+1 in 2D, summed over
     :func:`bin_degrees` in Python ints. Rejects T <= 0; use dof_space there."""
-    n = [int(d) + 1 for d in bin_degrees(cfg)[2].tolist()]
-    return sum(k * k for k in n) if dim is Dimension.THREE_D else sum(n)
+    return _lattice_count(dim, [int(d) for d in bin_degrees(cfg)[2].tolist()])
 
 
 def closed_form_bound(dim: Dimension, cfg: PhysicalConfig) -> float:

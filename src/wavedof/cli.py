@@ -139,18 +139,22 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _read_config_file(path: str) -> dict:
     out: dict = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in ("R", "W", "T", "F0", "c", "seed"):
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _number(val, f"{path}:{lineno}: {key}",
-                               float if key != "seed" else lambda s: int(float(s)))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in ("R", "W", "T", "F0", "c", "seed"):
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = _number(val, f"{path}:{lineno}: {key}",
+                           float if key != "seed" else lambda s: int(float(s)))
     return out
 
 

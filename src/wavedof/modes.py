@@ -12,11 +12,13 @@ m = -N(i)..N(i), which is what a physical field actually excites.
 
 On a tensor-product grid each mode is a product of one factor per axis
 (radial, polar in 3D, azimuthal, time); :func:`mode_factors` evaluates
-those factors once per axis node. :func:`weighted_gram` (the Gram of
-``rankcheck``) and :func:`project_field` work on them directly, one
-axis at a time. :func:`mode_matrix` joins them into the dense
-(points x modes) matrix; nothing in the package calls it, and it stays
-as the public dense reference.
+those factors once per axis node, and is the only code that evaluates a
+mode. :func:`weighted_gram` (the Gram of ``rankcheck``) and
+:func:`project_field` work on them directly, one axis at a time.
+:func:`mode_matrix` joins them, column by column, into the dense
+(points x modes) matrix, and :func:`evaluate_mode` is that join on the
+one-node grid through its point. ``project_field`` synthesizes its
+residual with the same join.
 
 The Jacobi-Anger partial sum of a plane wave is likewise one radial
 table times one angular table (:func:`jacobi_anger_tables`), which both
@@ -44,7 +46,7 @@ import numpy as np
 
 from . import specfun
 from .bounds import (DEFAULT_MODE_CAP, ConfigError, Dimension, ModeCapError,
-                     PhysicalConfig, bin_degrees)
+                     PhysicalConfig, _lattice_count, bin_degrees)
 
 
 class ProjectionRankError(RuntimeError):
@@ -127,12 +129,6 @@ class CoefficientVector:
     residual: float
 
 
-def _lattice_count(dim: Dimension, degrees: list, two_sided: bool) -> int:
-    if dim is Dimension.THREE_D:
-        return sum((n + 1) ** 2 for n in degrees)
-    return sum(2 * n + 1 if two_sided else n + 1 for n in degrees)
-
-
 def mode_count(dim: Dimension, cfg: PhysicalConfig, two_sided: bool = False) -> int:
     """Number of modes enumerate_modes would produce."""
     return _lattice_count(dim, [int(n) for n in bin_degrees(cfg)[2].tolist()],
@@ -172,13 +168,11 @@ def mode_wavenumber(i: int, cfg: PhysicalConfig) -> tuple[float, float]:
     return f, 2.0 * math.pi * i / (cfg.c * cfg.T)
 
 
-def _time_factor(i: int, t: float, T: float) -> complex:
-    return cmath.exp(2j * math.pi * i * t / T) / math.sqrt(T)
-
-
 def evaluate_mode(index: ModeIndex, position, t: float,
                   cfg: PhysicalConfig) -> complex:
-    """Value of one basis function at a point of the observation region."""
+    """Value of one basis function at a point of the observation region:
+    the :func:`mode_matrix` join of its :func:`mode_factors` on the
+    one-node grid through (position, t)."""
     pos = np.asarray(position, dtype=float)
     want = 3 if index.dim is Dimension.THREE_D else 2
     if pos.shape != (want,):
@@ -188,24 +182,14 @@ def evaluate_mode(index: ModeIndex, position, t: float,
         raise ValueError(f"position norm {r} outside region of radius {cfg.R}")
     if not (-1e-9 * cfg.T <= t <= cfg.T * (1.0 + 1e-9)):
         raise ValueError(f"time {t} outside observation window [0, {cfg.T}]")
-    _, k = mode_wavenumber(index.i, cfg)
-    tf = _time_factor(index.i, t, cfg.T)
-    if index.dim is Dimension.THREE_D:
-        if r == 0.0:
-            # j_n(0) kills every degree but zero.
-            return tf / math.sqrt(specfun.FOUR_PI) if index.n == 0 else 0.0 + 0.0j
-        radial = specfun.spherical_bessel_j(index.n, k * r)
-        ang = specfun.sph_harm(index.n, index.m,
-                               specfun.Angle(math.acos(min(max(pos[2] / r, -1.0), 1.0)),
-                                             math.atan2(pos[1], pos[0])))
-        return radial * ang * tf
-    if r == 0.0:
-        return tf if index.m == 0 else 0.0 + 0.0j
-    radial = specfun.bessel_J(abs(index.m), k * r)
-    if index.m < 0 and index.m % 2:
-        radial = -radial
-    theta = math.atan2(pos[1], pos[0])
-    return radial * cmath.exp(1j * index.m * theta) * tf
+    axes = {"r_nodes": np.array([r])}
+    if want == 3:
+        # At r = 0 only n = 0 survives (j_n(0) = 0 otherwise), and P_0 = 1.
+        axes["mu_nodes"] = np.array([pos[2] / r if r > 0 else 1.0])
+    axes.update(phi_nodes=np.array([math.atan2(pos[1], pos[0])]),
+                t_nodes=np.array([t]))
+    factors = mode_factors([index], axes, cfg).values()
+    return complex(_join_columns(np.ones((1, 1), dtype=complex), factors)[0, 0])
 
 
 def plane_wave(wv: WaveVector, position, t: float) -> complex:
@@ -332,57 +316,59 @@ def field_values(pws: PlaneWaveSet, positions: np.ndarray,
     return (space @ in_time)[s_inv, t_inv]
 
 
-def mode_factors(modes: Sequence[ModeIndex], grid,
+def mode_factors(modes: Sequence[ModeIndex], axes: dict,
                  cfg: PhysicalConfig) -> dict:
     """Per-axis factors of every mode on a tensor-product grid.
 
-    Returns {"r": (n_r, M), "mu": (n_mu, M) in 3D only, "phi": (n_phi, M),
-    "t": (n_t, M)}, in the grid's axis order. Mode j at the grid node
-    (r, [mu], phi, t) is the product of column j of each factor: the
-    Bessel radial factor, the orthonormal Legendre factor, e^{i m phi}
-    (negated for odd negative m) and exp(2j pi i t / T) / sqrt(T).
+    ``axes`` holds the grid's ``<axis>_nodes``; a ``mu_nodes`` axis makes
+    the modes 3D. Returns {"r": (n_r, M), "mu": (n_mu, M) in 3D only,
+    "phi": (n_phi, M), "t": (n_t, M)}, in the grid's axis order. Mode j
+    at the grid node (r, [mu], phi, t) is the product of column j of each
+    factor: the Bessel radial factor, the orthonormal Legendre factor,
+    e^{i m phi} (negated for odd negative m) and exp(2j pi i t / T) / sqrt(T).
+    This is the only code that evaluates a mode.
     """
-    ax = grid.axes
-    spherical = grid.dim is Dimension.THREE_D
+    spherical = "mu_nodes" in axes
     bins = np.array([md.i for md in modes])
     m = np.array([md.m for md in modes])
     order = np.array([md.n for md in modes]) if spherical else np.abs(m)
     # One radial table per frequency bin, up to the bin's highest order.
     # Bins come from a set: np.unique's first call imports numpy.ma (~20 ms).
-    radial = np.empty((len(ax["r_nodes"]), len(modes)))
+    radial = np.empty((len(axes["r_nodes"]), len(modes)))
     for i in set(bins.tolist()):
         sel = bins == i
         table = specfun.bessel_table(int(order[sel].max()),
-                                     mode_wavenumber(i, cfg)[1] * ax["r_nodes"],
+                                     mode_wavenumber(i, cfg)[1] * axes["r_nodes"],
                                      spherical=spherical)
         radial[:, sel] = table[order[sel]].T
     out = {"r": radial}
     if spherical:
-        plm = specfun.norm_assoc_legendre_table(int(order.max()), ax["mu_nodes"])
+        plm = specfun.norm_assoc_legendre_table(int(order.max()), axes["mu_nodes"])
         out["mu"] = plm[order, np.abs(m)].T
     sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
-    out["phi"] = np.exp(1j * np.outer(ax["phi_nodes"], m)) * sign
-    phase = np.outer(ax["t_nodes"], 2j * math.pi * bins) / cfg.T
+    out["phi"] = np.exp(1j * np.outer(axes["phi_nodes"], m)) * sign
+    phase = np.outer(axes["t_nodes"], 2j * math.pi * bins) / cfg.T
     out["t"] = np.exp(phase) / math.sqrt(cfg.T)
     return out
+
+
+def _join_columns(u: np.ndarray, factors) -> np.ndarray:
+    """Multiply the (rows x M) ``u`` by each (nodes x M) factor in turn,
+    column by column: row (a, b) of the result is u[a] * factor[b], so
+    the rows come out in the factors' index order, the last fastest."""
+    for f in factors:
+        u = (u[:, None, :] * f[None]).reshape(len(u) * len(f), u.shape[1])
+    return u
 
 
 def mode_matrix(modes: Sequence[ModeIndex], grid, cfg: PhysicalConfig) -> np.ndarray:
     """Matrix of mode values over grid points, shape (points, modes).
 
     Column j is the outer product of the per-axis factors of mode j
-    (:func:`mode_factors`), raveled in the grid's point order. Columns
-    are filled one at a time, so no second (points x modes) array is
-    allocated.
+    (:func:`mode_factors`), raveled in the grid's point order.
     """
-    factors = list(mode_factors(modes, grid, cfg).values())
-    A = np.empty((len(grid.weights), len(modes)), dtype=complex)
-    for j in range(len(modes)):
-        col = factors[0][:, j]
-        for f in factors[1:]:
-            col = np.multiply.outer(col, f[:, j])
-        A[:, j] = col.ravel()
-    return A
+    factors = mode_factors(modes, grid.axes, cfg).values()
+    return _join_columns(np.ones((1, len(modes)), dtype=complex), factors)
 
 
 def weighted_gram(factors: dict, axes: dict) -> np.ndarray:
@@ -420,7 +406,7 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
         raise ValueError("samples must align with grid points")
     if len(modes) > len(y):
         raise ValueError("more modes than grid points")
-    factors = mode_factors(modes, grid, cfg)
+    factors = mode_factors(modes, grid.axes, cfg)
     axes = list(factors)                    # r, [mu], phi, t: t fastest
     normal = weighted_gram(factors, grid.axes).conj()
     diag = np.real(np.diag(normal))
@@ -439,10 +425,8 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
     for a in reversed(axes[:-1]):
         b = np.einsum("anj,nj->aj", b.reshape(-1, *wf[a].shape), wf[a])
     coeffs = s * (vec @ ((vec.conj().T @ (s * b[0])) / lam))
-    # A c: the spatial factors outer-multiplied into (nodes x modes), then t.
-    u = coeffs[None, :]
-    for a in axes[:-1]:
-        u = (u[:, None, :] * factors[a][None]).reshape(-1, len(modes))
+    # A c: the spatial factors joined into (nodes x modes), then t.
+    u = _join_columns(coeffs[None, :], [factors[a] for a in axes[:-1]])
     sw = np.sqrt(grid.weights)
     resid = np.linalg.norm(((u @ factors["t"].T).ravel() - y) * sw)
     denom = np.linalg.norm(y * sw)

@@ -14,7 +14,8 @@ space phases conjugated; so the ensemble takes one cos and one sin per
 an odd azimuth count it takes cos + i sin per (node, wave). Its field
 Gram is summed block by block, each block's temporaries within
 ``_BLOCK_ENTRIES`` complex entries (2 MB). The harmonic truncation error
-uses the same structure over the ball: radial nodes x directions. No
+uses the same structure over the ball: radial nodes x directions, the
+directions being the node coordinates at unit radius. No
 (points x modes), (points x waves) or (points x points) array is
 formed. The readouts are:
 
@@ -120,9 +121,8 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     n_ang Gauss-Legendre points in mu = cos(theta) crossed with 2*n_ang
     uniform azimuths; in 2D they are n_ang uniform azimuths. Returns
     (weights, axes) with weights in (r, [mu], phi) index order, phi
-    fastest, and axes holding each axis's nodes and weights plus the
-    unit ``directions`` (n_[mu] x n_phi, 2 or 3), in the same order.
-    The node coordinates are :func:`_ball_points` of the axes.
+    fastest, and axes holding each axis's nodes and weights. The node
+    coordinates are :func:`_ball_points` of the axes.
     """
     if min(n_r, n_ang) < 1:
         raise GridError("resolution counts must be >= 1")
@@ -139,16 +139,11 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     axes = {"r_nodes": r, "r_weights": wr}
     if dim is Dimension.TWO_D:
         w = wr[:, None] * wphi[None, :]
-        directions = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
     else:
         mu, wmu = _gauss_legendre(n_ang)
         axes.update(mu_nodes=mu, mu_weights=wmu)
         w = wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]
-        sin_t = np.sqrt(1.0 - mu**2)[:, None]
-        directions = np.stack([sin_t * np.cos(phi), sin_t * np.sin(phi),
-                               np.broadcast_to(mu[:, None], (n_ang, n_phi))],
-                              axis=-1).reshape(-1, 3)
-    axes.update(phi_nodes=phi, phi_weights=wphi, directions=directions)
+    axes.update(phi_nodes=phi, phi_weights=wphi)
     return w.ravel(), axes
 
 
@@ -224,7 +219,7 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
     passes :func:`check_gram_resolution`, made exactly Hermitian.
     """
     check_gram_resolution(modes, grid, cfg)
-    return _mirror_upper(weighted_gram(mode_factors(modes, grid, cfg), grid.axes))
+    return _mirror_upper(weighted_gram(mode_factors(modes, grid.axes, cfg), grid.axes))
 
 
 def diagonal_normalize(g: np.ndarray) -> np.ndarray:
@@ -387,13 +382,15 @@ def truncation_error(wv, radius: float, N: int,
     """Ball-averaged relative L2 error of the degree-N harmonic partial sum
     against the plane-wave spatial factor exp(j k . r).
 
-    The quadrature of :func:`ball_grid` is radial nodes x directions, and
-    the partial sum is one radial table on the nodes times one angular
-    table on the directions (:func:`~wavedof.modes.jacobi_anger_tables`),
-    as is k . x = k outer(r, directions . k_hat).
+    The quadrature of :func:`ball_grid` is radial nodes x directions, the
+    directions being its node coordinates at unit radius, and the partial
+    sum is one radial table on the nodes times one angular table on the
+    directions (:func:`~wavedof.modes.jacobi_anger_tables`), as is
+    k . x = k outer(r, directions . k_hat).
     """
     w, axes = _spatial_quadrature(wv.dim, radius, *resolution)
-    r, directions = axes["r_nodes"], axes["directions"]
+    r = axes["r_nodes"]
+    directions = _ball_points(wv.dim, {**axes, "r_nodes": np.ones(1)})
     radial, angular = jacobi_anger_tables(wv, r, directions, N)
     exact = np.exp(1j * wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))
     err = float(np.sum(w * np.abs(exact - radial @ angular).ravel() ** 2))

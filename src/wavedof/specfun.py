@@ -18,7 +18,7 @@ Conventions
 * Legendre values likewise come from one recurrence over the degree n
   at a fixed order m, for Q_n^m = sqrt((n-m)!/(n+m)!) P_n^m. Its m = 0
   column is P_n itself: ``legendre_table`` returns it over an array of
-  arguments, and ``legendre_p`` reads one entry of that.
+  arguments, and ``legendre_p`` runs it on a plain float.
   ``norm_assoc_legendre_table`` scales the columns m = 0..n_max by
   sqrt((2n+1)/(4 pi)). ``norm_assoc_legendre`` and ``assoc_legendre``
   run one column on plain floats; ``assoc_legendre`` multiplies by
@@ -171,8 +171,10 @@ def legendre_table(n_max: int, u) -> np.ndarray:
 
 
 def legendre_p(n: int, u: float) -> float:
-    """Legendre polynomial P_n(u)."""
-    return float(legendre_table(n, u)[n, 0])
+    """Legendre polynomial P_n(u): the m = 0 Legendre column on a float."""
+    if n < 0:
+        raise ValueError(f"degree must be >= 0, got {n}")
+    return _legendre_column(n, 0, float(u))[-1]
 
 
 def _check_u(u: float) -> float:

@@ -1,12 +1,14 @@
 """Independent oracles used to pin expected values.
 
 Each oracle reaches its result by a different route than the library:
-extended-precision ascending series for Bessel functions, exact
+extended-precision ascending series for Bessel functions, and whole
+Bessel columns from two mpmath values recurred down in 50 digits, exact
 integer-coefficient Rodrigues differentiation and an extended-precision
-unnormalized Ferrers recurrence for associated Legendre,
-a literal (i, n, m) counting loop for mode sums, characteristic
-polynomial roots for small eigenproblems, scalar spherical-harmonic
-sums for the Jacobi-Anger expansion, and the dense per-point routes
+unnormalized Ferrers recurrence for associated Legendre, scalar
+special-function products for single mode values, a literal (i, n, m)
+counting loop for mode sums, characteristic polynomial roots for small
+eigenproblems, scalar spherical-harmonic sums for the Jacobi-Anger
+expansion, and the dense per-point routes
 that the factored Gram, projection and truncation error and the
 separable ensemble rows replace.
 """
@@ -70,6 +72,32 @@ def sph_bessel_reference(n: int, x: float) -> float:
         return float(mp.sqrt(mp.pi / (2 * mp.mpf(x))) * mp.besselj(n + mp.mpf(1) / 2, x))
 
 
+def bessel_column_reference(n_max: int, x: float, spherical: bool,
+                            dps: int = 50) -> np.ndarray:
+    """J_n(x), or j_n(x) with ``spherical``, for n = 0..n_max.
+
+    mpmath gives the orders n_max and n_max + 1; the three-term
+    recurrence f_{n-1} = (2n + spherical)/x f_n - f_{n+1} then runs down
+    in dps-digit arithmetic. Downward is the stable direction wherever
+    n > x, and neither direction grows errors where n < x, so the
+    column keeps far more than double precision at a cost of two mpmath
+    Bessel calls.
+    """
+    with mp.workdps(dps):
+        xm = mp.mpf(x)
+        if spherical:
+            def f(n):
+                return mp.sqrt(mp.pi / (2 * xm)) * mp.besselj(n + mp.mpf(1) / 2, xm)
+        else:
+            def f(n):
+                return mp.besselj(n, xm)
+        col = [mp.mpf(0)] * (n_max + 2)
+        col[n_max], col[n_max + 1] = f(n_max), f(n_max + 1)
+        for n in range(n_max, 0, -1):
+            col[n - 1] = (2 * n + spherical) / xm * col[n] - col[n + 1]
+        return np.array([float(v) for v in col[:n_max + 1]])
+
+
 def rodrigues_assoc_legendre(n: int, m: int, u: Fraction) -> float:
     """P_n^m by exact differentiation of (u^2 - 1)^n, Condon-Shortley phase."""
     assert 0 <= m <= n
@@ -107,6 +135,30 @@ def ferrers_reference(n_max: int, m: int, u: float, normalized: bool = True,
                 ratio *= mp.mpf(n - m) / (n + m)
             out[n] = float(mp.sqrt((2 * n + 1) * ratio / (4 * mp.pi)) * p if normalized else p)
     return out
+
+
+def scalar_mode_value(index, position, t: float, cfg) -> complex:
+    """One mode value from scalar special functions: j_n(k r) Y_n^m(rhat)
+    in 3D, or J_|m|(k r) e^{i m theta} with J_{-m} = (-1)^m J_m in 2D,
+    times exp(2j pi i t / T) / sqrt(T), with the r = 0 limits written
+    out."""
+    pos = np.asarray(position, dtype=float)
+    r = float(np.linalg.norm(pos))
+    k = 2.0 * math.pi * index.i / (cfg.c * cfg.T)
+    tf = cmath.exp(2j * math.pi * index.i * t / cfg.T) / math.sqrt(cfg.T)
+    if index.dim is Dimension.THREE_D:
+        if r == 0.0:
+            return tf / math.sqrt(specfun.FOUR_PI) if index.n == 0 else 0.0 + 0.0j
+        ang = specfun.sph_harm(index.n, index.m,
+                               specfun.Angle(math.acos(min(max(pos[2] / r, -1.0), 1.0)),
+                                             math.atan2(pos[1], pos[0])))
+        return specfun.spherical_bessel_j(index.n, k * r) * ang * tf
+    if r == 0.0:
+        return tf if index.m == 0 else 0.0 + 0.0j
+    radial = specfun.bessel_J(abs(index.m), k * r)
+    if index.m < 0 and index.m % 2:
+        radial = -radial
+    return radial * cmath.exp(1j * index.m * math.atan2(pos[1], pos[0])) * tf
 
 
 def snap(v: float, rounding) -> int:

@@ -255,6 +255,40 @@ def test_cli_fuzz_exits_cleanly(argv, svg):
     assert "Traceback" not in err.getvalue()
 
 
+CONFIG_VALUE = st.sampled_from(["0", "0.5", "1", "10", "2.4e9", "1e300", "1e400",
+                                "-1", "nan", "inf", "abc", ""])
+CONFIG_LINE = st.one_of(
+    st.builds(lambda key, value, note: f"{key} = {value}{note}".encode(),
+              st.sampled_from(["R", "W", "T", "F0", "c", "seed", "bogus"]),
+              CONFIG_VALUE, st.sampled_from(["", "  # note"])),
+    st.sampled_from([b"R 1", b"# comment", b"", b"=", b"T = 1 = 2", b"\x00",
+                     b"F0 = 1\x00", b"W = \xff", b"\xef\xbb\xbfR = 1"]),
+    st.binary(max_size=12))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(lines=st.lists(CONFIG_LINE, max_size=8),
+       command=st.sampled_from(["bounds", "modes"]))
+@example(lines=[b"R = 1\xff"], command="bounds")
+def test_config_file_fuzz_exits_cleanly(lines, command):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        path = f"{tmp}/run.conf"
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        argv = [command, "--config", path]
+        if command == "modes":
+            argv += ["--cap", "1000", "-o", f"{tmp}/out.csv"]
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CAP, EXIT_RESOLUTION), (lines, code)
+    assert "Traceback" not in err.getvalue()
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("configuration error:")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+
+
 def test_sweep_deterministic(tmp_path):
     args = ["sweep", "--axis1", "R:0.01:1:5:log", "--axis2", "W:1e3:1e6:5:log",
             "--fixed", "T=5e-4", "--fixed", "F0=2.4e9",

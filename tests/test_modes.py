@@ -14,7 +14,7 @@ from wavedof import (Dimension, ModeCapError, PhysicalConfig, WaveVector,
 from wavedof.modes import (ModeIndex, ProjectionRankError, field_values,
                            jacobi_anger_values, mode_count, mode_matrix)
 
-from oracles import dense_projection, jacobi_anger_scalar
+from oracles import dense_projection, jacobi_anger_scalar, scalar_mode_value
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -151,7 +151,8 @@ def test_mode_matrix_matches_scalar_evaluation():
     for _ in range(20):
         s = int(rng.integers(0, len(GRID_2D)))
         j = int(rng.integers(0, len(modes)))
-        ref = evaluate_mode(modes[j], GRID_2D.points[s], GRID_2D.times[s], CAL_2D)
+        ref = scalar_mode_value(modes[j], GRID_2D.points[s], GRID_2D.times[s],
+                                CAL_2D)
         assert abs(A[s, j] - ref) <= 1e-12 * max(1.0, abs(ref))
     # 3D: modes from all three bins, negative odd orders included
     grid3 = build_grid(THREE_D, CAL_3D, (4, 12, 6))
@@ -162,8 +163,37 @@ def test_mode_matrix_matches_scalar_evaluation():
     A3 = mode_matrix(modes3, grid3, CAL_3D)
     for s in rng.integers(0, len(grid3), 8):
         for j, md in enumerate(modes3):
-            ref = evaluate_mode(md, grid3.points[s], grid3.times[s], CAL_3D)
+            ref = scalar_mode_value(md, grid3.points[s], grid3.times[s], CAL_3D)
             assert abs(A3[s, j] - ref) <= 1e-12 * max(1.0, abs(ref)), md
+
+
+def test_two_sided_2d_modes_match_scipy():
+    """evaluate_mode and mode_matrix against scipy's jv(m, k r) e^{i m theta},
+    whose negative orders carry J_{-m} = (-1)^m J_m independently."""
+    from scipy.special import jv
+
+    modes = enumerate_modes(TWO_D, CAL_2D, two_sided=True)
+    assert {md.m for md in modes} >= {-11, -9, -1}
+
+    def ref(md, pos, t):
+        k = mode_wavenumber(md.i, CAL_2D)[1]
+        theta = math.atan2(pos[1], pos[0])
+        return (jv(md.m, k * math.hypot(*pos)) * cmath.exp(1j * md.m * theta)
+                * cmath.exp(2j * math.pi * md.i * t / CAL_2D.T) / math.sqrt(CAL_2D.T))
+
+    A = mode_matrix(modes, GRID_2D, CAL_2D)
+    rng = np.random.default_rng(21)
+    for s in rng.integers(0, len(GRID_2D), 6):
+        for j, md in enumerate(modes):
+            want = ref(md, GRID_2D.points[s], GRID_2D.times[s])
+            assert abs(A[s, j] - want) <= 1e-12 * max(1.0, abs(want)), md
+    for _ in range(60):
+        md = modes[rng.integers(0, len(modes))]
+        r, theta = rng.uniform(0, CAL_2D.R), rng.uniform(-math.pi, math.pi)
+        pos, t = (r * math.cos(theta), r * math.sin(theta)), rng.uniform(0, CAL_2D.T)
+        want = ref(md, pos, t)
+        got = evaluate_mode(md, pos, t, CAL_2D)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), md
 
 
 def test_plane_wave_basics():

@@ -14,7 +14,7 @@ from wavedof import (Angle, assoc_legendre, bessel_J, legendre_p,
 from wavedof.specfun import (bessel_table, legendre_table,
                              norm_assoc_legendre_table)
 
-from oracles import (cyl_bessel_series, ferrers_reference,
+from oracles import (bessel_column_reference, cyl_bessel_series, ferrers_reference,
                      rodrigues_assoc_legendre, sph_bessel_reference,
                      sph_bessel_series)
 
@@ -122,6 +122,24 @@ def test_bessel_table_against_references():
                     assert sph[n, j] == pytest.approx(ref_s, rel=1e-10), (n, x)
                 if abs(ref_c) >= 1e-280:
                     assert cyl[n, j] == pytest.approx(ref_c, rel=1e-10), (n, x)
+
+
+def test_bessel_table_pinned_to_mpmath_over_range():
+    """Both kinds over n <= 200 and 0 < x <= 500, through the turning
+    point n ~ x and down to x near 0. Each value is within 1e-10 of its
+    mpmath reference, relative to max(|ref|, 1e-10 x its column's largest
+    value), so the tiniest values are pinned too."""
+    xs = np.concatenate([[1e-12, 1e-6, 1e-3, 0.01, 0.1],
+                         [n + d for n in (5, 20, 50, 100, 150, 200) for d in (-0.5, 0, 0.5)],
+                         np.geomspace(0.3, 500.0, 25)])
+    assert len(xs) == 48 and xs.max() == 500.0
+    for spherical in (True, False):
+        got = bessel_table(200, xs, spherical=spherical).T
+        ref = np.array([bessel_column_reference(200, x, spherical) for x in xs])
+        floor = 1e-10 * np.max(np.abs(ref), axis=1, keepdims=True)
+        err = np.abs(got - ref) / np.maximum(np.abs(ref), floor)
+        worst = np.unravel_index(np.argmax(err), err.shape)
+        assert err.max() <= 1e-10, (spherical, xs[worst[0]], worst[1], err.max())
 
 
 def test_bessel_rejects_bad_domain():
