@@ -32,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bounds import (BoundReport, ConfigError, Dimension, PhysicalConfig,
-                     bound_report, exact_mode_sum, frequency_bins)
-from .modes import ModeCapError, enumerate_modes, synthesize_field
+from .bounds import (DEFAULT_MODE_CAP, BoundReport, ConfigError, Dimension,
+                     PhysicalConfig, bound_report, exact_mode_sum, frequency_bins)
+from .modes import ModeCapError, enumerate_modes, mode_count, synthesize_field
 from .rankcheck import (GridError, RankPolicy, ResolutionError,
                         SpectrumReport, build_grid, diagonal_normalize,
                         eigen_spectrum, ensemble_spectrum, gram_of_modes)
@@ -429,7 +429,20 @@ def write_spectrum_csv(path: str, spec: SpectrumReport, meta: dict) -> None:
 def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
                   fields: int, seed: int, resolution: tuple,
                   policy: RankPolicy, two_sided: bool = False) -> dict:
-    """Run the full rank experiment and assemble the JSON document."""
+    """Run the full rank experiment and assemble the JSON document.
+
+    Raises :class:`ModeCapError` before allocating when the grid points,
+    the Gram entries (modes^2), the ensemble's time-factor entries or
+    its dual's entries (fields^2) exceed ``DEFAULT_MODE_CAP``.
+    """
+    n_r, n_ang, n_t = resolution
+    n_space = n_r * n_ang * (2 * n_ang if dim is Dimension.THREE_D else 1)
+    for what, size in (("grid points", n_space * n_t),
+                       ("Gram entries", mode_count(dim, cfg, two_sided) ** 2),
+                       ("ensemble time-factor entries", fields * waves * n_t),
+                       ("ensemble dual entries", fields ** 2)):
+        if size > DEFAULT_MODE_CAP:
+            raise ModeCapError(f"{size} {what} exceed the cap of {DEFAULT_MODE_CAP}")
     grid = build_grid(dim, cfg, resolution)
     modes = enumerate_modes(dim, cfg, two_sided=two_sided)
     gram = diagonal_normalize(gram_of_modes(modes, grid, cfg))

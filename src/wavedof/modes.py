@@ -33,6 +33,12 @@ per (spatial node, wave) and per (time node, wave), not per (point,
 wave). Point sets far from a product, such as scattered points, whose
 table would outgrow points x waves, fall back to one exponential per
 (point, wave).
+
+Every array exponential here, in :func:`field_values` and in the
+azimuthal and time factors of :func:`mode_factors`, is
+:func:`~wavedof.specfun.cis`, the library's one e^{i theta} kernel;
+only the scalar :func:`plane_wave` keeps ``cmath.exp``, as the
+independent single-point reference.
 """
 
 from __future__ import annotations
@@ -310,9 +316,9 @@ def field_values(pws: PlaneWaveSet, positions: np.ndarray,
     tu, t_inv = _distinct_rows(t[:, None])
     if len(u) * len(tu) > len(pos) * len(pws):
         phase = (pos @ pws.directions.T) * k[None, :] + omega[None, :] * t[:, None]
-        return np.exp(1j * phase) @ pws.amplitudes
-    space = np.exp(1j * ((u @ pws.directions.T) * k[None, :]))
-    in_time = pws.amplitudes[:, None] * np.exp(1j * (omega[:, None] * tu[:, 0]))
+        return specfun.cis(phase) @ pws.amplitudes
+    space = specfun.cis((u @ pws.directions.T) * k[None, :])
+    in_time = pws.amplitudes[:, None] * specfun.cis(omega[:, None] * tu[:, 0])
     return (space @ in_time)[s_inv, t_inv]
 
 
@@ -346,9 +352,9 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
         plm = specfun.norm_assoc_legendre_table(int(order.max()), axes["mu_nodes"])
         out["mu"] = plm[order, np.abs(m)].T
     sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
-    out["phi"] = np.exp(1j * np.outer(axes["phi_nodes"], m)) * sign
-    phase = np.outer(axes["t_nodes"], 2j * math.pi * bins) / cfg.T
-    out["t"] = np.exp(phase) / math.sqrt(cfg.T)
+    out["phi"] = specfun.cis(np.outer(axes["phi_nodes"], m)) * sign
+    phase = np.outer(axes["t_nodes"], 2.0 * math.pi * bins) / cfg.T
+    out["t"] = specfun.cis(phase) / math.sqrt(cfg.T)
     return out
 
 

@@ -9,11 +9,14 @@ one small weighted Gram per axis, and each ensemble field is a
 (spatial nodes x waves) by (waves x time nodes) matrix product. When the
 azimuth count is even, every spatial node x has its antipode -x on the
 grid with the same weight, and a field at -x is the one at x with its
-space phases conjugated; so the ensemble takes one cos and one sin per
+space phases conjugated; so the ensemble takes one cos and sin pair per
 (antipodal node pair, wave) and never forms the two fields. In 2D with
-an odd azimuth count it takes cos + i sin per (node, wave). Its field
-Gram is summed block by block, each block's temporaries within
-``_BLOCK_ENTRIES`` complex entries (2 MB). The harmonic truncation error
+an odd azimuth count it takes cos + i sin per (node, wave). The time
+factors of all fields are one (fields x waves x time nodes) array,
+its phases turned into cos + i sin in place. Every pair comes from
+:func:`~wavedof.specfun.cos_sin`. The field Gram is summed block by
+block, each block's temporaries within ``_BLOCK_ENTRIES`` complex
+entries (2 MB). The harmonic truncation error
 uses the same structure over the ball: radial nodes x directions, the
 directions being the node coordinates at unit radius. No
 (points x modes), (points x waves) or (points x points) array is
@@ -38,6 +41,7 @@ from numpy.polynomial.legendre import leggauss
 from .bounds import Dimension, PhysicalConfig
 from .modes import (ModeIndex, PlaneWaveSet, jacobi_anger_tables, mode_factors,
                     weighted_gram)
+from .specfun import cis, cos_sin
 
 
 class ResolutionError(RuntimeError):
@@ -262,8 +266,8 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     the pair adds 2 (p p^H + q q^H) to the dual. So on a grid with
     antipodes (see :func:`_antipodes`) a block is sqrt(2 w) [p, q] over
     one node of each pair; otherwise it is sqrt(w) (p + i q) over every
-    node. Both take one cos and one sin per (node, wave) and one real
-    matrix product, and a block's temporaries stay within
+    node. Both take one :func:`~wavedof.specfun.cos_sin` per (node, wave)
+    and one real matrix product, and a block's temporaries stay within
     ``_BLOCK_ENTRIES`` complex entries.
     """
     space, t = grid.axes["space_points"], grid.axes["t_nodes"]
@@ -275,13 +279,19 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     # Every field's waves, zero-padded to n_w; padded waves have amplitude 0.
     dirs = np.zeros((n_f, space.shape[1], n_w))
     k = np.zeros((n_f, 1, n_w))
-    in_time = np.zeros((n_f, n_w, len(t)), dtype=complex)
+    omega = np.zeros((n_f, n_w, 1))
+    amps = np.zeros((n_f, n_w, 1), dtype=complex)
     for f, pws in enumerate(fields):
         n = len(pws)
         dirs[f, :, :n] = pws.directions.T
         k[f, 0, :n] = 2.0 * math.pi * pws.frequencies / pws.c
-        in_time[f, :n] = pws.amplitudes[:, None] * np.exp(
-            1j * (2.0 * math.pi * pws.frequencies[:, None] * t[None, :]))
+        omega[f, :n, 0] = 2.0 * math.pi * pws.frequencies
+        amps[f, :n, 0] = pws.amplitudes
+    # The time factor of every field at once, its phase taken in place.
+    in_time = np.empty((n_f, n_w, len(t)), dtype=complex)
+    np.multiply(omega, t, out=in_time.real)
+    cos_sin(in_time.real, out=(in_time.real, in_time.imag))
+    in_time *= amps
     # Real and imaginary parts interleaved: a real product with it, viewed
     # as complex, is the product with in_time.
     in_time = in_time.view(float)
@@ -289,11 +299,10 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     cs_buf = np.empty((n_f, 2 * step, n_w))
     for lo in range(0, len(nodes), step):
         run = nodes[lo:lo + step]
-        phase = space[run] @ dirs
-        phase *= k
         cs = cs_buf[:, :2 * len(run)]
-        np.cos(phase, out=cs[:, :len(run)])
-        np.sin(phase, out=cs[:, len(run):])
+        phase = np.matmul(space[run], dirs, out=cs[:, :len(run)])
+        phase *= k
+        cos_sin(phase, out=(phase, cs[:, len(run):]))
         pq = (cs @ in_time).view(complex)
         run_sw = sw[lo:lo + step]
         if pairs is None:
@@ -392,6 +401,6 @@ def truncation_error(wv, radius: float, N: int,
     r = axes["r_nodes"]
     directions = _ball_points(wv.dim, {**axes, "r_nodes": np.ones(1)})
     radial, angular = jacobi_anger_tables(wv, r, directions, N)
-    exact = np.exp(1j * wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))
+    exact = cis(wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))
     err = float(np.sum(w * np.abs(exact - radial @ angular).ravel() ** 2))
     return math.sqrt(err / float(np.sum(w)))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -211,11 +212,18 @@ NUMBER = st.sampled_from(["0", "0.5", "1", "10", "2.4e9", "1e300", "-1",
                           "nan", "inf", "abc"])
 
 
+COUNT = st.sampled_from(["1", "2", "5", "12"])
+BAD_COUNT = st.sampled_from(["0", "-3", "abc", "1,2"])
+# A valid config whose Gram needs only n_angular >= 3 and n_time >= 14.
+VERIFY_CONFIG = ["--R", "0.1", "--W", "0.5", "--T", "1", "--F0", "1", "--c", "1"]
+
+
 @st.composite
 def cli_argv(draw):
-    """argv for bounds, sweep or modes over a small set of good and bad tokens."""
+    """argv for bounds, sweep, modes or verify over a small set of good and
+    bad tokens. A verify grid has at most 12 x 12 x 24 x 24 = 82,944 points."""
     names = draw(st.permutations(["R", "W", "T", "F0"]))
-    command = draw(st.sampled_from(["bounds", "sweep", "modes"]))
+    command = draw(st.sampled_from(["bounds", "sweep", "modes", "verify"]))
     if command == "sweep":
         argv = ["sweep", "--quantities", "thm2,exact2d,exact3d"]
         for flag, name in (("--axis1", names[0]), ("--axis2", names[1])):
@@ -226,10 +234,24 @@ def cli_argv(draw):
             argv += ["--fixed", f"{name}={draw(NUMBER)}"]
         return argv
     argv = [command]
-    for name in names:
-        argv += [f"--{name}", draw(NUMBER)]
+    if command == "verify" and draw(st.booleans()):
+        argv += VERIFY_CONFIG
+    else:
+        for name in names:
+            argv += [f"--{name}", draw(NUMBER)]
     if command == "modes":
         argv += ["--dim", draw(st.sampled_from(["2d", "3d"])), "--cap", "1000"]
+    if command == "verify":
+        # n_radial, n_angular, n_time, fields, waves; about half the draws
+        # put a bad token in one of them.
+        counts = [draw(COUNT), draw(COUNT), draw(st.sampled_from(["2", "24"])),
+                  draw(COUNT), draw(COUNT)]
+        spoil = draw(st.integers(-len(counts), len(counts) - 1))
+        if spoil >= 0:
+            counts[spoil] = draw(BAD_COUNT)
+        argv += ["--dim", draw(st.sampled_from(["2d", "3d"])),
+                 "--resolution", ",".join(counts[:3]),
+                 "--fields", counts[3], "--waves", counts[4]]
     return argv
 
 
@@ -239,6 +261,9 @@ def cli_argv(draw):
 @example(argv=["sweep", "--quantities", "thm2,exact2d,exact3d",
                "--axis1", "R:10:1e300:2:log", "--axis2", "W:0.5:1:2:linear",
                "--fixed", "T=1", "--fixed", "F0=10"], svg=True)
+@example(argv=["verify", "--R", "1", "--W", "1", "--T", "1", "--F0", "10",
+               "--c", "1", "--dim", "3d", "--resolution", "200,200,200",
+               "--fields", "2", "--waves", "2"], svg=False)
 def test_cli_fuzz_exits_cleanly(argv, svg):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
@@ -468,3 +493,33 @@ def test_verify_rejects_bad_arguments(bad, tmp_path, capsys):
     assert rc == EXIT_CONFIG
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags, what", [
+    # 3.2e9 grid points: the points array alone would be 71.5 GiB.
+    (["--R", "1", "--W", "1", "--T", "1", "--F0", "10", "--c", "1", "--dim", "3d",
+      "--resolution", "200,200,200", "--fields", "2", "--waves", "2"], "grid points"),
+    # 171,949 modes: a 2.96e10-entry (440 GiB) Gram.
+    (["--R", "1", "--W", "10", "--T", "10", "--F0", "100", "--c", "1", "--dim", "2d",
+      "--resolution", "2,2,2"], "Gram entries"),
+    # 200,000 fields x 64 waves x 200 time nodes: a 41 GB time factor.
+    ([*NARROW_FLAGS[:10], "--dim", "2d", "--resolution", "8,24,200",
+      "--fields", "200000"], "ensemble time-factor entries"),
+    # 60,000 one-wave fields: a 1.3e6-entry time factor, but a 57.6 GB
+    # (fields x fields) dual.
+    ([*NARROW_FLAGS[:14], "--fields", "60000", "--waves", "1"],
+     "ensemble dual entries"),
+], ids=["grid", "gram", "time-factor", "dual"])
+def test_verify_over_cap_exits_before_allocating(flags, what, tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["verify", *flags, "-o", str(tmp_path / "v.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == EXIT_CAP
+    assert err.startswith("mode cap exceeded:") and what in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert peak < 1 << 20
+    assert not (tmp_path / "v.json").exists()

@@ -11,8 +11,9 @@ from wavedof import (Dimension, ModeCapError, PhysicalConfig, WaveVector,
                      build_grid, enumerate_modes, evaluate_mode, exact_mode_sum,
                      jacobi_anger_partial, mode_wavenumber, plane_wave,
                      project_field, synthesize_field, truncation_degree)
-from wavedof.modes import (ModeIndex, ProjectionRankError, field_values,
-                           jacobi_anger_values, mode_count, mode_matrix)
+from wavedof.modes import (ModeIndex, PlaneWaveSet, ProjectionRankError,
+                           field_values, jacobi_anger_values, mode_count,
+                           mode_matrix)
 
 from oracles import dense_projection, jacobi_anger_scalar, scalar_mode_value
 
@@ -250,6 +251,44 @@ def test_field_values_matches_plane_wave_sum():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 16 * len(pts) * len(pws)
+
+
+@pytest.mark.parametrize("dim", [TWO_D, THREE_D], ids=["2d", "3d"])
+def test_field_values_at_large_phases(dim):
+    """Phases up to 1e5 rad on both branches, against the scalar sum.
+
+    Axis-aligned directions make k (khat . x) one rounding of k x, the
+    same in field_values and plane_wave, so the two differ only in their
+    exponentials and in how space and time phases combine. The table
+    branch multiplies exp(j k khat . x) by exp(2j pi f t), which differs
+    from one exponential of the rounded sum, so its points carry a time
+    phase or a space phase, never both; the per-point branch adds the two
+    phases as plane_wave does."""
+    rng = np.random.default_rng(23)
+    d = 3 if dim is THREE_D else 2
+    n_w, big = 24, 1e5
+    axes = np.vstack([np.eye(d), -np.eye(d)])
+    pws = PlaneWaveSet(directions=axes[rng.integers(0, 2 * d, n_w)],
+                       frequencies=rng.uniform(0.5, 1.0, n_w) * big / (2 * math.pi),
+                       amplitudes=rng.standard_normal(n_w) + 1j * rng.standard_normal(n_w),
+                       c=1.0, seed=0)
+    n = 20
+    on_axis = np.zeros((n, d))
+    on_axis[:, 0] = rng.uniform(-1.0, 1.0, n)
+    table_pts = np.vstack([on_axis, np.zeros((n, d))])
+    table_ts = np.concatenate([np.zeros(n), rng.uniform(0.0, 1.0, n)])
+    scattered = rng.uniform(-1.0, 1.0, (4 * n_w, d)) / math.sqrt(d)
+    cases = [(table_pts, table_ts, True),
+             (scattered, rng.uniform(0.0, 1.0, 4 * n_w), False)]
+    for pts, ts, tabled in cases:
+        n_pos, n_t = len(np.unique(pts, axis=0)), len(np.unique(ts))
+        assert (n_pos * n_t <= len(pts) * n_w) == tabled
+        k = 2.0 * math.pi * pws.frequencies / pws.c
+        phase = np.abs(pts @ pws.directions.T) * k + 2.0 * math.pi * np.outer(ts, pws.frequencies)
+        assert phase.max() >= 0.4 * big
+        want = _plane_wave_sum(pws, pts, ts)
+        got = field_values(pws, pts, ts)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), tabled
 
 
 def test_plane_wave_satisfies_wave_equation():

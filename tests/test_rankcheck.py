@@ -140,6 +140,26 @@ def test_separable_field_rows_match_pointwise(dim, cfg, resolution,
 
 
 @pytest.mark.parametrize("dim, resolution", [
+    (TWO_D, (4, 8, 5)), (TWO_D, (4, 9, 5)), (THREE_D, (3, 4, 5)),
+], ids=["2d", "2d-unpaired", "3d"])
+def test_ensemble_dual_at_large_phases(dim, resolution):
+    # kR ~ 500 and 2 pi f T ~ 500: space and time phases of a few hundred
+    # radians, against one exponential per (point, wave) in the oracle.
+    cfg = PhysicalConfig(R=1.0, W=2.0, T=1.0, f0=80.0, c=1.0)
+    g = build_grid(dim, cfg, resolution)
+    fields = [synthesize_field(dim, cfg, 12, seed=70 + j) for j in range(6)]
+    rows = pointwise_field_rows(fields, g)
+    want = rows @ rows.conj().T
+    got = sum(y @ y.conj().T for y in rankcheck._weighted_field_blocks(fields, g))
+    trace = float(np.real(np.trace(want)))
+    assert np.max(np.abs(got - want)) <= 1e-12 * trace
+    spec = ensemble_spectrum(fields, g)
+    assert np.allclose(spec.eigenvalues,
+                       np.linalg.eigvalsh(want / len(fields))[::-1],
+                       rtol=0, atol=1e-12 * spec.trace)
+
+
+@pytest.mark.parametrize("dim, resolution", [
     (TWO_D, (8, 24, 3)), (THREE_D, (5, 9, 3)), (THREE_D, (12, 23, 3)),
 ])
 def test_antipodal_pairs(dim, resolution):

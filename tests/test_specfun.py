@@ -11,7 +11,7 @@ from numpy.polynomial.legendre import leggauss
 
 from wavedof import (Angle, assoc_legendre, bessel_J, legendre_p,
                      norm_assoc_legendre, sph_harm, spherical_bessel_j)
-from wavedof.specfun import (bessel_table, legendre_table,
+from wavedof.specfun import (bessel_table, cis, cos_sin, legendre_table,
                              norm_assoc_legendre_table)
 
 from oracles import (bessel_column_reference, cyl_bessel_series, ferrers_reference,
@@ -327,3 +327,63 @@ def test_angle_validation():
         Angle(-0.2, 0.0)
     with pytest.raises(ValueError):
         Angle(3.5, 0.0)
+
+
+def test_cos_sin_against_mpmath():
+    """Both parts within 4.5e-16 of the exact values at edge phases, odd
+    multiples of pi (the poles of tan(theta/2)) and 10^4 random |theta| <= 1e6."""
+    edges = [0.0, -0.0, 5e-324, 1e-300, math.pi / 2, -math.pi / 2, math.pi,
+             -math.pi, 3 * math.pi, -3 * math.pi, 1e15, -1e15]
+    odd = [(2 * j + 1) * math.pi for j in (5, 50, 499, 5_000, 49_999, 159_154)]
+    assert max(odd) <= 1e6 < max(odd) + 2 * math.pi
+    rng = np.random.default_rng(11)
+    theta = np.concatenate([edges, odd, -np.array(odd),
+                            rng.uniform(-1e6, 1e6, 5_000), rng.uniform(-10, 10, 5_000)])
+    c, s = cos_sin(theta)
+    with mp.workdps(40):
+        ref_c = np.array([float(mp.cos(mp.mpf(float(t)))) for t in theta])
+        ref_s = np.array([float(mp.sin(mp.mpf(float(t)))) for t in theta])
+    assert np.max(np.abs(c - ref_c)) <= 4.5e-16
+    assert np.max(np.abs(s - ref_s)) <= 4.5e-16
+    assert c[1] == 1.0 and s[1] == 0.0 and np.signbit(s[1])
+
+
+def test_cos_sin_small_angles():
+    theta = np.array([1e-300, 1e-200, 1e-100, 1e-20, 1e-10, 1e-8])
+    c, s = cos_sin(np.concatenate([theta, -theta]))
+    assert np.all(c == 1.0)
+    assert np.allclose(s / np.concatenate([theta, -theta]), 1.0, rtol=1e-15, atol=0)
+
+
+def test_cis_and_out_views_bit_identical():
+    rng = np.random.default_rng(12)
+    theta = rng.uniform(-1e4, 1e4, (3, 7, 5))
+    c, s = cos_sin(theta)
+    z = cis(theta)
+    assert z.dtype == complex and z.shape == theta.shape
+    assert z.real.tobytes() == c.tobytes() and z.imag.tobytes() == s.tobytes()
+    # The ensemble's use: theta in the first half of a buffer's middle
+    # axis, cos written over it and sin into the second half.
+    buf = np.empty((3, 14, 5))
+    buf[:, :7] = theta
+    out = (buf[:, :7], buf[:, 7:])
+    got = cos_sin(out[0], out=out)
+    assert got[0] is out[0] and got[1] is out[1]
+    assert buf[:, :7].tobytes() == c.tobytes() and buf[:, 7:].tobytes() == s.tobytes()
+    # The time factor's use: theta in the real part, cos and sin in place.
+    w = np.empty(theta.shape, dtype=complex)
+    w.real = theta
+    cos_sin(w.real, out=(w.real, w.imag))
+    assert w.tobytes() == z.tobytes()
+
+
+def test_cos_sin_zero_dim_and_empty():
+    c, s = cos_sin(0.75)
+    assert c.shape == s.shape == ()
+    assert float(c) == float(cos_sin([0.75])[0][0])
+    assert float(s) == float(cos_sin([0.75])[1][0])
+    z = cis(0.75)
+    assert z.shape == () and complex(z) == complex(float(c), float(s))
+    c, s = cos_sin(np.empty(0))
+    assert c.shape == s.shape == (0,)
+    assert cis(np.empty((0, 3))).shape == (0, 3)
