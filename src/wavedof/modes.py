@@ -408,7 +408,7 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
     ratio lambda_min / lambda_max below ``rcond``.
     """
     y = np.asarray(samples, dtype=complex)
-    if y.shape != (len(grid.weights),):
+    if y.shape != (len(grid),):
         raise ValueError("samples must align with grid points")
     if len(modes) > len(y):
         raise ValueError("more modes than grid points")
@@ -433,7 +433,7 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
     coeffs = s * (vec @ ((vec.conj().T @ (s * b[0])) / lam))
     # A c: the spatial factors joined into (nodes x modes), then t.
     u = _join_columns(coeffs[None, :], [factors[a] for a in axes[:-1]])
-    sw = np.sqrt(grid.weights)
+    sw = np.sqrt(grid.axes["space_weights"][:, None] * grid.axes["t_weights"]).ravel()
     resid = np.linalg.norm(((u @ factors["t"].T).ravel() - y) * sw)
     denom = np.linalg.norm(y * sw)
     return CoefficientVector(coefficients=coeffs,

@@ -3,24 +3,28 @@
 Builds Gauss-Legendre product grids over ball x time, assembles Gram
 matrices and ensemble covariance spectra, and reduces Hermitian spectra
 to two effective-rank readouts. The grid is a tensor product (r x [mu] x
-phi x t), and so is every mode and every plane wave, so both are
-assembled axis by axis: the Gram matrix is the elementwise product of
-one small weighted Gram per axis, and each ensemble field is a
-(spatial nodes x waves) by (waves x time nodes) matrix product. When the
-azimuth count is even, every spatial node x has its antipode -x on the
-grid with the same weight, and a field at -x is the one at x with its
-space phases conjugated; so the ensemble takes one cos and sin pair per
-(antipodal node pair, wave) and never forms the two fields. In 2D with
-an odd azimuth count it takes cos + i sin per (node, wave). The time
-factors of all fields are one (fields x waves x time nodes) array,
-its phases turned into cos + i sin in place. Every pair comes from
+phi x t), held as its axes only: per-axis nodes and weights, plus the
+spatial nodes and their weights. Its per-point arrays are built only on
+request, and no library path requests them. Every mode and every plane
+wave is a product over the same axes, and so is each weight, so the Gram
+matrix and the ensemble are assembled axis by axis: the Gram matrix is
+the elementwise product of one small weighted Gram per axis, and each
+ensemble field is a (spatial nodes x waves) by (waves x time nodes)
+matrix product. When the azimuth count is even, every spatial node x has
+its antipode -x on the grid with the same weight, and a field at -x is
+the one at x with its space phases conjugated; so the ensemble takes one
+cos and sin pair per (antipodal node pair, wave) and never forms the two
+fields. In 2D with an odd azimuth count it takes cos + i sin per (node,
+wave). The time factors of all fields are one (fields x waves x time
+nodes) array, its phases turned into cos + i sin in place and the square
+roots of the time weights folded in; the spatial weights scale the rows
+of each block's product. Every pair comes from
 :func:`~wavedof.specfun.cos_sin`. The field Gram is summed block by
 block, each block's temporaries within ``_BLOCK_ENTRIES`` complex
-entries (2 MB). The harmonic truncation error
-uses the same structure over the ball: radial nodes x directions, the
-directions being the node coordinates at unit radius. No
-(points x modes), (points x waves) or (points x points) array is
-formed. The readouts are:
+entries (2 MB). The harmonic truncation error uses the same structure
+over the ball: radial nodes x directions, the directions being the node
+coordinates at unit radius. No (points x modes), (points x waves) or
+(points x points) array is formed. The readouts are:
 
 * threshold rank: eigenvalues >= epsilon * lambda_max,
 * energy rank: smallest leading set capturing an eta fraction of the trace.
@@ -86,26 +90,38 @@ class SpectrumReport:
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
-    """Quadrature points and weights over (ball of radius R) x [0, T].
+    """Tensor-product quadrature over (ball of radius R) x [0, T], held
+    as its axes only.
 
-    ``points`` has shape (P, 2 or 3) in meters, ``times`` shape (P,) in
-    seconds, ``weights`` shape (P,) carrying the full measure (volume x
-    time). The grid is a tensor product over the axes r, mu (3D only),
-    phi and t, with points in that index order and t fastest. ``axes``
-    keeps each axis's ``<axis>_nodes`` and ``<axis>_weights`` (their
-    product is ``weights``) and the distinct positions ``space_points``,
-    so mode and field evaluation can factorize.
+    The grid is a product over the axes r, mu (3D only), phi and t, with
+    points in that index order and t fastest. ``axes`` keeps each axis's
+    ``<axis>_nodes`` and ``<axis>_weights``, the distinct positions
+    ``space_points`` and their weights ``space_weights`` (the product of
+    the r, [mu] and phi weights), and every library path reads these.
+    The per-point arrays ``points`` (P, 2 or 3) in meters, ``times``
+    (P,) in seconds and ``weights`` (P,), the full measure (volume x
+    time), are built only on request and then kept.
     """
 
     dim: Dimension
-    points: np.ndarray
-    times: np.ndarray
-    weights: np.ndarray
     resolution: tuple
     axes: dict = field(repr=False)
 
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        return np.repeat(self.axes["space_points"], len(self.axes["t_nodes"]), axis=0)
+
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        return np.tile(self.axes["t_nodes"], len(self.axes["space_points"]))
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        return (self.axes["space_weights"][:, None]
+                * self.axes["t_weights"][None, :]).ravel()
+
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self.axes["space_points"]) * len(self.axes["t_nodes"])
 
 
 @functools.lru_cache(maxsize=16)
@@ -180,14 +196,10 @@ def build_grid(dim: Dimension, cfg: PhysicalConfig,
     if cfg.R <= 0 or cfg.T <= 0:
         raise GridError("grids need R > 0 and T > 0")
     ws, axes = _spatial_quadrature(dim, cfg.R, n_r, n_ang)
-    space = _ball_points(dim, axes)
     xt, wxt = _gauss_legendre(n_t)
-    t = cfg.T * (xt + 1.0) / 2.0
-    wt = wxt * cfg.T / 2.0
-    axes.update(t_nodes=t, t_weights=wt, space_points=space)
-    return SpaceTimeGrid(dim, np.repeat(space, n_t, axis=0), np.tile(t, len(ws)),
-                         (ws[:, None] * wt[None, :]).ravel(), tuple(resolution),
-                         axes)
+    axes.update(t_nodes=cfg.T * (xt + 1.0) / 2.0, t_weights=wxt * cfg.T / 2.0,
+                space_points=_ball_points(dim, axes), space_weights=ws)
+    return SpaceTimeGrid(dim, tuple(resolution), axes)
 
 
 def check_gram_resolution(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
@@ -259,22 +271,23 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     """Yield blocks Y of columns whose Y Y^H sum to Xw Xw^H, the ensemble's
     field-Gram dual, where Xw has the rows sqrt(w_s) x_f(s).
 
-    A plane wave is a space factor times a time factor, so over a run of
-    spatial nodes a field is (nodes x waves) (waves x time nodes), with
-    the amplitudes folded into the time factor Tm. With p = cos(k.x) Tm
+    A plane wave is a space factor times a time factor, and the weight
+    w_s = w_x w_t is one too, so over a run of spatial nodes a field is
+    (nodes x waves) (waves x time nodes), with the amplitudes and
+    sqrt(w_t) folded into the time factor Tm once. With p = cos(k.x) Tm
     and q = sin(k.x) Tm, the field is p + i q at x and p - i q at -x, and
     the pair adds 2 (p p^H + q q^H) to the dual. So on a grid with
-    antipodes (see :func:`_antipodes`) a block is sqrt(2 w) [p, q] over
-    one node of each pair; otherwise it is sqrt(w) (p + i q) over every
+    antipodes (see :func:`_antipodes`) a block is sqrt(2 w_x) [p, q] over
+    one node of each pair; otherwise it is sqrt(w_x) (p + i q) over every
     node. Both take one :func:`~wavedof.specfun.cos_sin` per (node, wave)
-    and one real matrix product, and a block's temporaries stay within
+    and one real matrix product, whose rows are then scaled by the
+    spatial factor, and a block's temporaries stay within
     ``_BLOCK_ENTRIES`` complex entries.
     """
     space, t = grid.axes["space_points"], grid.axes["t_nodes"]
-    w = grid.weights.reshape(len(space), len(t))
     pairs = _antipodes(grid)
     nodes = np.arange(len(space)) if pairs is None else pairs[0]
-    sw = np.sqrt((1.0 if pairs is None else 2.0) * w[nodes])
+    sw = np.sqrt((1.0 if pairs is None else 2.0) * grid.axes["space_weights"][nodes])
     n_f, n_w = len(fields), max(len(pws) for pws in fields)
     # Every field's waves, zero-padded to n_w; padded waves have amplitude 0.
     dirs = np.zeros((n_f, space.shape[1], n_w))
@@ -292,6 +305,7 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     np.multiply(omega, t, out=in_time.real)
     cos_sin(in_time.real, out=(in_time.real, in_time.imag))
     in_time *= amps
+    in_time *= np.sqrt(grid.axes["t_weights"])
     # Real and imaginary parts interleaved: a real product with it, viewed
     # as complex, is the product with in_time.
     in_time = in_time.view(float)
@@ -303,12 +317,12 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
         phase = np.matmul(space[run], dirs, out=cs[:, :len(run)])
         phase *= k
         cos_sin(phase, out=(phase, cs[:, len(run):]))
-        pq = (cs @ in_time).view(complex)
+        pq = cs @ in_time
         run_sw = sw[lo:lo + step]
+        pq *= np.concatenate([run_sw, run_sw])[:, None]
+        pq = pq.view(complex)
         if pairs is None:
-            pq = (pq[:, :len(run)] + 1j * pq[:, len(run):]) * run_sw
-        else:
-            pq *= np.concatenate([run_sw, run_sw])
+            pq = pq[:, :len(run)] + 1j * pq[:, len(run):]
         yield pq.reshape(n_f, -1)
 
 

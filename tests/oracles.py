@@ -8,7 +8,8 @@ unnormalized Ferrers recurrence for associated Legendre, scalar
 special-function products for single mode values, a literal (i, n, m)
 counting loop for mode sums, characteristic polynomial roots for small
 eigenproblems, scalar spherical-harmonic sums for the Jacobi-Anger
-expansion, and the dense per-point routes
+expansion, the per-point arrays of the space-time grid built eagerly
+by repeat, tile and outer product, and the dense per-point routes
 that the factored Gram, projection and truncation error and the
 separable ensemble rows replace.
 """
@@ -200,6 +201,22 @@ def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:
         coeffs.append(ck)
     roots = np.roots(np.array(coeffs))
     return np.sort(roots.real)[::-1]
+
+
+def eager_grid_arrays(grid) -> tuple:
+    """(points, times, weights) of a space-time grid as ``build_grid``
+    once stored them: the spatial nodes repeated once per time node, the
+    time nodes tiled once per spatial node, and the outer product of the
+    r, [mu], phi and t weights, raveled with t fastest."""
+    ax = grid.axes
+    space, t, wr, wphi = ax["space_points"], ax["t_nodes"], ax["r_weights"], ax["phi_weights"]
+    if "mu_weights" in ax:
+        w_space = wr[:, None, None] * ax["mu_weights"][None, :, None] * wphi[None, None, :]
+    else:
+        w_space = wr[:, None] * wphi[None, :]
+    w_space = w_space.ravel()
+    return (np.repeat(space, len(t), axis=0), np.tile(t, len(w_space)),
+            (w_space[:, None] * ax["t_weights"][None, :]).ravel())
 
 
 def dense_gram(modes, grid, cfg) -> np.ndarray:

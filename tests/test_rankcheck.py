@@ -1,6 +1,7 @@
 """Quadrature grids, Gram/covariance spectra, effective ranks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
                      eigen_spectrum, ensemble_spectrum, enumerate_modes,
                      gram_of_modes, synthesize_field, truncation_degree,
                      truncation_error)
-from wavedof import rankcheck
-from wavedof.modes import ModeIndex, mode_matrix
+from wavedof import cli, rankcheck
+from wavedof.modes import ModeIndex, field_values, mode_matrix, project_field
 from wavedof.rankcheck import GridError, ball_grid
 
-from oracles import (charpoly_eigenvalues, dense_gram, ensemble_covariance,
-                     pointwise_field_rows, pointwise_truncation_error)
+from oracles import (charpoly_eigenvalues, dense_gram, eager_grid_arrays,
+                     ensemble_covariance, pointwise_field_rows,
+                     pointwise_truncation_error)
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -24,6 +26,8 @@ TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
 CAL_2D = PhysicalConfig(R=1.0 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
 NARROW_2D = PhysicalConfig(R=0.1, W=0.01, T=0.3, f0=10.0, c=1.0)
 HALF_CAL_3D = PhysicalConfig(R=0.5 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
+CAL_3D = PhysicalConfig(R=1.0 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
+PER_POINT = ("points", "times", "weights")
 
 
 def test_grid_weight_sum_3d():
@@ -74,6 +78,63 @@ def test_grid_rules_cached_bit_identical(dim, res, monkeypatch):
         assert g.axes.keys() == fresh.axes.keys()
         for key, val in fresh.axes.items():
             assert g.axes[key].tobytes() == val.tobytes(), key
+
+
+@pytest.mark.parametrize("dim, res", [
+    (TWO_D, (8, 24, 21)), (TWO_D, (8, 25, 21)), (THREE_D, (5, 9, 20)),
+    (TWO_D, (1, 1, 50)), (THREE_D, (1, 1, 50)), (THREE_D, (3, 4, 1)),
+], ids=["2d-even", "2d-odd", "3d", "2d-one-node-space", "3d-one-node-space",
+        "3d-one-time-node"])
+def test_grid_arrays_match_eager_oracle(dim, res):
+    g = build_grid(dim, HALF_CAL_3D, res)
+    assert not any(name in vars(g) for name in PER_POINT)
+    want = eager_grid_arrays(g)
+    assert len(g) == len(want[2])
+    for name, arr in zip(PER_POINT, want):
+        got = getattr(g, name)
+        assert got.shape == arr.shape and got.tobytes() == arr.tobytes(), name
+        assert getattr(g, name) is got  # built once, then kept
+
+
+def test_library_paths_build_no_per_point_arrays(monkeypatch):
+    grids = []
+
+    def recording_build_grid(*args):
+        grids.append(rankcheck.build_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(cli, "build_grid", recording_build_grid)
+    cli.verify_report(NARROW_2D, TWO_D, waves=8, fields=6, seed=3,
+                      resolution=(8, 24, 21), policy=RankPolicy())
+    sampler = build_grid(TWO_D, CAL_2D, (8, 24, 52))
+    samples = field_values(synthesize_field(TWO_D, CAL_2D, 8, seed=2),
+                           sampler.points, sampler.times)
+    grids.append(build_grid(TWO_D, CAL_2D, (8, 24, 52)))
+    project_field(samples, enumerate_modes(TWO_D, CAL_2D), grids[-1], CAL_2D)
+    assert len(grids) == 2
+    for g in grids:
+        assert [name for name in PER_POINT if name in vars(g)] == []
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes traced by tracemalloc during one call, above the start."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_axes_only_memory_at_365_modes():
+    # The 3D calibration point: 12 x 23 x 46 spatial nodes x 52 times,
+    # 660,192 points. The per-point arrays alone would take 26 MB.
+    assert _traced_peak(build_grid, THREE_D, CAL_3D, (12, 23, 52)) < 1 << 20
+    peak = _traced_peak(cli.verify_report, CAL_3D, THREE_D, waves=16, fields=4,
+                        seed=1, resolution=(12, 23, 52), policy=RankPolicy())
+    assert peak < 16 << 20
 
 
 def test_grid_rejects_zero_measure():

@@ -4,14 +4,20 @@
 table, and its work counters read some of their arguments by parameter
 name; a rename in ``wavedof`` of either would make a traced benchmark
 run fail. These tests read that table, without changing anything under
-``perfbench/``, and check each name against the library.
+``perfbench/``, and check each name against the library. The benchmark's
+workloads and tracer also read the per-point arrays of a space-time
+grid, which the grid builds on request; the last test checks that a
+grid from ``build_grid`` still has every attribute they read.
 """
 
 import importlib
 import importlib.util
 import inspect
 import pathlib
+import re
 import sys
+
+from wavedof import Dimension, PhysicalConfig, build_grid
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,3 +67,16 @@ def test_traced_counter_arguments_exist(monkeypatch):
                             - set(inspect.signature(fn).parameters))
                for name, fn in counted.items()}
     assert all(not names for names in missing.values()), missing
+
+
+def test_grid_exposes_what_the_benchmark_reads():
+    text = "\n".join(p.read_text(encoding="utf-8")
+                     for p in sorted(PERFBENCH.glob("*.py")))
+    read = set(re.findall(r'(?:(?<![\w.])grid|\["grid"\])\.([a-z_]+)', text))
+    assert {"points", "times", "weights"} <= read and "len(grid)" in text
+    g = build_grid(Dimension.THREE_D, PhysicalConfig(R=1.0, W=1.0, T=1.0, f0=2.0, c=1.0),
+                   (2, 3, 4))
+    n = 2 * 3 * 6 * 4
+    assert sorted(name for name in read if not hasattr(g, name)) == []
+    assert len(g) == n
+    assert (g.points.shape, g.times.shape, g.weights.shape) == ((n, 3), (n,), (n,))
