@@ -5,6 +5,8 @@ constraint tuple (R, W, T, F0, c): observation ball radius, half
 bandwidth, observation time, center frequency and wave speed. The
 closed forms are reproduced verbatim; the exact sums count the discrete
 space-frequency lattice directly, so the two can be compared.
+:data:`QUANTITIES` names every bound; :func:`bound_values` evaluates
+the named ones and :func:`bound_report` all of them.
 
 Ceilinged quantities snap values within a 1e-9 relative distance of an
 integer before rounding up, which keeps counts exact when products such
@@ -180,10 +182,14 @@ def frequency_bins(cfg: PhysicalConfig) -> list[FrequencyBin]:
             for i, f, n in zip(*(a.tolist() for a in bin_degrees(cfg)))]
 
 
-def exact_mode_sum(dim: Dimension, cfg: PhysicalConfig) -> int:
-    """Exact lattice count: (N(i)+1)^2 in 3D, or N(i)+1 in 2D, summed over
-    :func:`bin_degrees` in Python ints. Rejects T <= 0; use dof_space there."""
-    return _lattice_count(dim, [int(d) for d in bin_degrees(cfg)[2].tolist()])
+def exact_mode_sum(dim: Dimension, cfg: PhysicalConfig,
+                   two_sided: bool = False) -> int:
+    """Exact lattice count, the number of modes ``enumerate_modes`` lists:
+    (N(i)+1)^2 in 3D, or N(i)+1 in 2D (2N(i)+1 with ``two_sided``), summed
+    over :func:`bin_degrees` in Python ints. Rejects T <= 0; use dof_space
+    there."""
+    return _lattice_count(dim, [int(d) for d in bin_degrees(cfg)[2].tolist()],
+                          two_sided)
 
 
 def closed_form_bound(dim: Dimension, cfg: PhysicalConfig) -> float:
@@ -215,9 +221,45 @@ def average_mode_density_3d(cfg: PhysicalConfig) -> float:
     return (cfg.f0**2 + cfg.W**2) * a * a
 
 
+def _exact_count(dim: Dimension, cfg: PhysicalConfig) -> int:
+    """The exact lattice count; at T = 0, with no frequency bins, the
+    single-frequency spatial count."""
+    return exact_mode_sum(dim, cfg) if cfg.T > 0 else dof_space(dim, cfg.f0, cfg.R, cfg.c)
+
+
+#: every bound by name, as a function of a PhysicalConfig, in report order
+QUANTITIES = {
+    "d_2wt": lambda cfg: dof_time_band(cfg.W, cfg.T),
+    "d_space2d": lambda cfg: dof_space(Dimension.TWO_D, cfg.f0, cfg.R, cfg.c),
+    "d_space3d": lambda cfg: dof_space(Dimension.THREE_D, cfg.f0, cfg.R, cfg.c),
+    "thm1": lambda cfg: closed_form_bound(Dimension.TWO_D, cfg),
+    "thm2": lambda cfg: closed_form_bound(Dimension.THREE_D, cfg),
+    "exact2d": lambda cfg: _exact_count(Dimension.TWO_D, cfg),
+    "exact3d": lambda cfg: _exact_count(Dimension.THREE_D, cfg),
+    "asym3d": asymptotic_dof_3d,
+    "avg_density": average_mode_density_3d,
+    "n0": lambda cfg: (cfg.f0 - cfg.W) * cfg.space_factor,
+}
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def bound_values(cfg: PhysicalConfig, names) -> list:
+    """The :data:`QUANTITIES` named in ``names``, in that order.
+
+    A closed form past the float range reads inf, or raises
+    :class:`ConfigError` where Python's float ``**`` overflows; a count
+    past it raises ConfigError. That overflow is handled here, so numpy's
+    overflow warnings are silenced.
+    """
+    try:
+        return [QUANTITIES[name](cfg) for name in names]
+    except OverflowError as exc:  # float ** overflows; float * gives inf
+        raise ConfigError("a closed-form bound overflows the float range") from exc
+
+
 @dataclass(frozen=True)
 class BoundReport:
-    """All bound values for one configuration.
+    """Every :data:`QUANTITIES` value for one configuration, in its order.
 
     ``exact2d``/``exact3d`` hold the exact lattice counts for T > 0 and
     fall back to the single-frequency spatial counts at T = 0.
@@ -236,46 +278,12 @@ class BoundReport:
     avg_density: float
     n0: float
 
-    _FIELDS = ("d_2wt", "d_space2d", "d_space3d", "thm1", "thm2",
-               "exact2d", "exact3d", "asym3d", "avg_density", "n0")
-
     def as_dict(self) -> dict:
-        out = {"R": self.config.R, "W": self.config.W, "T": self.config.T,
-               "F0": self.config.f0, "c": self.config.c}
-        for name in self._FIELDS:
-            out[name] = getattr(self, name)
-        return out
+        cfg = self.config
+        return {"R": cfg.R, "W": cfg.W, "T": cfg.T, "F0": cfg.f0, "c": cfg.c,
+                **{name: getattr(self, name) for name in QUANTITIES}}
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def bound_report(cfg: PhysicalConfig) -> BoundReport:
-    """Evaluate every bound for one configuration.
-
-    A closed form past the float range reads inf, or raises
-    :class:`ConfigError` where Python's float ``**`` overflows; a count
-    past it raises ConfigError. That overflow is handled here, so numpy's
-    overflow warnings are silenced.
-    """
-    space2d = dof_space(Dimension.TWO_D, cfg.f0, cfg.R, cfg.c)
-    space3d = dof_space(Dimension.THREE_D, cfg.f0, cfg.R, cfg.c)
-    if cfg.T > 0:
-        exact2d = exact_mode_sum(Dimension.TWO_D, cfg)
-        exact3d = exact_mode_sum(Dimension.THREE_D, cfg)
-    else:
-        exact2d, exact3d = space2d, space3d
-    try:
-        return BoundReport(
-            config=cfg,
-            d_2wt=dof_time_band(cfg.W, cfg.T),
-            d_space2d=space2d,
-            d_space3d=space3d,
-            thm1=closed_form_bound(Dimension.TWO_D, cfg),
-            thm2=closed_form_bound(Dimension.THREE_D, cfg),
-            exact2d=exact2d,
-            exact3d=exact3d,
-            asym3d=asymptotic_dof_3d(cfg),
-            avg_density=average_mode_density_3d(cfg),
-            n0=(cfg.f0 - cfg.W) * cfg.space_factor,
-        )
-    except OverflowError as exc:  # float ** overflows; float * gives inf
-        raise ConfigError("a closed-form bound overflows the float range") from exc
+    """Evaluate every bound for one configuration."""
+    return BoundReport(cfg, *bound_values(cfg, QUANTITIES))

@@ -32,9 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bounds import (DEFAULT_MODE_CAP, BoundReport, ConfigError, Dimension,
-                     PhysicalConfig, bound_report, exact_mode_sum, frequency_bins)
-from .modes import ModeCapError, enumerate_modes, mode_count, synthesize_field
+from .bounds import (DEFAULT_MODE_CAP, QUANTITIES, ConfigError, Dimension,
+                     PhysicalConfig, bound_report, bound_values, exact_mode_sum,
+                     frequency_bins)
+from .modes import ModeCapError, enumerate_modes, synthesize_field
 from .rankcheck import (GridError, RankPolicy, ResolutionError,
                         SpectrumReport, build_grid, diagonal_normalize,
                         eigen_spectrum, ensemble_spectrum, gram_of_modes)
@@ -47,9 +48,6 @@ EXIT_CAP = 3
 EXIT_RESOLUTION = 4
 
 SWEEP_PARAMS = ("R", "W", "T", "F0")
-
-#: quantities a sweep may emit
-SWEEP_QUANTITIES = BoundReport._FIELDS
 
 FIGURE_PRESETS = {
     # fixed parameters from the survey captions; axis spans chosen to
@@ -101,6 +99,24 @@ def fmt_num(x) -> str:
 
 def _round12(x: float) -> float:
     return float(format(float(x), ".12g"))
+
+
+def _rounded(values: dict) -> dict:
+    """``values`` with every float rounded to 12 significant digits."""
+    return {k: _round12(v) if isinstance(v, float) else v
+            for k, v in values.items()}
+
+
+def _csv_text(meta: dict, header: str, rows) -> str:
+    """``# key = value`` lines, a header row, then :func:`fmt_num` rows."""
+    lines = [f"# {k} = {v}" for k, v in meta.items()] + [header]
+    lines += [",".join(map(fmt_num, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def _timestamp() -> str:
@@ -158,20 +174,21 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-def _config_from_args(args) -> PhysicalConfig:
-    base = {"R": None, "W": None, "T": None, "F0": None, "c": 3e8}
+def _config_from_args(args) -> tuple[PhysicalConfig, int]:
+    """The configuration and seed: flags over the ``--config`` file over
+    the defaults (c = 3e8, seed 0). The file is read once."""
+    base = {"R": None, "W": None, "T": None, "F0": None, "c": 3e8, "seed": 0}
     if args.config:
-        base.update({k: v for k, v in _read_config_file(args.config).items()
-                     if k != "seed"})
-    for key in ("R", "W", "T", "F0", "c"):
-        flag = getattr(args, key if key != "F0" else "F0")
+        base.update(_read_config_file(args.config))
+    for key in base:
+        flag = getattr(args, key, None)
         if flag is not None:
             base[key] = flag
     missing = [k for k in ("R", "W", "T", "F0") if base[k] is None]
     if missing:
         raise ConfigError(f"missing required parameters: {', '.join(missing)}")
     return PhysicalConfig(R=base["R"], W=base["W"], T=base["T"],
-                          f0=base["F0"], c=base["c"])
+                          f0=base["F0"], c=base["c"]), base["seed"]
 
 
 def _dim_from_args(args) -> Dimension:
@@ -182,12 +199,9 @@ def _dim_from_args(args) -> Dimension:
 # bounds
 
 def cmd_bounds(args) -> int:
-    cfg = _config_from_args(args)
-    report = bound_report(cfg)
+    report = bound_report(_config_from_args(args)[0])
     if args.json:
-        doc = {"metadata": run_metadata(),
-               "bounds": {k: _round12(v) if isinstance(v, float) else v
-                          for k, v in report.as_dict().items()}}
+        doc = {"metadata": run_metadata(), "bounds": _rounded(report.as_dict())}
         print(json.dumps(doc, indent=2))
     else:
         for key, val in report.as_dict().items():
@@ -233,8 +247,8 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         fixed[key] = _number(val, f"--fixed {key}")
     quantities = tuple(args.quantities.split(","))
     for q in quantities:
-        if q not in SWEEP_QUANTITIES:
-            raise ConfigError(f"unknown quantity {q!r}; choose from {SWEEP_QUANTITIES}")
+        if q not in QUANTITIES:
+            raise ConfigError(f"unknown quantity {q!r}; choose from {tuple(QUANTITIES)}")
     needed = {"R", "W", "T", "F0"} - {a1.name, a2.name}
     missing = needed - set(fixed)
     if missing:
@@ -243,7 +257,8 @@ def _sweep_spec_from_args(args) -> SweepSpec:
 
 
 def evaluate_sweep(spec: SweepSpec) -> list[list]:
-    """Row-major evaluation over axis1 x axis2; deterministic order."""
+    """Row-major evaluation over axis1 x axis2; deterministic order. Each
+    cell evaluates only the requested quantities."""
     rows = []
     for v1 in spec.axis1.values():
         for v2 in spec.axis2.values():
@@ -252,22 +267,16 @@ def evaluate_sweep(spec: SweepSpec) -> list[list]:
             params[spec.axis2.name] = v2
             cfg = PhysicalConfig(R=params["R"], W=params["W"], T=params["T"],
                                  f0=params["F0"], c=params.get("c", 3e8))
-            rep = bound_report(cfg).as_dict()
-            rows.append([v1, v2] + [rep[q] for q in spec.quantities])
+            rows.append([v1, v2, *bound_values(cfg, spec.quantities)])
     return rows
 
 
 def render_sweep_csv(meta: dict, spec: SweepSpec, rows: list[list]) -> str:
-    lines = [f"# {k} = {v}" for k, v in meta.items()]
-    for tag, ax in (("axis1", spec.axis1), ("axis2", spec.axis2)):
-        lines.append(f"# {tag} = {ax.name}:{fmt_num(ax.lo)}:{fmt_num(ax.hi)}:"
-                     f"{ax.count}:{ax.scale}")
-    for key in sorted(spec.fixed):
-        lines.append(f"# fixed {key} = {fmt_num(spec.fixed[key])}")
-    lines.append("axis1,axis2," + ",".join(spec.quantities))
-    for row in rows:
-        lines.append(",".join(fmt_num(v) for v in row))
-    return "\n".join(lines) + "\n"
+    axes = {tag: f"{ax.name}:{fmt_num(ax.lo)}:{fmt_num(ax.hi)}:{ax.count}:{ax.scale}"
+            for tag, ax in (("axis1", spec.axis1), ("axis2", spec.axis2))}
+    fixed = {f"fixed {key}": fmt_num(spec.fixed[key]) for key in sorted(spec.fixed)}
+    return _csv_text({**meta, **axes, **fixed},
+                     "axis1,axis2," + ",".join(spec.quantities), rows)
 
 
 def _parse_cell(text: str):
@@ -369,13 +378,9 @@ def cmd_sweep(args, preset: str | None = None) -> int:
                          dict(conf["fixed"]), FIGURE_QUANTITIES)
     rows = evaluate_sweep(spec)
     meta = run_metadata(extra={"kind": f"sweep:{preset or 'custom'}"})
-    text = render_sweep_csv(meta, spec, rows)
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    _write_text(args.output, render_sweep_csv(meta, spec, rows))
     if args.svg:
-        svg = render_sweep_svg(spec, rows, spec.quantities[0])
-        with open(args.svg, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(svg)
+        _write_text(args.svg, render_sweep_svg(spec, rows, spec.quantities[0]))
     print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK
 
@@ -388,19 +393,14 @@ def cmd_figure(args) -> int:
 # mode table
 
 def cmd_modes(args) -> int:
-    cfg = _config_from_args(args)
+    cfg = _config_from_args(args)[0]
     dim = _dim_from_args(args)
     modes = enumerate_modes(dim, cfg, two_sided=args.two_sided, cap=args.cap)
     bin_freq = {b.i: b.f for b in frequency_bins(cfg)}
     meta = run_metadata(extra={"kind": "modes", "dim": dim.value})
-    lines = [f"# {k} = {v}" for k, v in meta.items()]
-    lines.append("i,n,m,f_hz,k_rad_per_m")
-    for md in modes:
-        f = bin_freq[md.i]
-        k = cfg.wavenumber(f)
-        lines.append(f"{md.i},{md.n},{md.m},{fmt_num(f)},{fmt_num(k)}")
-    with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ((md.i, md.n, md.m, bin_freq[md.i], cfg.wavenumber(bin_freq[md.i]))
+            for md in modes)
+    _write_text(args.output, _csv_text(meta, "i,n,m,f_hz,k_rad_per_m", rows))
     print(f"{len(modes)} modes")
     return EXIT_OK
 
@@ -417,13 +417,9 @@ def _spectrum_doc(spec: SpectrumReport) -> dict:
 
 
 def write_spectrum_csv(path: str, spec: SpectrumReport, meta: dict) -> None:
-    lines = [f"# {k} = {v}" for k, v in meta.items()]
-    lines.append("index,eigenvalue,cumulative_fraction")
-    for idx, (ev, cf) in enumerate(zip(spec.eigenvalues,
-                                       spec.cumulative_fractions())):
-        lines.append(f"{idx},{fmt_num(_round12(ev))},{fmt_num(_round12(cf))}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = ((idx, _round12(ev), _round12(cf)) for idx, (ev, cf) in
+            enumerate(zip(spec.eigenvalues, spec.cumulative_fractions())))
+    _write_text(path, _csv_text(meta, "index,eigenvalue,cumulative_fraction", rows))
 
 
 def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
@@ -438,7 +434,7 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
     n_r, n_ang, n_t = resolution
     n_space = n_r * n_ang * (2 * n_ang if dim is Dimension.THREE_D else 1)
     for what, size in (("grid points", n_space * n_t),
-                       ("Gram entries", mode_count(dim, cfg, two_sided) ** 2),
+                       ("Gram entries", exact_mode_sum(dim, cfg, two_sided) ** 2),
                        ("ensemble time-factor entries", fields * waves * n_t),
                        ("ensemble dual entries", fields ** 2)):
         if size > DEFAULT_MODE_CAP:
@@ -450,7 +446,8 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
     ensemble = [synthesize_field(dim, cfg, waves, seed + 1000 * j)
                 for j in range(fields)]
     ens_spec = ensemble_spectrum(ensemble, grid, policy)
-    exact = exact_mode_sum(dim, cfg)
+    bounds = _rounded(bound_report(cfg).as_dict())
+    exact = bounds[f"exact{dim.value}"]
     doc = {
         "metadata": run_metadata(seed=seed, extra={
             "kind": "verify", "dim": dim.value,
@@ -460,8 +457,7 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
             "resolution": list(resolution),
             "two_sided": two_sided,
             "policy": {"epsilon": policy.epsilon, "eta": policy.eta}}),
-        "bounds": {k: (_round12(v) if isinstance(v, float) else v)
-                   for k, v in bound_report(cfg).as_dict().items()},
+        "bounds": bounds,
         "gram": {"modes": len(modes), **_spectrum_doc(gram_spec)},
         "ensemble": {"fields": fields, **_spectrum_doc(ens_spec)},
         "ratios": {
@@ -497,15 +493,10 @@ def _policy_from_args(args) -> RankPolicy:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
+    cfg, seed = _config_from_args(args)
     dim = _dim_from_args(args)
     resolution = _parse_resolution(args.resolution)
     policy = _policy_from_args(args)
-    seed = args.seed
-    if seed is None and args.config:
-        seed = _read_config_file(args.config).get("seed")
-    if seed is None:
-        seed = 0
     for name, value, least in (("--fields", args.fields, 1),
                                ("--waves", args.waves, 1), ("--seed", seed, 0)):
         if value < least:
@@ -518,8 +509,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(str(exc)) from exc
     text = json.dumps(doc, indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        _write_text(args.output, text + "\n")
         print(f"wrote report to {args.output}")
     else:
         print(text)

@@ -135,12 +135,6 @@ class CoefficientVector:
     residual: float
 
 
-def mode_count(dim: Dimension, cfg: PhysicalConfig, two_sided: bool = False) -> int:
-    """Number of modes enumerate_modes would produce."""
-    return _lattice_count(dim, [int(n) for n in bin_degrees(cfg)[2].tolist()],
-                          two_sided)
-
-
 def enumerate_modes(dim: Dimension, cfg: PhysicalConfig, *,
                     two_sided: bool = False,
                     cap: int = DEFAULT_MODE_CAP) -> list[ModeIndex]:

@@ -21,7 +21,7 @@ from wavedof import (Dimension, PhysicalConfig, RankPolicy, WaveVector,
                      exact_mode_sum, gram_of_modes, synthesize_field,
                      truncation_degree, truncation_error)
 from wavedof.cli import FIGURE_PRESETS, Axis, main, parse_sweep_csv
-from wavedof.modes import mode_count, project_field
+from wavedof.modes import project_field
 from wavedof.specfun import (Angle, legendre_p, norm_assoc_legendre_table,
                              sph_harm, spherical_bessel_j)
 
@@ -221,8 +221,8 @@ def test_criterion_8_empirical_rank():
 
     # (a) narrowband energy rank between the one- and two-sided 2D counts
     rank = _ensemble_energy_rank(NARROW, (8, 24, _time_nodes(NARROW)))
-    lo = mode_count(TWO_D, NARROW)
-    hi = mode_count(TWO_D, NARROW, two_sided=True)
+    lo = exact_mode_sum(TWO_D, NARROW)
+    hi = exact_mode_sum(TWO_D, NARROW, two_sided=True)
     if not lo <= rank <= hi:
         failures.append(f"narrowband energy-rank {rank} outside [{lo}, {hi}] "
                         f"between the one- and two-sided 2D counts "

@@ -1,5 +1,6 @@
 """Closed-form bounds, exact sums, and their cross-checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wavedof import (ConfigError, Dimension, PhysicalConfig, asymptotic_dof_3d,
-                     average_mode_density_3d, bound_report, closed_form_bound,
-                     dof_space, dof_time_band, exact_mode_sum, frequency_bins,
-                     truncation_degree)
+from wavedof import (BoundReport, ConfigError, Dimension, ModeCapError,
+                     PhysicalConfig, asymptotic_dof_3d, average_mode_density_3d,
+                     bound_report, closed_form_bound, dof_space, dof_time_band,
+                     exact_mode_sum, frequency_bins, truncation_degree)
+from wavedof.bounds import QUANTITIES, bound_values
 
 from oracles import brute_force_mode_count, snap
 
@@ -198,6 +200,24 @@ def test_bound_report_fields():
     assert isinstance(rep.exact2d, int) and isinstance(rep.exact3d, int)
     assert rep.d_space3d == 100
     assert rep.n0 == pytest.approx((2.4e9 - 1e6) * E_PI * 0.125 / 3e8, rel=1e-12)
+    # one table names every bound, in report order
+    assert [f.name for f in dataclasses.fields(BoundReport)] == ["config", *QUANTITIES]
+    assert list(d) == ["R", "W", "T", "F0", "c", *QUANTITIES]
+
+
+def test_bound_values_evaluates_only_what_it_names():
+    # 2e8 + 1 frequency bins: the lattice counts refuse the configuration,
+    # the closed forms do not.
+    cfg = PhysicalConfig(R=0.1, W=1e8, T=1.0, f0=1e9)
+    rep = bound_report(PhysicalConfig(R=0.1, W=1e6, T=1.0, f0=1e9))
+    assert bound_values(cfg, ("thm2", "d_2wt")) == [
+        closed_form_bound(THREE_D, cfg), dof_time_band(cfg.W, cfg.T)]
+    assert bound_values(rep.config, ("n0", "thm1")) == [rep.n0, rep.thm1]
+    for name in ("exact2d", "exact3d"):
+        with pytest.raises(ModeCapError):
+            bound_values(cfg, (name,))
+    with pytest.raises(ModeCapError):
+        bound_report(cfg)
 
 
 def test_bound_report_degenerate_configs():

@@ -4,6 +4,10 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 
@@ -11,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wavedof import PhysicalConfig, bound_report, cli
 from wavedof.cli import (EXIT_CAP, EXIT_CONFIG, EXIT_OK, EXIT_RESOLUTION,
                          FIGURE_PRESETS, fmt_num, main, parse_sweep_csv,
                          render_sweep_csv)
@@ -108,6 +113,24 @@ def test_config_file_precedence(tmp_path, capsys):
     assert [ln for ln in out.splitlines() if ln.startswith("d_2wt")][0].split()[1] == "1"
 
 
+def test_verify_config_file_read_once(tmp_path, monkeypatch):
+    conf = tmp_path / "run.conf"
+    conf.write_text("R = 0.1\nW = 0.01\nT = 0.3\nF0 = 10\nc = 1\nseed = 5\n")
+    reads = []
+    read = cli._read_config_file
+    monkeypatch.setattr(cli, "_read_config_file",
+                        lambda path: reads.append(path) or read(path))
+    out = tmp_path / "v.json"
+    argv = ["verify", "--config", str(conf), "--dim", "2d", "--resolution",
+            "4,24,21", "--fields", "2", "--waves", "2", "-o", str(out)]
+    for extra, seed in (([], 5), (["--seed", "7"], 7), (["--R", "0.05"], 5)):
+        assert main(argv + extra) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["metadata"]["seed"] == seed
+        assert doc["metadata"]["config"]["R"] == (0.05 if "--R" in extra else 0.1)
+    assert reads == [str(conf)] * 3
+
+
 def test_config_file_rejects_unknown_key(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("R = 1\nbogus = 2\n")
@@ -124,6 +147,31 @@ def test_sweep_degenerate_grid(tmp_path):
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data[0] == "axis1,axis2,thm2,d_2wt"
     assert len(data) == 1 + 4
+
+
+def test_sweep_closed_form_past_bin_cap(tmp_path):
+    # The W = 1e8 cells have 2e8 + 1 frequency bins, past the mode cap;
+    # a thm2-only sweep never counts them.
+    out = tmp_path / "s.csv"
+    rc = main(["sweep", "--axis1", "W:1e6:1e8:2:log", "--axis2", "R:0.1:1:2:linear",
+               "--fixed", "T=1", "--fixed", "F0=1e9", "--quantities", "thm2",
+               "-o", str(out)])
+    assert rc == EXIT_OK
+    cells = [row[2] for row in parse_sweep_csv(out.read_text())[2]]
+    assert len(cells) == 4 and all(math.isfinite(v) and v > 0 for v in cells)
+
+
+def test_python_dash_m(tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "wavedof", "bounds", "--R", "0.125",
+                           "--W", "1e6", "--T", "5e-4", "--F0", "2.4e9"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = dict(ln.split() for ln in proc.stdout.splitlines())
+    assert rows["exact3d"] == str(bound_report(
+        PhysicalConfig(R=0.125, W=1e6, T=5e-4, f0=2.4e9)).exact3d)
 
 
 def test_sweep_csv_roundtrip(tmp_path):
@@ -188,10 +236,13 @@ SWEEP_FLAGS = ["--axis1", "R:0.1:1:2:linear", "--axis2", "W:10:100:2:log",
 
 
 @pytest.mark.parametrize("case", [
-    "axis-count", "fixed-value", "missing-config", "config-value", "output-dir"])
+    "axis-count", "fixed-value", "missing-config", "config-value", "output-dir",
+    "verify-config-value", "verify-config-seed"])
 def test_malformed_input_exits_config(case, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("R = abc\nW = 1\nT = 1\nF0 = 10\n")
+    seed_conf = tmp_path / "seed.conf"
+    seed_conf.write_text("R = 0.1\nW = 0.01\nT = 0.3\nF0 = 10\nc = 1\nseed = -1\n")
     out = str(tmp_path / "s.csv")
     argv = {
         "axis-count": ["sweep", "--axis1", "R:0.1:1:abc:linear", *SWEEP_FLAGS[2:],
@@ -201,6 +252,8 @@ def test_malformed_input_exits_config(case, tmp_path, capsys):
         "config-value": ["bounds", "--config", str(conf)],
         "output-dir": ["sweep", *SWEEP_FLAGS,
                        "-o", str(tmp_path / "missing" / "x.csv")],
+        "verify-config-value": ["verify", "--config", str(conf), "-o", out],
+        "verify-config-seed": ["verify", "--config", str(seed_conf), "-o", out],
     }[case]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -329,7 +382,13 @@ def test_sweep_deterministic(tmp_path):
     assert numeric_part(a) == numeric_part(b)
 
 
-def test_figure_presets_and_svg(tmp_path):
+def test_figure_presets_and_svg(tmp_path, monkeypatch):
+    # The presets write closed forms and single-frequency counts only, so
+    # no cell counts the lattice.
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact_mode_sum called")
+
+    monkeypatch.setattr("wavedof.bounds.exact_mode_sum", refuse)
     for name, preset in FIGURE_PRESETS.items():
         out = tmp_path / f"{name}.csv"
         svg = tmp_path / f"{name}.svg"

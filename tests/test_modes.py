@@ -12,8 +12,7 @@ from wavedof import (Dimension, ModeCapError, PhysicalConfig, WaveVector,
                      jacobi_anger_partial, mode_wavenumber, plane_wave,
                      project_field, synthesize_field, truncation_degree)
 from wavedof.modes import (ModeIndex, PlaneWaveSet, ProjectionRankError,
-                           field_values, jacobi_anger_values, mode_count,
-                           mode_matrix)
+                           field_values, jacobi_anger_values, mode_matrix)
 
 from oracles import dense_projection, jacobi_anger_scalar, scalar_mode_value
 
@@ -37,10 +36,9 @@ def test_enumerate_counts_match_exact_sums():
     configs.append(PhysicalConfig(R=1.0 / E_PI, W=0.001, T=0.2, f0=10.5, c=1.0))
     for cfg in configs:
         for dim in (TWO_D, THREE_D):
-            assert (len(enumerate_modes(dim, cfg)) == exact_mode_sum(dim, cfg)
-                    == mode_count(dim, cfg))
+            assert len(enumerate_modes(dim, cfg)) == exact_mode_sum(dim, cfg)
         two = enumerate_modes(TWO_D, cfg, two_sided=True)
-        assert len(two) == mode_count(TWO_D, cfg, two_sided=True)
+        assert len(two) == exact_mode_sum(TWO_D, cfg, two_sided=True)
     assert len(enumerate_modes(THREE_D, configs[-1])) == 12 ** 2
 
 
@@ -64,7 +62,7 @@ def test_enumerate_two_sided_2d():
     two = enumerate_modes(TWO_D, CAL_2D, two_sided=True)
     assert len(one) == 33
     assert len(two) == 2 * 33 - 3  # 2N+1 per bin over bins with N = 9, 10, 11
-    assert mode_count(TWO_D, CAL_2D, two_sided=True) == len(two)
+    assert exact_mode_sum(TWO_D, CAL_2D, two_sided=True) == len(two)
 
 
 def test_enumerate_cap():
