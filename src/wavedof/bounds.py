@@ -146,6 +146,13 @@ def _lattice_count(dim: Dimension, degrees, two_sided: bool = False) -> int:
     return sum(2 * n + 1 if two_sided else n + 1 for n in degrees)
 
 
+def _band_edges(cfg: PhysicalConfig) -> tuple[int, int]:
+    """(lo, hi), the first and last integer i with F0 - W <= i/T <= F0 + W
+    after the snap; lo > hi when no bin frequency i/T lies in the band.
+    Requires T > 0."""
+    return iceil((cfg.f0 - cfg.W) * cfg.T), ifloor((cfg.f0 + cfg.W) * cfg.T)
+
+
 def bin_degrees(cfg: PhysicalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrays (i, f, degree) of the frequency bins i/T covering the band:
     indices (Python ints beyond int64), frequencies, and degrees
@@ -160,8 +167,7 @@ def bin_degrees(cfg: PhysicalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     if cfg.T <= 0:
         raise ConfigError("frequency bins require T > 0")
-    lo = iceil((cfg.f0 - cfg.W) * cfg.T)
-    hi = ifloor((cfg.f0 + cfg.W) * cfg.T)
+    lo, hi = _band_edges(cfg)
     if hi - lo >= DEFAULT_MODE_CAP:
         raise ModeCapError(f"{hi - lo + 1} frequency bins exceed the mode cap "
                            f"of {DEFAULT_MODE_CAP}")

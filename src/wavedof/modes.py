@@ -3,8 +3,10 @@
 A mode is indexed by (i, n, m): frequency bin i (frequency i/T), degree
 n and order m. In 3D the spatial factor is j_n(k r) Y_n^m(rhat); in 2D
 it is J_m(k r) e^{i m theta} with n fixed at 0. The time factor is
-exp(+2j pi i t / T) / sqrt(T) throughout, so bin frequencies are exact
-integer multiples of 1/T.
+exp(+2j pi i t / T) / sqrt(T), so bin frequencies are exact integer
+multiples of 1/T. The one exception is the stand-in bin of a band that
+holds no multiple of 1/T: its modes are evaluated at the center
+frequency F0, where :func:`~wavedof.bounds.bin_degrees` takes its degree.
 
 The default 2D order range is m = 0..N(i), matching the counted set;
 ``two_sided=True`` switches to the full circular-harmonic range
@@ -36,9 +38,11 @@ table would outgrow points x waves, fall back to one exponential per
 
 Every array exponential here, in :func:`field_values` and in the
 azimuthal and time factors of :func:`mode_factors`, is
-:func:`~wavedof.specfun.cis`, the library's one e^{i theta} kernel;
-only the scalar :func:`plane_wave` keeps ``cmath.exp``, as the
-independent single-point reference.
+:func:`~wavedof.specfun.cis`, the library's one e^{i theta} kernel, and
+the 2D angular table cos(m dtheta) of :func:`jacobi_anger_tables` is its
+real part from :func:`~wavedof.specfun.cos_sin`; only the scalar
+:func:`plane_wave` keeps ``cmath.exp``, as the independent single-point
+reference.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 
 from . import specfun
 from .bounds import (DEFAULT_MODE_CAP, ConfigError, Dimension, ModeCapError,
-                     PhysicalConfig, _lattice_count, bin_degrees)
+                     PhysicalConfig, _band_edges, _lattice_count, bin_degrees)
 
 
 class ProjectionRankError(RuntimeError):
@@ -161,11 +165,18 @@ def enumerate_modes(dim: Dimension, cfg: PhysicalConfig, *,
 
 
 def mode_wavenumber(i: int, cfg: PhysicalConfig) -> tuple[float, float]:
-    """Frequency and wave-number of bin i: (i/T, 2*pi*i/(c*T))."""
+    """Frequency and wave-number of bin i: (i/T, 2*pi*i/(c*T)).
+
+    The stand-in bin i = round(F0*T) of a band that holds no i/T
+    (:func:`~wavedof.bounds.bin_degrees`) sits at the center frequency,
+    where its degree is taken: (F0, 2*pi*F0/c).
+    """
     if cfg.T <= 0:
         raise ConfigError("mode_wavenumber requires T > 0")
-    f = i / cfg.T
-    return f, 2.0 * math.pi * i / (cfg.c * cfg.T)
+    lo, hi = _band_edges(cfg)
+    if lo > hi and i == round(cfg.f0 * cfg.T):
+        return cfg.f0, 2.0 * math.pi * cfg.f0 / cfg.c
+    return i / cfg.T, 2.0 * math.pi * i / (cfg.c * cfg.T)
 
 
 def evaluate_mode(index: ModeIndex, position, t: float,
@@ -224,7 +235,8 @@ def jacobi_anger_tables(wv: WaveVector, r, directions,
     addition theorem folds the m-sum into (2n+1) P_n(rhat . khat), and
     j^m eps_m J_m(k r) in 2D, where the +m and -m terms fold into
     eps_m cos(m dtheta) (eps_0 = 1, eps_m = 2). ``angular`` (N+1, n_dir)
-    holds P_n(rhat . khat) or cos(m dtheta).
+    holds P_n(rhat . khat) or cos(m dtheta), the latter from
+    :func:`~wavedof.specfun.cos_sin`.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
@@ -238,7 +250,7 @@ def jacobi_anger_tables(wv: WaveVector, r, directions,
         cos_g = np.clip(u @ np.asarray(wv.k_hat), -1.0, 1.0)
         return radial, specfun.legendre_table(N, cos_g)
     dtheta = np.arctan2(u[:, 1], u[:, 0]) - math.atan2(wv.k_hat[1], wv.k_hat[0])
-    return radial, np.cos(np.outer(n, dtheta))
+    return radial, specfun.cos_sin(np.outer(n, dtheta))[0]
 
 
 def jacobi_anger_values(wv: WaveVector, points: np.ndarray, N: int) -> np.ndarray:
@@ -325,7 +337,8 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
     "phi": (n_phi, M), "t": (n_t, M)}, in the grid's axis order. Mode j
     at the grid node (r, [mu], phi, t) is the product of column j of each
     factor: the Bessel radial factor, the orthonormal Legendre factor,
-    e^{i m phi} (negated for odd negative m) and exp(2j pi i t / T) / sqrt(T).
+    e^{i m phi} (negated for odd negative m) and exp(2j pi f t) / sqrt(T),
+    with the bin's frequency f and wave-number from :func:`mode_wavenumber`.
     This is the only code that evaluates a mode.
     """
     spherical = "mu_nodes" in axes
@@ -335,19 +348,22 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
     # One radial table per frequency bin, up to the bin's highest order.
     # Bins come from a set: np.unique's first call imports numpy.ma (~20 ms).
     radial = np.empty((len(axes["r_nodes"]), len(modes)))
+    cycles = bins.astype(float)          # f*T: i, or F0*T for a stand-in bin
     for i in set(bins.tolist()):
         sel = bins == i
-        table = specfun.bessel_table(int(order[sel].max()),
-                                     mode_wavenumber(i, cfg)[1] * axes["r_nodes"],
+        f, k = mode_wavenumber(i, cfg)
+        table = specfun.bessel_table(int(order[sel].max()), k * axes["r_nodes"],
                                      spherical=spherical)
         radial[:, sel] = table[order[sel]].T
+        if f != i / cfg.T:
+            cycles[sel] = f * cfg.T
     out = {"r": radial}
     if spherical:
         plm = specfun.norm_assoc_legendre_table(int(order.max()), axes["mu_nodes"])
         out["mu"] = plm[order, np.abs(m)].T
     sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
     out["phi"] = specfun.cis(np.outer(axes["phi_nodes"], m)) * sign
-    phase = np.outer(axes["t_nodes"], 2.0 * math.pi * bins) / cfg.T
+    phase = np.outer(axes["t_nodes"], 2.0 * math.pi * cycles) / cfg.T
     out["t"] = specfun.cis(phase) / math.sqrt(cfg.T)
     return out
 

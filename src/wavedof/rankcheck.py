@@ -45,7 +45,7 @@ from numpy.polynomial.legendre import leggauss
 from .bounds import Dimension, PhysicalConfig
 from .modes import (ModeIndex, PlaneWaveSet, jacobi_anger_tables, mode_factors,
                     weighted_gram)
-from .specfun import cis, cos_sin
+from .specfun import cos_sin
 
 
 class ResolutionError(RuntimeError):
@@ -409,12 +409,19 @@ def truncation_error(wv, radius: float, N: int,
     directions being its node coordinates at unit radius, and the partial
     sum is one radial table on the nodes times one angular table on the
     directions (:func:`~wavedof.modes.jacobi_anger_tables`), as is
-    k . x = k outer(r, directions . k_hat).
+    k . x = k outer(r, directions . k_hat). The error is summed in real
+    arithmetic: the real and imaginary parts of the partial sum come from
+    one real product of the stacked radial parts with the angular table,
+    and the exact factor's from :func:`~wavedof.specfun.cos_sin`, so no
+    complex (radii x directions) array is formed.
     """
     w, axes = _spatial_quadrature(wv.dim, radius, *resolution)
     r = axes["r_nodes"]
     directions = _ball_points(wv.dim, {**axes, "r_nodes": np.ones(1)})
     radial, angular = jacobi_anger_tables(wv, r, directions, N)
-    exact = cis(wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))
-    err = float(np.sum(w * np.abs(exact - radial @ angular).ravel() ** 2))
+    part = np.concatenate([radial.real, radial.imag]) @ angular
+    c, s = cos_sin(wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))
+    c -= part[:len(r)]
+    s -= part[len(r):]
+    err = float(np.sum(w * (c * c + s * s).ravel()))
     return math.sqrt(err / float(np.sum(w)))

@@ -13,8 +13,11 @@ Conventions
   so that integral of Y_n^m conj(Y_n'^m') over the sphere is a double delta.
 * Bessel values come from one kernel, ``bessel_table``, which runs a
   normalized downward (Miller) recurrence over an array of arguments and
-  returns every order 0..n_max at once. ``bessel_J`` and
-  ``spherical_bessel_j`` read one entry of a one-column table.
+  returns every order 0..n_max at once, three in-place numpy operations
+  per order. Its overflow guard is a running bound on the columns'
+  growth; the columns themselves are scanned only when that bound could
+  pass a guard. ``bessel_J`` and ``spherical_bessel_j`` read one entry
+  of a one-column table.
 * Legendre values likewise come from one recurrence over the degree n
   at a fixed order m, for Q_n^m = sqrt((n-m)!/(n+m)!) P_n^m. Its m = 0
   column is P_n itself: ``legendre_table`` returns it over an array of
@@ -107,8 +110,12 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     Returns an array of shape (n_max+1, len(x)). One downward (Miller)
     recurrence runs over every column at once; downward recurrence
     stays accurate for every order, where upward recurrence loses all
-    accuracy once the order exceeds the argument. A column that grows
-    past a magnitude guard is rescaled on its own. Cylindrical columns
+    accuracy once the order exceeds the argument. Each order is written
+    in place into its table row, or into a rotating scratch row above
+    n_max. A column that grows past its magnitude guard is rescaled on
+    its own; a running bound on every column's growth, one float per
+    step, tells when that could happen, and only then are the columns
+    scanned against their guards. Cylindrical columns
     are normalized through J_0(x) + 2 sum_k J_{2k}(x) = 1, which fixes
     both scale and sign; spherical columns are anchored on the closed
     form of j_0 or j_1, whichever is farther from a zero. Columns at
@@ -127,25 +134,40 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     xs = x[pos]
     m = _miller_start(n_max, float(xs.max()))
     m += m % 2
-    table = np.empty((n_max + 1, xs.size))
-    jp = np.zeros(xs.size)           # unnormalized value at order k + 1
-    jc = np.full(xs.size, 1e-30)     # unnormalized value at order k
-    total = np.zeros(xs.size)        # 2 sum_k J_{2k}, cylindrical only
+    # Rows 0..n_max are the table; orders above n_max rotate through the
+    # three scratch rows after it, so each step writes one row in place.
+    work = np.empty((n_max + 4, xs.size))
+    jp = work[n_max + 1 + (m + 1) % 3]   # unnormalized value at order k + 1
+    jc = work[n_max + 1 + m % 3]         # unnormalized value at order k
+    jp[:] = 0.0
+    jc[:] = 1e-30
+    total = np.zeros(xs.size)            # sum_k J_{2k}, cylindrical only
     # The guard leaves head-room for one step's growth, at most (2m+2)/x.
     limit = np.minimum(_RESCALE_LIMIT, 1e300 * xs / (2 * m + 2))
+    # A step multiplies max(|jc|, |jp|) by at most (2k+s)/x + 1, so the
+    # running ``bound`` stays above every column's max, and the columns
+    # are scanned against their guards only once it passes the smallest
+    # one. Its update, bound + bound (2k+s)/x_min, rounds monotonically
+    # with the step's own arithmetic, so it bounds the rounded values
+    # too. A NaN bound (from a subnormal x) scans every step.
+    x_min, limit_min, bound = float(xs.min()), float(limit.min()), 1e-30
     for k in range(m, 0, -1):
-        jp, jc = jc, (2 * k + spherical) / xs * jc - jp
-        if k - 1 <= n_max:
-            table[k - 1] = jc
+        row = work[k - 1 if k - 1 <= n_max else n_max + 1 + (k - 1) % 3]
+        np.divide(2 * k + spherical, xs, out=row)
+        row *= jc
+        row -= jp
+        jp, jc = jc, row
         if not spherical and k % 2 == 0:
-            total += 2.0 * jp        # jp now holds the value at even order k
-        big = np.abs(jc) > limit
-        if big.any():
-            f = 1.0 / np.abs(jc[big])
-            jp[big] *= f
-            jc[big] *= f
-            total[big] *= f
-            table[min(k - 1, n_max + 1):, big] *= f
+            total += jp                  # jp now holds the value at even order k
+        bound += bound * ((2 * k + spherical) / x_min)
+        if not bound <= limit_min:
+            big = np.abs(jc) > limit
+            if big.any():
+                f = 1.0 / np.abs(jc[big])
+                total[big] *= f
+                # Rows k-1 and up: jc, jp and every table row written so far.
+                work[min(k - 1, n_max + 1):, big] *= f
+            bound = float(np.abs([jc, jp]).max())
     if spherical:
         # The closed form of j_1 cancels catastrophically near zero, so it
         # is taken at max(x, 1); below x = 1, |j_0(x)| > 0.84 > |j_1(1)|
@@ -155,8 +177,8 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
         j1 = np.sin(xc) / (xc * xc) - np.cos(xc) / xc
         scale = np.where(np.abs(j0) >= np.abs(j1), j0 / jc, j1 / jp)
     else:
-        scale = 1.0 / (total + jc)
-    out[:, pos] = table * scale
+        scale = 1.0 / (2.0 * total + jc)
+    out[:, pos] = work[:n_max + 1] * scale
     return out
 
 

@@ -1,8 +1,9 @@
 """Independent oracles used to pin expected values.
 
 Each oracle reaches its result by a different route than the library:
-extended-precision ascending series for Bessel functions, and whole
-Bessel columns from two mpmath values recurred down in 50 digits, exact
+extended-precision ascending series for Bessel functions, whole
+Bessel columns from two mpmath values recurred down in 50 digits, and
+the Miller table recurrence as first written, step by step, exact
 integer-coefficient Rodrigues differentiation and an extended-precision
 unnormalized Ferrers recurrence for associated Legendre, scalar
 special-function products for single mode values, a literal (i, n, m)
@@ -99,6 +100,52 @@ def bessel_column_reference(n_max: int, x: float, spherical: bool,
         return np.array([float(v) for v in col[:n_max + 1]])
 
 
+def miller_table_reference(n_max: int, x, spherical: bool = False) -> np.ndarray:
+    """``specfun.bessel_table`` as its recurrence was first written: each
+    step allocates its row, doubles every even-order term, and tests every
+    column against its guard with abs, > and any. The library's loop
+    writes rows in place, doubles the even-order sum once, and scans the
+    columns only when a running bound could pass a guard; its values
+    must be bit-identical to these."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros((n_max + 1, x.size))
+    out[0, x == 0] = 1.0
+    pos = x > 0
+    if not pos.any():
+        return out
+    xs = x[pos]
+    m = specfun._miller_start(n_max, float(xs.max()))
+    m += m % 2
+    table = np.empty((n_max + 1, xs.size))
+    jp = np.zeros(xs.size)           # unnormalized value at order k + 1
+    jc = np.full(xs.size, 1e-30)     # unnormalized value at order k
+    total = np.zeros(xs.size)        # 2 sum_k J_{2k}, cylindrical only
+    # The guard leaves head-room for one step's growth, at most (2m+2)/x.
+    limit = np.minimum(specfun._RESCALE_LIMIT, 1e300 * xs / (2 * m + 2))
+    for k in range(m, 0, -1):
+        jp, jc = jc, (2 * k + spherical) / xs * jc - jp
+        if k - 1 <= n_max:
+            table[k - 1] = jc
+        if not spherical and k % 2 == 0:
+            total += 2.0 * jp        # jp now holds the value at even order k
+        big = np.abs(jc) > limit
+        if big.any():
+            f = 1.0 / np.abs(jc[big])
+            jp[big] *= f
+            jc[big] *= f
+            total[big] *= f
+            table[min(k - 1, n_max + 1):, big] *= f
+    if spherical:
+        xc = np.maximum(xs, 1.0)
+        j0 = np.sin(xs) / xs
+        j1 = np.sin(xc) / (xc * xc) - np.cos(xc) / xc
+        scale = np.where(np.abs(j0) >= np.abs(j1), j0 / jc, j1 / jp)
+    else:
+        scale = 1.0 / (total + jc)
+    out[:, pos] = table * scale
+    return out
+
+
 def rodrigues_assoc_legendre(n: int, m: int, u: Fraction) -> float:
     """P_n^m by exact differentiation of (u^2 - 1)^n, Condon-Shortley phase."""
     assert 0 <= m <= n
@@ -142,11 +189,19 @@ def scalar_mode_value(index, position, t: float, cfg) -> complex:
     """One mode value from scalar special functions: j_n(k r) Y_n^m(rhat)
     in 3D, or J_|m|(k r) e^{i m theta} with J_{-m} = (-1)^m J_m in 2D,
     times exp(2j pi i t / T) / sqrt(T), with the r = 0 limits written
-    out."""
+    out. When no integer i has F0 - W <= i/T <= F0 + W (by the literal
+    snap), the stand-in bin i = round(F0 T) is evaluated at F0 instead:
+    k = 2 pi F0 / c and time factor exp(2j pi F0 t) / sqrt(T)."""
     pos = np.asarray(position, dtype=float)
     r = float(np.linalg.norm(pos))
-    k = 2.0 * math.pi * index.i / (cfg.c * cfg.T)
-    tf = cmath.exp(2j * math.pi * index.i * t / cfg.T) / math.sqrt(cfg.T)
+    lo = snap((cfg.f0 - cfg.W) * cfg.T, math.ceil)
+    hi = snap((cfg.f0 + cfg.W) * cfg.T, math.floor)
+    if lo > hi and index.i == round(cfg.f0 * cfg.T):
+        k = 2.0 * math.pi * cfg.f0 / cfg.c
+        tf = cmath.exp(2j * math.pi * cfg.f0 * t) / math.sqrt(cfg.T)
+    else:
+        k = 2.0 * math.pi * index.i / (cfg.c * cfg.T)
+        tf = cmath.exp(2j * math.pi * index.i * t / cfg.T) / math.sqrt(cfg.T)
     if index.dim is Dimension.THREE_D:
         if r == 0.0:
             return tf / math.sqrt(specfun.FOUR_PI) if index.n == 0 else 0.0 + 0.0j

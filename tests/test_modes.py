@@ -12,7 +12,8 @@ from wavedof import (Dimension, ModeCapError, PhysicalConfig, WaveVector,
                      jacobi_anger_partial, mode_wavenumber, plane_wave,
                      project_field, synthesize_field, truncation_degree)
 from wavedof.modes import (ModeIndex, PlaneWaveSet, ProjectionRankError,
-                           field_values, jacobi_anger_values, mode_matrix)
+                           field_values, jacobi_anger_tables, jacobi_anger_values,
+                           mode_matrix)
 
 from oracles import dense_projection, jacobi_anger_scalar, scalar_mode_value
 
@@ -78,6 +79,35 @@ def test_mode_wavenumber():
     f, k = mode_wavenumber(2400, PhysicalConfig(R=1, W=1e9, T=1e-6, f0=2.4e9))
     assert f == pytest.approx(2.4e9, rel=1e-14)
     assert k == pytest.approx(50.265, rel=1e-4)
+
+
+def test_stand_in_bin_evaluated_at_center_frequency():
+    """No i/T lies in [F0 - W, F0 + W]: the one stand-in bin i = 2 takes its
+    degree 11 at F0 = 10.5 Hz, and its modes are evaluated there too, not at
+    i/T = 10 Hz, where the truncation degree is 10."""
+    cfg = PhysicalConfig(R=1.0 / E_PI, W=0.001, T=0.2, f0=10.5, c=1.0)
+    assert mode_wavenumber(2, cfg) == (10.5, 2 * math.pi * 10.5)
+    k = mode_wavenumber(2, cfg)[1]
+    assert truncation_degree(cfg.R, k) == 11
+    assert truncation_degree(cfg.R, 2 * math.pi * 10.0) == 10
+    rng = np.random.default_rng(47)
+    for dim in (TWO_D, THREE_D):
+        modes = enumerate_modes(dim, cfg, two_sided=dim is TWO_D)
+        assert {md.i for md in modes} == {2}
+        assert max(abs(md.m) for md in modes) == 11
+        d = 2 if dim is TWO_D else 3
+        for md in modes[::3] + modes[-2:]:
+            p = rng.normal(size=d)
+            p *= rng.uniform(0.05, 1.0) * cfg.R / np.linalg.norm(p)
+            t = rng.uniform(0, cfg.T)
+            want = scalar_mode_value(md, p, t, cfg)
+            got = evaluate_mode(md, p, t, cfg)
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), md
+        # The time factor runs at F0: over T it turns by 2 pi F0 T = 4.2 pi.
+        md = modes[0]
+        p = np.full(d, 0.1 * cfg.R)
+        ratio = evaluate_mode(md, p, cfg.T, cfg) / evaluate_mode(md, p, 0.0, cfg)
+        assert ratio == pytest.approx(cmath.exp(2j * math.pi * 10.5 * cfg.T), abs=1e-12)
 
 
 def test_evaluate_mode_at_center():
@@ -428,6 +458,22 @@ def test_jacobi_anger_values_match_scalar_oracle(dim):
     got = jacobi_anger_values(wv, pts, 20)
     want = np.array([jacobi_anger_scalar(wv, p, 20) for p in pts])
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_jacobi_anger_2d_angular_table_matches_libm_cos():
+    """The 2D angular table cos(m dtheta) comes from cos_sin; it stays within
+    5e-16 of libm cos up to order 80, along the wave and against it too."""
+    rng = np.random.default_rng(43)
+    n = np.arange(81)
+    for _ in range(5):
+        wv = WaveVector.from_frequency(40.0 / (2 * math.pi), rng.normal(size=2), 1.0)
+        phi = np.concatenate([rng.uniform(0, 2 * math.pi, 200),
+                              2 * math.pi * np.arange(340) / 340])
+        u = np.concatenate([np.stack([np.cos(phi), np.sin(phi)], axis=1),
+                            [wv.k_hat, np.negative(wv.k_hat)]])
+        dtheta = np.arctan2(u[:, 1], u[:, 0]) - math.atan2(wv.k_hat[1], wv.k_hat[0])
+        _, angular = jacobi_anger_tables(wv, [0.5], u, 80)
+        assert np.max(np.abs(angular - np.cos(np.outer(n, dtheta)))) <= 5e-16
 
 
 def test_synthesize_deterministic():

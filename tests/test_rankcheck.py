@@ -412,9 +412,10 @@ def test_truncation_error_matches_pointwise_oracle(dim, kR):
     for _ in range(2):
         wv = WaveVector.from_frequency(kR / (2 * math.pi),
                                        rng.normal(size=2 if dim is TWO_D else 3), 1.0)
-        for N in (n, n + 5):
+        for N in (n, n + 5, n + 20):
             want = pointwise_truncation_error(wv, 1.0, N, res)
-            # Errors reach 1e-8; rounding moves them by about 1e-16.
+            # Errors reach 1e-8, and at N = n + 20 the rounding floor;
+            # rounding moves them by about 1e-16.
             assert abs(truncation_error(wv, 1.0, N, res) - want) <= 1e-14, N
 
 

@@ -15,8 +15,8 @@ from wavedof.specfun import (bessel_table, cis, cos_sin, legendre_table,
                              norm_assoc_legendre_table)
 
 from oracles import (bessel_column_reference, cyl_bessel_series, ferrers_reference,
-                     rodrigues_assoc_legendre, sph_bessel_reference,
-                     sph_bessel_series)
+                     miller_table_reference, rodrigues_assoc_legendre,
+                     sph_bessel_reference, sph_bessel_series)
 
 # frozen from the extended-precision series oracle
 J50_AT_10 = 2.2306960232186468e-31
@@ -140,6 +140,28 @@ def test_bessel_table_pinned_to_mpmath_over_range():
         err = np.abs(got - ref) / np.maximum(np.abs(ref), floor)
         worst = np.unravel_index(np.argmax(err), err.shape)
         assert err.max() <= 1e-10, (spherical, xs[worst[0]], worst[1], err.max())
+
+
+@pytest.mark.parametrize("spherical", [False, True])
+def test_bessel_table_bit_identical_to_literal_recurrence(spherical):
+    """The in-place recurrence with its running guard bound gives exactly
+    the values of the literal loop, NaN where that loop gives NaN (x
+    below about 1e-307). The column sets make the per-column rescale fire above
+    n_max only ([1e-8, 3] at n_max 5), at every order down to 0 (1e-300
+    and subnormals next to 500), and both ways among random columns."""
+    rng = np.random.default_rng(31)
+    cases = [(0, 2.5),                                    # a single float
+             (14, [0.0, 1.0, 0.0, 37.0]),                 # x = 0 columns
+             (5, [1e-8, 3.0]),
+             (60, [1e-300, 500.0]),
+             (55, [5e-324, 1e-310, 1e-300, 500.0, 0.0]),
+             (200, rng.uniform(0, 500, 24)),
+             (1, rng.uniform(0, 40, 24) * rng.uniform(0, 1, 24) ** 8)]
+    with np.errstate(all="ignore"):
+        for n_max, x in cases:
+            got = bessel_table(n_max, x, spherical=spherical)
+            want = miller_table_reference(n_max, x, spherical)
+            assert np.array_equal(got, want, equal_nan=True), (n_max, x)
 
 
 def test_bessel_rejects_bad_domain():
