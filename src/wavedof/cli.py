@@ -9,9 +9,9 @@ verify   quadrature Gram + ensemble covariance rank experiment -> JSON
 figure   canned sweeps (fig3 | fig4 | fig5) reproducing the survey plots
 
 Exit codes: 0 success; 2 configuration error (violated invariant, malformed
-number, axis or config file, overflowing count, unopenable file); 3 mode
-cap exceeded (also by the frequency bins alone); 4 grid resolution below
-minimum.
+number, axis or config file, overflowing count, quadrature weights beyond
+the float range, unopenable file); 3 mode cap exceeded (also by the
+frequency bins alone); 4 grid resolution below minimum.
 
 File formats: CSV is UTF-8 with LF line endings, ``# key = value``
 metadata lines, then a header row; numbers carry 12 significant digits
@@ -36,9 +36,9 @@ from .bounds import (DEFAULT_MODE_CAP, QUANTITIES, ConfigError, Dimension,
                      PhysicalConfig, bound_report, bound_values, exact_mode_sum,
                      frequency_bins)
 from .modes import ModeCapError, enumerate_modes, synthesize_field
-from .rankcheck import (GridError, RankPolicy, ResolutionError,
-                        SpectrumReport, build_grid, diagonal_normalize,
-                        eigen_spectrum, ensemble_spectrum, gram_of_modes)
+from .rankcheck import (RankPolicy, ResolutionError, SpectrumReport,
+                        build_grid, diagonal_normalize, eigen_spectrum,
+                        ensemble_spectrum, gram_of_modes)
 
 PRNG_NAME = "numpy-pcg64"
 
@@ -416,9 +416,14 @@ def _spectrum_doc(spec: SpectrumReport) -> dict:
             "epsilon": spec.epsilon, "eta": spec.eta}
 
 
-def write_spectrum_csv(path: str, spec: SpectrumReport, meta: dict) -> None:
-    rows = ((idx, _round12(ev), _round12(cf)) for idx, (ev, cf) in
-            enumerate(zip(spec.eigenvalues, spec.cumulative_fractions())))
+def write_spectrum_csv(path: str, part: dict, meta: dict) -> None:
+    """A report's ``gram`` or ``ensemble`` block as CSV: index, its rounded
+    eigenvalue and cumsum / total (zeros when the total is 0)."""
+    evals = np.array(part["eigenvalues"])
+    total = float(np.sum(evals))
+    fractions = np.cumsum(evals) / total if total else np.zeros_like(evals)
+    rows = ((idx, ev, _round12(cf)) for idx, (ev, cf) in
+            enumerate(zip(part["eigenvalues"], fractions)))
     _write_text(path, _csv_text(meta, "index,eigenvalue,cumulative_fraction", rows))
 
 
@@ -479,15 +484,8 @@ def _parse_resolution(text: str) -> tuple:
 
 
 def _policy_from_args(args) -> RankPolicy:
-    if args.policy is None:
-        eps, eta = args.epsilon, args.eta
-    else:
-        try:
-            eps, eta = (float(s) for s in args.policy.split(":"))
-        except ValueError as exc:
-            raise ConfigError(f"--policy expects EPSILON:ETA, got {args.policy!r}") from exc
     try:
-        return RankPolicy(epsilon=eps, eta=eta)
+        return RankPolicy(epsilon=args.epsilon, eta=args.eta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -501,27 +499,19 @@ def cmd_verify(args) -> int:
                                ("--waves", args.waves, 1), ("--seed", seed, 0)):
         if value < least:
             raise ConfigError(f"{name} must be >= {least}, got {value}")
-    try:
-        doc = verify_report(cfg, dim, waves=args.waves, fields=args.fields,
-                            seed=seed, resolution=resolution, policy=policy,
-                            two_sided=args.two_sided)
-    except GridError as exc:
-        raise ConfigError(str(exc)) from exc
+    doc = verify_report(cfg, dim, waves=args.waves, fields=args.fields,
+                        seed=seed, resolution=resolution, policy=policy,
+                        two_sided=args.two_sided)
     text = json.dumps(doc, indent=2)
     if args.output:
         _write_text(args.output, text + "\n")
         print(f"wrote report to {args.output}")
     else:
         print(text)
-    # Rebuilt from the rounded report values, so the CSV matches the JSON.
     for kind, path in (("gram", args.gram_spectrum_csv),
                        ("ensemble", args.ensemble_spectrum_csv)):
         if path:
-            part = doc[kind]
-            spec = SpectrumReport(np.array(part["eigenvalues"]), part["trace"],
-                                  part["rank_threshold"], part["rank_energy"],
-                                  policy.epsilon, policy.eta)
-            write_spectrum_csv(path, spec, {**doc["metadata"], "spectrum": kind})
+            write_spectrum_csv(path, doc[kind], {**doc["metadata"], "spectrum": kind})
     return EXIT_OK
 
 
@@ -571,8 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--resolution", default="8,24,32",
                     help="n_radial,n_angular,n_time")
-    pv.add_argument("--policy", default=None, metavar="EPSILON:ETA",
-                    help="rank policy, e.g. 1e-3:0.99")
     pv.add_argument("--epsilon", type=float, default=1e-3)
     pv.add_argument("--eta", type=float, default=0.99)
     pv.add_argument("--two-sided", action="store_true")

@@ -3,8 +3,9 @@
 Builds Gauss-Legendre product grids over ball x time, assembles Gram
 matrices and ensemble covariance spectra, and reduces Hermitian spectra
 to two effective-rank readouts. The grid is a tensor product (r x [mu] x
-phi x t), held as its axes only: per-axis nodes and weights, plus the
-spatial nodes and their weights. Its per-point arrays are built only on
+phi x t), held as its axes only: per-axis nodes and weights, the unit
+``directions`` of the angular nodes, and the spatial nodes (radii x
+directions) with their weights. Its per-point arrays are built only on
 request, and no library path requests them. Every mode and every plane
 wave is a product over the same axes, and so is each weight, so the Gram
 matrix and the ensemble are assembled axis by axis: the Gram matrix is
@@ -22,8 +23,8 @@ of each block's product. Every pair comes from
 :func:`~wavedof.specfun.cos_sin`. The field Gram is summed block by
 block, each block's temporaries within ``_BLOCK_ENTRIES`` complex
 entries (2 MB). The harmonic truncation error uses the same structure
-over the ball: radial nodes x directions, the directions being the node
-coordinates at unit radius. No (points x modes), (points x waves) or
+over the ball: radial nodes x directions, and never forms the nodes
+themselves. No (points x modes), (points x waves) or
 (points x points) array is formed. The readouts are:
 
 * threshold rank: eigenvalues >= epsilon * lambda_max,
@@ -42,7 +43,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bounds import Dimension, PhysicalConfig
+from .bounds import ConfigError, Dimension, PhysicalConfig
 from .modes import (ModeIndex, PlaneWaveSet, jacobi_anger_tables, mode_factors,
                     weighted_gram)
 from .specfun import cos_sin
@@ -52,7 +53,7 @@ class ResolutionError(RuntimeError):
     """Grid resolution below the documented minimum for the request."""
 
 
-class GridError(ValueError):
+class GridError(ConfigError):
     """Zero-measure or malformed grid request."""
 
 
@@ -81,12 +82,6 @@ class SpectrumReport:
     epsilon: float
     eta: float
 
-    def cumulative_fractions(self) -> np.ndarray:
-        total = float(np.sum(self.eigenvalues))
-        if total == 0.0:
-            return np.zeros_like(self.eigenvalues)
-        return np.cumsum(self.eigenvalues) / total
-
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
@@ -95,9 +90,10 @@ class SpaceTimeGrid:
 
     The grid is a product over the axes r, mu (3D only), phi and t, with
     points in that index order and t fastest. ``axes`` keeps each axis's
-    ``<axis>_nodes`` and ``<axis>_weights``, the distinct positions
-    ``space_points`` and their weights ``space_weights`` (the product of
-    the r, [mu] and phi weights), and every library path reads these.
+    ``<axis>_nodes`` and ``<axis>_weights``, the unit ``directions`` of
+    the angular nodes, the distinct positions ``space_points`` (r x
+    directions) and their weights ``space_weights`` (the product of the
+    r, [mu] and phi weights), and every library path reads these.
     The per-point arrays ``points`` (P, 2 or 3) in meters, ``times``
     (P,) in seconds and ``weights`` (P,), the full measure (volume x
     time), are built only on request and then kept.
@@ -134,15 +130,16 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
-                        n_ang: int) -> tuple[np.ndarray, dict]:
+                        n_ang: int) -> dict:
     """Gauss-Legendre product quadrature over a disc (2D) or ball (3D).
 
     Radial weights carry r (2D) or r^2 (3D). In 3D the angular nodes are
     n_ang Gauss-Legendre points in mu = cos(theta) crossed with 2*n_ang
-    uniform azimuths; in 2D they are n_ang uniform azimuths. Returns
-    (weights, axes) with weights in (r, [mu], phi) index order, phi
-    fastest, and axes holding each axis's nodes and weights. The node
-    coordinates are :func:`_ball_points` of the axes.
+    uniform azimuths; in 2D they are n_ang uniform azimuths. Returns the
+    axes: each axis's nodes and weights, the unit vectors ``directions``
+    (angular nodes, 2 or 3) of the angular nodes in ([mu], phi) order,
+    phi fastest, and ``space_weights`` in (r, [mu], phi) order. The
+    spatial nodes are r x directions (:func:`_space_points`).
     """
     if min(n_r, n_ang) < 1:
         raise GridError("resolution counts must be >= 1")
@@ -158,47 +155,42 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     wphi = np.full(n_phi, 2.0 * math.pi / n_phi)
     axes = {"r_nodes": r, "r_weights": wr}
     if dim is Dimension.TWO_D:
+        directions = (np.cos(phi), np.sin(phi))
         w = wr[:, None] * wphi[None, :]
     else:
         mu, wmu = _gauss_legendre(n_ang)
         axes.update(mu_nodes=mu, mu_weights=wmu)
+        rho = np.sqrt(1.0 - mu**2)[:, None]
+        directions = (rho * np.cos(phi), rho * np.sin(phi), np.repeat(mu, n_phi))
         w = wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]
-    axes.update(phi_nodes=phi, phi_weights=wphi)
-    return w.ravel(), axes
+    axes.update(phi_nodes=phi, phi_weights=wphi, space_weights=w.ravel(),
+                directions=np.stack([c.ravel() for c in directions], axis=-1))
+    return axes
 
 
-def _ball_points(dim: Dimension, axes: dict) -> np.ndarray:
-    """(nodes, 2 or 3) coordinates of the spatial quadrature nodes, in the
-    (r, [mu], phi) order of :func:`_spatial_quadrature`."""
-    r, phi = axes["r_nodes"], axes["phi_nodes"]
-    if dim is Dimension.TWO_D:
-        coords = (r[:, None] * np.cos(phi), r[:, None] * np.sin(phi))
-    else:
-        mu = axes["mu_nodes"]
-        rs = r[:, None] * np.sqrt(1.0 - mu**2)
-        coords = (rs[:, :, None] * np.cos(phi), rs[:, :, None] * np.sin(phi),
-                  np.broadcast_to((r[:, None] * mu)[:, :, None],
-                                  rs.shape + phi.shape))
-    return np.stack([c.ravel() for c in coords], axis=-1)
+def _space_points(axes: dict) -> np.ndarray:
+    """(nodes, 2 or 3) coordinates of the spatial nodes, r x directions in
+    the (r, [mu], phi) order of :func:`_spatial_quadrature`."""
+    d = axes["directions"]
+    return (axes["r_nodes"][:, None, None] * d).reshape(-1, d.shape[1])
 
 
 def build_grid(dim: Dimension, cfg: PhysicalConfig,
                resolution: tuple) -> SpaceTimeGrid:
     """Gauss-Legendre grid over the observation region and time window.
 
-    ``resolution`` is (n_radial, n_angular, n_time); the spatial nodes
-    are those of :func:`ball_grid` and the n_time time nodes are
+    ``resolution`` is (n_radial, n_angular, n_time). The spatial axes
+    and ``space_points`` are those of :func:`ball_grid`, whose builder
+    checks R and the spatial counts; the n_time time nodes are
     Gauss-Legendre points over [0, T].
     """
     n_r, n_ang, n_t = resolution
-    if min(n_r, n_ang, n_t) < 1:
-        raise GridError("all resolution counts must be >= 1")
-    if cfg.R <= 0 or cfg.T <= 0:
-        raise GridError("grids need R > 0 and T > 0")
-    ws, axes = _spatial_quadrature(dim, cfg.R, n_r, n_ang)
+    if n_t < 1 or cfg.T <= 0:
+        raise GridError("grids need n_time >= 1 and T > 0")
+    axes = _spatial_quadrature(dim, cfg.R, n_r, n_ang)
     xt, wxt = _gauss_legendre(n_t)
     axes.update(t_nodes=cfg.T * (xt + 1.0) / 2.0, t_weights=wxt * cfg.T / 2.0,
-                space_points=_ball_points(dim, axes), space_weights=ws)
+                space_points=_space_points(axes))
     return SpaceTimeGrid(dim, tuple(resolution), axes)
 
 
@@ -239,12 +231,22 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
 
 
 def diagonal_normalize(g: np.ndarray) -> np.ndarray:
-    """Scale a Gram matrix to unit diagonal (scale-free independence test)."""
+    """Scale a Gram matrix to unit diagonal (scale-free independence test).
+
+    Raises :class:`ConfigError` unless the diagonal d is positive and every
+    1/sqrt(d_p d_q) is finite, which fails when the quadrature weights of
+    the region leave the float range.
+    """
     d = np.real(np.diag(g))
-    if np.any(d <= 0):
-        raise ValueError("Gram diagonal must be positive")
-    s = 1.0 / np.sqrt(d)
-    return g * np.outer(s, s)
+    if np.all(d > 0):
+        s = 1.0 / np.sqrt(d)
+        with np.errstate(over="ignore"):
+            scale = np.outer(s, s)
+        if np.all(np.isfinite(scale)):
+            return g * scale
+    raise ConfigError(f"Gram diagonal cannot be normalized (least entry "
+                      f"{d.min():.3g}); the quadrature weights may leave "
+                      "the float range")
 
 
 #: complex entries of an ensemble block's temporaries (2 MB)
@@ -349,14 +351,18 @@ def eigen_spectrum(matrix: np.ndarray,
                    policy: RankPolicy = RankPolicy()) -> SpectrumReport:
     """Descending eigenvalues and rank readouts of a Hermitian matrix.
 
-    Rejects matrices whose Hermitian defect exceeds 1e-10 relative to
-    the largest entry; verifies the eigendecomposition reconstructs the
-    input to 1e-8 relative in Frobenius norm.
+    Rejects matrices with a non-finite entry (:class:`ConfigError`) or
+    whose Hermitian defect exceeds 1e-10 relative to the largest entry;
+    verifies the eigendecomposition reconstructs the input to 1e-8
+    relative in Frobenius norm.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    scale = max(1.0, float(np.max(np.abs(m))))
+    peak = float(np.max(np.abs(m)))
+    if not math.isfinite(peak):
+        raise ConfigError("matrix has entries beyond the float range")
+    scale = max(1.0, peak)
     if float(np.max(np.abs(m - m.conj().T))) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within 1e-10")
     evals, evecs = np.linalg.eigh(m)
@@ -371,12 +377,9 @@ def eigen_spectrum(matrix: np.ndarray,
                           epsilon=policy.epsilon, eta=policy.eta)
 
 
-def effective_rank(spectrum, policy: RankPolicy = RankPolicy()) -> tuple[int, int]:
-    """(threshold rank, energy rank) of a descending eigenvalue sequence.
-
-    Accepts a :class:`SpectrumReport` or a raw eigenvalue array.
-    """
-    evals = np.asarray(getattr(spectrum, "eigenvalues", spectrum), dtype=float)
+def effective_rank(evals, policy: RankPolicy = RankPolicy()) -> tuple[int, int]:
+    """(threshold rank, energy rank) of a descending eigenvalue array."""
+    evals = np.asarray(evals, dtype=float)
     if evals.size == 0:
         raise ValueError("empty spectrum")
     lam_max = evals[0]
@@ -396,8 +399,8 @@ def ball_grid(dim: Dimension, radius: float,
 
     Returns (points, weights); ``resolution`` is (n_radial, n_angular).
     """
-    w, axes = _spatial_quadrature(dim, radius, *resolution)
-    return _ball_points(dim, axes), w
+    axes = _spatial_quadrature(dim, radius, *resolution)
+    return _space_points(axes), axes["space_weights"]
 
 
 def truncation_error(wv, radius: float, N: int,
@@ -405,8 +408,8 @@ def truncation_error(wv, radius: float, N: int,
     """Ball-averaged relative L2 error of the degree-N harmonic partial sum
     against the plane-wave spatial factor exp(j k . r).
 
-    The quadrature of :func:`ball_grid` is radial nodes x directions, the
-    directions being its node coordinates at unit radius, and the partial
+    The quadrature of :func:`ball_grid` is radial nodes x its unit
+    ``directions``, and the partial
     sum is one radial table on the nodes times one angular table on the
     directions (:func:`~wavedof.modes.jacobi_anger_tables`), as is
     k . x = k outer(r, directions . k_hat). The error is summed in real
@@ -415,9 +418,8 @@ def truncation_error(wv, radius: float, N: int,
     and the exact factor's from :func:`~wavedof.specfun.cos_sin`, so no
     complex (radii x directions) array is formed.
     """
-    w, axes = _spatial_quadrature(wv.dim, radius, *resolution)
-    r = axes["r_nodes"]
-    directions = _ball_points(wv.dim, {**axes, "r_nodes": np.ones(1)})
+    axes = _spatial_quadrature(wv.dim, radius, *resolution)
+    r, directions, w = axes["r_nodes"], axes["directions"], axes["space_weights"]
     radial, angular = jacobi_anger_tables(wv, r, directions, N)
     part = np.concatenate([radial.real, radial.imag]) @ angular
     c, s = cos_sin(wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))

@@ -118,22 +118,28 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     scanned against their guards. Cylindrical columns
     are normalized through J_0(x) + 2 sum_k J_{2k}(x) = 1, which fixes
     both scale and sign; spherical columns are anchored on the closed
-    form of j_0 or j_1, whichever is farther from a zero. Columns at
-    x = 0 are exact.
+    form of j_0 or j_1, whichever is farther from a zero. Columns whose
+    first step (2m+s)/x overflows, at x = 0 and below about 1e-307, take
+    the series limit, which is exact there.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if n_max < 0:
         raise ValueError(f"order must be >= 0, got {n_max}")
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise ValueError("arguments must be finite and >= 0")
-    out = np.zeros((n_max + 1, x.size))
-    out[0, x == 0] = 1.0
-    pos = x > 0
-    if not pos.any():
-        return out
-    xs = x[pos]
-    m = _miller_start(n_max, float(xs.max()))
+    m = _miller_start(n_max, float(x.max(initial=0.0)))
     m += m % 2
+    # Where the first step (2m+s)/x overflows, at x = 0 and below about
+    # 1e-307, the power series rounds to 1 at order 0, x/2 (x/3
+    # spherical) at order 1 and 0 above.
+    with np.errstate(divide="ignore", over="ignore"):
+        rec = np.isfinite((2 * m + spherical) / x)  # recurrence columns
+    out = np.zeros((n_max + 1, x.size))
+    out[0, ~rec] = 1.0
+    out[1:2, ~rec] = x[~rec] / (2.0 + spherical)
+    if not rec.any():
+        return out
+    xs = x[rec]
     # Rows 0..n_max are the table; orders above n_max rotate through the
     # three scratch rows after it, so each step writes one row in place.
     work = np.empty((n_max + 4, xs.size))
@@ -178,7 +184,7 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
         scale = np.where(np.abs(j0) >= np.abs(j1), j0 / jc, j1 / jp)
     else:
         scale = 1.0 / (2.0 * total + jc)
-    out[:, pos] = work[:n_max + 1] * scale
+    out[:, rec] = work[:n_max + 1] * scale
     return out
 
 

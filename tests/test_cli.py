@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -514,14 +515,12 @@ def test_verify_two_sided_gram(tmp_path):
 
 def test_verify_policy_flag(tmp_path):
     out = tmp_path / "v.json"
-    rc = main(["verify", *NARROW_FLAGS, "--seed", "4", "--policy", "1e-6:0.9",
-               "-o", str(out)])
+    rc = main(["verify", *NARROW_FLAGS, "--seed", "4", "--epsilon", "1e-6",
+               "--eta", "0.9", "-o", str(out)])
     assert rc == EXIT_OK
     doc = json.loads(out.read_text())
     assert doc["metadata"]["policy"] == {"epsilon": 1e-6, "eta": 0.9}
-    rc = main(["verify", *NARROW_FLAGS, "--policy", "nonsense",
-               "-o", str(out)])
-    assert rc == EXIT_CONFIG
+    assert (doc["gram"]["epsilon"], doc["gram"]["eta"]) == (1e-6, 0.9)
 
 
 def test_verify_spectrum_csv_export(tmp_path):
@@ -532,26 +531,38 @@ def test_verify_spectrum_csv_export(tmp_path):
                "--gram-spectrum-csv", str(gcsv),
                "--ensemble-spectrum-csv", str(ecsv)])
     assert rc == EXIT_OK
-    for path in (gcsv, ecsv):
+    doc = json.loads(out.read_text())
+    for kind, path in (("gram", gcsv), ("ensemble", ecsv)):
         lines = [ln for ln in path.read_text().splitlines()
                  if not ln.startswith("#")]
         assert lines[0] == "index,eigenvalue,cumulative_fraction"
+        assert [float(ln.split(",")[1]) for ln in lines[1:]] == doc[kind]["eigenvalues"]
         fractions = [float(ln.split(",")[2]) for ln in lines[1:]]
         assert fractions == sorted(fractions)
         assert fractions[-1] == pytest.approx(1.0, abs=1e-9)
 
 
+# Same kR and T as R = 1e-100, c = 1e-95, which gives gram ranks 2 (2D)
+# and 4 (3D), but the quadrature weights R^d underflow.
+TINY = ["--W", "0", "--T", "1", "--fields", "2", "--waves", "2",
+        "--resolution", "4,8,60"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [
     ["--fields", "0"], ["--waves", "0"], ["--seed", "-1"],
     ["--resolution", "0,24,21"], ["--resolution", "a,b,c"],
-    ["--epsilon", "2"], ["--policy", "0.5:2"], ["--R", "0"],
-], ids=lambda bad: " ".join(bad))
+    ["--epsilon", "2"], ["--eta", "2"], ["--R", "0"],
+    ["--R", "1e-153", "--c", "1e-148", *TINY],
+    ["--R", "1e-150", "--c", "1e-145", "--dim", "3d", *TINY],
+], ids=lambda bad: " ".join(bad[:4]))
 def test_verify_rejects_bad_arguments(bad, tmp_path, capsys):
     rc = main(["verify", *NARROW_FLAGS, *bad, "-o", str(tmp_path / "v.json")])
     err = capsys.readouterr().err
     assert rc == EXIT_CONFIG
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "v.json").exists()
 
 
 @pytest.mark.parametrize("flags, what", [
@@ -582,3 +593,25 @@ def test_verify_over_cap_exits_before_allocating(flags, what, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert peak < 1 << 20
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_subnormal_bessel_arguments(tmp_path):
+    # kR = 2 pi 10 1e-15 / 1e300 is subnormal: the Bessel tables take the
+    # series limit there.
+    out = tmp_path / "v.json"
+    rc = main(["verify", "--R", "1e-15", "--W", "1", "--T", "1", "--F0", "10",
+               "--c", "1e300", "--dim", "2d", "--fields", "2", "--waves", "2",
+               "--resolution", "8,24,60", "-o", str(out)])
+    assert rc == EXIT_OK
+    doc = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert (doc["gram"]["rank_threshold"], doc["gram"]["rank_energy"]) == (3, 3)
+
+
+def test_readme_flags_are_cli_options():
+    subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+    options = {opt for sub in subparsers.values() for opt in sub._option_string_actions}
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
+    assert flags - options - {"--no-build-isolation"} == set()  # a pip flag

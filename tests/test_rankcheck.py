@@ -13,6 +13,7 @@ from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
                      gram_of_modes, synthesize_field, truncation_degree,
                      truncation_error)
 from wavedof import cli, rankcheck
+from wavedof.bounds import ConfigError
 from wavedof.modes import ModeIndex, field_values, mode_matrix, project_field
 from wavedof.rankcheck import GridError, ball_grid
 
@@ -137,7 +138,22 @@ def test_axes_only_memory_at_365_modes():
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize("dim, resolution", [
+    (TWO_D, (8, 24, 3)), (TWO_D, (3, 7, 2)), (THREE_D, (5, 9, 3)),
+])
+def test_space_points_are_radii_times_directions(dim, resolution):
+    g = build_grid(dim, HALF_CAL_3D, resolution)
+    r, d = g.axes["r_nodes"], g.axes["directions"]
+    n_phi = len(g.axes["phi_nodes"])
+    assert d.shape == (n_phi * (resolution[1] if dim is THREE_D else 1),
+                       2 if dim is TWO_D else 3)
+    assert np.max(np.abs(np.linalg.norm(d, axis=1) - 1.0)) <= 1e-15
+    want = np.concatenate([ri * d for ri in r])
+    assert g.axes["space_points"].tobytes() == want.tobytes()
+
+
 def test_grid_rejects_zero_measure():
+    assert issubclass(GridError, ConfigError) and issubclass(GridError, ValueError)
     with pytest.raises(GridError):
         build_grid(TWO_D, PhysicalConfig(R=0.0, W=0, T=1, f0=1, c=1), (2, 2, 2))
     with pytest.raises(GridError):
@@ -261,9 +277,13 @@ def test_gram_normalized_is_well_conditioned_at_calibration():
     assert spec.rank_energy == len(modes)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_diagonal_normalize_rejects_nonpositive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         diagonal_normalize(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # 1/sqrt(1e-320) = 1e160 is finite; the scale entry 1e320 is not.
+    with pytest.raises(ConfigError):
+        diagonal_normalize(np.diag([1.0, 1e-320]))
 
 
 def test_ensemble_covariance_rank_one():
@@ -333,6 +353,10 @@ def test_eigen_spectrum_rejects_non_hermitian():
         eigen_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         eigen_spectrum(np.zeros((2, 3)))
+    # NaN passes the Hermitian defect test, whose comparison is then False.
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            eigen_spectrum(np.array([[1.0, bad], [bad, 1.0]]))
 
 
 def test_eigen_spectrum_reconstruction_contract():

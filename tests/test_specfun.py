@@ -11,8 +11,8 @@ from numpy.polynomial.legendre import leggauss
 
 from wavedof import (Angle, assoc_legendre, bessel_J, legendre_p,
                      norm_assoc_legendre, sph_harm, spherical_bessel_j)
-from wavedof.specfun import (bessel_table, cis, cos_sin, legendre_table,
-                             norm_assoc_legendre_table)
+from wavedof.specfun import (_miller_start, bessel_table, cis, cos_sin,
+                             legendre_table, norm_assoc_legendre_table)
 
 from oracles import (bessel_column_reference, cyl_bessel_series, ferrers_reference,
                      miller_table_reference, rodrigues_assoc_legendre,
@@ -145,23 +145,39 @@ def test_bessel_table_pinned_to_mpmath_over_range():
 @pytest.mark.parametrize("spherical", [False, True])
 def test_bessel_table_bit_identical_to_literal_recurrence(spherical):
     """The in-place recurrence with its running guard bound gives exactly
-    the values of the literal loop, NaN where that loop gives NaN (x
-    below about 1e-307). The column sets make the per-column rescale fire above
-    n_max only ([1e-8, 3] at n_max 5), at every order down to 0 (1e-300
-    and subnormals next to 500), and both ways among random columns."""
+    the values of the literal loop wherever its first step (2m+s)/x is
+    finite. Where that step overflows (x below about 1e-307) the literal
+    loop gives NaN, and the table takes the series limit: 1 at order 0,
+    x/2 (x/3 spherical) at order 1, 0 above. The column sets make the
+    per-column rescale fire above n_max only ([1e-8, 3] at n_max 5), at
+    every order down to 0 (1e-300 and subnormals next to 500), and both
+    ways among random columns."""
     rng = np.random.default_rng(31)
     cases = [(0, 2.5),                                    # a single float
              (14, [0.0, 1.0, 0.0, 37.0]),                 # x = 0 columns
              (5, [1e-8, 3.0]),
              (60, [1e-300, 500.0]),
              (55, [5e-324, 1e-310, 1e-300, 500.0, 0.0]),
+             (3, [2.3e-308, 5e-324]),                     # series columns only
              (200, rng.uniform(0, 500, 24)),
              (1, rng.uniform(0, 40, 24) * rng.uniform(0, 1, 24) ** 8)]
-    with np.errstate(all="ignore"):
-        for n_max, x in cases:
+    n_series = 0
+    for n_max, x in cases:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             got = bessel_table(n_max, x, spherical=spherical)
+        with np.errstate(all="ignore"):
             want = miller_table_reference(n_max, x, spherical)
-            assert np.array_equal(got, want, equal_nan=True), (n_max, x)
+            m = _miller_start(n_max, float(x.max()))
+            series = (x > 0) & np.isinf((2 * (m + m % 2) + spherical) / x)
+        assert np.array_equal(got[:, ~series], want[:, ~series]), (n_max, x)
+        limit = np.zeros((n_max + 1, series.sum()))
+        limit[0] = 1.0
+        limit[1:2] = x[series] / (3.0 if spherical else 2.0)
+        assert np.array_equal(got[:, series], limit), (n_max, x)
+        n_series += series.sum()
+    assert n_series == 4
 
 
 def test_bessel_rejects_bad_domain():
