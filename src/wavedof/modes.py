@@ -393,12 +393,17 @@ def weighted_gram(factors: dict, axes: dict) -> np.ndarray:
     ``factors`` is :func:`mode_factors` output and ``axes`` the grid's
     axes. Modes, points and weights are all products over the axes, so
     the sum factors: G is the elementwise product of one weighted Gram
-    per axis, and no (points x modes) matrix is formed.
+    per axis, and no (points x modes) matrix is formed. Raises
+    :class:`ConfigError` when an entry leaves the float range.
     """
     m = factors["t"].shape[1]
     g = np.ones((m, m), dtype=complex)
-    for axis, f in factors.items():
-        g *= (f * axes[f"{axis}_weights"][:, None]).T @ f.conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis, f in factors.items():
+            g *= (f * axes[f"{axis}_weights"][:, None]).T @ f.conj()
+    if not np.all(np.isfinite(g)):
+        raise ConfigError("Gram entries leave the float range; the quadrature "
+                          "weights of the region are too large")
     return g
 
 

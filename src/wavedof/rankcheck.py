@@ -18,8 +18,19 @@ cos and sin pair per (antipodal node pair, wave) and never forms the two
 fields. In 2D with an odd azimuth count it takes cos + i sin per (node,
 wave). The time factors of all fields are one (fields x waves x time
 nodes) array, its phases turned into cos + i sin in place and the square
-roots of the time weights folded in; the spatial weights scale the rows
-of each block's product. Every pair comes from
+roots of the time weights folded in. It is then carried in the band's
+time basis: L orthonormal columns Q spanning sqrt(w_t) e^{2 pi i f t}
+for every f between the fields' lowest and highest frequency, the right
+singular vectors above s_0 n_t eps of those functions sampled at
+m = 2 n_t + 16 Chebyshev frequencies. Over a window T a band of width
+2W needs only about 2WT + O(log 1/eps) such functions (5 of 21 time
+nodes at NARROW, 16 of 52 at the 3D benchmark point), while the time
+grid follows the carrier. Each weighted field row y lies in span(Q) up
+to rounding, and with P = I - Q Q^H,
+Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, so the dual moves by about
+(n_t eps)^2 of its trace. When the time nodes cannot be compressed, Q
+has all n_t columns and is a unitary rotation. The spatial weights
+scale the rows of each block's product. Every pair comes from
 :func:`~wavedof.specfun.cos_sin`. The field Gram is summed block by
 block, each block's temporaries within ``_BLOCK_ENTRIES`` complex
 entries (2 MB). The harmonic truncation error uses the same structure
@@ -139,30 +150,36 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     axes: each axis's nodes and weights, the unit vectors ``directions``
     (angular nodes, 2 or 3) of the angular nodes in ([mu], phi) order,
     phi fastest, and ``space_weights`` in (r, [mu], phi) order. The
-    spatial nodes are r x directions (:func:`_space_points`).
+    spatial nodes are r x directions (:func:`_space_points`). Raises
+    :class:`ConfigError` when a weight leaves the float range.
     """
     if min(n_r, n_ang) < 1:
         raise GridError("resolution counts must be >= 1")
     if radius <= 0:
         raise GridError("radius must be > 0")
     xr, wxr = _gauss_legendre(n_r)
-    r = radius * (xr + 1.0) / 2.0
-    wr = wxr * radius / 2.0 * r
-    if dim is Dimension.THREE_D:
-        wr = wr * r
     n_phi = n_ang if dim is Dimension.TWO_D else 2 * n_ang
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wphi = np.full(n_phi, 2.0 * math.pi / n_phi)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = radius * (xr + 1.0) / 2.0
+        wr = wxr * radius / 2.0 * r
+        if dim is Dimension.TWO_D:
+            w = wr[:, None] * wphi[None, :]
+        else:
+            mu, wmu = _gauss_legendre(n_ang)
+            wr = wr * r
+            w = wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]
+    if not np.all(np.isfinite(w)):
+        raise ConfigError(f"quadrature weights of a region of radius {radius:.3g} "
+                          "leave the float range")
     axes = {"r_nodes": r, "r_weights": wr}
     if dim is Dimension.TWO_D:
         directions = (np.cos(phi), np.sin(phi))
-        w = wr[:, None] * wphi[None, :]
     else:
-        mu, wmu = _gauss_legendre(n_ang)
         axes.update(mu_nodes=mu, mu_weights=wmu)
         rho = np.sqrt(1.0 - mu**2)[:, None]
         directions = (rho * np.cos(phi), rho * np.sin(phi), np.repeat(mu, n_phi))
-        w = wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]
     axes.update(phi_nodes=phi, phi_weights=wphi, space_weights=w.ravel(),
                 directions=np.stack([c.ravel() for c in directions], axis=-1))
     return axes
@@ -269,28 +286,75 @@ def _antipodes(grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray] | None:
     return idx[..., :n_phi // 2].ravel(), idx[:, ::-1, n_phi // 2:].ravel()
 
 
+def _band_time_basis(fields: Sequence[PlaneWaveSet],
+                     grid: SpaceTimeGrid) -> np.ndarray:
+    """(time nodes, L) orthonormal columns Q whose span holds every weighted
+    time function sqrt(w_t) e^{2 pi i f t} with f in [f_lo, f_hi], the
+    fields' lowest and highest frequency, up to rounding.
+
+    The functions are sampled at m = 2 n_t + 16 Chebyshev points of
+    [f_lo, f_hi], and Q keeps the right singular vectors of that
+    (m x n_t) matrix whose singular values exceed s_0 n_t eps. As a
+    function of f, e^{2 pi i f t} on [f_lo, f_hi] has the Chebyshev
+    coefficients J_k(pi (f_hi - f_lo) t), which fall off
+    super-exponentially past k = pi (f_hi - f_lo) T <= 2 pi W T, so the
+    degree-(m - 1) interpolant through the samples matches every f in the
+    band to rounding, and the span of the samples holds the band's
+    functions. At the Gram minimum n_t >= 4(F0 + W)T + 8 (see
+    :func:`check_gram_resolution`), m >= 8WT + 32 is well past that
+    degree. On coarser time grids the sampled matrix has full or nearly
+    full rank n_t, and at full rank Q is a unitary rotation. Raises
+    :class:`ConfigError` when a sampled phase leaves the float range.
+    """
+    t = grid.axes["t_nodes"]
+    freqs = np.concatenate([pws.frequencies for pws in fields])
+    lo, hi = float(freqs.min()), float(freqs.max())
+    m = 2 * len(t) + 16
+    f = lo + (hi - lo) * (1.0 + np.cos(math.pi * (np.arange(m) + 0.5) / m)) / 2.0
+    samples = np.empty((m, len(t)), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply.outer(2.0 * math.pi * f, t, out=samples.real)
+    if not np.all(np.isfinite(samples.real)):
+        raise ConfigError("time phases of the ensemble leave the float range")
+    cos_sin(samples.real, out=(samples.real, samples.imag))
+    samples *= np.sqrt(grid.axes["t_weights"])
+    _, s, vh = np.linalg.svd(samples, full_matrices=False)
+    return vh[s > s[0] * len(t) * np.finfo(float).eps].conj().T
+
+
 def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     """Yield blocks Y of columns whose Y Y^H sum to Xw Xw^H, the ensemble's
-    field-Gram dual, where Xw has the rows sqrt(w_s) x_f(s).
+    field-Gram dual, where Xw has the rows sqrt(w_s) x_f(s), up to terms
+    second order in rounding.
 
     A plane wave is a space factor times a time factor, and the weight
     w_s = w_x w_t is one too, so over a run of spatial nodes a field is
     (nodes x waves) (waves x time nodes), with the amplitudes and
-    sqrt(w_t) folded into the time factor Tm once. With p = cos(k.x) Tm
-    and q = sin(k.x) Tm, the field is p + i q at x and p - i q at -x, and
+    sqrt(w_t) folded into the time factor Tm once. Each row y of Tm lies
+    in the span of the band's time basis Q (:func:`_band_time_basis`:
+    the functions sampled at m = 2 n_t + 16 Chebyshev frequencies,
+    L <= n_t columns), so Tm is carried as its coordinates Tm Q and the
+    full factor is dropped. With P = I - Q Q^H,
+    Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, and Y P is at the rounding
+    floor, about n_t eps of Y, so the dual moves by about (n_t eps)^2 of
+    its trace. With p = cos(k.x) Tm Q and
+    q = sin(k.x) Tm Q, the field is p + i q at x and p - i q at -x, and
     the pair adds 2 (p p^H + q q^H) to the dual. So on a grid with
     antipodes (see :func:`_antipodes`) a block is sqrt(2 w_x) [p, q] over
     one node of each pair; otherwise it is sqrt(w_x) (p + i q) over every
     node. Both take one :func:`~wavedof.specfun.cos_sin` per (node, wave)
     and one real matrix product, whose rows are then scaled by the
-    spatial factor, and a block's temporaries stay within
+    spatial factor. A block of n nodes holds 2 n x fields x waves reals
+    of phases and 2 n x fields x L complex products, together within
     ``_BLOCK_ENTRIES`` complex entries.
     """
     space, t = grid.axes["space_points"], grid.axes["t_nodes"]
+    basis = _band_time_basis(fields, grid)
     pairs = _antipodes(grid)
     nodes = np.arange(len(space)) if pairs is None else pairs[0]
     sw = np.sqrt((1.0 if pairs is None else 2.0) * grid.axes["space_weights"][nodes])
     n_f, n_w = len(fields), max(len(pws) for pws in fields)
+    n_b = basis.shape[1]
     # Every field's waves, zero-padded to n_w; padded waves have amplitude 0.
     dirs = np.zeros((n_f, space.shape[1], n_w))
     k = np.zeros((n_f, 1, n_w))
@@ -302,16 +366,18 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
         k[f, 0, :n] = 2.0 * math.pi * pws.frequencies / pws.c
         omega[f, :n, 0] = 2.0 * math.pi * pws.frequencies
         amps[f, :n, 0] = pws.amplitudes
-    # The time factor of every field at once, its phase taken in place.
+    # The time factor of every field at once, its phase taken in place,
+    # then carried in the band's basis; the full factor is dropped there.
     in_time = np.empty((n_f, n_w, len(t)), dtype=complex)
     np.multiply(omega, t, out=in_time.real)
     cos_sin(in_time.real, out=(in_time.real, in_time.imag))
-    in_time *= amps
     in_time *= np.sqrt(grid.axes["t_weights"])
+    in_time = (in_time.reshape(-1, len(t)) @ basis).reshape(n_f, n_w, n_b)
+    in_time *= amps
     # Real and imaginary parts interleaved: a real product with it, viewed
     # as complex, is the product with in_time.
     in_time = in_time.view(float)
-    step = max(1, _BLOCK_ENTRIES // (2 * n_f * max(n_w, len(t))))
+    step = max(1, _BLOCK_ENTRIES // (2 * n_f * (n_w + n_b)))
     cs_buf = np.empty((n_f, 2 * step, n_w))
     for lo in range(0, len(nodes), step):
         run = nodes[lo:lo + step]
@@ -351,10 +417,12 @@ def eigen_spectrum(matrix: np.ndarray,
                    policy: RankPolicy = RankPolicy()) -> SpectrumReport:
     """Descending eigenvalues and rank readouts of a Hermitian matrix.
 
-    Rejects matrices with a non-finite entry (:class:`ConfigError`) or
-    whose Hermitian defect exceeds 1e-10 relative to the largest entry;
-    verifies the eigendecomposition reconstructs the input to 1e-8
-    relative in Frobenius norm.
+    Rejects matrices with a non-finite entry or eigenvalue
+    (:class:`ConfigError`) or whose Hermitian defect exceeds 1e-10
+    times the largest entry or 1, whichever is larger; verifies the
+    eigendecomposition reconstructs the input to 1e-8 relative in
+    Frobenius norm. Both checks are made on the input divided by its
+    largest entry, so they hold at any finite scale.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -362,13 +430,18 @@ def eigen_spectrum(matrix: np.ndarray,
     peak = float(np.max(np.abs(m)))
     if not math.isfinite(peak):
         raise ConfigError("matrix has entries beyond the float range")
-    scale = max(1.0, peak)
-    if float(np.max(np.abs(m - m.conj().T))) > 1e-10 * scale:
+    # Both checks run on m / peak, whose entries are at most 1 in modulus,
+    # so no difference or norm can overflow.
+    scale = peak or 1.0
+    unit = m / scale
+    if float(np.max(np.abs(unit - unit.conj().T))) > 1e-10 * max(1.0, peak) / scale:
         raise ValueError("matrix is not Hermitian within 1e-10")
     evals, evecs = np.linalg.eigh(m)
-    recon = (evecs * evals) @ evecs.conj().T
-    mnorm = float(np.linalg.norm(m))
-    if mnorm > 0 and float(np.linalg.norm(m - recon)) > 1e-8 * mnorm:
+    if not np.all(np.isfinite(evals)):
+        raise ConfigError("eigenvalues beyond the float range")
+    recon = (evecs * (evals / scale)) @ evecs.conj().T
+    unorm = float(np.linalg.norm(unit))
+    if unorm > 0 and float(np.linalg.norm(unit - recon)) > 1e-8 * unorm:
         raise RuntimeError("eigendecomposition failed to reconstruct input")
     evals = evals[::-1].copy()
     rank_t, rank_e = effective_rank(evals, policy)

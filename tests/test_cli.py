@@ -270,6 +270,10 @@ COUNT = st.sampled_from(["1", "2", "5", "12"])
 BAD_COUNT = st.sampled_from(["0", "-3", "abc", "1,2"])
 # A valid config whose Gram needs only n_angular >= 3 and n_time >= 14.
 VERIFY_CONFIG = ["--R", "0.1", "--W", "0.5", "--T", "1", "--F0", "1", "--c", "1"]
+# A small single-frequency verify run, for radii near either end of the
+# float range.
+EXTREME = ["--W", "0", "--T", "1", "--fields", "2", "--waves", "2",
+           "--resolution", "4,8,60"]
 
 
 @st.composite
@@ -318,6 +322,18 @@ def cli_argv(draw):
 @example(argv=["verify", "--R", "1", "--W", "1", "--T", "1", "--F0", "10",
                "--c", "1", "--dim", "3d", "--resolution", "200,200,200",
                "--fields", "2", "--waves", "2"], svg=False)
+# Huge radii: quadrature weights, Gram entries or the ensemble's norms
+# near the top of the float range.
+@example(argv=["verify", "--R", "1e154", "--c", "1e159", "--dim", "2d", "--F0", "10",
+               *EXTREME], svg=False)
+@example(argv=["verify", "--R", "1e150", "--c", "1e155", "--dim", "3d", "--F0", "10",
+               *EXTREME], svg=False)
+@example(argv=["verify", "--R", "1e153", "--c", "1e158", "--dim", "2d", "--F0", "10",
+               *EXTREME], svg=False)
+# One frequency: the ensemble's time basis has one column.
+@example(argv=["verify", "--R", "0.1", "--W", "0", "--T", "0.3", "--F0", "10",
+               "--c", "1", "--dim", "2d", "--resolution", "8,24,21",
+               "--fields", "8", "--waves", "8"], svg=False)
 def test_cli_fuzz_exits_cleanly(argv, svg):
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
@@ -542,19 +558,18 @@ def test_verify_spectrum_csv_export(tmp_path):
         assert fractions[-1] == pytest.approx(1.0, abs=1e-9)
 
 
-# Same kR and T as R = 1e-100, c = 1e-95, which gives gram ranks 2 (2D)
-# and 4 (3D), but the quadrature weights R^d underflow.
-TINY = ["--W", "0", "--T", "1", "--fields", "2", "--waves", "2",
-        "--resolution", "4,8,60"]
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [
     ["--fields", "0"], ["--waves", "0"], ["--seed", "-1"],
     ["--resolution", "0,24,21"], ["--resolution", "a,b,c"],
     ["--epsilon", "2"], ["--eta", "2"], ["--R", "0"],
-    ["--R", "1e-153", "--c", "1e-148", *TINY],
-    ["--R", "1e-150", "--c", "1e-145", "--dim", "3d", *TINY],
+    # Same kR and T as R = 1e-100, c = 1e-95, which gives gram ranks 2
+    # (2D) and 4 (3D), but the quadrature weights R^d underflow.
+    ["--R", "1e-153", "--c", "1e-148", *EXTREME],
+    ["--R", "1e-150", "--c", "1e-145", "--dim", "3d", *EXTREME],
+    # Gram entries (2D) and quadrature weights (3D) beyond the float range.
+    ["--R", "1e154", "--c", "1e159", *EXTREME],
+    ["--R", "1e150", "--c", "1e155", "--dim", "3d", *EXTREME],
 ], ids=lambda bad: " ".join(bad[:4]))
 def test_verify_rejects_bad_arguments(bad, tmp_path, capsys):
     rc = main(["verify", *NARROW_FLAGS, *bad, "-o", str(tmp_path / "v.json")])
@@ -563,6 +578,18 @@ def test_verify_rejects_bad_arguments(bad, tmp_path, capsys):
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "v.json").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_near_float_range(tmp_path):
+    # The ensemble trace is 7.4e306, so the Frobenius norms of the dual
+    # overflow; its reconstruction check is made on the dual over its
+    # largest entry.
+    out = tmp_path / "v.json"
+    assert main(["verify", *NARROW_FLAGS, "--R", "1e153", "--c", "1e158", *EXTREME,
+                 "-o", str(out)]) == EXIT_OK
+    ens = json.loads(out.read_text())["ensemble"]
+    assert 1e306 < ens["trace"] < 1e308
 
 
 @pytest.mark.parametrize("flags, what", [
