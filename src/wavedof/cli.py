@@ -11,7 +11,7 @@ figure   canned sweeps (fig3 | fig4 | fig5) reproducing the survey plots
 Exit codes: 0 success; 2 configuration error (violated invariant, malformed
 number, axis or config file, overflowing count, quadrature weights beyond
 the float range, unopenable file); 3 mode cap exceeded (also by the
-frequency bins alone); 4 grid resolution below minimum.
+frequency bins alone, or by a sweep's cells); 4 grid resolution below minimum.
 
 File formats: CSV is UTF-8 with LF line endings, ``# key = value``
 metadata lines, then a header row; numbers carry 12 significant digits
@@ -237,6 +237,9 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     a2 = _parse_axis(args.axis2)
     if a1.name == a2.name:
         raise ConfigError("axis parameters must be distinct")
+    if a1.count * a2.count > DEFAULT_MODE_CAP:
+        raise ModeCapError(f"{a1.count * a2.count} sweep cells exceed the cap "
+                           f"of {DEFAULT_MODE_CAP}")
     fixed = {}
     for item in args.fixed or []:
         if "=" not in item:
@@ -483,18 +486,11 @@ def _parse_resolution(text: str) -> tuple:
     return resolution
 
 
-def _policy_from_args(args) -> RankPolicy:
-    try:
-        return RankPolicy(epsilon=args.epsilon, eta=args.eta)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def cmd_verify(args) -> int:
     cfg, seed = _config_from_args(args)
     dim = _dim_from_args(args)
     resolution = _parse_resolution(args.resolution)
-    policy = _policy_from_args(args)
+    policy = RankPolicy(epsilon=args.epsilon, eta=args.eta)
     for name, value, least in (("--fields", args.fields, 1),
                                ("--waves", args.waves, 1), ("--seed", seed, 0)):
         if value < least:
@@ -549,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--dim", choices=("2d", "3d"), default="3d")
     pm.add_argument("--two-sided", action="store_true",
                     help="2D only: use orders -N..N instead of 0..N")
-    pm.add_argument("--cap", type=int, default=10_000_000)
+    pm.add_argument("--cap", type=int, default=DEFAULT_MODE_CAP)
     pm.add_argument("-o", "--output", required=True)
     pm.set_defaults(func=cmd_modes)
 

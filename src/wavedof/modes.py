@@ -105,19 +105,17 @@ class WaveVector:
 
 @dataclass(frozen=True)
 class PlaneWaveSet:
-    """A reproducible superposition of plane waves.
+    """A superposition of plane waves at wave speed ``c``.
 
     ``directions`` has shape (n, 2 or 3) with unit rows, ``frequencies``
-    and ``amplitudes`` shape (n,). ``prng`` records the generator
-    algorithm so the set can be regenerated from ``seed``.
+    and ``amplitudes`` shape (n,). :func:`synthesize_field` draws one
+    from a seed, which the ``verify`` report records with its generator.
     """
 
     directions: np.ndarray
     frequencies: np.ndarray
     amplitudes: np.ndarray
     c: float
-    seed: int
-    prng: str = "numpy-pcg64"
 
     def __post_init__(self):
         if len(self.directions) == 0:
@@ -285,7 +283,7 @@ def synthesize_field(dim: Dimension, cfg: PhysicalConfig, num_waves: int,
     amps = (rng.standard_normal(num_waves)
             + 1j * rng.standard_normal(num_waves)) / math.sqrt(2.0)
     return PlaneWaveSet(directions=dirs, frequencies=freqs, amplitudes=amps,
-                        c=cfg.c, seed=seed)
+                        c=cfg.c)
 
 
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -407,8 +405,13 @@ def weighted_gram(factors: dict, axes: dict) -> np.ndarray:
     return g
 
 
+#: least eigenvalue ratio of the diagonal-normalized normal matrix that
+#: :func:`project_field` accepts
+_RCOND = 1e-10
+
+
 def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
-                  cfg: PhysicalConfig, rcond: float = 1e-10) -> CoefficientVector:
+                  cfg: PhysicalConfig) -> CoefficientVector:
     """Weighted least-squares projection of sampled field values onto modes.
 
     ``samples`` must align with ``grid`` points and there must be at
@@ -420,7 +423,7 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
     same way, so A itself is never formed. Raises
     :class:`ProjectionRankError` when a mode has no weight on the grid,
     or when the diagonal-normalized normal matrix has an eigenvalue
-    ratio lambda_min / lambda_max below ``rcond``.
+    ratio lambda_min / lambda_max below ``_RCOND`` (1e-10).
     """
     y = np.asarray(samples, dtype=complex)
     if y.shape != (len(grid),):
@@ -436,9 +439,9 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
             f"mode {modes[int(np.argmin(diag))]} has zero norm on the grid")
     s = 1.0 / np.sqrt(diag)
     lam, vec = np.linalg.eigh(normal * np.outer(s, s))
-    if lam[0] < rcond * lam[-1]:
+    if lam[0] < _RCOND * lam[-1]:
         raise ProjectionRankError(
-            f"normalized Gram eigenvalue ratio {lam[0] / lam[-1]:.1e} < {rcond:g}; "
+            f"normalized Gram eigenvalue ratio {lam[0] / lam[-1]:.1e} < {_RCOND:g}; "
             "modes dependent or grid under-resolved")
     # b = A^H W y: t by one matrix product, then each other axis in turn.
     wf = {a: factors[a].conj() * grid.axes[f"{a}_weights"][:, None] for a in axes}

@@ -64,22 +64,21 @@ class ResolutionError(RuntimeError):
     """Grid resolution below the documented minimum for the request."""
 
 
-class GridError(ConfigError):
-    """Zero-measure or malformed grid request."""
-
-
 @dataclass(frozen=True)
 class RankPolicy:
-    """Effective-rank thresholds: relative eigenvalue cut and energy fraction."""
+    """Effective-rank thresholds: relative eigenvalue cut and energy fraction.
+
+    Raises :class:`ConfigError` unless both lie in (0, 1).
+    """
 
     epsilon: float = 1e-3
     eta: float = 0.99
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
+            raise ConfigError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 < self.eta < 1.0:
-            raise ValueError(f"eta must lie in (0, 1), got {self.eta}")
+            raise ConfigError(f"eta must lie in (0, 1), got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -104,14 +103,14 @@ class SpaceTimeGrid:
     ``<axis>_nodes`` and ``<axis>_weights``, the unit ``directions`` of
     the angular nodes, the distinct positions ``space_points`` (r x
     directions) and their weights ``space_weights`` (the product of the
-    r, [mu] and phi weights), and every library path reads these.
+    r, [mu] and phi weights), and every library path reads these. The
+    axes alone say the dimension (a ``mu_nodes`` axis is 3D) and the
+    resolution (the node counts of r, mu or else phi, and t).
     The per-point arrays ``points`` (P, 2 or 3) in meters, ``times``
     (P,) in seconds and ``weights`` (P,), the full measure (volume x
     time), are built only on request and then kept.
     """
 
-    dim: Dimension
-    resolution: tuple
     axes: dict = field(repr=False)
 
     @functools.cached_property
@@ -154,9 +153,9 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     :class:`ConfigError` when a weight leaves the float range.
     """
     if min(n_r, n_ang) < 1:
-        raise GridError("resolution counts must be >= 1")
+        raise ConfigError("resolution counts must be >= 1")
     if radius <= 0:
-        raise GridError("radius must be > 0")
+        raise ConfigError("radius must be > 0")
     xr, wxr = _gauss_legendre(n_r)
     n_phi = n_ang if dim is Dimension.TWO_D else 2 * n_ang
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
@@ -197,18 +196,19 @@ def build_grid(dim: Dimension, cfg: PhysicalConfig,
     """Gauss-Legendre grid over the observation region and time window.
 
     ``resolution`` is (n_radial, n_angular, n_time). The spatial axes
-    and ``space_points`` are those of :func:`ball_grid`, whose builder
-    checks R and the spatial counts; the n_time time nodes are
-    Gauss-Legendre points over [0, T].
+    are those of :func:`_spatial_quadrature`, which checks R and the
+    spatial counts, and ``space_points`` their nodes
+    (:func:`_space_points`); the n_time time nodes are Gauss-Legendre
+    points over [0, T].
     """
     n_r, n_ang, n_t = resolution
     if n_t < 1 or cfg.T <= 0:
-        raise GridError("grids need n_time >= 1 and T > 0")
+        raise ConfigError("grids need n_time >= 1 and T > 0")
     axes = _spatial_quadrature(dim, cfg.R, n_r, n_ang)
     xt, wxt = _gauss_legendre(n_t)
     axes.update(t_nodes=cfg.T * (xt + 1.0) / 2.0, t_weights=wxt * cfg.T / 2.0,
                 space_points=_space_points(axes))
-    return SpaceTimeGrid(dim, tuple(resolution), axes)
+    return SpaceTimeGrid(axes)
 
 
 def check_gram_resolution(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
@@ -217,16 +217,18 @@ def check_gram_resolution(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
 
     Time must oversample the highest band frequency (>= 4(F0+W)T + 8
     nodes) and the angular count must exceed twice the highest degree or
-    order present.
+    order present. The grid's (n_radial, n_angular, n_time) are its
+    node counts of r, mu (3D) or phi (2D), and t.
     """
     n_t_min = 4.0 * (cfg.f0 + cfg.W) * cfg.T + 8.0
     max_deg = max((md.n if md.dim is Dimension.THREE_D else abs(md.m))
                   for md in modes)
     n_ang_min = 2 * max_deg + 1
-    _, n_ang, n_t = grid.resolution
-    if n_t < n_t_min or n_ang < n_ang_min:
+    angular = "mu" if "mu_nodes" in grid.axes else "phi"
+    counts = tuple(len(grid.axes[f"{a}_nodes"]) for a in ("r", angular, "t"))
+    if counts[2] < n_t_min or counts[1] < n_ang_min:
         raise ResolutionError(
-            f"grid resolution {grid.resolution} below minimum: "
+            f"grid resolution {counts} below minimum: "
             f"need n_time >= {math.ceil(n_t_min)} and n_angular >= {n_ang_min}")
 
 
@@ -466,25 +468,16 @@ def effective_rank(evals, policy: RankPolicy = RankPolicy()) -> tuple[int, int]:
     return rank_t, min(rank_e, evals.size)
 
 
-def ball_grid(dim: Dimension, radius: float,
-              resolution: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Spatial-only quadrature over a ball (3D) or disc (2D).
-
-    Returns (points, weights); ``resolution`` is (n_radial, n_angular).
-    """
-    axes = _spatial_quadrature(dim, radius, *resolution)
-    return _space_points(axes), axes["space_weights"]
-
-
 def truncation_error(wv, radius: float, N: int,
                      resolution: tuple = (24, 24)) -> float:
     """Ball-averaged relative L2 error of the degree-N harmonic partial sum
     against the plane-wave spatial factor exp(j k . r).
 
-    The quadrature of :func:`ball_grid` is radial nodes x its unit
-    ``directions``, and the partial
-    sum is one radial table on the nodes times one angular table on the
-    directions (:func:`~wavedof.modes.jacobi_anger_tables`), as is
+    ``resolution`` is (n_radial, n_angular). The quadrature of
+    :func:`_spatial_quadrature` is radial nodes x its unit
+    ``directions``, and the partial sum is one radial table on the nodes
+    times one angular table on the directions
+    (:func:`~wavedof.modes.jacobi_anger_tables`), as is
     k . x = k outer(r, directions . k_hat). The error is summed in real
     arithmetic: the real and imaginary parts of the partial sum come from
     one real product of the stacked radial parts with the angular table,

@@ -351,7 +351,8 @@ def jacobi_anger_scalar(wv, position, N: int) -> complex:
 
 def pointwise_truncation_error(wv, radius: float, N: int, resolution) -> float:
     """Relative L2 truncation error from one partial sum per ball point."""
-    pts, w = rankcheck.ball_grid(wv.dim, radius, resolution)
+    axes = rankcheck._spatial_quadrature(wv.dim, radius, *resolution)
+    pts, w = rankcheck._space_points(axes), axes["space_weights"]
     exact = np.exp(1j * wv.k * (pts @ np.asarray(wv.k_hat)))
     err = float(np.sum(w * np.abs(exact - jacobi_anger_values(wv, pts, N)) ** 2))
     return math.sqrt(err / float(np.sum(w)))

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavedof import PhysicalConfig, bound_report, cli
+import wavedof
+from wavedof import Dimension, PhysicalConfig, bound_report, build_grid, cli
+from wavedof.bounds import DEFAULT_MODE_CAP
 from wavedof.cli import (EXIT_CAP, EXIT_CONFIG, EXIT_OK, EXIT_RESOLUTION,
                          FIGURE_PRESETS, fmt_num, main, parse_sweep_csv,
                          render_sweep_csv)
@@ -230,6 +232,29 @@ def test_sweep_rejects_bad_axis(tmp_path):
     rc = main(["sweep", "--axis1", "R:0.1:1:2:linear", "--axis2", "W:1:2:2:linear",
                "--fixed", "T=1", "-o", str(out)])
     assert rc == EXIT_CONFIG  # F0 missing
+
+
+@pytest.mark.parametrize("axes", [
+    # 10^10 cells: the row list would grow without bound.
+    ["--axis1", "R:1:2:100000:linear", "--axis2", "W:1:2:100000:linear"],
+    # one axis of 10^9 values: its linspace alone would be 8 GB.
+    ["--axis1", "R:1:2:1000000000:linear", "--axis2", "W:1:2:2:linear"],
+], ids=["cells", "axis"])
+def test_sweep_over_cap_exits_before_allocating(axes, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["sweep", *axes, "--fixed", "T=1", "--fixed", "F0=10",
+                   "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == EXIT_CAP
+    assert err.startswith("mode cap exceeded:") and "sweep cells" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert peak < 1 << 20
+    assert not out.exists()
 
 
 SWEEP_FLAGS = ["--axis1", "R:0.1:1:2:linear", "--axis2", "W:10:100:2:log",
@@ -467,6 +492,11 @@ def test_modes_csv_2d_and_point_region(tmp_path, capsys):
     assert all(r[1] == "0" and r[2] == "0" for r in rows)
 
 
+def test_modes_cap_defaults_to_the_mode_cap():
+    args = cli.build_parser().parse_args(["modes", "-o", "m.csv"])
+    assert args.cap == DEFAULT_MODE_CAP
+
+
 def test_modes_cap_exit_code(tmp_path, capsys):
     out = tmp_path / "m.csv"
     rc = main(["modes", "--R", str(1.0 / E_PI), "--W", "1", "--T", "1",
@@ -622,6 +652,23 @@ def test_verify_over_cap_exits_before_allocating(flags, what, tmp_path, capsys):
     assert not (tmp_path / "v.json").exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    ([*NARROW_FLAGS[:12], "--resolution", "8,5,21"],
+     "grid resolution (8, 5, 21) below minimum: "
+     "need n_time >= 21 and n_angular >= 19"),
+    (["--R", str(1.0 / E_PI), "--W", "1", "--T", "1", "--F0", "10", "--c", "1",
+      "--dim", "3d", "--resolution", "12,5,52", "--fields", "4", "--waves", "16"],
+     "grid resolution (12, 5, 52) below minimum: "
+     "need n_time >= 52 and n_angular >= 23"),
+], ids=["2d", "3d"])
+def test_verify_resolution_message_reports_argv_counts(flags, message, tmp_path,
+                                                       capsys):
+    rc = main(["verify", *flags, "-o", str(tmp_path / "v.json")])
+    assert rc == EXIT_RESOLUTION
+    assert capsys.readouterr().err == f"resolution too low: {message}\n"
+    assert not (tmp_path / "v.json").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_subnormal_bessel_arguments(tmp_path):
     # kR = 2 pi 10 1e-15 / 1e300 is subnormal: the Bessel tables take the
@@ -642,3 +689,31 @@ def test_readme_flags_are_cli_options():
     text = readme.read_text(encoding="utf-8")
     flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", text))
     assert flags - options - {"--no-build-isolation"} == set()  # a pip flag
+
+
+def test_readme_overview_names_exist():
+    # Every name in the "Library overview" rows is a library attribute, a
+    # grid axis key, the package, or a math symbol such as J_n.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library overview")[1]
+    rows = [ln for ln in section.split("\n## ")[0].splitlines()
+            if ln.startswith("| `wavedof")]
+    names = {re.match(r"[A-Za-z_][\w.]*", tok).group()
+             for row in rows for tok in re.findall(r"`([^`]+)`", row)}
+    modules = [wavedof, *(getattr(wavedof, m) for m in
+                          ("specfun", "bounds", "modes", "rankcheck", "cli"))]
+    axes = build_grid(Dimension.THREE_D, PhysicalConfig(R=1.0, W=1.0, T=1.0, f0=2.0,
+                                                        c=1.0), (2, 3, 4)).axes
+
+    def known(name: str) -> bool:
+        path = name.split(".")
+        if path[0] == "wavedof":
+            obj = wavedof
+            for part in path[1:]:
+                obj = getattr(obj, part, None)
+            return obj is not None
+        return (any(hasattr(m, name) for m in modules) or name in axes
+                or re.fullmatch(r"[A-Za-z]_[a-z]", name) is not None)
+
+    assert len(rows) == 5
+    assert sorted(name for name in names if not known(name)) == []

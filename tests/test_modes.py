@@ -299,7 +299,7 @@ def test_field_values_at_large_phases(dim):
     pws = PlaneWaveSet(directions=axes[rng.integers(0, 2 * d, n_w)],
                        frequencies=rng.uniform(0.5, 1.0, n_w) * big / (2 * math.pi),
                        amplitudes=rng.standard_normal(n_w) + 1j * rng.standard_normal(n_w),
-                       c=1.0, seed=0)
+                       c=1.0)
     n = 20
     on_axis = np.zeros((n, d))
     on_axis[:, 0] = rng.uniform(-1.0, 1.0, n)

@@ -1,5 +1,6 @@
 """Quadrature grids, Gram/covariance spectra, effective ranks."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,15 +9,14 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
-                     WaveVector, build_grid, diagonal_normalize, effective_rank,
-                     eigen_spectrum, ensemble_spectrum, enumerate_modes,
-                     gram_of_modes, synthesize_field, truncation_degree,
-                     truncation_error)
+                     SpaceTimeGrid, WaveVector, build_grid, diagonal_normalize,
+                     effective_rank, eigen_spectrum, ensemble_spectrum,
+                     enumerate_modes, gram_of_modes, synthesize_field,
+                     truncation_degree, truncation_error)
 from wavedof import cli, rankcheck
 from wavedof.bounds import ConfigError
 from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values, mode_matrix,
                            project_field)
-from wavedof.rankcheck import GridError, ball_grid
 
 from oracles import (charpoly_eigenvalues, dense_gram, eager_grid_arrays,
                      ensemble_covariance, pointwise_field_rows,
@@ -154,13 +154,22 @@ def test_space_points_are_radii_times_directions(dim, resolution):
 
 
 def test_grid_rejects_zero_measure():
-    assert issubclass(GridError, ConfigError) and issubclass(GridError, ValueError)
-    with pytest.raises(GridError):
+    with pytest.raises(ConfigError):
         build_grid(TWO_D, PhysicalConfig(R=0.0, W=0, T=1, f0=1, c=1), (2, 2, 2))
-    with pytest.raises(GridError):
+    with pytest.raises(ConfigError):
         build_grid(TWO_D, PhysicalConfig(R=1.0, W=0, T=0, f0=1, c=1), (2, 2, 2))
-    with pytest.raises(GridError):
+    with pytest.raises(ConfigError):
         build_grid(TWO_D, CAL_2D, (0, 2, 2))
+
+
+def test_grid_is_its_axes():
+    assert [f.name for f in dataclasses.fields(SpaceTimeGrid)] == ["axes"]
+
+
+@pytest.mark.parametrize("kwargs", [{"eta": 2.0}, {"epsilon": 1.0}])
+def test_rank_policy_rejects_out_of_range(kwargs):
+    with pytest.raises(ConfigError):
+        RankPolicy(**kwargs)
 
 
 def test_gram_single_mode():
@@ -268,7 +277,7 @@ def test_ensemble_rejects_non_finite_time_phases():
     g = build_grid(TWO_D, cfg, (2, 4, 3))
     pws = PlaneWaveSet(directions=np.array([[1.0, 0.0]]),
                        frequencies=np.array([1e300]),
-                       amplitudes=np.array([1.0 + 0.0j]), c=1.0, seed=0)
+                       amplitudes=np.array([1.0 + 0.0j]), c=1.0)
     with pytest.raises(ConfigError):
         ensemble_spectrum([pws], g)
 
@@ -513,9 +522,9 @@ def test_truncation_error_matches_pointwise_oracle(dim, kR):
 
 
 def test_ball_grid_measures():
-    pts, w = ball_grid(THREE_D, 2.0, (10, 10))
+    w = rankcheck._spatial_quadrature(THREE_D, 2.0, 10, 10)["space_weights"]
     assert np.sum(w) == pytest.approx(4 * math.pi / 3 * 8.0, rel=1e-10)
-    pts, w = ball_grid(TWO_D, 0.5, (10, 12))
+    w = rankcheck._spatial_quadrature(TWO_D, 0.5, 10, 12)["space_weights"]
     assert np.sum(w) == pytest.approx(math.pi * 0.25, rel=1e-10)
 
 
