@@ -8,14 +8,13 @@ and eigen-spectrum effective ranks.
 
 __version__ = "0.1.0"
 
-from .bounds import (BoundReport, ConfigError, Dimension, PhysicalConfig,
-                     asymptotic_dof_3d, average_mode_density_3d, bound_report,
-                     closed_form_bound, dof_space, dof_time_band,
+from .bounds import (BoundReport, ConfigError, Dimension, ModeCapError,
+                     PhysicalConfig, asymptotic_dof_3d, average_mode_density_3d,
+                     bound_report, closed_form_bound, dof_space, dof_time_band,
                      exact_mode_sum, frequency_bins, truncation_degree)
-from .modes import (CoefficientVector, ModeCapError, ModeIndex, PlaneWaveSet,
-                    WaveVector, enumerate_modes, evaluate_mode,
-                    jacobi_anger_partial, mode_wavenumber, plane_wave,
-                    project_field, synthesize_field)
+from .modes import (CoefficientVector, ModeIndex, PlaneWaveSet, WaveVector,
+                    enumerate_modes, evaluate_mode, jacobi_anger_partial,
+                    mode_wavenumber, plane_wave, project_field, synthesize_field)
 from .rankcheck import (RankPolicy, ResolutionError, SpaceTimeGrid,
                         SpectrumReport, build_grid, diagonal_normalize,
                         effective_rank, eigen_spectrum, ensemble_spectrum,

@@ -13,14 +13,14 @@ integer before rounding up, which keeps counts exact when products such
 as e*pi*R/c * f are integral up to floating-point noise. Lattice counts
 stay exact beyond int64. :class:`ConfigError` (CLI exit 2) also flags a
 count that overflows the float range; :class:`ModeCapError` (exit 3) a
-lattice with more frequency bins than DEFAULT_MODE_CAP.
+size past the cap, from :func:`check_cap`, the one test of that cap.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,14 @@ class ConfigError(ValueError):
 
 class ModeCapError(RuntimeError):
     """Requested enumeration exceeds the configured mode cap."""
+
+
+def check_cap(size: int, what: str, cap: int = DEFAULT_MODE_CAP) -> None:
+    """Raise ModeCapError("{size} {what} exceed the cap of {cap}") past ``cap``;
+    a ``cap`` can lower DEFAULT_MODE_CAP, never raise it."""
+    cap = min(cap, DEFAULT_MODE_CAP)
+    if size > cap:
+        raise ModeCapError(f"{size} {what} exceed the cap of {cap}")
 
 
 class Dimension(enum.Enum):
@@ -97,6 +105,16 @@ class PhysicalConfig:
             raise ConfigError(
                 f"band edge below zero: F0={self.f0} < W={self.W}"
             )
+
+    @classmethod
+    def from_params(cls, params) -> "PhysicalConfig":
+        """From the keys R, W, T, F0 and, if present, c (else SPEED_OF_LIGHT)."""
+        return cls(R=params["R"], W=params["W"], T=params["T"], f0=params["F0"],
+                   c=params.get("c", SPEED_OF_LIGHT))
+
+    def params(self) -> dict:
+        """{"R", "W", "T", "F0", "c"}: the inverse of :meth:`from_params`."""
+        return {"R": self.R, "W": self.W, "T": self.T, "F0": self.f0, "c": self.c}
 
     @property
     def space_factor(self) -> float:
@@ -162,15 +180,13 @@ def bin_degrees(cfg: PhysicalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray
     integer falls inside the band (possible only for 2WT < 1), a single
     stand-in bin at the center frequency is returned with i = round(F0*T)
     so that narrowband configurations keep their single-frequency count.
-    Each bin holds a mode, so more than DEFAULT_MODE_CAP bins raise
-    :class:`ModeCapError` before anything is allocated.
+    Each bin holds a mode, so more bins than :func:`check_cap` allows
+    raise :class:`ModeCapError` before anything is allocated.
     """
     if cfg.T <= 0:
         raise ConfigError("frequency bins require T > 0")
     lo, hi = _band_edges(cfg)
-    if hi - lo >= DEFAULT_MODE_CAP:
-        raise ModeCapError(f"{hi - lo + 1} frequency bins exceed the mode cap "
-                           f"of {DEFAULT_MODE_CAP}")
+    check_cap(hi - lo + 1, "frequency bins")
     a = cfg.space_factor
     if lo > hi:
         i, f, v = np.array([round(cfg.f0 * cfg.T)]), np.array([cfg.f0]), [a * cfg.f0]
@@ -263,31 +279,20 @@ def bound_values(cfg: PhysicalConfig, names) -> list:
         raise ConfigError("a closed-form bound overflows the float range") from exc
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Every :data:`QUANTITIES` value for one configuration, in its order.
+BoundReport = make_dataclass(
+    "BoundReport", ["config", *QUANTITIES], frozen=True, namespace={
+        "__module__": __name__,
+        "as_dict": lambda self: {**self.config.params(),
+                                 **{name: getattr(self, name) for name in QUANTITIES}}})
+BoundReport.__doc__ = """Every :data:`QUANTITIES` value for one configuration, in its order:
+    the fields are ``config``, then one per :data:`QUANTITIES` name.
+    ``as_dict()`` gives the configuration's :meth:`~PhysicalConfig.params`,
+    then every bound.
 
     ``exact2d``/``exact3d`` hold the exact lattice counts for T > 0 and
     fall back to the single-frequency spatial counts at T = 0.
     ``n0`` is the lattice offset (F0 - W) e pi R / c.
     """
-
-    config: PhysicalConfig
-    d_2wt: int
-    d_space2d: int
-    d_space3d: int
-    thm1: float
-    thm2: float
-    exact2d: int
-    exact3d: int
-    asym3d: float
-    avg_density: float
-    n0: float
-
-    def as_dict(self) -> dict:
-        cfg = self.config
-        return {"R": cfg.R, "W": cfg.W, "T": cfg.T, "F0": cfg.f0, "c": cfg.c,
-                **{name: getattr(self, name) for name in QUANTITIES}}
 
 
 def bound_report(cfg: PhysicalConfig) -> BoundReport:

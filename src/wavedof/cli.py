@@ -33,9 +33,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import (DEFAULT_MODE_CAP, QUANTITIES, ConfigError, Dimension,
-                     PhysicalConfig, bound_report, bound_values, exact_mode_sum,
-                     frequency_bins)
-from .modes import ModeCapError, enumerate_modes, synthesize_field
+                     ModeCapError, PhysicalConfig, bound_report, bound_values,
+                     check_cap, exact_mode_sum, frequency_bins)
+from .modes import enumerate_modes, synthesize_field
 from .rankcheck import (RankPolicy, ResolutionError, SpectrumReport,
                         build_grid, diagonal_normalize, eigen_spectrum,
                         ensemble_spectrum, gram_of_modes)
@@ -48,6 +48,7 @@ EXIT_CAP = 3
 EXIT_RESOLUTION = 4
 
 SWEEP_PARAMS = ("R", "W", "T", "F0")
+CONFIG_KEYS = (*SWEEP_PARAMS, "c", "seed")   # of a --config file, and their flags
 
 FIGURE_PRESETS = {
     # fixed parameters from the survey captions; axis spans chosen to
@@ -167,7 +168,7 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key not in ("R", "W", "T", "F0", "c", "seed"):
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = _number(val, f"{path}:{lineno}: {key}",
                            float if key != "seed" else lambda s: int(float(s)))
@@ -175,20 +176,19 @@ def _read_config_file(path: str) -> dict:
 
 
 def _config_from_args(args) -> tuple[PhysicalConfig, int]:
-    """The configuration and seed: flags over the ``--config`` file over
-    the defaults (c = 3e8, seed 0). The file is read once."""
-    base = {"R": None, "W": None, "T": None, "F0": None, "c": 3e8, "seed": 0}
+    """The configuration and seed: flags over the ``--config`` file (read
+    once) over the defaults (seed 0, c of PhysicalConfig.from_params)."""
+    base = {"seed": 0}
     if args.config:
         base.update(_read_config_file(args.config))
-    for key in base:
+    for key in CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             base[key] = flag
-    missing = [k for k in ("R", "W", "T", "F0") if base[k] is None]
+    missing = [k for k in SWEEP_PARAMS if k not in base]
     if missing:
         raise ConfigError(f"missing required parameters: {', '.join(missing)}")
-    return PhysicalConfig(R=base["R"], W=base["W"], T=base["T"],
-                          f0=base["F0"], c=base["c"]), base["seed"]
+    return PhysicalConfig.from_params(base), base["seed"]
 
 
 def _dim_from_args(args) -> Dimension:
@@ -237,9 +237,7 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     a2 = _parse_axis(args.axis2)
     if a1.name == a2.name:
         raise ConfigError("axis parameters must be distinct")
-    if a1.count * a2.count > DEFAULT_MODE_CAP:
-        raise ModeCapError(f"{a1.count * a2.count} sweep cells exceed the cap "
-                           f"of {DEFAULT_MODE_CAP}")
+    check_cap(a1.count * a2.count, "sweep cells")
     fixed = {}
     for item in args.fixed or []:
         if "=" not in item:
@@ -252,8 +250,7 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     for q in quantities:
         if q not in QUANTITIES:
             raise ConfigError(f"unknown quantity {q!r}; choose from {tuple(QUANTITIES)}")
-    needed = {"R", "W", "T", "F0"} - {a1.name, a2.name}
-    missing = needed - set(fixed)
+    missing = set(SWEEP_PARAMS) - {a1.name, a2.name} - set(fixed)
     if missing:
         raise ConfigError(f"missing --fixed values for: {', '.join(sorted(missing))}")
     return SweepSpec(a1, a2, fixed, quantities)
@@ -265,11 +262,8 @@ def evaluate_sweep(spec: SweepSpec) -> list[list]:
     rows = []
     for v1 in spec.axis1.values():
         for v2 in spec.axis2.values():
-            params = dict(spec.fixed)
-            params[spec.axis1.name] = v1
-            params[spec.axis2.name] = v2
-            cfg = PhysicalConfig(R=params["R"], W=params["W"], T=params["T"],
-                                 f0=params["F0"], c=params.get("c", 3e8))
+            cfg = PhysicalConfig.from_params(
+                {**spec.fixed, spec.axis1.name: v1, spec.axis2.name: v2})
             rows.append([v1, v2, *bound_values(cfg, spec.quantities)])
     return rows
 
@@ -437,7 +431,7 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
 
     Raises :class:`ModeCapError` before allocating when the grid points,
     the Gram entries (modes^2), the ensemble's time-factor entries or
-    its dual's entries (fields^2) exceed ``DEFAULT_MODE_CAP``.
+    its dual's entries (fields^2) fail :func:`~wavedof.bounds.check_cap`.
     """
     n_r, n_ang, n_t = resolution
     n_space = n_r * n_ang * (2 * n_ang if dim is Dimension.THREE_D else 1)
@@ -445,8 +439,7 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
                        ("Gram entries", exact_mode_sum(dim, cfg, two_sided) ** 2),
                        ("ensemble time-factor entries", fields * waves * n_t),
                        ("ensemble dual entries", fields ** 2)):
-        if size > DEFAULT_MODE_CAP:
-            raise ModeCapError(f"{size} {what} exceed the cap of {DEFAULT_MODE_CAP}")
+        check_cap(size, what)
     grid = build_grid(dim, cfg, resolution)
     modes = enumerate_modes(dim, cfg, two_sided=two_sided)
     gram = diagonal_normalize(gram_of_modes(modes, grid, cfg))
@@ -459,8 +452,7 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
     doc = {
         "metadata": run_metadata(seed=seed, extra={
             "kind": "verify", "dim": dim.value,
-            "config": {"R": cfg.R, "W": cfg.W, "T": cfg.T, "F0": cfg.f0,
-                       "c": cfg.c},
+            "config": cfg.params(),
             "waves": waves, "fields": fields,
             "resolution": list(resolution),
             "two_sided": two_sided,
@@ -545,7 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--dim", choices=("2d", "3d"), default="3d")
     pm.add_argument("--two-sided", action="store_true",
                     help="2D only: use orders -N..N instead of 0..N")
-    pm.add_argument("--cap", type=int, default=DEFAULT_MODE_CAP)
+    pm.add_argument("--cap", type=int, default=DEFAULT_MODE_CAP,
+                    help=f"mode cap; it can lower the default {DEFAULT_MODE_CAP}, "
+                         "never raise it")
     pm.add_argument("-o", "--output", required=True)
     pm.set_defaults(func=cmd_modes)
 
@@ -557,8 +551,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--resolution", default="8,24,32",
                     help="n_radial,n_angular,n_time")
-    pv.add_argument("--epsilon", type=float, default=1e-3)
-    pv.add_argument("--eta", type=float, default=0.99)
+    pv.add_argument("--epsilon", type=float, default=RankPolicy.epsilon)
+    pv.add_argument("--eta", type=float, default=RankPolicy.eta)
     pv.add_argument("--two-sided", action="store_true")
     pv.add_argument("-o", "--output", default=None)
     pv.add_argument("--gram-spectrum-csv", default=None)

@@ -55,8 +55,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import specfun
-from .bounds import (DEFAULT_MODE_CAP, ConfigError, Dimension, ModeCapError,
-                     PhysicalConfig, _band_edges, _lattice_count, bin_degrees)
+from .bounds import (DEFAULT_MODE_CAP, ConfigError, Dimension, PhysicalConfig,
+                     _band_edges, _lattice_count, bin_degrees, check_cap)
 
 
 class ProjectionRankError(RuntimeError):
@@ -142,13 +142,12 @@ def enumerate_modes(dim: Dimension, cfg: PhysicalConfig, *,
                     cap: int = DEFAULT_MODE_CAP) -> list[ModeIndex]:
     """All mode indices for a configuration, ordered by (i, n, m).
 
-    Raises :class:`ModeCapError` when the count exceeds ``cap``.
+    Raises :class:`ModeCapError` (:func:`~wavedof.bounds.check_cap`) when
+    the count exceeds ``cap``, before any index is listed.
     """
     bins, _, degrees = bin_degrees(cfg)
     degrees = [int(n) for n in degrees.tolist()]
-    total = _lattice_count(dim, degrees, two_sided)
-    if total > cap:
-        raise ModeCapError(f"{total} modes exceed the cap of {cap}")
+    check_cap(_lattice_count(dim, degrees, two_sided), "modes", cap)
     out: list[ModeIndex] = []
     for i, degree in zip(bins.tolist(), degrees):
         if dim is Dimension.THREE_D:
@@ -163,18 +162,17 @@ def enumerate_modes(dim: Dimension, cfg: PhysicalConfig, *,
 
 
 def mode_wavenumber(i: int, cfg: PhysicalConfig) -> tuple[float, float]:
-    """Frequency and wave-number of bin i: (i/T, 2*pi*i/(c*T)).
+    """Frequency f = i/T of bin i and its wave-number ``cfg.wavenumber(f)``.
 
     The stand-in bin i = round(F0*T) of a band that holds no i/T
     (:func:`~wavedof.bounds.bin_degrees`) sits at the center frequency,
-    where its degree is taken: (F0, 2*pi*F0/c).
+    where its degree is taken: f = F0.
     """
     if cfg.T <= 0:
         raise ConfigError("mode_wavenumber requires T > 0")
     lo, hi = _band_edges(cfg)
-    if lo > hi and i == round(cfg.f0 * cfg.T):
-        return cfg.f0, 2.0 * math.pi * cfg.f0 / cfg.c
-    return i / cfg.T, 2.0 * math.pi * i / (cfg.c * cfg.T)
+    f = cfg.f0 if lo > hi and i == round(cfg.f0 * cfg.T) else i / cfg.T
+    return f, cfg.wavenumber(f)
 
 
 def evaluate_mode(index: ModeIndex, position, t: float,
@@ -337,9 +335,12 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
     factor: the Bessel radial factor, the orthonormal Legendre factor,
     e^{i m phi} (negated for odd negative m) and exp(2j pi f t) / sqrt(T),
     with the bin's frequency f and wave-number from :func:`mode_wavenumber`.
-    This is the only code that evaluates a mode.
+    This is the only code that evaluates a mode. Raises ValueError when a
+    mode's ``dim`` is not the grid's.
     """
     spherical = "mu_nodes" in axes
+    if {md.dim for md in modes} - {Dimension.THREE_D if spherical else Dimension.TWO_D}:
+        raise ValueError("modes and grid differ in dimension")
     bins = np.array([md.i for md in modes])
     m = np.array([md.m for md in modes])
     order = np.array([md.n for md in modes]) if spherical else np.abs(m)

@@ -12,7 +12,8 @@ from wavedof import (BoundReport, ConfigError, Dimension, ModeCapError,
                      PhysicalConfig, asymptotic_dof_3d, average_mode_density_3d,
                      bound_report, closed_form_bound, dof_space, dof_time_band,
                      exact_mode_sum, frequency_bins, truncation_degree)
-from wavedof.bounds import QUANTITIES, bound_values
+from wavedof.bounds import (DEFAULT_MODE_CAP, QUANTITIES, SPEED_OF_LIGHT,
+                            bound_values, check_cap)
 
 from oracles import brute_force_mode_count, snap
 
@@ -203,6 +204,29 @@ def test_bound_report_fields():
     # one table names every bound, in report order
     assert [f.name for f in dataclasses.fields(BoundReport)] == ["config", *QUANTITIES]
     assert list(d) == ["R", "W", "T", "F0", "c", *QUANTITIES]
+
+
+def test_config_params_round_trip():
+    for cfg in (CAL_3D, PhysicalConfig(R=0.125, W=1e6, T=5e-4, f0=2.4e9)):
+        assert PhysicalConfig.from_params(cfg.params()) == cfg
+    assert list(CAL_3D.params()) == ["R", "W", "T", "F0", "c"]
+    cfg = PhysicalConfig.from_params({"R": 0.125, "W": 1e6, "T": 5e-4, "F0": 2.4e9})
+    assert cfg.c == SPEED_OF_LIGHT and cfg.f0 == 2.4e9
+
+
+def test_check_cap_at_and_past_the_cap():
+    check_cap(DEFAULT_MODE_CAP, "modes")
+    check_cap(10, "modes", cap=10)
+    for size, cap, text in (
+            (DEFAULT_MODE_CAP + 1, DEFAULT_MODE_CAP,
+             "10000001 grid points exceed the cap of 10000000"),
+            (11, 10, "11 grid points exceed the cap of 10"),
+            # a cap past the default counts as the default
+            (DEFAULT_MODE_CAP + 1, 10**12,
+             "10000001 grid points exceed the cap of 10000000")):
+        with pytest.raises(ModeCapError) as exc:
+            check_cap(size, "grid points", cap)
+        assert str(exc.value) == text
 
 
 def test_bound_values_evaluates_only_what_it_names():

@@ -11,13 +11,15 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wavedof
-from wavedof import Dimension, PhysicalConfig, bound_report, build_grid, cli
+from wavedof import (Dimension, PhysicalConfig, RankPolicy, bound_report,
+                     build_grid, cli)
 from wavedof.bounds import DEFAULT_MODE_CAP
 from wavedof.cli import (EXIT_CAP, EXIT_CONFIG, EXIT_OK, EXIT_RESOLUTION,
                          FIGURE_PRESETS, fmt_num, main, parse_sweep_csv,
@@ -497,6 +499,31 @@ def test_modes_cap_defaults_to_the_mode_cap():
     assert args.cap == DEFAULT_MODE_CAP
 
 
+def test_verify_rank_defaults_are_the_rank_policy():
+    args = cli.build_parser().parse_args(["verify"])
+    assert (args.epsilon, args.eta) == (RankPolicy().epsilon, RankPolicy().eta)
+
+
+def test_modes_cap_cannot_raise_the_mode_cap(tmp_path, capsys):
+    # 291,760,561 modes, under the --cap given but past the mode cap: the
+    # command exits before it lists a mode.
+    out = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["modes", "--R", "100", "--W", "0", "--T", "1", "--F0", "20",
+                   "--c", "1", "--dim", "3d", "--cap", "100000000000",
+                   "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert rc == EXIT_CAP
+    assert err == ("mode cap exceeded: 291760561 modes exceed the cap of "
+                   "10000000\n")
+    assert peak < 1 << 20
+    assert not out.exists()
+
+
 def test_modes_cap_exit_code(tmp_path, capsys):
     out = tmp_path / "m.csv"
     rc = main(["modes", "--R", str(1.0 / E_PI), "--W", "1", "--T", "1",
@@ -705,14 +732,19 @@ def test_readme_overview_names_exist():
     axes = build_grid(Dimension.THREE_D, PhysicalConfig(R=1.0, W=1.0, T=1.0, f0=2.0,
                                                         c=1.0), (2, 3, 4)).axes
 
+    def resolves(root, path: list) -> bool:
+        # Walk a dotted name such as PhysicalConfig.from_params attribute
+        # by attribute; every part must exist.
+        for part in path:
+            if not hasattr(root, part):
+                return False
+            root = getattr(root, part)
+        return True
+
     def known(name: str) -> bool:
         path = name.split(".")
-        if path[0] == "wavedof":
-            obj = wavedof
-            for part in path[1:]:
-                obj = getattr(obj, part, None)
-            return obj is not None
-        return (any(hasattr(m, name) for m in modules) or name in axes
+        roots = [types.SimpleNamespace(wavedof=wavedof), *modules]
+        return (any(resolves(root, path) for root in roots) or name in axes
                 or re.fullmatch(r"[A-Za-z]_[a-z]", name) is not None)
 
     assert len(rows) == 5

@@ -9,7 +9,7 @@ import pytest
 
 from wavedof import (Dimension, ModeCapError, PhysicalConfig, WaveVector,
                      build_grid, enumerate_modes, evaluate_mode, exact_mode_sum,
-                     jacobi_anger_partial, mode_wavenumber, plane_wave,
+                     gram_of_modes, jacobi_anger_partial, mode_wavenumber, plane_wave,
                      project_field, synthesize_field, truncation_degree)
 from wavedof.modes import (ModeIndex, PlaneWaveSet, ProjectionRankError,
                            field_values, jacobi_anger_tables, jacobi_anger_values,
@@ -69,6 +69,37 @@ def test_enumerate_two_sided_2d():
 def test_enumerate_cap():
     with pytest.raises(ModeCapError):
         enumerate_modes(THREE_D, CAL_3D, cap=100)
+
+
+def test_enumerate_cap_cannot_be_raised():
+    # 291,760,561 modes: a cap past DEFAULT_MODE_CAP counts as that cap, so
+    # the count is refused before any index is listed.
+    cfg = PhysicalConfig(R=100.0, W=0.0, T=1.0, f0=20.0, c=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModeCapError) as exc:
+            enumerate_modes(THREE_D, cfg, cap=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "291760561 modes exceed the cap of 10000000"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("mode_dim, grid_dim", [(THREE_D, TWO_D), (TWO_D, THREE_D)],
+                         ids=["3d-modes-2d-grid", "2d-modes-3d-grid"])
+def test_modes_and_grid_must_share_dimension(mode_dim, grid_dim):
+    # Both grids pass check_gram_resolution for either mode set, so only the
+    # dimension check stands between them and a meaningless Gram.
+    cfg = PhysicalConfig(R=0.5 / E_PI, W=1.0, T=1.0, f0=2.0, c=1.0)
+    modes = enumerate_modes(mode_dim, cfg, two_sided=mode_dim is TWO_D)
+    grid = build_grid(grid_dim, cfg, (8, 24, 20) if grid_dim is TWO_D else (4, 8, 20))
+    samples = np.zeros(len(grid), dtype=complex)
+    for run in (lambda: gram_of_modes(modes, grid, cfg),
+                lambda: project_field(samples, modes, grid, cfg),
+                lambda: mode_matrix(modes, grid, cfg)):
+        with pytest.raises(ValueError, match="^modes and grid differ in dimension$"):
+            run()
 
 
 def test_mode_wavenumber():
