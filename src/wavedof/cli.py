@@ -15,9 +15,9 @@ frequency bins alone, or by a sweep's cells); 4 grid resolution below minimum.
 
 File formats: CSV is UTF-8 with LF line endings, ``# key = value``
 metadata lines, then a header row; numbers carry 12 significant digits
-and integers are written bare. JSON reports use a stable key order.
-The optional SVG heatmap maps cell values linearly onto a blue-to-red
-ramp between the grid minimum and maximum.
+and integers are written bare; each row is written as it is formed.
+JSON reports use a stable key order. The optional SVG heatmap maps cell
+values linearly onto a blue-to-red ramp between the grid min and max.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import numpy as np
 
 from . import __version__
 from .bounds import (DEFAULT_MODE_CAP, QUANTITIES, ConfigError, Dimension,
-                     ModeCapError, PhysicalConfig, bound_report, bound_values,
-                     check_cap, exact_mode_sum, frequency_bins)
-from .modes import enumerate_modes, synthesize_field
+                     ModeCapError, PhysicalConfig, _lattice_count, bin_degrees,
+                     bound_report, bound_values, check_cap, exact_mode_sum)
+from .modes import _bin_orders, enumerate_modes, synthesize_field
 from .rankcheck import (RankPolicy, ResolutionError, SpectrumReport,
                         build_grid, diagonal_normalize, eigen_spectrum,
                         ensemble_spectrum, gram_of_modes)
@@ -108,25 +108,22 @@ def _rounded(values: dict) -> dict:
             for k, v in values.items()}
 
 
-def _csv_text(meta: dict, header: str, rows) -> str:
-    """``# key = value`` lines, a header row, then :func:`fmt_num` rows."""
-    lines = [f"# {k} = {v}" for k, v in meta.items()] + [header]
-    lines += [",".join(map(fmt_num, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+def _csv_lines(meta: dict, header: str, rows):
+    """``# key = value`` lines, a header row, then one :func:`fmt_num` row
+    per item of ``rows``: each line, LF included, is formed as it is read."""
+    yield from [f"# {k} = {v}\n" for k, v in meta.items()] + [header + "\n"]
+    yield from (",".join(map(fmt_num, row)) + "\n" for row in rows)
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, pieces) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
-def _timestamp() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+        fh.writelines(pieces)
 
 
 def run_metadata(seed=None, extra: dict | None = None) -> dict:
+    now = _dt.datetime.now(_dt.timezone.utc)
     meta = {"tool": "wavedof", "version": __version__,
-            "generated": _timestamp(), "prng": PRNG_NAME}
+            "generated": now.strftime("%Y-%m-%dT%H:%M:%SZ"), "prng": PRNG_NAME}
     if seed is not None:
         meta["seed"] = int(seed)
     if extra:
@@ -192,7 +189,9 @@ def _config_from_args(args) -> tuple[PhysicalConfig, int]:
 
 
 def _dim_from_args(args) -> Dimension:
-    return Dimension.TWO_D if args.dim == "2d" else Dimension.THREE_D
+    if args.two_sided and args.dim == "3d":
+        raise ConfigError("--two-sided applies to --dim 2d only")
+    return Dimension(args.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +244,8 @@ def _sweep_spec_from_args(args) -> SweepSpec:
         key, val = item.split("=", 1)
         if key not in SWEEP_PARAMS + ("c",):
             raise ConfigError(f"unknown fixed parameter {key!r}")
+        if key in fixed or key in (a1.name, a2.name):
+            raise ConfigError(f"--fixed {key} is already set by an axis or --fixed")
         fixed[key] = _number(val, f"--fixed {key}")
     quantities = tuple(args.quantities.split(","))
     for q in quantities:
@@ -272,8 +273,8 @@ def render_sweep_csv(meta: dict, spec: SweepSpec, rows: list[list]) -> str:
     axes = {tag: f"{ax.name}:{fmt_num(ax.lo)}:{fmt_num(ax.hi)}:{ax.count}:{ax.scale}"
             for tag, ax in (("axis1", spec.axis1), ("axis2", spec.axis2))}
     fixed = {f"fixed {key}": fmt_num(spec.fixed[key]) for key in sorted(spec.fixed)}
-    return _csv_text({**meta, **axes, **fixed},
-                     "axis1,axis2," + ",".join(spec.quantities), rows)
+    return "".join(_csv_lines({**meta, **axes, **fixed},
+                              "axis1,axis2," + ",".join(spec.quantities), rows))
 
 
 def _parse_cell(text: str):
@@ -375,30 +376,32 @@ def cmd_sweep(args, preset: str | None = None) -> int:
                          dict(conf["fixed"]), FIGURE_QUANTITIES)
     rows = evaluate_sweep(spec)
     meta = run_metadata(extra={"kind": f"sweep:{preset or 'custom'}"})
-    _write_text(args.output, render_sweep_csv(meta, spec, rows))
+    _write_text(args.output, [render_sweep_csv(meta, spec, rows)])
     if args.svg:
-        _write_text(args.svg, render_sweep_svg(spec, rows, spec.quantities[0]))
+        _write_text(args.svg, [render_sweep_svg(spec, rows, spec.quantities[0])])
     print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK
-
-
-def cmd_figure(args) -> int:
-    return cmd_sweep(args, preset=args.name)
 
 
 # ---------------------------------------------------------------------------
 # mode table
 
 def cmd_modes(args) -> int:
+    """Write the (i, n, m, f, k) rows of ``enumerate_modes`` bin by bin: each
+    :func:`~wavedof.bounds.bin_degrees` bin's ``_bin_orders`` at its f and
+    ``cfg.wavenumber(f)``, one row at a time, once the count passes ``--cap``."""
     cfg = _config_from_args(args)[0]
     dim = _dim_from_args(args)
-    modes = enumerate_modes(dim, cfg, two_sided=args.two_sided, cap=args.cap)
-    bin_freq = {b.i: b.f for b in frequency_bins(cfg)}
+    bins, freqs, degrees = bin_degrees(cfg)
+    count = _lattice_count(dim, map(int, degrees), args.two_sided)
+    check_cap(count, "modes", args.cap)
     meta = run_metadata(extra={"kind": "modes", "dim": dim.value})
-    rows = ((md.i, md.n, md.m, bin_freq[md.i], cfg.wavenumber(bin_freq[md.i]))
-            for md in modes)
-    _write_text(args.output, _csv_text(meta, "i,n,m,f_hz,k_rad_per_m", rows))
-    print(f"{len(modes)} modes")
+    rows = ((i, n, m, f, k)
+            for i, f, degree in zip(map(int, bins), map(float, freqs), degrees)
+            for k in (cfg.wavenumber(f),)
+            for n, m in _bin_orders(dim, int(degree), args.two_sided))
+    _write_text(args.output, _csv_lines(meta, "i,n,m,f_hz,k_rad_per_m", rows))
+    print(f"{count} modes")
     return EXIT_OK
 
 
@@ -421,7 +424,7 @@ def write_spectrum_csv(path: str, part: dict, meta: dict) -> None:
     fractions = np.cumsum(evals) / total if total else np.zeros_like(evals)
     rows = ((idx, ev, _round12(cf)) for idx, (ev, cf) in
             enumerate(zip(part["eigenvalues"], fractions)))
-    _write_text(path, _csv_text(meta, "index,eigenvalue,cumulative_fraction", rows))
+    _write_text(path, _csv_lines(meta, "index,eigenvalue,cumulative_fraction", rows))
 
 
 def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
@@ -449,7 +452,7 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
     ens_spec = ensemble_spectrum(ensemble, grid, policy)
     bounds = _rounded(bound_report(cfg).as_dict())
     exact = bounds[f"exact{dim.value}"]
-    doc = {
+    return {
         "metadata": run_metadata(seed=seed, extra={
             "kind": "verify", "dim": dim.value,
             "config": cfg.params(),
@@ -467,7 +470,6 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
             "ensemble_rank_energy_over_exact": _round12(ens_spec.rank_energy / exact),
         },
     }
-    return doc
 
 
 def _parse_resolution(text: str) -> tuple:
@@ -492,7 +494,7 @@ def cmd_verify(args) -> int:
                         two_sided=args.two_sided)
     text = json.dumps(doc, indent=2)
     if args.output:
-        _write_text(args.output, text + "\n")
+        _write_text(args.output, [text, "\n"])
         print(f"wrote report to {args.output}")
     else:
         print(text)
@@ -530,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument("name", choices=sorted(FIGURE_PRESETS))
     pf.add_argument("-o", "--output", required=True)
     pf.add_argument("--svg", default=None)
-    pf.set_defaults(func=cmd_figure)
+    pf.set_defaults(func=lambda args: cmd_sweep(args, preset=args.name))
 
     pm = sub.add_parser("modes", help="dump the enumerated mode table -> CSV")
     _add_config_flags(pm)

@@ -55,8 +55,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import specfun
-from .bounds import (DEFAULT_MODE_CAP, ConfigError, Dimension, PhysicalConfig,
-                     _band_edges, _lattice_count, bin_degrees, check_cap)
+from .bounds import (ConfigError, Dimension, PhysicalConfig, _band_edges,
+                     _lattice_count, bin_degrees, check_cap)
 
 
 class ProjectionRankError(RuntimeError):
@@ -137,28 +137,25 @@ class CoefficientVector:
     residual: float
 
 
+def _bin_orders(dim: Dimension, degree: int, two_sided: bool = False):
+    """One bin's (n, m) pairs in table order: n = 0..N, m = -n..n in 3D;
+    n = 0, m = 0..N in 2D (m = -N..N with ``two_sided``)."""
+    if dim is Dimension.THREE_D:
+        return ((n, m) for n in range(degree + 1) for m in range(-n, n + 1))
+    return ((0, m) for m in range(-degree if two_sided else 0, degree + 1))
+
+
 def enumerate_modes(dim: Dimension, cfg: PhysicalConfig, *,
-                    two_sided: bool = False,
-                    cap: int = DEFAULT_MODE_CAP) -> list[ModeIndex]:
-    """All mode indices for a configuration, ordered by (i, n, m).
+                    two_sided: bool = False) -> list[ModeIndex]:
+    """All mode indices, ordered by (i, n, m): each bin in its :func:`_bin_orders`.
 
     Raises :class:`ModeCapError` (:func:`~wavedof.bounds.check_cap`) when
-    the count exceeds ``cap``, before any index is listed.
+    the count exceeds the cap, before any index is listed.
     """
     bins, _, degrees = bin_degrees(cfg)
-    degrees = [int(n) for n in degrees.tolist()]
-    check_cap(_lattice_count(dim, degrees, two_sided), "modes", cap)
-    out: list[ModeIndex] = []
-    for i, degree in zip(bins.tolist(), degrees):
-        if dim is Dimension.THREE_D:
-            for n in range(degree + 1):
-                for m in range(-n, n + 1):
-                    out.append(ModeIndex(i, n, m, dim))
-        else:
-            lo = -degree if two_sided else 0
-            for m in range(lo, degree + 1):
-                out.append(ModeIndex(i, 0, m, dim))
-    return out
+    check_cap(_lattice_count(dim, map(int, degrees), two_sided), "modes")
+    return [ModeIndex(i, n, m, dim) for i, degree in zip(bins.tolist(), degrees)
+            for n, m in _bin_orders(dim, int(degree), two_sided)]
 
 
 def mode_wavenumber(i: int, cfg: PhysicalConfig) -> tuple[float, float]:

@@ -7,7 +7,8 @@ the Miller table recurrence as first written, step by step, exact
 integer-coefficient Rodrigues differentiation and an extended-precision
 unnormalized Ferrers recurrence for associated Legendre, scalar
 special-function products for single mode values, a literal (i, n, m)
-counting loop for mode sums, characteristic polynomial roots for small
+counting loop for mode sums and the same loop writing out the mode
+table rows, characteristic polynomial roots for small
 eigenproblems, scalar spherical-harmonic sums for the Jacobi-Anger
 expansion, the per-point arrays of the space-time grid built eagerly
 by repeat, tile and outer product, and the dense per-point routes
@@ -242,6 +243,32 @@ def brute_force_mode_count(dim3: bool, R: float, W: float, T: float,
             for _m in range(n_max + 1):
                 count += 1
     return count
+
+
+def mode_table_rows(dim3: bool, R: float, W: float, T: float, f0: float,
+                    c: float, two_sided: bool = False) -> list:
+    """The rows (i, n, m, f, k) of the ``modes`` table, one by one: each
+    integer i with F0 - W <= i/T <= F0 + W by the literal snap at f = i/T,
+    or, when there is none, the stand-in i = round(F0 T) at f = F0; for
+    each, k = 2 pi f / c and N = snap(e pi R f / c, ceil), then n = 0..N,
+    m = -n..n in 3D, or n = 0, m = 0..N (-N..N two-sided) in 2D."""
+    lo = snap((f0 - W) * T, math.ceil)
+    hi = snap((f0 + W) * T, math.floor)
+    band = [(i, i / T) for i in range(lo, hi + 1)]
+    if not band:
+        band = [(round(f0 * T), f0)]
+    rows = []
+    for i, f in band:
+        k = 2.0 * math.pi * f / c
+        n_max = snap(E_PI * R * f / c, math.ceil)
+        if dim3:
+            for n in range(n_max + 1):
+                for m in range(-n, n + 1):
+                    rows.append((i, n, m, f, k))
+        else:
+            for m in range(-n_max if two_sided else 0, n_max + 1):
+                rows.append((i, 0, m, f, k))
+    return rows
 
 
 def charpoly_eigenvalues(m: np.ndarray) -> np.ndarray:

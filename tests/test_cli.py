@@ -13,6 +13,7 @@ import tempfile
 import tracemalloc
 import types
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,8 @@ from wavedof.bounds import DEFAULT_MODE_CAP
 from wavedof.cli import (EXIT_CAP, EXIT_CONFIG, EXIT_OK, EXIT_RESOLUTION,
                          FIGURE_PRESETS, fmt_num, main, parse_sweep_csv,
                          render_sweep_csv)
+
+from oracles import mode_table_rows
 
 E_PI = math.e * math.pi
 
@@ -264,8 +267,9 @@ SWEEP_FLAGS = ["--axis1", "R:0.1:1:2:linear", "--axis2", "W:10:100:2:log",
 
 
 @pytest.mark.parametrize("case", [
-    "axis-count", "fixed-value", "missing-config", "config-value", "output-dir",
-    "verify-config-value", "verify-config-seed"])
+    "axis-count", "fixed-value", "fixed-axis", "fixed-twice", "missing-config",
+    "config-value", "output-dir", "verify-config-value", "verify-config-seed",
+    "modes-two-sided-3d"])
 def test_malformed_input_exits_config(case, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("R = abc\nW = 1\nT = 1\nF0 = 10\n")
@@ -275,18 +279,23 @@ def test_malformed_input_exits_config(case, tmp_path, capsys):
     argv = {
         "axis-count": ["sweep", "--axis1", "R:0.1:1:abc:linear", *SWEEP_FLAGS[2:],
                        "-o", out],
-        "fixed-value": ["sweep", *SWEEP_FLAGS, "--fixed", "T=abc", "-o", out],
+        "fixed-value": ["sweep", *SWEEP_FLAGS, "--fixed", "c=abc", "-o", out],
+        "fixed-axis": ["sweep", *SWEEP_FLAGS, "--fixed", "R=5", "-o", out],
+        "fixed-twice": ["sweep", *SWEEP_FLAGS, "--fixed", "F0=2000", "-o", out],
         "missing-config": ["bounds", "--config", str(tmp_path / "missing.conf")],
         "config-value": ["bounds", "--config", str(conf)],
         "output-dir": ["sweep", *SWEEP_FLAGS,
                        "-o", str(tmp_path / "missing" / "x.csv")],
         "verify-config-value": ["verify", "--config", str(conf), "-o", out],
         "verify-config-seed": ["verify", "--config", str(seed_conf), "-o", out],
+        "modes-two-sided-3d": ["modes", "--R", "0.1", "--W", "1", "--T", "1", "--F0",
+                               "10", "--dim", "3d", "--two-sided", "-o", out],
     }[case]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("configuration error:")
     assert err.count("\n") == 1 and "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 NUMBER = st.sampled_from(["0", "0.5", "1", "10", "2.4e9", "1e300", "-1",
@@ -324,6 +333,8 @@ def cli_argv(draw):
     else:
         for name in names:
             argv += [f"--{name}", draw(NUMBER)]
+    if command in ("modes", "verify") and draw(st.booleans()):
+        argv += ["--two-sided"]   # 2D only: exit 2 with --dim 3d
     if command == "modes":
         argv += ["--dim", draw(st.sampled_from(["2d", "3d"])), "--cap", "1000"]
     if command == "verify":
@@ -494,6 +505,42 @@ def test_modes_csv_2d_and_point_region(tmp_path, capsys):
     assert all(r[1] == "0" and r[2] == "0" for r in rows)
 
 
+@pytest.mark.parametrize("flags, dim3, two_sided", [
+    (["--R", str(1.0 / E_PI), "--W", "1", "--T", "1", "--F0", "10"], True, False),
+    (["--R", str(1.0 / E_PI), "--W", "1", "--T", "1", "--F0", "10"], False, False),
+    # no i/T in the band: the stand-in bin at F0, orders -9..9
+    (["--R", "0.1", "--W", "0.001", "--T", "0.2", "--F0", "10.5"], False, True),
+    (["--R", "0", "--W", "2", "--T", "1", "--F0", "10"], True, False),
+], ids=["cal-3d", "cal-2d", "stand-in-2d-two-sided", "point-3d"])
+def test_modes_csv_rows_match_oracle(flags, dim3, two_sided, tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    argv = ["modes", *flags, "--c", "1", "--dim", "3d" if dim3 else "2d",
+            *(["--two-sided"] if two_sided else []), "-o", str(out)]
+    assert main(argv) == EXIT_OK
+    want = mode_table_rows(dim3, *map(float, flags[1::2]), 1.0, two_sided)
+    assert capsys.readouterr().out == f"{len(want)} modes\n"
+    lines = out.read_text().splitlines()
+    rows = [ln.split(",") for ln in lines[lines.index("i,n,m,f_hz,k_rad_per_m") + 1:]]
+    assert [tuple(map(int, r[:3])) for r in rows] == [w[:3] for w in want]
+    np.testing.assert_allclose([[float(v) for v in r[3:]] for r in rows],
+                               [w[3:] for w in want], rtol=1e-11, atol=0)
+
+
+def test_modes_table_is_written_row_by_row(tmp_path):
+    # One bin of degree 257: 66,564 modes, never held at once.
+    out = tmp_path / "m.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["modes", "--R", "1", "--W", "0", "--T", "1", "--F0", "30",
+                   "--c", "1", "--dim", "3d", "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_OK
+    assert peak < 1 << 20
+    assert out.read_text().splitlines()[-1] == "30,257,257,30,188.495559215"
+
+
 def test_modes_cap_defaults_to_the_mode_cap():
     args = cli.build_parser().parse_args(["modes", "-o", "m.csv"])
     assert args.cap == DEFAULT_MODE_CAP
@@ -619,7 +666,7 @@ def test_verify_spectrum_csv_export(tmp_path):
 @pytest.mark.parametrize("bad", [
     ["--fields", "0"], ["--waves", "0"], ["--seed", "-1"],
     ["--resolution", "0,24,21"], ["--resolution", "a,b,c"],
-    ["--epsilon", "2"], ["--eta", "2"], ["--R", "0"],
+    ["--epsilon", "2"], ["--eta", "2"], ["--R", "0"], ["--two-sided", "--dim", "3d"],
     # Same kR and T as R = 1e-100, c = 1e-95, which gives gram ranks 2
     # (2D) and 4 (3D), but the quadrature weights R^d underflow.
     ["--R", "1e-153", "--c", "1e-148", *EXTREME],

@@ -67,18 +67,22 @@ def test_enumerate_two_sided_2d():
 
 
 def test_enumerate_cap():
-    with pytest.raises(ModeCapError):
-        enumerate_modes(THREE_D, CAL_3D, cap=100)
+    # One bin of degree 3169: 3170^2 = 10,048,900 modes, just past the cap
+    # (F0 = 370 gives 9,991,921).
+    cfg = PhysicalConfig(R=1.0, W=0.0, T=1.0, f0=371.0, c=1.0)
+    with pytest.raises(ModeCapError) as exc:
+        enumerate_modes(THREE_D, cfg)
+    assert str(exc.value) == "10048900 modes exceed the cap of 10000000"
 
 
 def test_enumerate_cap_cannot_be_raised():
-    # 291,760,561 modes: a cap past DEFAULT_MODE_CAP counts as that cap, so
-    # the count is refused before any index is listed.
+    # 291,760,561 modes: enumerate_modes takes no cap, so the count is
+    # refused at DEFAULT_MODE_CAP before any index is listed.
     cfg = PhysicalConfig(R=100.0, W=0.0, T=1.0, f0=20.0, c=1.0)
     tracemalloc.start()
     try:
         with pytest.raises(ModeCapError) as exc:
-            enumerate_modes(THREE_D, cfg, cap=10**12)
+            enumerate_modes(THREE_D, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
