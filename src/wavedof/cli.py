@@ -248,9 +248,11 @@ def _sweep_spec_from_args(args) -> SweepSpec:
             raise ConfigError(f"--fixed {key} is already set by an axis or --fixed")
         fixed[key] = _number(val, f"--fixed {key}")
     quantities = tuple(args.quantities.split(","))
-    for q in quantities:
+    for i, q in enumerate(quantities):
         if q not in QUANTITIES:
             raise ConfigError(f"unknown quantity {q!r}; choose from {tuple(QUANTITIES)}")
+        if q in quantities[:i]:
+            raise ConfigError(f"--quantities names {q!r} twice")
     missing = set(SWEEP_PARAMS) - {a1.name, a2.name} - set(fixed)
     if missing:
         raise ConfigError(f"missing --fixed values for: {', '.join(sorted(missing))}")

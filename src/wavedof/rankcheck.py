@@ -16,24 +16,27 @@ its antipode -x on the grid with the same weight, and a field at -x is
 the one at x with its space phases conjugated; so the ensemble takes one
 cos and sin pair per (antipodal node pair, wave) and never forms the two
 fields. In 2D with an odd azimuth count it takes cos + i sin per (node,
-wave). The time factors of all fields are one (fields x waves x time
-nodes) array, its phases turned into cos + i sin in place and the square
-roots of the time weights folded in. It is then carried in the band's
-time basis: L orthonormal columns Q spanning sqrt(w_t) e^{2 pi i f t}
-for every f between the fields' lowest and highest frequency, the right
-singular vectors above s_0 n_t eps of those functions sampled at
-m = 2 n_t + 16 Chebyshev frequencies. Over a window T a band of width
-2W needs only about 2WT + O(log 1/eps) such functions (5 of 21 time
-nodes at NARROW, 16 of 52 at the 3D benchmark point), while the time
-grid follows the carrier. Each weighted field row y lies in span(Q) up
-to rounding, and with P = I - Q Q^H,
-Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, so the dual moves by about
-(n_t eps)^2 of its trace. When the time nodes cannot be compressed, Q
-has all n_t columns and is a unitary rotation. The spatial weights
-scale the rows of each block's product. Every pair comes from
-:func:`~wavedof.specfun.cos_sin`. The field Gram is summed block by
-block, each block's temporaries within ``_BLOCK_ENTRIES`` complex
-entries (2 MB). The harmonic truncation error uses the same structure
+wave). The time factor of every field, with the square roots of the
+time weights folded in, is carried in the band's time basis: L
+orthonormal columns Q spanning sqrt(w_t) e^{2 pi i f t} for every f
+between the fields' lowest and highest frequency, the right singular
+vectors above s_0 n_t eps of those functions sampled at m = 2 n_t + 16
+Chebyshev frequencies. Over a window T a band of width 2W needs only
+about 2WT + O(log 1/eps) such functions (5 of 21 time nodes at NARROW,
+16 of 52 at the 3D benchmark point), while the time grid follows the
+carrier. Each weighted field row y lies in span(Q) up to rounding, and
+with P = I - Q Q^H, Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, so the dual
+moves by about (n_t eps)^2 of its trace. When the time nodes cannot be
+compressed, Q has all n_t columns and is a unitary rotation. The
+coordinates in Q are formed a chunk of fields at a time in real
+arithmetic, so no (fields x waves x time nodes) array is formed. The
+field Gram is summed block by block: a block is a run of spatial nodes
+for every field, its phases taken a chunk of fields at a time as one
+product of the nodes with every wave vector side by side, and the
+spatial weights scale the rows of its product. Every pair comes from
+:func:`~wavedof.specfun.cos_sin`, always on contiguous arrays, and a
+block's temporaries stay within ``_BLOCK_ENTRIES`` complex entries
+(2 MB). The harmonic truncation error uses the same structure
 over the ball: radial nodes x directions, and never forms the nodes
 themselves. No (points x modes), (points x waves) or
 (points x points) array is formed. The readouts are:
@@ -268,7 +271,8 @@ def diagonal_normalize(g: np.ndarray) -> np.ndarray:
                       "the float range")
 
 
-#: complex entries of an ensemble block's temporaries (2 MB)
+#: complex entries (2 MB) that bound an ensemble block: its real output
+#: takes half, and each chunk's cos and sin of phases an eighth
 _BLOCK_ENTRIES = 1 << 17
 
 
@@ -313,12 +317,13 @@ def _band_time_basis(fields: Sequence[PlaneWaveSet],
     lo, hi = float(freqs.min()), float(freqs.max())
     m = 2 * len(t) + 16
     f = lo + (hi - lo) * (1.0 + np.cos(math.pi * (np.arange(m) + 0.5) / m)) / 2.0
-    samples = np.empty((m, len(t)), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply.outer(2.0 * math.pi * f, t, out=samples.real)
-    if not np.all(np.isfinite(samples.real)):
+        phase = np.multiply.outer(2.0 * math.pi * f, t)
+    if not np.all(np.isfinite(phase)):
         raise ConfigError("time phases of the ensemble leave the float range")
-    cos_sin(samples.real, out=(samples.real, samples.imag))
+    samples = np.empty((m, len(t)), dtype=complex)
+    samples.real, samples.imag = cos_sin(phase, out=(phase, np.empty_like(phase)))
+    del phase  # not held through the SVD
     samples *= np.sqrt(grid.axes["t_weights"])
     _, s, vh = np.linalg.svd(samples, full_matrices=False)
     return vh[s > s[0] * len(t) * np.finfo(float).eps].conj().T
@@ -335,20 +340,31 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     sqrt(w_t) folded into the time factor Tm once. Each row y of Tm lies
     in the span of the band's time basis Q (:func:`_band_time_basis`:
     the functions sampled at m = 2 n_t + 16 Chebyshev frequencies,
-    L <= n_t columns), so Tm is carried as its coordinates Tm Q and the
-    full factor is dropped. With P = I - Q Q^H,
-    Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, and Y P is at the rounding
-    floor, about n_t eps of Y, so the dual moves by about (n_t eps)^2 of
-    its trace. With p = cos(k.x) Tm Q and
-    q = sin(k.x) Tm Q, the field is p + i q at x and p - i q at -x, and
-    the pair adds 2 (p p^H + q q^H) to the dual. So on a grid with
-    antipodes (see :func:`_antipodes`) a block is sqrt(2 w_x) [p, q] over
-    one node of each pair; otherwise it is sqrt(w_x) (p + i q) over every
-    node. Both take one :func:`~wavedof.specfun.cos_sin` per (node, wave)
-    and one real matrix product, whose rows are then scaled by the
-    spatial factor. A block of n nodes holds 2 n x fields x waves reals
-    of phases and 2 n x fields x L complex products, together within
-    ``_BLOCK_ENTRIES`` complex entries.
+    L <= n_t columns), so Tm is carried as its coordinates Tm Q.
+    With P = I - Q Q^H, Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, and Y P is
+    at the rounding floor, about n_t eps of Y, so the dual moves by about
+    (n_t eps)^2 of its trace. Tm Q is formed a chunk of fields at a time
+    in real arithmetic: with the real (2 n_t x 2L) ``lift`` of
+    sqrt(w_t) Q (rows Re Q, Im Q for cos over rows -Im Q, Re Q for sin,
+    columns interleaved), cos(wt) lift[:n_t] + sin(wt) lift[n_t:] is the
+    interleaved real view of e^{iwt} sqrt(w_t) Q, which is then
+    multiplied by the amplitudes, so no (fields x waves x time nodes)
+    array is formed. With p = cos(k.x) Tm Q and q = sin(k.x) Tm Q, the
+    field is p + i q at x and p - i q at -x, and the pair adds
+    2 (p p^H + q q^H) to the dual. So on a grid with antipodes (see
+    :func:`_antipodes`) a block is sqrt(2 w_x) [p, q] over one node of
+    each pair; otherwise it is sqrt(w_x) (p + i q) over every node.
+
+    A block is a run of nodes for every field, its (fields x 2 nodes x
+    2L) reals within half of ``_BLOCK_ENTRIES`` complex entries. Its
+    phases k.x are taken a chunk of fields at a time, one product of the
+    nodes with the side-by-side wave vectors into a fresh contiguous
+    (nodes, fields, waves) array, and the chunk's cos and sin (one
+    :func:`~wavedof.specfun.cos_sin`, both arrays contiguous) take an
+    eighth of ``_BLOCK_ENTRIES``. One batched product each for cos and
+    sin reads them through the transposed (fields, nodes, waves) views
+    and writes the block's p and q rows, which are then scaled by the
+    spatial factor.
     """
     space, t = grid.axes["space_points"], grid.axes["t_nodes"]
     basis = _band_time_basis(fields, grid)
@@ -356,43 +372,44 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     nodes = np.arange(len(space)) if pairs is None else pairs[0]
     sw = np.sqrt((1.0 if pairs is None else 2.0) * grid.axes["space_weights"][nodes])
     n_f, n_w = len(fields), max(len(pws) for pws in fields)
-    n_b = basis.shape[1]
-    # Every field's waves, zero-padded to n_w; padded waves have amplitude 0.
-    dirs = np.zeros((n_f, space.shape[1], n_w))
-    k = np.zeros((n_f, 1, n_w))
-    omega = np.zeros((n_f, n_w, 1))
+    n_t, n_b = basis.shape
+    # Every field's waves side by side, zero-padded to n_w; padded waves
+    # have amplitude 0. kvec holds k times each wave's direction.
+    kvec = np.zeros((space.shape[1], n_f, n_w))
+    omega = np.zeros((n_f, n_w))
     amps = np.zeros((n_f, n_w, 1), dtype=complex)
     for f, pws in enumerate(fields):
         n = len(pws)
-        dirs[f, :, :n] = pws.directions.T
-        k[f, 0, :n] = 2.0 * math.pi * pws.frequencies / pws.c
-        omega[f, :n, 0] = 2.0 * math.pi * pws.frequencies
+        omega[f, :n] = 2.0 * math.pi * pws.frequencies
+        kvec[:, f, :n] = pws.directions.T * (omega[f, :n] / pws.c)
         amps[f, :n, 0] = pws.amplitudes
-    # The time factor of every field at once, its phase taken in place,
-    # then carried in the band's basis; the full factor is dropped there.
-    in_time = np.empty((n_f, n_w, len(t)), dtype=complex)
-    np.multiply(omega, t, out=in_time.real)
-    cos_sin(in_time.real, out=(in_time.real, in_time.imag))
-    in_time *= np.sqrt(grid.axes["t_weights"])
-    in_time = (in_time.reshape(-1, len(t)) @ basis).reshape(n_f, n_w, n_b)
-    in_time *= amps
-    # Real and imaginary parts interleaved: a real product with it, viewed
-    # as complex, is the product with in_time.
-    in_time = in_time.view(float)
-    step = max(1, _BLOCK_ENTRIES // (2 * n_f * (n_w + n_b)))
-    cs_buf = np.empty((n_f, 2 * step, n_w))
+    kvec = kvec.reshape(space.shape[1], -1)
+    wq = basis * np.sqrt(grid.axes["t_weights"])[:, None]
+    lift = np.ascontiguousarray(np.concatenate([wq, 1j * wq])).view(float)
+    in_time = np.empty((n_f, n_w, 2 * n_b))
+    per = max(1, _BLOCK_ENTRIES // (8 * n_w * n_t))
+    for a in range(0, n_f, per):
+        c = np.multiply.outer(omega[a:a + per], t).reshape(-1, n_t)
+        c, s = cos_sin(c, out=(c, np.empty_like(c)))
+        chunk = np.matmul(c, lift[:n_t], out=in_time[a:a + per].reshape(-1, 2 * n_b))
+        chunk += s @ lift[n_t:]
+    in_time.view(complex)[...] *= amps
+    step = max(1, _BLOCK_ENTRIES // (4 * n_f * n_b))
+    per = max(1, _BLOCK_ENTRIES // (8 * n_w * step))
     for lo in range(0, len(nodes), step):
-        run = nodes[lo:lo + step]
-        cs = cs_buf[:, :2 * len(run)]
-        phase = np.matmul(space[run], dirs, out=cs[:, :len(run)])
-        phase *= k
-        cos_sin(phase, out=(phase, cs[:, len(run):]))
-        pq = cs @ in_time
+        x = space[nodes[lo:lo + step]]
+        n = len(x)
+        pq = np.empty((n_f, 2 * n, 2 * n_b))
+        for a in range(0, n_f, per):
+            c = (x @ kvec[:, a * n_w:(a + per) * n_w]).reshape(n, -1, n_w)
+            c, s = cos_sin(c, out=(c, np.empty_like(c)))
+            np.matmul(c.transpose(1, 0, 2), in_time[a:a + per], out=pq[a:a + per, :n])
+            np.matmul(s.transpose(1, 0, 2), in_time[a:a + per], out=pq[a:a + per, n:])
         run_sw = sw[lo:lo + step]
         pq *= np.concatenate([run_sw, run_sw])[:, None]
         pq = pq.view(complex)
         if pairs is None:
-            pq = pq[:, :len(run)] + 1j * pq[:, len(run):]
+            pq = pq[:, :n] + 1j * pq[:, n:]
         yield pq.reshape(n_f, -1)
 
 

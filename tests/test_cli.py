@@ -267,9 +267,9 @@ SWEEP_FLAGS = ["--axis1", "R:0.1:1:2:linear", "--axis2", "W:10:100:2:log",
 
 
 @pytest.mark.parametrize("case", [
-    "axis-count", "fixed-value", "fixed-axis", "fixed-twice", "missing-config",
-    "config-value", "output-dir", "verify-config-value", "verify-config-seed",
-    "modes-two-sided-3d"])
+    "axis-count", "fixed-value", "fixed-axis", "fixed-twice", "quantities-twice",
+    "missing-config", "config-value", "output-dir", "verify-config-value",
+    "verify-config-seed", "modes-two-sided-3d"])
 def test_malformed_input_exits_config(case, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("R = abc\nW = 1\nT = 1\nF0 = 10\n")
@@ -282,6 +282,8 @@ def test_malformed_input_exits_config(case, tmp_path, capsys):
         "fixed-value": ["sweep", *SWEEP_FLAGS, "--fixed", "c=abc", "-o", out],
         "fixed-axis": ["sweep", *SWEEP_FLAGS, "--fixed", "R=5", "-o", out],
         "fixed-twice": ["sweep", *SWEEP_FLAGS, "--fixed", "F0=2000", "-o", out],
+        "quantities-twice": ["sweep", *SWEEP_FLAGS, "--quantities", "thm2,thm2",
+                             "-o", out],
         "missing-config": ["bounds", "--config", str(tmp_path / "missing.conf")],
         "config-value": ["bounds", "--config", str(conf)],
         "output-dir": ["sweep", *SWEEP_FLAGS,
@@ -302,6 +304,10 @@ NUMBER = st.sampled_from(["0", "0.5", "1", "10", "2.4e9", "1e300", "-1",
                           "nan", "inf", "abc"])
 
 
+# Sweep quantity lists: valid ones, and ones with a repeated or unknown name.
+QUANTITY_LISTS = st.sampled_from(["thm2,exact2d,exact3d", "d_2wt", "thm1,asym3d",
+                                  "thm2,thm2", "exact2d,thm1,exact2d", "thm3",
+                                  "thm2,", ""])
 COUNT = st.sampled_from(["1", "2", "5", "12"])
 BAD_COUNT = st.sampled_from(["0", "-3", "abc", "1,2"])
 # A valid config whose Gram needs only n_angular >= 3 and n_time >= 14.
@@ -319,7 +325,7 @@ def cli_argv(draw):
     names = draw(st.permutations(["R", "W", "T", "F0"]))
     command = draw(st.sampled_from(["bounds", "sweep", "modes", "verify"]))
     if command == "sweep":
-        argv = ["sweep", "--quantities", "thm2,exact2d,exact3d"]
+        argv = ["sweep", "--quantities", draw(QUANTITY_LISTS)]
         for flag, name in (("--axis1", names[0]), ("--axis2", names[1])):
             count = draw(st.sampled_from(["1", "2", "3", "abc"]))
             scale = draw(st.sampled_from(["linear", "log"]))
