@@ -38,8 +38,11 @@ spatial weights scale the rows of its product. Every pair comes from
 block's temporaries stay within ``_BLOCK_ENTRIES`` complex entries
 (2 MB). The harmonic truncation error uses the same structure
 over the ball: radial nodes x directions, and never forms the nodes
-themselves. No (points x modes), (points x waves) or
-(points x points) array is formed. The readouts are:
+themselves. Its integrand |e^{ik.x} - p_N(x)|^2 is even in x, so when
+the azimuth count is even it is summed over one direction of each
+antipodal pair with twice the weight; the pairs are the ensemble's, and
+the result moves only by rounding. No (points x modes), (points x waves)
+or (points x points) array is formed. The readouts are:
 
 * threshold rank: eigenvalues >= epsilon * lambda_max,
 * energy rank: smallest leading set capturing an eta fraction of the trace.
@@ -276,20 +279,21 @@ def diagonal_normalize(g: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 17
 
 
-def _antipodes(grid: SpaceTimeGrid) -> tuple[np.ndarray, np.ndarray] | None:
-    """(nodes, partners): spatial node indices such that node x and its
-    partner -x cover every node once, or None if the azimuth count is odd.
+def _antipodes(axes: dict) -> tuple[np.ndarray, np.ndarray] | None:
+    """(directions, partners): indices into the unit ``directions`` of
+    :func:`_spatial_quadrature` such that direction d and its partner -d
+    cover every direction once, or None if the azimuth count is odd.
 
-    The pairs come from the axis indices, (r, phi) <-> (r, phi + pi) and
-    in 3D (r, mu, phi) <-> (r, -mu, phi + pi); Gauss-Legendre mu nodes and
-    weights are symmetric, so partners have bit-identical weights.
+    The pairs come from the axis indices, phi <-> phi + pi and in 3D
+    (mu, phi) <-> (-mu, phi + pi); Gauss-Legendre mu nodes and weights
+    are symmetric, so partners have bit-identical weights. The spatial
+    node pairs are these direction pairs at every radius.
     """
-    n_phi = len(grid.axes["phi_nodes"])
+    n_phi = len(axes["phi_nodes"])
     if n_phi % 2:
         return None
-    idx = np.arange(len(grid.axes["space_points"])).reshape(
-        len(grid.axes["r_nodes"]), -1, n_phi)
-    return idx[..., :n_phi // 2].ravel(), idx[:, ::-1, n_phi // 2:].ravel()
+    idx = np.arange(len(axes["directions"])).reshape(-1, n_phi)
+    return idx[:, :n_phi // 2].ravel(), idx[::-1, n_phi // 2:].ravel()
 
 
 def _band_time_basis(fields: Sequence[PlaneWaveSet],
@@ -368,9 +372,14 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     """
     space, t = grid.axes["space_points"], grid.axes["t_nodes"]
     basis = _band_time_basis(fields, grid)
-    pairs = _antipodes(grid)
-    nodes = np.arange(len(space)) if pairs is None else pairs[0]
-    sw = np.sqrt((1.0 if pairs is None else 2.0) * grid.axes["space_weights"][nodes])
+    sw = grid.axes["space_weights"]
+    pairs = _antipodes(grid.axes)
+    if pairs is not None:
+        # One node of each antipodal pair at every radius, weighted twice.
+        n_r, dim = len(grid.axes["r_nodes"]), space.shape[1]
+        space = space.reshape(n_r, -1, dim)[:, pairs[0]].reshape(-1, dim)
+        sw = 2.0 * sw.reshape(n_r, -1)[:, pairs[0]].ravel()
+    sw = np.sqrt(sw)
     n_f, n_w = len(fields), max(len(pws) for pws in fields)
     n_t, n_b = basis.shape
     # Every field's waves side by side, zero-padded to n_w; padded waves
@@ -396,8 +405,8 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     in_time.view(complex)[...] *= amps
     step = max(1, _BLOCK_ENTRIES // (4 * n_f * n_b))
     per = max(1, _BLOCK_ENTRIES // (8 * n_w * step))
-    for lo in range(0, len(nodes), step):
-        x = space[nodes[lo:lo + step]]
+    for lo in range(0, len(space), step):
+        x = space[lo:lo + step]
         n = len(x)
         pq = np.empty((n_f, 2 * n, 2 * n_b))
         for a in range(0, n_f, per):
@@ -500,13 +509,30 @@ def truncation_error(wv, radius: float, N: int,
     one real product of the stacked radial parts with the angular table,
     and the exact factor's from :func:`~wavedof.specfun.cos_sin`, so no
     complex (radii x directions) array is formed.
+
+    The integrand |e^{ik.x} - p_N(x)|^2 is even in x. The terms of p_N
+    with even n are real with an even angular factor, P_n(rhat . khat) or
+    cos(m dtheta), and those with odd n imaginary and odd; cos(k.x) is
+    even and sin(k.x) odd. So Re(e - p) is even and Im(e - p) odd. When
+    the azimuth count is even (always in 3D, and in 2D for even
+    n_angular), every direction has its antipode with the same weight
+    (:func:`_antipodes`), and the error is summed over one direction of
+    each pair with the weight doubled: half the angular table, the real
+    product, the exact phases and the sum. The two terms of a pair agree
+    up to rounding, so the result moves only by rounding, within 2e-15
+    at the rounding floor of the partial sum. With an odd 2D azimuth
+    count every direction is summed.
     """
     axes = _spatial_quadrature(wv.dim, radius, *resolution)
-    r, directions, w = axes["r_nodes"], axes["directions"], axes["space_weights"]
+    r, directions = axes["r_nodes"], axes["directions"]
+    w = axes["space_weights"].reshape(len(r), -1)
+    pairs = _antipodes(axes)
+    if pairs is not None:
+        directions, w = directions[pairs[0]], 2.0 * w[:, pairs[0]]
     radial, angular = jacobi_anger_tables(wv, r, directions, N)
     part = np.concatenate([radial.real, radial.imag]) @ angular
     c, s = cos_sin(wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))
     c -= part[:len(r)]
     s -= part[len(r):]
-    err = float(np.sum(w * (c * c + s * s).ravel()))
+    err = float(np.sum(w * (c * c + s * s)))
     return math.sqrt(err / float(np.sum(w)))

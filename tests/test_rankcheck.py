@@ -359,13 +359,24 @@ def test_ensemble_memory_over_a_long_window():
     assert _traced_peak(ensemble_spectrum, ens, g) <= 20 * (1 << 20)
 
 
+def test_truncation_error_memory():
+    # The expand 3D point kR = 20, N = 33 on (24, 34): 24 radii x 2312
+    # directions, summed over one direction of each antipodal pair.
+    # Measured 2.53 MiB (over every direction: 3.63 MiB).
+    wv = WaveVector.from_frequency(20.0 / (2 * math.pi), (0.6, -0.64, 0.48), 1.0)
+    assert _traced_peak(truncation_error, wv, 1.0, 33, (24, 34)) <= 3.0 * (1 << 20)
+
+
 @pytest.mark.parametrize("dim, resolution", [
     (TWO_D, (8, 24, 3)), (THREE_D, (5, 9, 3)), (THREE_D, (12, 23, 3)),
 ])
 def test_antipodal_pairs(dim, resolution):
     g = build_grid(dim, HALF_CAL_3D, resolution)
-    nodes, partners = rankcheck._antipodes(g)
     space = g.axes["space_points"]
+    # The direction pairs at every radius are the spatial node pairs.
+    n_dir = len(g.axes["directions"])
+    nodes, partners = ((np.arange(0, len(space), n_dir)[:, None] + p).ravel()
+                       for p in rankcheck._antipodes(g.axes))
     assert np.array_equal(np.sort(np.concatenate([nodes, partners])),
                           np.arange(len(space)))
     assert np.max(np.abs(space[partners] + space[nodes])) <= 1e-15 * HALF_CAL_3D.R
@@ -374,7 +385,7 @@ def test_antipodal_pairs(dim, resolution):
 
 
 def test_odd_azimuth_count_has_no_antipodes():
-    assert rankcheck._antipodes(build_grid(TWO_D, NARROW_2D, (8, 25, 3))) is None
+    assert rankcheck._antipodes(build_grid(TWO_D, NARROW_2D, (8, 25, 3)).axes) is None
 
 
 def test_gram_resolution_preconditions():
@@ -571,19 +582,24 @@ def test_truncation_error_2d():
 @pytest.mark.parametrize("dim, kR", [(TWO_D, 10.0), (TWO_D, 20.0), (TWO_D, 40.0),
                                      (THREE_D, 10.0), (THREE_D, 20.0)])
 def test_truncation_error_matches_pointwise_oracle(dim, kR):
-    # The benchmark's expand cases and resolutions: 4(N+5) azimuths in
-    # 2D, N+6 polar nodes in 3D.
+    # First the benchmark's expand cases and resolutions: 4(N+5) azimuths
+    # in 2D, N+6 polar nodes in 3D. Then two the expand cases never reach:
+    # in 2D 4(N+5) + 1 azimuths, an odd count where no direction has its
+    # antipode and every one is summed, and in 3D the default (24, 24);
+    # and last one angular node.
     rng = np.random.default_rng(int(kR))
     n = truncation_degree(1.0, kR)
-    res = (24, 4 * (n + 5)) if dim is TWO_D else (24, n + 6)
+    resolutions = ([(24, 4 * (n + 5)), (24, 4 * (n + 5) + 1)] if dim is TWO_D
+                   else [(24, n + 6), (24, 24)]) + [(24, 1)]
     for _ in range(2):
         wv = WaveVector.from_frequency(kR / (2 * math.pi),
                                        rng.normal(size=2 if dim is TWO_D else 3), 1.0)
-        for N in (n, n + 5, n + 20):
-            want = pointwise_truncation_error(wv, 1.0, N, res)
-            # Errors reach 1e-8, and at N = n + 20 the rounding floor;
-            # rounding moves them by about 1e-16.
-            assert abs(truncation_error(wv, 1.0, N, res) - want) <= 1e-14, N
+        for res in resolutions:
+            for N in (n, n + 5, n + 20):
+                want = pointwise_truncation_error(wv, 1.0, N, res)
+                # Errors reach 1e-8, and at N = n + 20 the rounding floor;
+                # rounding moves them by about 1e-15.
+                assert abs(truncation_error(wv, 1.0, N, res) - want) <= 1e-14, (res, N)
 
 
 def test_ball_grid_measures():
