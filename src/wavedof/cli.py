@@ -167,6 +167,8 @@ def _read_config_file(path: str) -> dict:
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice")
         out[key] = _number(val, f"{path}:{lineno}: {key}",
                            float if key != "seed" else lambda s: int(float(s)))
     return out
@@ -392,6 +394,8 @@ def cmd_modes(args) -> int:
     """Write the (i, n, m, f, k) rows of ``enumerate_modes`` bin by bin: each
     :func:`~wavedof.bounds.bin_degrees` bin's ``_bin_orders`` at its f and
     ``cfg.wavenumber(f)``, one row at a time, once the count passes ``--cap``."""
+    if args.cap < 1:
+        raise ConfigError(f"--cap must be >= 1, got {args.cap}")
     cfg = _config_from_args(args)[0]
     dim = _dim_from_args(args)
     bins, freqs, degrees = bin_degrees(cfg)
@@ -434,14 +438,17 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
                   policy: RankPolicy, two_sided: bool = False) -> dict:
     """Run the full rank experiment and assemble the JSON document.
 
-    Raises :class:`ModeCapError` before allocating when the grid points,
-    the Gram entries (modes^2), the ensemble's time-factor entries or
-    its dual's entries (fields^2) fail :func:`~wavedof.bounds.check_cap`.
+    Every ratio divides a rank by ``exact_mode_sum(dim, cfg, two_sided)``,
+    the number of modes the Gram matrix is built from. Raises
+    :class:`ModeCapError` before allocating when the grid points, the
+    Gram entries (modes^2), the ensemble's time-factor entries or its
+    dual's entries (fields^2) fail :func:`~wavedof.bounds.check_cap`.
     """
     n_r, n_ang, n_t = resolution
     n_space = n_r * n_ang * (2 * n_ang if dim is Dimension.THREE_D else 1)
+    exact = exact_mode_sum(dim, cfg, two_sided)
     for what, size in (("grid points", n_space * n_t),
-                       ("Gram entries", exact_mode_sum(dim, cfg, two_sided) ** 2),
+                       ("Gram entries", exact ** 2),
                        ("ensemble time-factor entries", fields * waves * n_t),
                        ("ensemble dual entries", fields ** 2)):
         check_cap(size, what)
@@ -453,7 +460,6 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
                 for j in range(fields)]
     ens_spec = ensemble_spectrum(ensemble, grid, policy)
     bounds = _rounded(bound_report(cfg).as_dict())
-    exact = bounds[f"exact{dim.value}"]
     return {
         "metadata": run_metadata(seed=seed, extra={
             "kind": "verify", "dim": dim.value,

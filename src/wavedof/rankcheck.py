@@ -4,10 +4,10 @@ Builds Gauss-Legendre product grids over ball x time, assembles Gram
 matrices and ensemble covariance spectra, and reduces Hermitian spectra
 to two effective-rank readouts. The grid is a tensor product (r x [mu] x
 phi x t), held as its axes only: per-axis nodes and weights, the unit
-``directions`` of the angular nodes, and the spatial nodes (radii x
-directions) with their weights. Its per-point arrays are built only on
-request, and no library path requests them. Every mode and every plane
-wave is a product over the same axes, and so is each weight, so the Gram
+``directions`` of the angular nodes, and the weights of the spatial
+nodes (radii x directions). Node coordinates and per-point arrays are
+formed only where read. Every mode and every plane wave is a product
+over the same axes, and so is each weight, so the Gram
 matrix and the ensemble are assembled axis by axis: the Gram matrix is
 the elementwise product of one small weighted Gram per axis, and each
 ensemble field is a (spatial nodes x waves) by (waves x time nodes)
@@ -40,9 +40,10 @@ block's temporaries stay within ``_BLOCK_ENTRIES`` complex entries
 over the ball: radial nodes x directions, and never forms the nodes
 themselves. Its integrand |e^{ik.x} - p_N(x)|^2 is even in x, so when
 the azimuth count is even it is summed over one direction of each
-antipodal pair with twice the weight; the pairs are the ensemble's, and
-the result moves only by rounding. No (points x modes), (points x waves)
-or (points x points) array is formed. The readouts are:
+antipodal pair with twice the weight. Both take the pairs from one
+fold, :func:`_antipodal_fold`, and the error moves only by rounding.
+No (points x modes), (points x waves) or (points x points) array is
+formed. The readouts are:
 
 * threshold rank: eigenvalues >= epsilon * lambda_max,
 * energy rank: smallest leading set capturing an eta fraction of the trace.
@@ -107,10 +108,10 @@ class SpaceTimeGrid:
     The grid is a product over the axes r, mu (3D only), phi and t, with
     points in that index order and t fastest. ``axes`` keeps each axis's
     ``<axis>_nodes`` and ``<axis>_weights``, the unit ``directions`` of
-    the angular nodes, the distinct positions ``space_points`` (r x
-    directions) and their weights ``space_weights`` (the product of the
-    r, [mu] and phi weights), and every library path reads these. The
-    axes alone say the dimension (a ``mu_nodes`` axis is 3D) and the
+    the angular nodes and the weights ``space_weights`` (the product of
+    the r, [mu] and phi weights) of the spatial nodes r x directions,
+    and every library path reads these; it holds no node coordinates.
+    The axes alone say the dimension (a ``mu_nodes`` axis is 3D) and the
     resolution (the node counts of r, mu or else phi, and t).
     The per-point arrays ``points`` (P, 2 or 3) in meters, ``times``
     (P,) in seconds and ``weights`` (P,), the full measure (volume x
@@ -121,11 +122,12 @@ class SpaceTimeGrid:
 
     @functools.cached_property
     def points(self) -> np.ndarray:
-        return np.repeat(self.axes["space_points"], len(self.axes["t_nodes"]), axis=0)
+        space = _node_coordinates(self.axes["r_nodes"], self.axes["directions"])
+        return np.repeat(space, len(self.axes["t_nodes"]), axis=0)
 
     @functools.cached_property
     def times(self) -> np.ndarray:
-        return np.tile(self.axes["t_nodes"], len(self.axes["space_points"]))
+        return np.tile(self.axes["t_nodes"], len(self.axes["space_weights"]))
 
     @functools.cached_property
     def weights(self) -> np.ndarray:
@@ -133,7 +135,7 @@ class SpaceTimeGrid:
                 * self.axes["t_weights"][None, :]).ravel()
 
     def __len__(self) -> int:
-        return len(self.axes["space_points"]) * len(self.axes["t_nodes"])
+        return len(self.axes["space_weights"]) * len(self.axes["t_nodes"])
 
 
 @functools.lru_cache(maxsize=16)
@@ -154,9 +156,10 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     uniform azimuths; in 2D they are n_ang uniform azimuths. Returns the
     axes: each axis's nodes and weights, the unit vectors ``directions``
     (angular nodes, 2 or 3) of the angular nodes in ([mu], phi) order,
-    phi fastest, and ``space_weights`` in (r, [mu], phi) order. The
-    spatial nodes are r x directions (:func:`_space_points`). Raises
-    :class:`ConfigError` when a weight leaves the float range.
+    phi fastest, and ``space_weights`` in (r, [mu], phi) order: the
+    weights of the spatial nodes r x directions, whose coordinates it
+    does not form. Raises :class:`ConfigError` when a weight leaves the
+    float range.
     """
     if min(n_r, n_ang) < 1:
         raise ConfigError("resolution counts must be >= 1")
@@ -190,11 +193,32 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     return axes
 
 
-def _space_points(axes: dict) -> np.ndarray:
-    """(nodes, 2 or 3) coordinates of the spatial nodes, r x directions in
-    the (r, [mu], phi) order of :func:`_spatial_quadrature`."""
-    d = axes["directions"]
-    return (axes["r_nodes"][:, None, None] * d).reshape(-1, d.shape[1])
+def _node_coordinates(r: np.ndarray, directions: np.ndarray) -> np.ndarray:
+    """(nodes, 2 or 3) coordinates of the spatial nodes r x directions,
+    radius slowest, as ordered by :func:`_spatial_quadrature`."""
+    return (r[:, None, None] * directions).reshape(-1, directions.shape[1])
+
+
+def _antipodal_fold(axes: dict) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(directions, weights, folded): the unit directions a sum over the
+    ball quadrature of :func:`_spatial_quadrature` needs, their (radii x
+    directions) weights, and whether the fold applied.
+
+    When the azimuth count is even (always in 3D, and in 2D for even
+    n_angular), every direction d has its antipode -d: phi <-> phi + pi,
+    and in 3D (mu, phi) <-> (-mu, phi + pi). Gauss-Legendre mu nodes and
+    weights are symmetric, so partners have bit-identical weights, and the
+    spatial node pairs are these direction pairs at every radius. Then
+    only the directions with phi < pi are kept, each weight doubled.
+    Otherwise every direction is returned with its own weight.
+    """
+    n_phi = len(axes["phi_nodes"])
+    directions = axes["directions"]
+    w = axes["space_weights"].reshape(len(axes["r_nodes"]), -1)
+    if n_phi % 2:
+        return directions, w, False
+    keep = np.arange(len(directions)).reshape(-1, n_phi)[:, :n_phi // 2].ravel()
+    return directions[keep], 2.0 * w[:, keep], True
 
 
 def build_grid(dim: Dimension, cfg: PhysicalConfig,
@@ -203,17 +227,15 @@ def build_grid(dim: Dimension, cfg: PhysicalConfig,
 
     ``resolution`` is (n_radial, n_angular, n_time). The spatial axes
     are those of :func:`_spatial_quadrature`, which checks R and the
-    spatial counts, and ``space_points`` their nodes
-    (:func:`_space_points`); the n_time time nodes are Gauss-Legendre
-    points over [0, T].
+    spatial counts; the n_time time nodes are Gauss-Legendre points over
+    [0, T]. No node coordinates are formed.
     """
     n_r, n_ang, n_t = resolution
     if n_t < 1 or cfg.T <= 0:
         raise ConfigError("grids need n_time >= 1 and T > 0")
     axes = _spatial_quadrature(dim, cfg.R, n_r, n_ang)
     xt, wxt = _gauss_legendre(n_t)
-    axes.update(t_nodes=cfg.T * (xt + 1.0) / 2.0, t_weights=wxt * cfg.T / 2.0,
-                space_points=_space_points(axes))
+    axes.update(t_nodes=cfg.T * (xt + 1.0) / 2.0, t_weights=wxt * cfg.T / 2.0)
     return SpaceTimeGrid(axes)
 
 
@@ -279,23 +301,6 @@ def diagonal_normalize(g: np.ndarray) -> np.ndarray:
 _BLOCK_ENTRIES = 1 << 17
 
 
-def _antipodes(axes: dict) -> tuple[np.ndarray, np.ndarray] | None:
-    """(directions, partners): indices into the unit ``directions`` of
-    :func:`_spatial_quadrature` such that direction d and its partner -d
-    cover every direction once, or None if the azimuth count is odd.
-
-    The pairs come from the axis indices, phi <-> phi + pi and in 3D
-    (mu, phi) <-> (-mu, phi + pi); Gauss-Legendre mu nodes and weights
-    are symmetric, so partners have bit-identical weights. The spatial
-    node pairs are these direction pairs at every radius.
-    """
-    n_phi = len(axes["phi_nodes"])
-    if n_phi % 2:
-        return None
-    idx = np.arange(len(axes["directions"])).reshape(-1, n_phi)
-    return idx[:, :n_phi // 2].ravel(), idx[::-1, n_phi // 2:].ravel()
-
-
 def _band_time_basis(fields: Sequence[PlaneWaveSet],
                      grid: SpaceTimeGrid) -> np.ndarray:
     """(time nodes, L) orthonormal columns Q whose span holds every weighted
@@ -356,8 +361,8 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     array is formed. With p = cos(k.x) Tm Q and q = sin(k.x) Tm Q, the
     field is p + i q at x and p - i q at -x, and the pair adds
     2 (p p^H + q q^H) to the dual. So on a grid with antipodes (see
-    :func:`_antipodes`) a block is sqrt(2 w_x) [p, q] over one node of
-    each pair; otherwise it is sqrt(w_x) (p + i q) over every node.
+    :func:`_antipodal_fold`) a block is sqrt(2 w_x) [p, q] over one node
+    of each pair; otherwise it is sqrt(w_x) (p + i q) over every node.
 
     A block is a run of nodes for every field, its (fields x 2 nodes x
     2L) reals within half of ``_BLOCK_ENTRIES`` complex entries. Its
@@ -370,16 +375,11 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     and writes the block's p and q rows, which are then scaled by the
     spatial factor.
     """
-    space, t = grid.axes["space_points"], grid.axes["t_nodes"]
+    t = grid.axes["t_nodes"]
     basis = _band_time_basis(fields, grid)
-    sw = grid.axes["space_weights"]
-    pairs = _antipodes(grid.axes)
-    if pairs is not None:
-        # One node of each antipodal pair at every radius, weighted twice.
-        n_r, dim = len(grid.axes["r_nodes"]), space.shape[1]
-        space = space.reshape(n_r, -1, dim)[:, pairs[0]].reshape(-1, dim)
-        sw = 2.0 * sw.reshape(n_r, -1)[:, pairs[0]].ravel()
-    sw = np.sqrt(sw)
+    directions, w, folded = _antipodal_fold(grid.axes)
+    space = _node_coordinates(grid.axes["r_nodes"], directions)
+    sw = np.sqrt(w.ravel())
     n_f, n_w = len(fields), max(len(pws) for pws in fields)
     n_t, n_b = basis.shape
     # Every field's waves side by side, zero-padded to n_w; padded waves
@@ -417,7 +417,7 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
         run_sw = sw[lo:lo + step]
         pq *= np.concatenate([run_sw, run_sw])[:, None]
         pq = pq.view(complex)
-        if pairs is None:
+        if not folded:
             pq = pq[:, :n] + 1j * pq[:, n:]
         yield pq.reshape(n_f, -1)
 
@@ -516,19 +516,16 @@ def truncation_error(wv, radius: float, N: int,
     even and sin(k.x) odd. So Re(e - p) is even and Im(e - p) odd. When
     the azimuth count is even (always in 3D, and in 2D for even
     n_angular), every direction has its antipode with the same weight
-    (:func:`_antipodes`), and the error is summed over one direction of
-    each pair with the weight doubled: half the angular table, the real
+    (:func:`_antipodal_fold`), and the error is summed over one direction
+    of each pair with the weight doubled: half the angular table, the real
     product, the exact phases and the sum. The two terms of a pair agree
     up to rounding, so the result moves only by rounding, within 2e-15
     at the rounding floor of the partial sum. With an odd 2D azimuth
     count every direction is summed.
     """
     axes = _spatial_quadrature(wv.dim, radius, *resolution)
-    r, directions = axes["r_nodes"], axes["directions"]
-    w = axes["space_weights"].reshape(len(r), -1)
-    pairs = _antipodes(axes)
-    if pairs is not None:
-        directions, w = directions[pairs[0]], 2.0 * w[:, pairs[0]]
+    r = axes["r_nodes"]
+    directions, w, _ = _antipodal_fold(axes)
     radial, angular = jacobi_anger_tables(wv, r, directions, N)
     part = np.concatenate([radial.real, radial.imag]) @ angular
     c, s = cos_sin(wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))

@@ -200,12 +200,14 @@ def bessel_J(n: int, x: float) -> float:
     return float(bessel_table(n, x)[n, 0])
 
 
-def _legendre_column(n_max: int, m: int, u) -> list:
-    """Q_n^m(u) = sqrt((n-m)!/(n+m)!) P_n^m(u) for n = m..n_max, at fixed m >= 0.
+def _legendre_column(n_max: int, m: int, u):
+    """Yield Q_n^m(u) = sqrt((n-m)!/(n+m)!) P_n^m(u) for n = m..n_max, at
+    fixed m >= 0.
 
     The one Legendre recurrence; every public Legendre name reads it. u is
     a float or an array, and both take the same arithmetic, so a scalar
-    read costs one O(n) column on plain floats. The start is
+    read costs one O(n) column on plain floats, and a table writes each
+    row into place as it is yielded. The start is
     Q_m^m = (-1)^m sqrt(C(2m, m) / 4^m) (1-u^2)^(m/2), with the
     Condon-Shortley phase; C(2m, m) / 4^m = prod_{k<=m} (2k-1)/(2k) is one
     correctly rounded integer division. The power is 1 at m = 0 for
@@ -215,13 +217,13 @@ def _legendre_column(n_max: int, m: int, u) -> list:
     """
     c = math.sqrt(math.comb(2 * m, m) / 4**m)
     q = (-c if m % 2 else c) * ((1.0 - u) * (1.0 + u)) ** (0.5 * m)
-    column, q_prev, d_prev = [q], 0.0, 0.0
+    yield q
+    q_prev, d_prev = 0.0, 0.0
     for n in range(m + 1, n_max + 1):
         d = math.sqrt(n * n - m * m)
         q_prev, q = q, ((2 * n - 1) * u * q - d_prev * q_prev) / d
         d_prev = d
-        column.append(q)
-    return column
+        yield q
 
 
 def legendre_table(n_max: int, u) -> np.ndarray:
@@ -233,14 +235,19 @@ def legendre_table(n_max: int, u) -> np.ndarray:
     """
     if n_max < 0:
         raise ValueError(f"degree must be >= 0, got {n_max}")
-    return np.array(_legendre_column(n_max, 0, np.atleast_1d(np.asarray(u, dtype=float))))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    out = np.empty((n_max + 1,) + u.shape)
+    for n, q in enumerate(_legendre_column(n_max, 0, u)):
+        out[n] = q
+    return out
 
 
 def legendre_p(n: int, u: float) -> float:
     """Legendre polynomial P_n(u): the m = 0 Legendre column on a float."""
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    return _legendre_column(n, 0, float(u))[-1]
+    *_, p = _legendre_column(n, 0, float(u))
+    return p
 
 
 def _check_u(u: float) -> float:
@@ -259,7 +266,7 @@ def assoc_legendre(n: int, m: int, u: float) -> float:
     if abs(m) > n:
         raise ValueError(f"|m| must be <= n, got m={m}, n={n}")
     mm = abs(m)
-    q = _legendre_column(n, mm, _check_u(u))[-1]
+    *_, q = _legendre_column(n, mm, _check_u(u))
     # sqrt((n+m)!/(n-m)!) as a product of square roots, which stays finite
     # wherever the factorials themselves would overflow.
     ratio = math.prod(math.sqrt(k) for k in range(n - mm + 1, n + mm + 1))
@@ -276,7 +283,8 @@ def norm_assoc_legendre(n: int, m: int, u: float) -> float:
     """
     if n < 0 or not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got n={n}, m={m}")
-    return math.sqrt((2 * n + 1) / FOUR_PI) * _legendre_column(n, m, _check_u(u))[-1]
+    *_, q = _legendre_column(n, m, _check_u(u))
+    return math.sqrt((2 * n + 1) / FOUR_PI) * q
 
 
 def sph_harm(n: int, m: int, angle: Angle) -> complex:
@@ -305,6 +313,7 @@ def norm_assoc_legendre_table(n_max: int, u) -> np.ndarray:
     u = np.clip(u, -1.0, 1.0)
     out = np.zeros((n_max + 1, n_max + 1, u.size))
     for m in range(n_max + 1):
-        out[m:, m] = _legendre_column(n_max, m, u)
+        for n, q in enumerate(_legendre_column(n_max, m, u), m):
+            out[n, m] = q
     out *= np.sqrt((2 * np.arange(n_max + 1) + 1) / FOUR_PI)[:, None, None]
     return out

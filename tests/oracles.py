@@ -291,7 +291,8 @@ def eager_grid_arrays(grid) -> tuple:
     time nodes tiled once per spatial node, and the outer product of the
     r, [mu], phi and t weights, raveled with t fastest."""
     ax = grid.axes
-    space, t, wr, wphi = ax["space_points"], ax["t_nodes"], ax["r_weights"], ax["phi_weights"]
+    t, wr, wphi = ax["t_nodes"], ax["r_weights"], ax["phi_weights"]
+    space = np.concatenate([ri * ax["directions"] for ri in ax["r_nodes"]])
     if "mu_weights" in ax:
         w_space = wr[:, None, None] * ax["mu_weights"][None, :, None] * wphi[None, None, :]
     else:
@@ -379,7 +380,8 @@ def jacobi_anger_scalar(wv, position, N: int) -> complex:
 def pointwise_truncation_error(wv, radius: float, N: int, resolution) -> float:
     """Relative L2 truncation error from one partial sum per ball point."""
     axes = rankcheck._spatial_quadrature(wv.dim, radius, *resolution)
-    pts, w = rankcheck._space_points(axes), axes["space_weights"]
+    pts = np.concatenate([ri * axes["directions"] for ri in axes["r_nodes"]])
+    w = axes["space_weights"]
     exact = np.exp(1j * wv.k * (pts @ np.asarray(wv.k_hat)))
     err = float(np.sum(w * np.abs(exact - jacobi_anger_values(wv, pts, N)) ** 2))
     return math.sqrt(err / float(np.sum(w)))

@@ -269,12 +269,16 @@ SWEEP_FLAGS = ["--axis1", "R:0.1:1:2:linear", "--axis2", "W:10:100:2:log",
 @pytest.mark.parametrize("case", [
     "axis-count", "fixed-value", "fixed-axis", "fixed-twice", "quantities-twice",
     "missing-config", "config-value", "output-dir", "verify-config-value",
-    "verify-config-seed", "modes-two-sided-3d"])
+    "verify-config-seed", "modes-two-sided-3d", "config-key-twice", "modes-cap-zero",
+    "modes-cap-negative"])
 def test_malformed_input_exits_config(case, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("R = abc\nW = 1\nT = 1\nF0 = 10\n")
     seed_conf = tmp_path / "seed.conf"
     seed_conf.write_text("R = 0.1\nW = 0.01\nT = 0.3\nF0 = 10\nc = 1\nseed = -1\n")
+    twice_conf = tmp_path / "twice.conf"
+    twice_conf.write_text("R = 0.1\nW = 1\nT = 1\nF0 = 10\nR = 0.2\n")
+    modes_flags = ["modes", "--R", "0.1", "--W", "1", "--T", "1", "--F0", "10"]
     out = str(tmp_path / "s.csv")
     argv = {
         "axis-count": ["sweep", "--axis1", "R:0.1:1:abc:linear", *SWEEP_FLAGS[2:],
@@ -290,8 +294,10 @@ def test_malformed_input_exits_config(case, tmp_path, capsys):
                        "-o", str(tmp_path / "missing" / "x.csv")],
         "verify-config-value": ["verify", "--config", str(conf), "-o", out],
         "verify-config-seed": ["verify", "--config", str(seed_conf), "-o", out],
-        "modes-two-sided-3d": ["modes", "--R", "0.1", "--W", "1", "--T", "1", "--F0",
-                               "10", "--dim", "3d", "--two-sided", "-o", out],
+        "modes-two-sided-3d": [*modes_flags, "--dim", "3d", "--two-sided", "-o", out],
+        "config-key-twice": ["bounds", "--config", str(twice_conf)],
+        "modes-cap-zero": [*modes_flags, "--cap", "0", "-o", out],
+        "modes-cap-negative": [*modes_flags, "--cap", "-5", "-o", out],
     }[case]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -637,6 +643,12 @@ def test_verify_two_sided_gram(tmp_path):
     assert doc["metadata"]["two_sided"] is True
     assert doc["gram"]["modes"] == 19  # 2N+1 with N = 9
     assert doc["gram"]["rank_threshold"] == 19
+    # The ratios divide by the two-sided count; the bounds keep the
+    # one-sided one.
+    assert doc["bounds"]["exact2d"] == 10
+    assert doc["ratios"]["gram_rank_threshold_over_exact"] == 1.0
+    assert doc["ratios"]["ensemble_rank_energy_over_exact"] == round(
+        doc["ensemble"]["rank_energy"] / 19, 12)
 
 
 def test_verify_policy_flag(tmp_path):

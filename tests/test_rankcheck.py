@@ -151,7 +151,17 @@ def test_space_points_are_radii_times_directions(dim, resolution):
                        2 if dim is TWO_D else 3)
     assert np.max(np.abs(np.linalg.norm(d, axis=1) - 1.0)) <= 1e-15
     want = np.concatenate([ri * d for ri in r])
-    assert g.axes["space_points"].tobytes() == want.tobytes()
+    assert rankcheck._node_coordinates(r, d).tobytes() == want.tobytes()
+    assert g.points.tobytes() == np.repeat(want, resolution[2], axis=0).tobytes()
+
+
+@pytest.mark.parametrize("dim, resolution", [
+    (TWO_D, (8, 24, 3)), (TWO_D, (3, 7, 2)), (THREE_D, (5, 9, 3)),
+])
+def test_grid_axes_hold_no_node_coordinates(dim, resolution):
+    axes = build_grid(dim, HALF_CAL_3D, resolution).axes
+    n_space = len(axes["space_weights"])
+    assert [k for k, v in axes.items() if v.ndim == 2 and len(v) == n_space] == []
 
 
 def test_grid_rejects_zero_measure():
@@ -372,20 +382,32 @@ def test_truncation_error_memory():
 ])
 def test_antipodal_pairs(dim, resolution):
     g = build_grid(dim, HALF_CAL_3D, resolution)
-    space = g.axes["space_points"]
-    # The direction pairs at every radius are the spatial node pairs.
-    n_dir = len(g.axes["directions"])
-    nodes, partners = ((np.arange(0, len(space), n_dir)[:, None] + p).ravel()
-                       for p in rankcheck._antipodes(g.axes))
+    r, d = g.axes["r_nodes"], g.axes["directions"]
+    kept, w_kept, folded = rankcheck._antipodal_fold(g.axes)
+    assert folded
+    # Each kept direction is one of the grid's, and its partner is the
+    # direction nearest to its negative.
+    nodes = np.array([np.flatnonzero((d == x).all(axis=1))[0] for x in kept])
+    partners = np.argmin(np.linalg.norm(d[None, :, :] + kept[:, None, :], axis=2),
+                         axis=1)
     assert np.array_equal(np.sort(np.concatenate([nodes, partners])),
-                          np.arange(len(space)))
-    assert np.max(np.abs(space[partners] + space[nodes])) <= 1e-15 * HALF_CAL_3D.R
-    w = g.weights.reshape(len(space), -1)
-    assert w[partners].tobytes() == w[nodes].tobytes()
+                          np.arange(len(d)))
+    # The direction pairs at every radius are the spatial node pairs.
+    space = np.stack([ri * d for ri in r])
+    assert (np.max(np.abs(space[:, partners] + space[:, nodes]))
+            <= 1e-15 * HALF_CAL_3D.R)
+    w = g.weights.reshape(len(r), len(d), -1)
+    assert w[:, partners].tobytes() == w[:, nodes].tobytes()
+    w_space = g.axes["space_weights"].reshape(len(r), -1)
+    assert w_kept.tobytes() == (2.0 * w_space[:, nodes]).tobytes()
 
 
 def test_odd_azimuth_count_has_no_antipodes():
-    assert rankcheck._antipodes(build_grid(TWO_D, NARROW_2D, (8, 25, 3)).axes) is None
+    axes = build_grid(TWO_D, NARROW_2D, (8, 25, 3)).axes
+    directions, w, folded = rankcheck._antipodal_fold(axes)
+    assert not folded
+    assert directions is axes["directions"]
+    assert w.tobytes() == axes["space_weights"].tobytes() and w.shape == (8, 25)
 
 
 def test_gram_resolution_preconditions():

@@ -1,6 +1,7 @@
 """Special-function accuracy, recurrences, orthonormality."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -210,6 +211,24 @@ def test_legendre_polynomials_outside_unit_interval():
         assert legendre_p(3, -2.0) == -17.0
         table = legendre_table(3, [1.5, -2.0])
     assert table.tolist() == [[1.0, 1.0], [1.5, -2.0], [2.875, 5.5], [6.1875, -17.0]]
+
+
+def test_legendre_table_memory():
+    # The 3D expand point: degrees 0..33 at its 1156 folded directions. Rows
+    # are written into the table as the recurrence yields them: measured
+    # 0.35 MiB traced for the 0.30 MiB table (0.61 MiB when the rows were
+    # gathered in a list and copied). The rows equal the scalar reads.
+    u = np.random.default_rng(1).uniform(-1.0, 1.0, 1156)
+    tracemalloc.start()
+    try:
+        table = legendre_table(33, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.4 * (1 << 20)
+    assert table.shape == (34, 1156)
+    for j in (0, 577, 1155):
+        assert table[:, j].tolist() == [legendre_p(n, u[j]) for n in range(34)]
 
 
 def test_assoc_legendre_trivial():
