@@ -9,13 +9,16 @@ verify   quadrature Gram + ensemble covariance rank experiment -> JSON
 figure   canned sweeps (fig3 | fig4 | fig5) reproducing the survey plots
 
 Exit codes: 0 success; 2 configuration error (violated invariant, malformed
-number, axis or config file, overflowing count, quadrature weights beyond
-the float range, unopenable file); 3 mode cap exceeded (also by the
-frequency bins alone, or by a sweep's cells); 4 grid resolution below minimum.
+number, axis or config file, rejected argv: a flag value of the wrong type,
+an invalid choice, an unknown flag or no subcommand; overflowing count,
+quadrature weights beyond the float range, unopenable file); 3 mode cap
+exceeded (also by the frequency bins alone, or by a sweep's cells); 4 grid
+resolution below minimum. Each of these prints one line to stderr.
 
 File formats: CSV is UTF-8 with LF line endings, ``# key = value``
 metadata lines, then a header row; numbers carry 12 significant digits
-and integers are written bare; each row is written as it is formed.
+and integers are written bare. Mode tables and spectrum exports are
+written row by row as each row is formed; a sweep CSV is formed whole.
 JSON reports use a stable key order. The optional SVG heatmap maps cell
 values linearly onto a blue-to-red ramp between the grid min and max.
 """
@@ -135,7 +138,25 @@ def _number(text: str, what: str, kind=float):
     try:
         return kind(text)
     except (ValueError, OverflowError) as exc:
-        raise ConfigError(f"{what} expects a number, got {text!r}") from exc
+        expects = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} expects {expects}, got {text!r}") from exc
+
+
+def _read_assignments(items, names, taken=()) -> dict:
+    """``{name: number}`` from ``(where, "name = value")`` items, ``where``
+    prefixing any error. Each name is one of ``names``, given once and not
+    one of ``taken``; ``seed`` is read as an int, every other name as a float."""
+    out: dict = {}
+    for where, text in items:
+        if "=" not in text:
+            raise ConfigError(f"{where}: expected 'name = value', got {text!r}")
+        name, value = (s.strip() for s in text.split("=", 1))
+        if name not in names:
+            raise ConfigError(f"{where}: unknown name {name!r}")
+        if name in out or name in taken:
+            raise ConfigError(f"{where}: {name!r} is already set")
+        out[name] = _number(value, f"{where}: {name}", int if name == "seed" else float)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,26 +173,15 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _read_config_file(path: str) -> dict:
-    out: dict = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        if key in out:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice")
-        out[key] = _number(val, f"{path}:{lineno}: {key}",
-                           float if key != "seed" else lambda s: int(float(s)))
-    return out
+    items = ((f"{path}:{lineno}", raw.split("#", 1)[0].strip())
+             for lineno, raw in enumerate(lines, 1))
+    return _read_assignments(((where, text) for where, text in items if text),
+                             CONFIG_KEYS)
 
 
 def _config_from_args(args) -> tuple[PhysicalConfig, int]:
@@ -239,16 +249,8 @@ def _sweep_spec_from_args(args) -> SweepSpec:
     if a1.name == a2.name:
         raise ConfigError("axis parameters must be distinct")
     check_cap(a1.count * a2.count, "sweep cells")
-    fixed = {}
-    for item in args.fixed or []:
-        if "=" not in item:
-            raise ConfigError(f"--fixed expects name=value, got {item!r}")
-        key, val = item.split("=", 1)
-        if key not in SWEEP_PARAMS + ("c",):
-            raise ConfigError(f"unknown fixed parameter {key!r}")
-        if key in fixed or key in (a1.name, a2.name):
-            raise ConfigError(f"--fixed {key} is already set by an axis or --fixed")
-        fixed[key] = _number(val, f"--fixed {key}")
+    fixed = _read_assignments((("--fixed", item) for item in args.fixed or []),
+                              (*SWEEP_PARAMS, "c"), taken=(a1.name, a2.name))
     quantities = tuple(args.quantities.split(","))
     for i, q in enumerate(quantities):
         if q not in QUANTITIES:
@@ -516,10 +518,18 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a rejected argv as a :class:`ConfigError`, so ``main`` reports
+    it like any other malformed input; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="wavedof",
-                                description="space-time-frequency DoF bounds "
-                                            "and numerical verification")
+    p = _Parser(prog="wavedof",
+                description="space-time-frequency DoF bounds "
+                            "and numerical verification")
     sub = p.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("bounds", help="print all bounds for one configuration")
@@ -573,9 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -88,14 +88,17 @@ class WaveVector:
         kh = np.asarray(self.k_hat, dtype=float)
         if kh.shape not in ((2,), (3,)):
             raise ValueError("k_hat must have 2 or 3 components")
-        if abs(np.linalg.norm(kh) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(kh) - 1.0) <= 1e-12:   # NaN fails too
             raise ValueError("k_hat must be a unit vector")
         object.__setattr__(self, "k_hat", tuple(kh))
 
     @classmethod
     def from_frequency(cls, f: float, direction, c: float) -> "WaveVector":
         d = np.asarray(direction, dtype=float)
-        d = d / np.linalg.norm(d)
+        norm = np.linalg.norm(d)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"direction must have a finite, non-zero norm, got {norm}")
+        d = d / norm
         return cls(k_hat=tuple(d), f=f, k=2.0 * math.pi * f / c)
 
     @property

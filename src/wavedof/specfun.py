@@ -307,6 +307,8 @@ def norm_assoc_legendre_table(n_max: int, u) -> np.ndarray:
     [n, m] holding the theta factor of Y_n^m for 0 <= m <= n, evaluated
     at every u; entries with m > n stay zero.
     """
+    if n_max < 0:
+        raise ValueError(f"degree must be >= 0, got {n_max}")
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(np.abs(u) > 1.0 + 1e-12):
         raise ValueError("arguments must lie in [-1, 1]")

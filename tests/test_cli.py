@@ -180,6 +180,21 @@ def test_python_dash_m(tmp_path):
     rows = dict(ln.split() for ln in proc.stdout.splitlines())
     assert rows["exact3d"] == str(bound_report(
         PhysicalConfig(R=0.125, W=1e6, T=5e-4, f0=2.4e9)).exact3d)
+    # a malformed flag: one line and exit 2, no usage text
+    proc = subprocess.run([sys.executable, "-m", "wavedof", "bounds", "--R", "abc"],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == EXIT_CONFIG
+    assert proc.stderr == ("configuration error: argument --R: "
+                           "invalid float value: 'abc'\n")
+    assert proc.stdout == ""
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["-h"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wavedof")
 
 
 def test_sweep_csv_roundtrip(tmp_path):
@@ -270,7 +285,8 @@ SWEEP_FLAGS = ["--axis1", "R:0.1:1:2:linear", "--axis2", "W:10:100:2:log",
     "axis-count", "fixed-value", "fixed-axis", "fixed-twice", "quantities-twice",
     "missing-config", "config-value", "output-dir", "verify-config-value",
     "verify-config-seed", "modes-two-sided-3d", "config-key-twice", "modes-cap-zero",
-    "modes-cap-negative"])
+    "modes-cap-negative", "flag-number", "flag-int", "flag-choice", "unknown-flag",
+    "no-command", "figure-name", "config-seed-fraction", "config-seed-float"])
 def test_malformed_input_exits_config(case, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("R = abc\nW = 1\nT = 1\nF0 = 10\n")
@@ -278,6 +294,10 @@ def test_malformed_input_exits_config(case, tmp_path, capsys):
     seed_conf.write_text("R = 0.1\nW = 0.01\nT = 0.3\nF0 = 10\nc = 1\nseed = -1\n")
     twice_conf = tmp_path / "twice.conf"
     twice_conf.write_text("R = 0.1\nW = 1\nT = 1\nF0 = 10\nR = 0.2\n")
+    # seed is a strict int in a file as in the --seed flag
+    for name, seed in (("fraction", "7.9"), ("float", "7.0")):
+        (tmp_path / f"seed-{name}.conf").write_text(
+            f"R = 0.1\nW = 0.01\nT = 0.3\nF0 = 10\nc = 1\nseed = {seed}\n")
     modes_flags = ["modes", "--R", "0.1", "--W", "1", "--T", "1", "--F0", "10"]
     out = str(tmp_path / "s.csv")
     argv = {
@@ -298,6 +318,16 @@ def test_malformed_input_exits_config(case, tmp_path, capsys):
         "config-key-twice": ["bounds", "--config", str(twice_conf)],
         "modes-cap-zero": [*modes_flags, "--cap", "0", "-o", out],
         "modes-cap-negative": [*modes_flags, "--cap", "-5", "-o", out],
+        "flag-number": ["bounds", "--R", "abc", "--W", "1", "--T", "1", "--F0", "10"],
+        "flag-int": ["verify", *VERIFY_CONFIG, "--fields", "abc", "-o", out],
+        "flag-choice": [*modes_flags, "--dim", "4d", "-o", out],
+        "unknown-flag": [*modes_flags, "--bogus", "1", "-o", out],
+        "no-command": [],
+        "figure-name": ["figure", "fig9", "-o", out],
+        "config-seed-fraction": ["verify", "--config",
+                                 str(tmp_path / "seed-fraction.conf"), "-o", out],
+        "config-seed-float": ["verify", "--config",
+                              str(tmp_path / "seed-float.conf"), "-o", out],
     }[case]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -316,6 +346,7 @@ QUANTITY_LISTS = st.sampled_from(["thm2,exact2d,exact3d", "d_2wt", "thm1,asym3d"
                                   "thm2,", ""])
 COUNT = st.sampled_from(["1", "2", "5", "12"])
 BAD_COUNT = st.sampled_from(["0", "-3", "abc", "1,2"])
+DIM = st.sampled_from(["2d", "3d", "2d", "3d", "4d"])   # 4d is no choice of --dim
 # A valid config whose Gram needs only n_angular >= 3 and n_time >= 14.
 VERIFY_CONFIG = ["--R", "0.1", "--W", "0.5", "--T", "1", "--F0", "1", "--c", "1"]
 # A small single-frequency verify run, for radii near either end of the
@@ -330,6 +361,8 @@ def cli_argv(draw):
     bad tokens. A verify grid has at most 12 x 12 x 24 x 24 = 82,944 points."""
     names = draw(st.permutations(["R", "W", "T", "F0"]))
     command = draw(st.sampled_from(["bounds", "sweep", "modes", "verify"]))
+    # about one draw in five ends in a flag no command has
+    stray = draw(st.sampled_from([[], [], [], [], ["--bogus", "1"]]))
     if command == "sweep":
         argv = ["sweep", "--quantities", draw(QUANTITY_LISTS)]
         for flag, name in (("--axis1", names[0]), ("--axis2", names[1])):
@@ -338,7 +371,7 @@ def cli_argv(draw):
             argv += [flag, f"{name}:{draw(NUMBER)}:{draw(NUMBER)}:{count}:{scale}"]
         for name in names[2:]:
             argv += ["--fixed", f"{name}={draw(NUMBER)}"]
-        return argv
+        return argv + stray
     argv = [command]
     if command == "verify" and draw(st.booleans()):
         argv += VERIFY_CONFIG
@@ -348,7 +381,7 @@ def cli_argv(draw):
     if command in ("modes", "verify") and draw(st.booleans()):
         argv += ["--two-sided"]   # 2D only: exit 2 with --dim 3d
     if command == "modes":
-        argv += ["--dim", draw(st.sampled_from(["2d", "3d"])), "--cap", "1000"]
+        argv += ["--dim", draw(DIM), "--cap", "1000"]
     if command == "verify":
         # n_radial, n_angular, n_time, fields, waves; about half the draws
         # put a bad token in one of them.
@@ -357,10 +390,10 @@ def cli_argv(draw):
         spoil = draw(st.integers(-len(counts), len(counts) - 1))
         if spoil >= 0:
             counts[spoil] = draw(BAD_COUNT)
-        argv += ["--dim", draw(st.sampled_from(["2d", "3d"])),
+        argv += ["--dim", draw(DIM),
                  "--resolution", ",".join(counts[:3]),
                  "--fields", counts[3], "--waves", counts[4]]
-    return argv
+    return argv + stray
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -392,12 +425,12 @@ def test_cli_fuzz_exits_cleanly(argv, svg):
             argv = argv + ["-o", f"{tmp}/out.csv"]
         if argv[0] == "sweep" and svg:
             argv = argv + ["--svg", f"{tmp}/out.svg"]
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects a non-numeric flag value
-            code = exc.code
+        code = main(argv)
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_CAP, EXIT_RESOLUTION), (argv, code)
     assert "Traceback" not in err.getvalue()
+    if code == EXIT_CONFIG:
+        assert err.getvalue().startswith("configuration error:")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
 
 
 CONFIG_VALUE = st.sampled_from(["0", "0.5", "1", "10", "2.4e9", "1e300", "1e400",

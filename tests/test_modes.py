@@ -269,6 +269,17 @@ def test_plane_wave_basics():
     assert plane_wave(wv, (0.0, 0.0, z), 0.0) == pytest.approx(-1.0, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wave_vector_rejects_degenerate_direction():
+    # A NaN norm must fail the unit check; a zero or non-finite direction
+    # is rejected before it is divided by its norm.
+    with pytest.raises(ValueError, match="unit vector"):
+        WaveVector(k_hat=(math.nan, math.nan), f=1.0, k=1.0)
+    for direction in ((0, 0), (0.0, 0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0)):
+        with pytest.raises(ValueError, match="finite, non-zero norm"):
+            WaveVector.from_frequency(1.0, direction, 1.0)
+
+
 def _plane_wave_sum(pws, points, times):
     wvs = pws.wavevectors()
     return np.array([sum(a * plane_wave(wv, x, t) for a, wv in zip(pws.amplitudes, wvs))

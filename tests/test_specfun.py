@@ -264,6 +264,9 @@ def test_assoc_legendre_rejects_bad_order():
         assoc_legendre(2, -3, 0.1)
     with pytest.raises(ValueError):
         assoc_legendre(2, 1, 1.5)
+    for table in (legendre_table, norm_assoc_legendre_table):
+        with pytest.raises(ValueError, match="degree must be >= 0, got -1"):
+            table(-1, [0.1])
 
 
 def test_sph_harm_constants():
