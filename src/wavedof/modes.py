@@ -15,7 +15,9 @@ m = -N(i)..N(i), which is what a physical field actually excites.
 On a tensor-product grid each mode is a product of one factor per axis
 (radial, polar in 3D, azimuthal, time); :func:`mode_factors` evaluates
 those factors once per axis node, and is the only code that evaluates a
-mode. :func:`weighted_gram` (the Gram of ``rankcheck``) and
+mode. Its radial factors come from one Bessel table for the whole mode
+set, over every bin's wave-number times every radial node.
+:func:`weighted_gram` (the Gram of ``rankcheck``) and
 :func:`project_field` work on them directly, one axis at a time.
 :func:`mode_matrix` joins them, column by column, into the dense
 (points x modes) matrix, and :func:`evaluate_mode` is that join on the
@@ -95,7 +97,15 @@ class WaveVector:
     @classmethod
     def from_frequency(cls, f: float, direction, c: float) -> "WaveVector":
         d = np.asarray(direction, dtype=float)
-        norm = np.linalg.norm(d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = np.linalg.norm(d)
+            if norm == 0.0 or norm == math.inf:
+                # d . d left the float range; a finite, non-zero d is
+                # rescaled by its largest entry first.
+                peak = np.max(np.abs(d), initial=0.0)
+                if 0.0 < peak < math.inf:
+                    d = d / peak
+                    norm = np.linalg.norm(d)
         if not 0.0 < norm < math.inf:
             raise ValueError(f"direction must have a finite, non-zero norm, got {norm}")
         d = d / norm
@@ -284,16 +294,27 @@ def synthesize_field(dim: Dimension, cfg: PhysicalConfig, num_waves: int,
                         c=cfg.c)
 
 
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """True at each row of the 2-D ``a`` that differs from the row before."""
+    start = np.ones(len(a), dtype=bool)
+    np.any(a[1:] != a[:-1], axis=1, out=start[1:])
+    return start
+
+
 def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(distinct rows of the 2-D ``a`` in sorted order, inverse index), from
-    one lexsort and its run boundaries; ``a == distinct[inverse]``."""
-    order = np.lexsort(a.T[::-1])
-    s = a[order]
-    first = np.ones(len(s), dtype=bool)
-    np.any(s[1:] != s[:-1], axis=1, out=first[1:])
-    inverse = np.empty(len(a), dtype=np.intp)
+    one lexsort and its run boundaries; ``a == distinct[inverse]``.
+
+    Runs of equal consecutive rows enter the sort as one row each: a
+    grid's ``points`` repeat every spatial node once per time node."""
+    start = _run_starts(a)
+    runs = a[start]
+    order = np.lexsort(runs.T[::-1])
+    s = runs[order]
+    first = _run_starts(s)
+    inverse = np.empty(len(runs), dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return s[first], inverse
+    return s[first], inverse[np.cumsum(start) - 1]
 
 
 def field_values(pws: PlaneWaveSet, positions: np.ndarray,
@@ -344,19 +365,23 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
     bins = np.array([md.i for md in modes])
     m = np.array([md.m for md in modes])
     order = np.array([md.n for md in modes]) if spherical else np.abs(m)
-    # One radial table per frequency bin, up to the bin's highest order.
-    # Bins come from a set: np.unique's first call imports numpy.ma (~20 ms).
-    radial = np.empty((len(axes["r_nodes"]), len(modes)))
+    # One radial table for the whole mode set, over k r for every bin's
+    # wave-number k and radial node r, up to the highest order; each mode
+    # reads its order's row at its bin's columns. Bins are numbered from a
+    # dict: np.unique's first call imports numpy.ma (~20 ms).
+    column: dict = {}                    # bin -> its index among the bins
+    col = np.array([column.setdefault(i, len(column)) for i in bins.tolist()],
+                   dtype=np.intp)
+    r = axes["r_nodes"]
     cycles = bins.astype(float)          # f*T: i, or F0*T for a stand-in bin
-    for i in set(bins.tolist()):
-        sel = bins == i
-        f, k = mode_wavenumber(i, cfg)
-        table = specfun.bessel_table(int(order[sel].max()), k * axes["r_nodes"],
-                                     spherical=spherical)
-        radial[:, sel] = table[order[sel]].T
+    k = np.empty(len(column))
+    for i, j in column.items():
+        f, k[j] = mode_wavenumber(i, cfg)
         if f != i / cfg.T:
-            cycles[sel] = f * cfg.T
-    out = {"r": radial}
+            cycles[col == j] = f * cfg.T
+    table = specfun.bessel_table(int(order.max(initial=0)),
+                                 np.multiply.outer(k, r).ravel(), spherical=spherical)
+    out = {"r": table[order, np.add.outer(np.arange(len(r)), col * len(r))]}
     if spherical:
         plm = specfun.norm_assoc_legendre_table(int(order.max()), axes["mu_nodes"])
         out["mu"] = plm[order, np.abs(m)].T

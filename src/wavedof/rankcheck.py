@@ -42,6 +42,9 @@ themselves. Its integrand |e^{ik.x} - p_N(x)|^2 is even in x, so when
 the azimuth count is even it is summed over one direction of each
 antipodal pair with twice the weight. Both take the pairs from one
 fold, :func:`_antipodal_fold`, and the error moves only by rounding.
+The truncation error's folded ball rule is built once per (dim, radius,
+resolution) and kept (:func:`_ball_rule`), so repeated calls at one
+resolution, such as at degrees N and N + 5, share it.
 No (points x modes), (points x waves) or (points x points) array is
 formed. The readouts are:
 
@@ -219,6 +222,20 @@ def _antipodal_fold(axes: dict) -> tuple[np.ndarray, np.ndarray, bool]:
         return directions, w, False
     keep = np.arange(len(directions)).reshape(-1, n_phi)[:, :n_phi // 2].ravel()
     return directions[keep], 2.0 * w[:, keep], True
+
+
+@functools.lru_cache(maxsize=8)
+def _ball_rule(dim: Dimension, radius: float, n_r: int,
+               n_ang: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """(r, directions, weights, weight sum) of the ball quadrature of
+    :func:`_spatial_quadrature` after :func:`_antipodal_fold`: what
+    :func:`truncation_error` sums over. Built once per (dim, radius, n_r,
+    n_ang) and shared, so every array is read-only."""
+    axes = _spatial_quadrature(dim, radius, n_r, n_ang)
+    directions, w, _ = _antipodal_fold(axes)
+    r = axes["r_nodes"]
+    r.flags.writeable = directions.flags.writeable = w.flags.writeable = False
+    return r, directions, w, float(np.sum(w))
 
 
 def build_grid(dim: Dimension, cfg: PhysicalConfig,
@@ -501,8 +518,9 @@ def truncation_error(wv, radius: float, N: int,
 
     ``resolution`` is (n_radial, n_angular). The quadrature of
     :func:`_spatial_quadrature` is radial nodes x its unit
-    ``directions``, and the partial sum is one radial table on the nodes
-    times one angular table on the directions
+    ``directions``, read folded from :func:`_ball_rule`, which builds it
+    once per (dim, radius, resolution), and the partial sum is one
+    radial table on the nodes times one angular table on the directions
     (:func:`~wavedof.modes.jacobi_anger_tables`), as is
     k . x = k outer(r, directions . k_hat). The error is summed in real
     arithmetic: the real and imaginary parts of the partial sum come from
@@ -523,13 +541,11 @@ def truncation_error(wv, radius: float, N: int,
     at the rounding floor of the partial sum. With an odd 2D azimuth
     count every direction is summed.
     """
-    axes = _spatial_quadrature(wv.dim, radius, *resolution)
-    r = axes["r_nodes"]
-    directions, w, _ = _antipodal_fold(axes)
+    r, directions, w, total = _ball_rule(wv.dim, radius, *resolution)
     radial, angular = jacobi_anger_tables(wv, r, directions, N)
     part = np.concatenate([radial.real, radial.imag]) @ angular
     c, s = cos_sin(wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))
     c -= part[:len(r)]
     s -= part[len(r):]
     err = float(np.sum(w * (c * c + s * s)))
-    return math.sqrt(err / float(np.sum(w)))
+    return math.sqrt(err / total)

@@ -13,11 +13,12 @@ Conventions
   so that integral of Y_n^m conj(Y_n'^m') over the sphere is a double delta.
 * Bessel values come from one kernel, ``bessel_table``, which runs a
   normalized downward (Miller) recurrence over an array of arguments and
-  returns every order 0..n_max at once, three in-place numpy operations
-  per order. Its overflow guard is a running bound on the columns'
-  growth; the columns themselves are scanned only when that bound could
-  pass a guard. ``bessel_J`` and ``spherical_bessel_j`` read one entry
-  of a one-column table.
+  returns every order 0..n_max at once. Its step coefficients (2k+s)/x
+  are divided out a block of orders at a time, so each order takes one
+  multiply and one subtract in place. Its overflow guard is a running
+  bound on the columns' growth; the columns themselves are scanned only
+  when that bound could pass a guard. ``bessel_J`` and
+  ``spherical_bessel_j`` read one entry of a one-column table.
 * Legendre values likewise come from one recurrence over the degree n
   at a fixed order m, for Q_n^m = sqrt((n-m)!/(n+m)!) P_n^m. Its m = 0
   column is P_n itself: ``legendre_table`` returns it over an array of
@@ -46,6 +47,9 @@ FOUR_PI = 4.0 * math.pi
 
 # Magnitude guard for the unnormalized downward recurrence.
 _RESCALE_LIMIT = 1e250
+
+#: float entries (512 KB) that bound one block of Miller step coefficients
+_COEF_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,16 +116,18 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     Returns an array of shape (n_max+1, len(x)). One downward (Miller)
     recurrence runs over every column at once; downward recurrence
     stays accurate for every order, where upward recurrence loses all
-    accuracy once the order exceeds the argument. Each order is written
-    in place into its table row, or into a rotating scratch row above
-    n_max. A column that grows past its magnitude guard is rescaled on
-    its own; a running bound on every column's growth, one float per
-    step, tells when that could happen, and only then are the columns
-    scanned against their guards. Cylindrical columns
-    are normalized through J_0(x) + 2 sum_k J_{2k}(x) = 1, which fixes
-    both scale and sign; spherical columns are anchored on the closed
-    form of j_0 or j_1, whichever is farther from a zero. Columns whose
-    first step (2m+s)/x overflows, at x = 0 and below about 1e-307, take
+    accuracy once the order exceeds the argument. The coefficients
+    (2k+s)/x are taken a block of orders at a time, one division of
+    at most ``_COEF_ENTRIES`` entries, and each order is then one
+    multiply and one subtract written in place into its table row, or
+    into a rotating scratch row above n_max. A column that grows past
+    its magnitude guard is rescaled on its own; a running bound on every
+    column's growth, one float per step, tells when that could happen,
+    and only then are the columns scanned against their guards.
+    Cylindrical columns are normalized through
+    J_0(x) + 2 sum_k J_{2k}(x) = 1, which fixes both scale and sign;
+    spherical columns are anchored on the closed form of j_0 or j_1,
+    whichever is farther from a zero. Columns whose first step (2m+s)/x overflows, at x = 0 and below about 1e-307, take
     the series limit, which is exact there.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -159,23 +165,25 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     # with the step's own arithmetic, so it bounds the rounded values
     # too. A NaN bound (from a subnormal x) scans every step.
     x_min, limit_min, bound = float(xs.min()), float(limit.min()), 1e-30
-    for k in range(m, 0, -1):
-        row = work[k - 1 if k - 1 <= n_max else n_max + 1 + (k - 1) % 3]
-        np.divide(2 * k + spherical, xs, out=row)
-        row *= jc
-        row -= jp
-        jp, jc = jc, row
-        if not spherical and k % 2 == 0:
-            total += jp                  # jp now holds the value at even order k
-        bound += bound * ((2 * k + spherical) / x_min)
-        if not bound <= limit_min:
-            big = np.abs(jc) > limit
-            if big.any():
-                f = 1.0 / np.abs(jc[big])
-                total[big] *= f
-                # Rows k-1 and up: jc, jp and every table row written so far.
-                work[min(k - 1, n_max + 1):, big] *= f
-            bound = float(np.abs([jc, jp]).max())
+    per = max(1, _COEF_ENTRIES // xs.size)
+    for top in range(m, 0, -per):
+        ks = np.arange(top, max(top - per, 0), -1)
+        for k, coef in zip(ks.tolist(), np.divide.outer(2 * ks + spherical, xs)):
+            row = work[k - 1 if k - 1 <= n_max else n_max + 1 + (k - 1) % 3]
+            np.multiply(coef, jc, out=row)
+            row -= jp
+            jp, jc = jc, row
+            if not spherical and k % 2 == 0:
+                total += jp              # jp now holds the value at even order k
+            bound += bound * ((2 * k + spherical) / x_min)
+            if not bound <= limit_min:
+                big = np.abs(jc) > limit
+                if big.any():
+                    f = 1.0 / np.abs(jc[big])
+                    total[big] *= f
+                    # Rows k-1 and up: jc, jp and every table row written so far.
+                    work[min(k - 1, n_max + 1):, big] *= f
+                bound = float(np.abs([jc, jp]).max())
     if spherical:
         # The closed form of j_1 cancels catastrophically near zero, so it
         # is taken at max(x, 1); below x = 1, |j_0(x)| > 0.84 > |j_1(1)|

@@ -385,3 +385,16 @@ def pointwise_truncation_error(wv, radius: float, N: int, resolution) -> float:
     exact = np.exp(1j * wv.k * (pts @ np.asarray(wv.k_hat)))
     err = float(np.sum(w * np.abs(exact - jacobi_anger_values(wv, pts, N)) ** 2))
     return math.sqrt(err / float(np.sum(w)))
+
+
+def distinct_rows_reference(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``modes._distinct_rows`` as first written: one lexsort over every
+    row, then its run boundaries. The library sorts one row per run of
+    equal consecutive rows; its output must be identical to this."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    first = np.ones(len(s), dtype=bool)
+    np.any(s[1:] != s[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return s[first], inverse

@@ -35,6 +35,18 @@ NARROW_FLAGS = ["--R", "0.1", "--W", "0.01", "--T", "0.3", "--F0", "10",
                 "--fields", "48", "--waves", "32"]
 
 
+def test_main_builds_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    flags = ["--W", "1", "--T", "1", "--F0", "10"]
+    assert main(["bounds", "--R", "abc", *flags]) == EXIT_CONFIG
+    assert main(["bounds", "--R", "1", *flags]) == EXIT_OK
+    assert len(built) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 def test_fmt_num():
     assert fmt_num(3) == "3"
     assert fmt_num(365.0) == "365"

@@ -12,10 +12,12 @@ from wavedof import (Dimension, ModeCapError, PhysicalConfig, WaveVector,
                      gram_of_modes, jacobi_anger_partial, mode_wavenumber, plane_wave,
                      project_field, synthesize_field, truncation_degree)
 from wavedof.modes import (ModeIndex, PlaneWaveSet, ProjectionRankError,
-                           field_values, jacobi_anger_tables, jacobi_anger_values,
-                           mode_matrix)
+                           _distinct_rows, field_values, jacobi_anger_tables,
+                           jacobi_anger_values, mode_factors, mode_matrix)
+from wavedof.specfun import bessel_table
 
-from oracles import dense_projection, jacobi_anger_scalar, scalar_mode_value
+from oracles import (dense_projection, distinct_rows_reference,
+                     jacobi_anger_scalar, scalar_mode_value)
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -143,6 +145,37 @@ def test_stand_in_bin_evaluated_at_center_frequency():
         p = np.full(d, 0.1 * cfg.R)
         ratio = evaluate_mode(md, p, cfg.T, cfg) / evaluate_mode(md, p, 0.0, cfg)
         assert ratio == pytest.approx(cmath.exp(2j * math.pi * 10.5 * cfg.T), abs=1e-12)
+
+
+@pytest.mark.parametrize("dim, cfg, res, two_sided, n_bins", [
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), False, 3),
+    (TWO_D, PhysicalConfig(R=0.1, W=5.0, T=1.0, f0=10.0, c=1.0), (12, 40, 70), True, 11),
+    (TWO_D, PhysicalConfig(R=1.0 / E_PI, W=0.001, T=0.2, f0=10.5, c=1.0),
+     (8, 24, 16), True, 1),
+], ids=["3d", "2d-two-sided-11-bins", "2d-stand-in-bin"])
+def test_mode_factors_radial_matches_per_bin_tables(dim, cfg, res, two_sided, n_bins):
+    """The radial factors come from one Bessel table over every bin's
+    k r, whose downward recurrence starts above the largest k r and the
+    highest order of the whole set; one table per bin, up to the bin's own
+    highest order, agrees to 1e-13 relative, floored at 1e-10 of the
+    column's largest value."""
+    modes = enumerate_modes(dim, cfg, two_sided=two_sided)
+    bins = sorted({md.i for md in modes})
+    assert len(bins) == n_bins
+    axes = build_grid(dim, cfg, res).axes
+    r = axes["r_nodes"]
+    got = mode_factors(modes, axes, cfg)["r"]
+    spherical = dim is THREE_D
+    order = np.array([md.n if spherical else abs(md.m) for md in modes])
+    want = np.empty_like(got)
+    for i in bins:
+        sel = np.array([md.i == i for md in modes])
+        _, k = mode_wavenumber(i, cfg)
+        table = bessel_table(int(order[sel].max()), k * r, spherical=spherical)
+        want[:, sel] = table[order[sel]].T
+    floor = 1e-10 * np.max(np.abs(want), axis=0)
+    err = np.abs(got - want) / np.maximum(np.abs(want), floor)
+    assert err.max() <= 1e-13, err.max()
 
 
 def test_evaluate_mode_at_center():
@@ -278,6 +311,42 @@ def test_wave_vector_rejects_degenerate_direction():
     for direction in ((0, 0), (0.0, 0.0, 0.0), (math.nan, 1.0), (math.inf, 0.0)):
         with pytest.raises(ValueError, match="finite, non-zero norm"):
             WaveVector.from_frequency(1.0, direction, 1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_wave_vector_direction_of_any_finite_scale():
+    # A finite, non-zero direction whose squared norm leaves the float
+    # range is rescaled by its largest entry before it is normalized;
+    # every other direction keeps d / norm(d), bit for bit.
+    s = math.sqrt(0.5)
+    for direction, want in (((1e200, 0.0), (1.0, 0.0)), ((1e-200, 0.0), (1.0, 0.0)),
+                            ((0.0, -1e300, 1e300), (0.0, -s, s)),
+                            ((5e-324, -5e-324), (s, -s)),
+                            ((3e-170, 0.0, 4e-170), (0.6, 0.0, 0.8))):
+        k_hat = WaveVector.from_frequency(1.0, direction, 1.0).k_hat
+        assert k_hat == pytest.approx(want, rel=1e-15, abs=0.0), direction
+    rng = np.random.default_rng(6)
+    for d in [rng.normal(size=n) for n in (2, 3) for _ in range(50)]:
+        assert WaveVector.from_frequency(1.0, d, 1.0).k_hat == tuple(d / np.linalg.norm(d))
+
+
+def test_distinct_rows_match_plain_lexsort():
+    """Runs of equal consecutive rows are sorted as one row; the distinct
+    rows and the inverse index are those of one lexsort over every row."""
+    rng = np.random.default_rng(12)
+    g3 = build_grid(THREE_D, HALF_CAL_3D, (3, 4, 6))
+    scattered = rng.integers(0, 4, size=(300, 3)).astype(float)
+    scattered[rng.random(300) < 0.1] = -0.0
+    cases = [GRID_2D.points, g3.points, GRID_2D.times[:, None],
+             GRID_2D.points[rng.permutation(len(GRID_2D))],
+             np.repeat(scattered, rng.integers(1, 4, 300), axis=0),
+             scattered, rng.normal(size=(50, 2)), np.zeros((0, 2)),
+             np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [math.nan, 1.0],
+                       [math.nan, 1.0]])]
+    for a in cases:
+        got, want = _distinct_rows(a), distinct_rows_reference(a)
+        assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+        assert np.array_equal(got[1], want[1])
 
 
 def _plane_wave_sum(pws, points, times):

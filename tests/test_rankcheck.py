@@ -624,6 +624,34 @@ def test_truncation_error_matches_pointwise_oracle(dim, kR):
                 assert abs(truncation_error(wv, 1.0, N, res) - want) <= 1e-14, (res, N)
 
 
+@pytest.mark.parametrize("dim, res", [(TWO_D, (24, 132)), (TWO_D, (24, 133)),
+                                      (THREE_D, (24, 34))],
+                         ids=["2d-folded", "2d-odd", "3d"])
+def test_truncation_error_ball_rule_cached(dim, res):
+    """The ball rule is built once per (dim, radius, resolution), its
+    arrays are read-only, and truncation_error returns the same floats
+    with a cold cache, a warm one, and after calls at another radius and
+    another resolution."""
+    rng = np.random.default_rng(9)
+    wv = WaveVector.from_frequency(20.0 / (2 * math.pi),
+                                   rng.normal(size=2 if dim is TWO_D else 3), 1.0)
+    n = truncation_degree(1.0, 20.0)
+    rankcheck._ball_rule.cache_clear()
+    cold = [truncation_error(wv, 1.0, N, res).hex() for N in (n, n + 5)]
+    info = rankcheck._ball_rule.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    *arrays, total = rankcheck._ball_rule(dim, 1.0, *res)
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+    assert total == float(np.sum(arrays[2]))
+    assert [truncation_error(wv, 1.0, N, res).hex() for N in (n, n + 5)] == cold
+    truncation_error(wv, 2.0, n, res)
+    truncation_error(wv, 1.0, n, (res[0] + 1, res[1]))
+    assert [truncation_error(wv, 1.0, N, res).hex() for N in (n, n + 5)] == cold
+
+
 def test_ball_grid_measures():
     w = rankcheck._spatial_quadrature(THREE_D, 2.0, 10, 10)["space_weights"]
     assert np.sum(w) == pytest.approx(4 * math.pi / 3 * 8.0, rel=1e-10)

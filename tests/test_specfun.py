@@ -11,7 +11,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from wavedof import (Angle, assoc_legendre, bessel_J, legendre_p,
-                     norm_assoc_legendre, sph_harm, spherical_bessel_j)
+                     norm_assoc_legendre, specfun, sph_harm, spherical_bessel_j)
 from wavedof.specfun import (_miller_start, bessel_table, cis, cos_sin,
                              legendre_table, norm_assoc_legendre_table)
 
@@ -153,6 +153,23 @@ def test_bessel_table_bit_identical_to_literal_recurrence(spherical):
     per-column rescale fire above n_max only ([1e-8, 3] at n_max 5), at
     every order down to 0 (1e-300 and subnormals next to 500), and both
     ways among random columns."""
+    _check_literal_recurrence(spherical)
+
+
+@pytest.mark.parametrize("entries", [20, 3], ids=["several-blocks", "one-row-blocks"])
+@pytest.mark.parametrize("spherical", [False, True])
+def test_bessel_table_coefficient_blocks_bit_identical(spherical, entries, monkeypatch):
+    """The step coefficients (2k+s)/x are taken a block of orders at a
+    time, within ``_COEF_ENTRIES`` entries. With 20 entries every
+    recurrence spans several blocks (1 to 20 orders each, the fewest at
+    48 steps); with 3, a block of more than 3 columns is a single order.
+    The values stay those of the literal loop, over the same rescale and
+    series cases."""
+    monkeypatch.setattr(specfun, "_COEF_ENTRIES", entries)
+    _check_literal_recurrence(spherical)
+
+
+def _check_literal_recurrence(spherical):
     rng = np.random.default_rng(31)
     cases = [(0, 2.5),                                    # a single float
              (14, [0.0, 1.0, 0.0, 37.0]),                 # x = 0 columns
