@@ -185,6 +185,45 @@ def mode_wavenumber(i: int, cfg: PhysicalConfig) -> tuple[float, float]:
     return f, cfg.wavenumber(f)
 
 
+def _bin_columns(modes: Sequence[ModeIndex],
+                 cfg: PhysicalConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(col, k, cycles) of a mode set: each mode's index among its distinct
+    bins, in order of first appearance, and each bin's wave-number and
+    cycles f*T over the window (:func:`mode_wavenumber`): the integer i,
+    or F0*T for a stand-in bin. Bins are numbered from a dict: np.unique's
+    first call imports numpy.ma (~20 ms)."""
+    column: dict = {}                    # bin -> its index among the bins
+    col = np.array([column.setdefault(md.i, len(column)) for md in modes],
+                   dtype=np.intp)
+    k, cycles = np.empty(len(column)), np.empty(len(column))
+    for i, j in column.items():
+        f, k[j] = mode_wavenumber(i, cfg)
+        cycles[j] = i if f == i / cfg.T else f * cfg.T
+    return col, k, cycles
+
+
+def gram_is_real(modes: Sequence[ModeIndex], cfg: PhysicalConfig) -> bool:
+    """Whether the weighted Gram of ``modes`` on a grid of
+    ``rankcheck.build_grid`` is real, decided exactly: it is when the
+    cycles f*T (:func:`_bin_columns`) of every pair of the modes' bins
+    differ by an integer.
+
+    The Gram (:func:`weighted_gram`) is the elementwise product of one
+    Gram per axis. The radial and polar ones sum products of real Bessel
+    and Legendre factors. The azimuthal one is sign_p sign_q (2 pi / n_phi)
+    sum_j e^{i (m_p - m_q) 2 pi j / n_phi}: 2 pi when n_phi divides
+    m_p - m_q, else 0. The time nodes and weights are Gauss-Legendre,
+    symmetric about T/2, so the time one is e^{i pi (c_p - c_q)} times a
+    sum of cos(pi (c_p - c_q) x) over the symmetric nodes x: real
+    whenever c_p - c_q is an integer. Lattice bins have c = i, and a
+    stand-in bin is the only bin of its band, so every mode set of
+    :func:`enumerate_modes` qualifies; a hand-built set mixing a stand-in
+    bin with other bins does not.
+    """
+    frac = np.modf(_bin_columns(modes, cfg)[2])[0]
+    return bool(np.all(frac == frac[:1]))
+
+
 def evaluate_mode(index: ModeIndex, position, t: float,
                   cfg: PhysicalConfig) -> complex:
     """Value of one basis function at a point of the observation region:
@@ -362,23 +401,13 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
     spherical = "mu_nodes" in axes
     if {md.dim for md in modes} - {Dimension.THREE_D if spherical else Dimension.TWO_D}:
         raise ValueError("modes and grid differ in dimension")
-    bins = np.array([md.i for md in modes])
     m = np.array([md.m for md in modes])
     order = np.array([md.n for md in modes]) if spherical else np.abs(m)
     # One radial table for the whole mode set, over k r for every bin's
     # wave-number k and radial node r, up to the highest order; each mode
-    # reads its order's row at its bin's columns. Bins are numbered from a
-    # dict: np.unique's first call imports numpy.ma (~20 ms).
-    column: dict = {}                    # bin -> its index among the bins
-    col = np.array([column.setdefault(i, len(column)) for i in bins.tolist()],
-                   dtype=np.intp)
+    # reads its order's row at its bin's columns.
+    col, k, cycles = _bin_columns(modes, cfg)
     r = axes["r_nodes"]
-    cycles = bins.astype(float)          # f*T: i, or F0*T for a stand-in bin
-    k = np.empty(len(column))
-    for i, j in column.items():
-        f, k[j] = mode_wavenumber(i, cfg)
-        if f != i / cfg.T:
-            cycles[col == j] = f * cfg.T
     table = specfun.bessel_table(int(order.max(initial=0)),
                                  np.multiply.outer(k, r).ravel(), spherical=spherical)
     out = {"r": table[order, np.add.outer(np.arange(len(r)), col * len(r))]}
@@ -387,7 +416,7 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
         out["mu"] = plm[order, np.abs(m)].T
     sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
     out["phi"] = specfun.cis(np.outer(axes["phi_nodes"], m)) * sign
-    phase = np.outer(axes["t_nodes"], 2.0 * math.pi * cycles) / cfg.T
+    phase = np.outer(axes["t_nodes"], 2.0 * math.pi * cycles[col]) / cfg.T
     out["t"] = specfun.cis(phase) / math.sqrt(cfg.T)
     return out
 
@@ -411,20 +440,24 @@ def mode_matrix(modes: Sequence[ModeIndex], grid, cfg: PhysicalConfig) -> np.nda
     return _join_columns(np.ones((1, len(modes)), dtype=complex), factors)
 
 
-def weighted_gram(factors: dict, axes: dict) -> np.ndarray:
+def weighted_gram(factors: dict, axes: dict, real: bool) -> np.ndarray:
     """G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)) over a tensor-product grid.
 
     ``factors`` is :func:`mode_factors` output and ``axes`` the grid's
     axes. Modes, points and weights are all products over the axes, so
     the sum factors: G is the elementwise product of one weighted Gram
-    per axis, and no (points x modes) matrix is formed. Raises
-    :class:`ConfigError` when an entry leaves the float range.
+    per axis, and no (points x modes) matrix is formed. With ``real``,
+    which :func:`gram_is_real` decides for the modes, every axis's Gram
+    is real up to rounding, and G is the real float64 product of their
+    real parts; otherwise it is complex. Raises :class:`ConfigError`
+    when an entry leaves the float range.
     """
     m = factors["t"].shape[1]
-    g = np.ones((m, m), dtype=complex)
+    g = np.ones((m, m), dtype=float if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for axis, f in factors.items():
-            g *= (f * axes[f"{axis}_weights"][:, None]).T @ f.conj()
+            a = (f * axes[f"{axis}_weights"][:, None]).T @ f.conj()
+            g *= a.real if real else a
     if not np.all(np.isfinite(g)):
         raise ConfigError("Gram entries leave the float range; the quadrature "
                           "weights of the region are too large")
@@ -446,7 +479,9 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
     (A^H W A) c = A^H W y is solved axis by axis: A^H W A is the
     conjugate of :func:`weighted_gram`, A^H W y is contracted over t,
     then phi, then mu (3D), then r, and the residual synthesizes A c the
-    same way, so A itself is never formed. Raises
+    same way, so A itself is never formed. When the normal matrix is
+    real (:func:`gram_is_real`), its eigenvectors are real and act on
+    the complex right-hand side directly. Raises
     :class:`ProjectionRankError` when a mode has no weight on the grid,
     or when the diagonal-normalized normal matrix has an eigenvalue
     ratio lambda_min / lambda_max below ``_RCOND`` (1e-10).
@@ -458,7 +493,7 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
         raise ValueError("more modes than grid points")
     factors = mode_factors(modes, grid.axes, cfg)
     axes = list(factors)                    # r, [mu], phi, t: t fastest
-    normal = weighted_gram(factors, grid.axes).conj()
+    normal = weighted_gram(factors, grid.axes, gram_is_real(modes, cfg)).conj()
     diag = np.real(np.diag(normal))
     if np.any(diag <= 0):
         raise ProjectionRankError(

@@ -2,7 +2,11 @@
 
 Builds Gauss-Legendre product grids over ball x time, assembles Gram
 matrices and ensemble covariance spectra, and reduces Hermitian spectra
-to two effective-rank readouts. The grid is a tensor product (r x [mu] x
+to two effective-rank readouts. The Gram of the modes is real on these
+grids for every mode set that ``enumerate_modes`` returns
+(:func:`~wavedof.modes.gram_is_real` gives the reason), so it is
+assembled, normalized and diagonalized as a real symmetric matrix; the
+ensemble dual stays complex. The grid is a tensor product (r x [mu] x
 phi x t), held as its axes only: per-axis nodes and weights, the unit
 ``directions`` of the angular nodes, and the weights of the spatial
 nodes (radii x directions). Node coordinates and per-point arrays are
@@ -65,8 +69,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import ConfigError, Dimension, PhysicalConfig
-from .modes import (ModeIndex, PlaneWaveSet, jacobi_anger_tables, mode_factors,
-                    weighted_gram)
+from .modes import (ModeIndex, PlaneWaveSet, gram_is_real, jacobi_anger_tables,
+                    mode_factors, weighted_gram)
 from .specfun import cos_sin
 
 
@@ -278,7 +282,8 @@ def check_gram_resolution(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
 
 
 def _mirror_upper(g: np.ndarray) -> np.ndarray:
-    # Exact Hermitian symmetry: strict upper triangle mirrored, real diagonal.
+    # Exact Hermitian symmetry (symmetry for a real g): strict upper
+    # triangle mirrored, real diagonal.
     strict = np.triu(g, 1)
     return strict + strict.conj().T + np.diag(np.real(np.diag(g)))
 
@@ -288,10 +293,14 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
     """Weighted Gram matrix G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)).
 
     The factored :func:`~wavedof.modes.weighted_gram`, after the grid
-    passes :func:`check_gram_resolution`, made exactly Hermitian.
+    passes :func:`check_gram_resolution`, made exactly Hermitian. It is a
+    real symmetric float64 matrix whenever the Gram is real by
+    construction (:func:`~wavedof.modes.gram_is_real`), which holds for
+    every mode set of ``enumerate_modes``, and complex otherwise.
     """
     check_gram_resolution(modes, grid, cfg)
-    return _mirror_upper(weighted_gram(mode_factors(modes, grid.axes, cfg), grid.axes))
+    factors = mode_factors(modes, grid.axes, cfg)
+    return _mirror_upper(weighted_gram(factors, grid.axes, gram_is_real(modes, cfg)))
 
 
 def diagonal_normalize(g: np.ndarray) -> np.ndarray:
@@ -460,7 +469,9 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
 
 def eigen_spectrum(matrix: np.ndarray,
                    policy: RankPolicy = RankPolicy()) -> SpectrumReport:
-    """Descending eigenvalues and rank readouts of a Hermitian matrix.
+    """Descending eigenvalues and rank readouts of a Hermitian matrix,
+    complex or real symmetric; a real one is diagonalized in real
+    arithmetic.
 
     Rejects matrices with a non-finite entry or eigenvalue
     (:class:`ConfigError`) or whose Hermitian defect exceeds 1e-10

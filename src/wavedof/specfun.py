@@ -127,8 +127,14 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     Cylindrical columns are normalized through
     J_0(x) + 2 sum_k J_{2k}(x) = 1, which fixes both scale and sign;
     spherical columns are anchored on the closed form of j_0 or j_1,
-    whichever is farther from a zero. Columns whose first step (2m+s)/x overflows, at x = 0 and below about 1e-307, take
-    the series limit, which is exact there.
+    whichever is farther from a zero. Columns whose first step (2m+s)/x
+    overflows, at x = 0 and below about 1e-307, take the series limit,
+    which is exact there.
+
+    The recurrence writes and normalizes the table in place, so when
+    every column recurs the call holds about one table of memory; a
+    second table is allocated only when some column takes the series
+    limit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if n_max < 0:
@@ -142,34 +148,38 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     # spherical) at order 1 and 0 above.
     with np.errstate(divide="ignore", over="ignore"):
         rec = np.isfinite((2 * m + spherical) / x)  # recurrence columns
-    out = np.zeros((n_max + 1, x.size))
-    out[0, ~rec] = 1.0
-    out[1:2, ~rec] = x[~rec] / (2.0 + spherical)
-    if not rec.any():
+    if not rec.all():
+        out = np.zeros((n_max + 1, x.size))
+        out[0, ~rec] = 1.0
+        out[1:2, ~rec] = x[~rec] / (2.0 + spherical)
+        if rec.any():
+            # The largest x recurs, so the recurrence columns keep m.
+            out[:, rec] = bessel_table(n_max, x[rec], spherical)
         return out
-    xs = x[rec]
-    # Rows 0..n_max are the table; orders above n_max rotate through the
-    # three scratch rows after it, so each step writes one row in place.
-    work = np.empty((n_max + 4, xs.size))
-    jp = work[n_max + 1 + (m + 1) % 3]   # unnormalized value at order k + 1
-    jc = work[n_max + 1 + m % 3]         # unnormalized value at order k
+    # Orders 0..n_max are written into their table rows and orders above
+    # n_max rotate through three scratch rows, so each step writes one row
+    # in place.
+    table = np.empty((n_max + 1, x.size))
+    scratch = np.empty((3, x.size))
+    jp = scratch[(m + 1) % 3]            # unnormalized value at order k + 1
+    jc = scratch[m % 3]                  # unnormalized value at order k
     jp[:] = 0.0
     jc[:] = 1e-30
-    total = np.zeros(xs.size)            # sum_k J_{2k}, cylindrical only
+    total = np.zeros(x.size)             # sum_k J_{2k}, cylindrical only
     # The guard leaves head-room for one step's growth, at most (2m+2)/x.
-    limit = np.minimum(_RESCALE_LIMIT, 1e300 * xs / (2 * m + 2))
+    limit = np.minimum(_RESCALE_LIMIT, 1e300 * x / (2 * m + 2))
     # A step multiplies max(|jc|, |jp|) by at most (2k+s)/x + 1, so the
     # running ``bound`` stays above every column's max, and the columns
     # are scanned against their guards only once it passes the smallest
     # one. Its update, bound + bound (2k+s)/x_min, rounds monotonically
     # with the step's own arithmetic, so it bounds the rounded values
     # too. A NaN bound (from a subnormal x) scans every step.
-    x_min, limit_min, bound = float(xs.min()), float(limit.min()), 1e-30
-    per = max(1, _COEF_ENTRIES // xs.size)
+    x_min, limit_min, bound = float(x.min()), float(limit.min()), 1e-30
+    per = max(1, _COEF_ENTRIES // x.size)
     for top in range(m, 0, -per):
         ks = np.arange(top, max(top - per, 0), -1)
-        for k, coef in zip(ks.tolist(), np.divide.outer(2 * ks + spherical, xs)):
-            row = work[k - 1 if k - 1 <= n_max else n_max + 1 + (k - 1) % 3]
+        for k, coef in zip(ks.tolist(), np.divide.outer(2 * ks + spherical, x)):
+            row = table[k - 1] if k - 1 <= n_max else scratch[(k - 1) % 3]
             np.multiply(coef, jc, out=row)
             row -= jp
             jp, jc = jc, row
@@ -181,21 +191,22 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
                 if big.any():
                     f = 1.0 / np.abs(jc[big])
                     total[big] *= f
-                    # Rows k-1 and up: jc, jp and every table row written so far.
-                    work[min(k - 1, n_max + 1):, big] *= f
+                    # jc, jp and every table row written so far: rows k-1 and up.
+                    table[k - 1:, big] *= f
+                    scratch[:, big] *= f
                 bound = float(np.abs([jc, jp]).max())
     if spherical:
         # The closed form of j_1 cancels catastrophically near zero, so it
         # is taken at max(x, 1); below x = 1, |j_0(x)| > 0.84 > |j_1(1)|
         # picks j_0 either way.
-        xc = np.maximum(xs, 1.0)
-        j0 = np.sin(xs) / xs
+        xc = np.maximum(x, 1.0)
+        j0 = np.sin(x) / x
         j1 = np.sin(xc) / (xc * xc) - np.cos(xc) / xc
         scale = np.where(np.abs(j0) >= np.abs(j1), j0 / jc, j1 / jp)
     else:
         scale = 1.0 / (2.0 * total + jc)
-    out[:, rec] = work[:n_max + 1] * scale
-    return out
+    table *= scale
+    return table
 
 
 def spherical_bessel_j(n: int, x: float) -> float:

@@ -12,8 +12,9 @@ from wavedof import (Dimension, ModeCapError, PhysicalConfig, WaveVector,
                      gram_of_modes, jacobi_anger_partial, mode_wavenumber, plane_wave,
                      project_field, synthesize_field, truncation_degree)
 from wavedof.modes import (ModeIndex, PlaneWaveSet, ProjectionRankError,
-                           _distinct_rows, field_values, jacobi_anger_tables,
-                           jacobi_anger_values, mode_factors, mode_matrix)
+                           _distinct_rows, field_values, gram_is_real,
+                           jacobi_anger_tables, jacobi_anger_values, mode_factors,
+                           mode_matrix)
 from wavedof.specfun import bessel_table
 
 from oracles import (dense_projection, distinct_rows_reference,
@@ -700,6 +701,23 @@ def test_project_matches_dense_oracle(dim, cfg, two_sided, grid):
         assert (np.max(np.abs(got.coefficients - coeffs))
                 <= 1e-10 * np.max(np.abs(coeffs)))
         assert abs(got.residual - residual) <= 1e-10
+
+
+def test_project_mixed_bins_matches_dense_oracle():
+    """A hand-built set mixing the stand-in bin 2 (2.1 cycles over T) with
+    bin 3 has a complex normal matrix (``gram_is_real`` is false); the
+    projection still matches the dense least-squares fit."""
+    cfg = PhysicalConfig(R=1.0 / E_PI, W=0.001, T=0.2, f0=10.5, c=1.0)
+    grid = build_grid(TWO_D, cfg, (8, 31, 20))
+    modes = [ModeIndex(i, 0, m, TWO_D) for i in (2, 3) for m in range(-3, 4)]
+    assert not gram_is_real(modes, cfg)
+    assert gram_is_real(modes[:7], cfg) and gram_is_real(modes[7:], cfg)
+    pws = synthesize_field(TWO_D, cfg, 16, seed=3)
+    samples = field_values(pws, grid.points, grid.times)
+    got = project_field(samples, modes, grid, cfg)
+    coeffs, residual = dense_projection(samples, modes, grid, cfg)
+    assert np.max(np.abs(got.coefficients - coeffs)) <= 1e-10 * np.max(np.abs(coeffs))
+    assert abs(got.residual - residual) <= 1e-10
 
 
 def test_project_rejects_duplicate_and_zero_norm_modes():

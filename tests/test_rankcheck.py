@@ -30,6 +30,9 @@ CAL_2D = PhysicalConfig(R=1.0 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
 NARROW_2D = PhysicalConfig(R=0.1, W=0.01, T=0.3, f0=10.0, c=1.0)
 HALF_CAL_3D = PhysicalConfig(R=0.5 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
 CAL_3D = PhysicalConfig(R=1.0 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
+# No i/T in [F0 - W, F0 + W]: one stand-in bin, i = 2, at F0 = 10.5 Hz.
+STAND_IN = PhysicalConfig(R=1.0 / E_PI, W=0.001, T=0.2, f0=10.5, c=1.0)
+WIDE_2D = PhysicalConfig(R=0.1, W=5.0, T=1.0, f0=10.0, c=1.0)
 PER_POINT = ("points", "times", "weights")
 
 
@@ -203,15 +206,44 @@ def test_gram_exactly_hermitian():
     (TWO_D, CAL_2D, False, (8, 24, 52), 33),
     (TWO_D, CAL_2D, True, (8, 24, 52), 63),
     (THREE_D, HALF_CAL_3D, False, (8, 13, 52), 121),
-], ids=["cal2d-one-sided", "cal2d-two-sided", "3d-121-modes"])
+    (TWO_D, STAND_IN, True, (8, 31, 20), 23),
+    (TWO_D, CAL_2D, True, (8, 25, 52), 63),
+    (TWO_D, WIDE_2D, True, (12, 40, 70), 209),
+], ids=["cal2d-one-sided", "cal2d-two-sided", "3d-121-modes", "stand-in-bin",
+        "cal2d-two-sided-odd-azimuths", "wide-band-11-bins"])
 def test_factored_gram_matches_dense_oracle(dim, cfg, two_sided, resolution,
                                             count):
+    """Every mode set of ``enumerate_modes`` has a real Gram on these grids,
+    so it is assembled and diagonalized as a float64 matrix, within 1e-13
+    of the complex dense oracle and with its eigenvalues."""
     g = build_grid(dim, cfg, resolution)
     modes = enumerate_modes(dim, cfg, two_sided=two_sided)
     assert len(modes) == count
     dense = dense_gram(modes, g, cfg)
     gram = gram_of_modes(modes, g, cfg)
+    assert gram.dtype == np.float64
     assert np.max(np.abs(gram - dense)) <= 1e-13 * np.max(np.abs(dense))
+    _assert_spectrum_matches_dense(gram, dense)
+
+
+def _assert_spectrum_matches_dense(gram, dense):
+    got = eigen_spectrum(diagonal_normalize(gram)).eigenvalues
+    want = np.linalg.eigvalsh(diagonal_normalize(dense))[::-1]
+    assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+
+
+def test_gram_mixing_stand_in_and_lattice_bins_stays_complex():
+    """The stand-in bin 2 (2.1 cycles over T) and bin 3 (3 cycles) differ
+    by 0.9 cycles, so their time Gram e^{0.9 i pi} x (a real sum) is not
+    real: a hand-built set mixing them keeps the complex Hermitian Gram."""
+    g = build_grid(TWO_D, STAND_IN, (8, 31, 20))
+    modes = [ModeIndex(i, 0, m, TWO_D) for i in (2, 3) for m in range(-3, 4)]
+    dense = dense_gram(modes, g, STAND_IN)
+    gram = gram_of_modes(modes, g, STAND_IN)
+    assert gram.dtype == np.complex128
+    assert np.max(np.abs(gram.imag)) > 1e-3 * np.max(np.abs(gram))
+    assert np.max(np.abs(gram - dense)) <= 1e-13 * np.max(np.abs(dense))
+    _assert_spectrum_matches_dense(gram, dense)
 
 
 @pytest.mark.parametrize("dim, cfg, resolution", [

@@ -248,6 +248,22 @@ def test_legendre_table_memory():
         assert table[:, j].tolist() == [legendre_p(n, u[j]) for n in range(34)]
 
 
+def test_bessel_table_memory():
+    # 401 orders at 20,000 arguments: a 61.2 MiB table. The recurrence
+    # writes and normalizes the table rows in place: measured 63.1 MiB
+    # traced (185 MiB when its work rows, their normalized copy and the
+    # returned table were held at once).
+    x = np.random.default_rng(2).uniform(0.0, 500.0, 20_000)
+    tracemalloc.start()
+    try:
+        table = bessel_table(400, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (401, 20_000)
+    assert peak <= 1.1 * table.nbytes
+
+
 def test_assoc_legendre_trivial():
     assert assoc_legendre(0, 0, 0.3) == 1.0
     for u in np.linspace(-1, 1, 7):
