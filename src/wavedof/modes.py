@@ -25,9 +25,10 @@ one-node grid through its point. ``project_field`` synthesizes its
 residual with the same join.
 
 The Jacobi-Anger partial sum of a plane wave is likewise one radial
-table times one angular table (:func:`jacobi_anger_tables`), which both
-the per-point :func:`jacobi_anger_values` and the ball-averaged
-``rankcheck.truncation_error`` read.
+table times one angular table (:func:`jacobi_anger_tables`), which the
+per-point :func:`jacobi_anger_values` reads. The ball-averaged
+``rankcheck.truncation_error`` needs no partial sum: it is a closed-form
+tail sum over one Bessel column.
 
 A plane-wave field factors the same way: each wave is a space factor
 times a time factor, so :func:`field_values` evaluates one table over
@@ -395,9 +396,11 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
     factor: the Bessel radial factor, the orthonormal Legendre factor,
     e^{i m phi} (negated for odd negative m) and exp(2j pi f t) / sqrt(T),
     with the bin's frequency f and wave-number from :func:`mode_wavenumber`.
-    This is the only code that evaluates a mode. Raises ValueError when a
-    mode's ``dim`` is not the grid's.
+    This is the only code that evaluates a mode. Raises ValueError when
+    ``modes`` is empty or a mode's ``dim`` is not the grid's.
     """
+    if len(modes) == 0:
+        raise ValueError("modes must be nonempty")
     spherical = "mu_nodes" in axes
     if {md.dim for md in modes} - {Dimension.THREE_D if spherical else Dimension.TWO_D}:
         raise ValueError("modes and grid differ in dimension")
@@ -408,7 +411,7 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
     # reads its order's row at its bin's columns.
     col, k, cycles = _bin_columns(modes, cfg)
     r = axes["r_nodes"]
-    table = specfun.bessel_table(int(order.max(initial=0)),
+    table = specfun.bessel_table(int(order.max()),
                                  np.multiply.outer(k, r).ravel(), spherical=spherical)
     out = {"r": table[order, np.add.outer(np.arange(len(r)), col * len(r))]}
     if spherical:

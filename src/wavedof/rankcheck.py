@@ -19,9 +19,10 @@ matrix product. When the azimuth count is even, every spatial node x has
 its antipode -x on the grid with the same weight, and a field at -x is
 the one at x with its space phases conjugated; so the ensemble takes one
 cos and sin pair per (antipodal node pair, wave) and never forms the two
-fields. In 2D with an odd azimuth count it takes cos + i sin per (node,
-wave). The time factor of every field, with the square roots of the
-time weights folded in, is carried in the band's time basis: L
+fields; the pairs come from one fold, :func:`_antipodal_fold`. In 2D
+with an odd azimuth count it takes cos + i sin per (node, wave). The
+time factor of every field, with the square roots of the time weights
+folded in, is carried in the band's time basis: L
 orthonormal columns Q spanning sqrt(w_t) e^{2 pi i f t} for every f
 between the fields' lowest and highest frequency, the right singular
 vectors above s_0 n_t eps of those functions sampled at m = 2 n_t + 16
@@ -40,17 +41,10 @@ product of the nodes with every wave vector side by side, and the
 spatial weights scale the rows of its product. Every pair comes from
 :func:`~wavedof.specfun.cos_sin`, always on contiguous arrays, and a
 block's temporaries stay within ``_BLOCK_ENTRIES`` complex entries
-(2 MB). The harmonic truncation error uses the same structure
-over the ball: radial nodes x directions, and never forms the nodes
-themselves. Its integrand |e^{ik.x} - p_N(x)|^2 is even in x, so when
-the azimuth count is even it is summed over one direction of each
-antipodal pair with twice the weight. Both take the pairs from one
-fold, :func:`_antipodal_fold`, and the error moves only by rounding.
-The truncation error's folded ball rule is built once per (dim, radius,
-resolution) and kept (:func:`_ball_rule`), so repeated calls at one
-resolution, such as at degrees N and N + 5, share it.
-No (points x modes), (points x waves) or (points x points) array is
-formed. The readouts are:
+(2 MB). No (points x modes), (points x waves) or (points x points)
+array is formed. The harmonic truncation error needs no grid: it is a
+closed-form tail sum over one Bessel column (:func:`truncation_error`).
+The readouts are:
 
 * threshold rank: eigenvalues >= epsilon * lambda_max,
 * energy rank: smallest leading set capturing an eta fraction of the trace.
@@ -68,10 +62,9 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .bounds import ConfigError, Dimension, PhysicalConfig
-from .modes import (ModeIndex, PlaneWaveSet, gram_is_real, jacobi_anger_tables,
-                    mode_factors, weighted_gram)
-from .specfun import cos_sin
+from .bounds import ConfigError, Dimension, PhysicalConfig, check_cap
+from .modes import ModeIndex, PlaneWaveSet, gram_is_real, mode_factors, weighted_gram
+from .specfun import _miller_start, bessel_table, cos_sin
 
 
 class ResolutionError(RuntimeError):
@@ -165,8 +158,8 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
     (angular nodes, 2 or 3) of the angular nodes in ([mu], phi) order,
     phi fastest, and ``space_weights`` in (r, [mu], phi) order: the
     weights of the spatial nodes r x directions, whose coordinates it
-    does not form. Raises :class:`ConfigError` when a weight leaves the
-    float range.
+    does not form. In the library only :func:`build_grid` reads it. Raises
+    :class:`ConfigError` when a weight leaves the float range.
     """
     if min(n_r, n_ang) < 1:
         raise ConfigError("resolution counts must be >= 1")
@@ -207,9 +200,10 @@ def _node_coordinates(r: np.ndarray, directions: np.ndarray) -> np.ndarray:
 
 
 def _antipodal_fold(axes: dict) -> tuple[np.ndarray, np.ndarray, bool]:
-    """(directions, weights, folded): the unit directions a sum over the
-    ball quadrature of :func:`_spatial_quadrature` needs, their (radii x
-    directions) weights, and whether the fold applied.
+    """(directions, weights, folded): the unit directions the ensemble's
+    sum over the ball quadrature of :func:`_spatial_quadrature` needs,
+    their (radii x directions) weights, and whether the fold applied.
+    In the library only :func:`_weighted_field_blocks` reads it.
 
     When the azimuth count is even (always in 3D, and in 2D for even
     n_angular), every direction d has its antipode -d: phi <-> phi + pi,
@@ -226,20 +220,6 @@ def _antipodal_fold(axes: dict) -> tuple[np.ndarray, np.ndarray, bool]:
         return directions, w, False
     keep = np.arange(len(directions)).reshape(-1, n_phi)[:, :n_phi // 2].ravel()
     return directions[keep], 2.0 * w[:, keep], True
-
-
-@functools.lru_cache(maxsize=8)
-def _ball_rule(dim: Dimension, radius: float, n_r: int,
-               n_ang: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """(r, directions, weights, weight sum) of the ball quadrature of
-    :func:`_spatial_quadrature` after :func:`_antipodal_fold`: what
-    :func:`truncation_error` sums over. Built once per (dim, radius, n_r,
-    n_ang) and shared, so every array is read-only."""
-    axes = _spatial_quadrature(dim, radius, n_r, n_ang)
-    directions, w, _ = _antipodal_fold(axes)
-    r = axes["r_nodes"]
-    r.flags.writeable = directions.flags.writeable = w.flags.writeable = False
-    return r, directions, w, float(np.sum(w))
 
 
 def build_grid(dim: Dimension, cfg: PhysicalConfig,
@@ -266,12 +246,13 @@ def check_gram_resolution(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
 
     Time must oversample the highest band frequency (>= 4(F0+W)T + 8
     nodes) and the angular count must exceed twice the highest degree or
-    order present. The grid's (n_radial, n_angular, n_time) are its
-    node counts of r, mu (3D) or phi (2D), and t.
+    order present (none in an empty set). The grid's (n_radial,
+    n_angular, n_time) are its node counts of r, mu (3D) or phi (2D),
+    and t.
     """
     n_t_min = 4.0 * (cfg.f0 + cfg.W) * cfg.T + 8.0
-    max_deg = max((md.n if md.dim is Dimension.THREE_D else abs(md.m))
-                  for md in modes)
+    max_deg = max((md.n if md.dim is Dimension.THREE_D else abs(md.m)
+                   for md in modes), default=0)
     n_ang_min = 2 * max_deg + 1
     angular = "mu" if "mu_nodes" in grid.axes else "phi"
     counts = tuple(len(grid.axes[f"{a}_nodes"]) for a in ("r", angular, "t"))
@@ -473,16 +454,19 @@ def eigen_spectrum(matrix: np.ndarray,
     complex or real symmetric; a real one is diagonalized in real
     arithmetic.
 
-    Rejects matrices with a non-finite entry or eigenvalue
-    (:class:`ConfigError`) or whose Hermitian defect exceeds 1e-10
-    times the largest entry or 1, whichever is larger; verifies the
-    eigendecomposition reconstructs the input to 1e-8 relative in
-    Frobenius norm. Both checks are made on the input divided by its
-    largest entry, so they hold at any finite scale.
+    Rejects empty or non-square matrices (ValueError), matrices with a
+    non-finite entry or eigenvalue (:class:`ConfigError`) and matrices
+    whose Hermitian defect exceeds 1e-10 times the largest entry or 1,
+    whichever is larger; verifies the eigendecomposition reconstructs
+    the input to 1e-8 relative in Frobenius norm. Both checks are made
+    on the input divided by its largest entry, so they hold at any
+    finite scale.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
+    if m.size == 0:
+        raise ValueError("matrix must be nonempty")
     peak = float(np.max(np.abs(m)))
     if not math.isfinite(peak):
         raise ConfigError("matrix has entries beyond the float range")
@@ -527,36 +511,35 @@ def truncation_error(wv, radius: float, N: int,
     """Ball-averaged relative L2 error of the degree-N harmonic partial sum
     against the plane-wave spatial factor exp(j k . r).
 
-    ``resolution`` is (n_radial, n_angular). The quadrature of
-    :func:`_spatial_quadrature` is radial nodes x its unit
-    ``directions``, read folded from :func:`_ball_rule`, which builds it
-    once per (dim, radius, resolution), and the partial sum is one
-    radial table on the nodes times one angular table on the directions
-    (:func:`~wavedof.modes.jacobi_anger_tables`), as is
-    k . x = k outer(r, directions . k_hat). The error is summed in real
-    arithmetic: the real and imaginary parts of the partial sum come from
-    one real product of the stacked radial parts with the angular table,
-    and the exact factor's from :func:`~wavedof.specfun.cos_sin`, so no
-    complex (radii x directions) array is formed.
+    The angular harmonics are orthogonal, and Lommel's integral (Watson
+    5.11; DLMF 10.22(ii)) gives each one's radial part over the ball, so
+    the squared error is the tail sum over orders n > N of
+    c_n (Z_n^2 - Z_{n-1} Z_{n+1})(kR): Z = J and c_n = 2 in 2D, Z = j and
+    c_n = 3 (2n + 1) / 2 in 3D, with kR = |k| R. It does not depend on
+    the wave's direction. The sum runs to the Miller start of order N + 1
+    at kR (:func:`~wavedof.specfun._miller_start`), past which the
+    orders no longer count, over one column of
+    :func:`~wavedof.specfun.bessel_table`, and is clamped at 0 before the
+    square root.
 
-    The integrand |e^{ik.x} - p_N(x)|^2 is even in x. The terms of p_N
-    with even n are real with an even angular factor, P_n(rhat . khat) or
-    cos(m dtheta), and those with odd n imaginary and odd; cos(k.x) is
-    even and sin(k.x) odd. So Re(e - p) is even and Im(e - p) odd. When
-    the azimuth count is even (always in 3D, and in 2D for even
-    n_angular), every direction has its antipode with the same weight
-    (:func:`_antipodal_fold`), and the error is summed over one direction
-    of each pair with the weight doubled: half the angular table, the real
-    product, the exact phases and the sum. The two terms of a pair agree
-    up to rounding, so the result moves only by rounding, within 2e-15
-    at the rounding floor of the partial sum. With an odd 2D azimuth
-    count every direction is summed.
+    ``resolution`` is accepted and ignored, since no quadrature is
+    taken; it stays for callers that still pass it. Raises ValueError
+    for N < 0, :class:`ConfigError` unless 0 < radius < inf and kR is
+    finite, and :class:`~wavedof.bounds.ModeCapError`
+    (:func:`~wavedof.bounds.check_cap`) when the tail's orders exceed
+    the cap, before any table is allocated.
     """
-    r, directions, w, total = _ball_rule(wv.dim, radius, *resolution)
-    radial, angular = jacobi_anger_tables(wv, r, directions, N)
-    part = np.concatenate([radial.real, radial.imag]) @ angular
-    c, s = cos_sin(wv.k * np.outer(r, directions @ np.asarray(wv.k_hat)))
-    c -= part[:len(r)]
-    s -= part[len(r):]
-    err = float(np.sum(w * (c * c + s * s)))
-    return math.sqrt(err / total)
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    if not 0.0 < radius < math.inf:
+        raise ConfigError(f"radius must lie in (0, inf), got {radius}")
+    x = abs(wv.k * radius)
+    if not math.isfinite(x):
+        raise ConfigError(f"kR must be finite, got {x}")
+    top = _miller_start(N + 1, x)
+    check_cap(top + 2, "orders of the truncation tail")
+    spherical = wv.dim is Dimension.THREE_D
+    z = bessel_table(top + 1, x, spherical=spherical)[:, 0]
+    n = np.arange(N + 1, top + 1)
+    c = 1.5 * (2 * n + 1) if spherical else 2.0
+    return math.sqrt(max(float(np.sum(c * (z[n] ** 2 - z[n - 1] * z[n + 1]))), 0.0))

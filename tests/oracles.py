@@ -11,9 +11,10 @@ counting loop for mode sums and the same loop writing out the mode
 table rows, characteristic polynomial roots for small
 eigenproblems, scalar spherical-harmonic sums for the Jacobi-Anger
 expansion, the per-point arrays of the space-time grid built eagerly
-by repeat, tile and outer product, and the dense per-point routes
-that the factored Gram, projection and truncation error and the
-separable ensemble rows replace.
+by repeat, tile and outer product, the dense per-point routes that
+the factored Gram, projection and the separable ensemble rows replace,
+a dense ball quadrature of the truncation error, and the same error's
+Lommel tail sum term by term in extended precision.
 """
 
 import cmath
@@ -385,6 +386,34 @@ def pointwise_truncation_error(wv, radius: float, N: int, resolution) -> float:
     exact = np.exp(1j * wv.k * (pts @ np.asarray(wv.k_hat)))
     err = float(np.sum(w * np.abs(exact - jacobi_anger_values(wv, pts, N)) ** 2))
     return math.sqrt(err / float(np.sum(w)))
+
+
+def lommel_tail_reference(dim, kR: float, N: int, dps: int = 40) -> float:
+    """Ball-averaged truncation error from the Lommel tail sum in dps-digit
+    mpmath arithmetic: the square root of sum_{n>N} c_n (Z_n^2 -
+    Z_{n-1} Z_{n+1})(kR), with Z = J, c_n = 2 in 2D and Z = j,
+    c_n = 3 (2n + 1) / 2 in 3D, each Z one mpmath Bessel value. Every
+    term is positive (Turan's inequality), so the sum stops at the first
+    term past n = kR below 10^-dps of the running total."""
+    spherical = dim is Dimension.THREE_D
+    with mp.workdps(dps):
+        x = mp.mpf(kR)
+
+        def z(n):
+            if spherical:
+                return mp.sqrt(mp.pi / (2 * x)) * mp.besselj(n + mp.mpf(1) / 2, x)
+            return mp.besselj(n, x)
+
+        total, n = mp.mpf(0), N + 1
+        prev, cur, nxt = z(n - 1), z(n), z(n + 1)
+        while True:
+            c_n = mp.mpf(3 * (2 * n + 1)) / 2 if spherical else 2
+            term = c_n * (cur**2 - prev * nxt)
+            total += term
+            if n > x and term <= mp.mpf(10) ** (-dps) * total:
+                return float(mp.sqrt(total))
+            n += 1
+            prev, cur, nxt = cur, nxt, z(n + 1)
 
 
 def distinct_rows_reference(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,14 +14,14 @@ from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
                      enumerate_modes, gram_of_modes, synthesize_field,
                      truncation_degree, truncation_error)
 from wavedof import cli, rankcheck
-from wavedof.bounds import ConfigError
+from wavedof.bounds import ConfigError, ModeCapError
 from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values, mode_matrix,
                            project_field)
 from wavedof.specfun import cos_sin
 
 from oracles import (charpoly_eigenvalues, dense_gram, eager_grid_arrays,
-                     ensemble_covariance, pointwise_field_rows,
-                     pointwise_truncation_error)
+                     ensemble_covariance, lommel_tail_reference,
+                     pointwise_field_rows, pointwise_truncation_error)
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -402,9 +402,8 @@ def test_ensemble_memory_over_a_long_window():
 
 
 def test_truncation_error_memory():
-    # The expand 3D point kR = 20, N = 33 on (24, 34): 24 radii x 2312
-    # directions, summed over one direction of each antipodal pair.
-    # Measured 2.53 MiB (over every direction: 3.63 MiB).
+    # The expand 3D point kR = 20, N = 33: one Bessel column of 95 orders.
+    # Measured 9.2 KiB (the folded ball quadrature on (24, 34): 2.53 MiB).
     wv = WaveVector.from_frequency(20.0 / (2 * math.pi), (0.6, -0.64, 0.48), 1.0)
     assert _traced_peak(truncation_error, wv, 1.0, 33, (24, 34)) <= 3.0 * (1 << 20)
 
@@ -507,6 +506,25 @@ def test_ensemble_saturation_under_doubling():
     r1 = ensemble_spectrum(half, g).rank_energy
     r2 = ensemble_spectrum(full, g).rank_energy
     assert abs(r2 - r1) <= max(1, round(0.05 * r1))
+
+
+def _empty_modes_gram():
+    return gram_of_modes([], build_grid(TWO_D, CAL_2D, (8, 24, 52)), CAL_2D)
+
+
+def _empty_modes_projection():
+    g = build_grid(TWO_D, CAL_2D, (4, 8, 6))
+    return project_field(np.ones(len(g), dtype=complex), [], g, CAL_2D)
+
+
+@pytest.mark.parametrize("call, message", [
+    (_empty_modes_gram, "modes must be nonempty"),
+    (_empty_modes_projection, "modes must be nonempty"),
+    (lambda: eigen_spectrum(np.zeros((0, 0))), "matrix must be nonempty"),
+], ids=["gram", "projection", "spectrum"])
+def test_empty_inputs_fail_with_one_message(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_eigen_spectrum_identity():
@@ -636,52 +654,65 @@ def test_truncation_error_2d():
 @pytest.mark.parametrize("dim, kR", [(TWO_D, 10.0), (TWO_D, 20.0), (TWO_D, 40.0),
                                      (THREE_D, 10.0), (THREE_D, 20.0)])
 def test_truncation_error_matches_pointwise_oracle(dim, kR):
-    # First the benchmark's expand cases and resolutions: 4(N+5) azimuths
-    # in 2D, N+6 polar nodes in 3D. Then two the expand cases never reach:
-    # in 2D 4(N+5) + 1 azimuths, an odd count where no direction has its
-    # antipode and every one is summed, and in 3D the default (24, 24);
-    # and last one angular node.
+    # The benchmark's expand cases, against a dense quadrature on rules
+    # that resolve the integrand: 4(N+5) azimuths in 2D, 2n+12 polar
+    # nodes in 3D. Measured: at most 4e-17 absolute above the
+    # quadrature's rounding floor, and 6e-15 at that floor (N = n + 20).
     rng = np.random.default_rng(int(kR))
     n = truncation_degree(1.0, kR)
-    resolutions = ([(24, 4 * (n + 5)), (24, 4 * (n + 5) + 1)] if dim is TWO_D
-                   else [(24, n + 6), (24, 24)]) + [(24, 1)]
+    res = (24, 4 * (n + 5)) if dim is TWO_D else (24, 2 * n + 12)
     for _ in range(2):
         wv = WaveVector.from_frequency(kR / (2 * math.pi),
                                        rng.normal(size=2 if dim is TWO_D else 3), 1.0)
-        for res in resolutions:
-            for N in (n, n + 5, n + 20):
-                want = pointwise_truncation_error(wv, 1.0, N, res)
-                # Errors reach 1e-8, and at N = n + 20 the rounding floor;
-                # rounding moves them by about 1e-15.
-                assert abs(truncation_error(wv, 1.0, N, res) - want) <= 1e-14, (res, N)
+        for N in (n, n + 5, n + 20):
+            want = pointwise_truncation_error(wv, 1.0, N, res)
+            assert abs(truncation_error(wv, 1.0, N) - want) <= 1e-10 * want + 1e-14, N
 
 
-@pytest.mark.parametrize("dim, res", [(TWO_D, (24, 132)), (TWO_D, (24, 133)),
-                                      (THREE_D, (24, 34))],
-                         ids=["2d-folded", "2d-odd", "3d"])
-def test_truncation_error_ball_rule_cached(dim, res):
-    """The ball rule is built once per (dim, radius, resolution), its
-    arrays are read-only, and truncation_error returns the same floats
-    with a cold cache, a warm one, and after calls at another radius and
-    another resolution."""
-    rng = np.random.default_rng(9)
-    wv = WaveVector.from_frequency(20.0 / (2 * math.pi),
-                                   rng.normal(size=2 if dim is TWO_D else 3), 1.0)
+@pytest.mark.parametrize("dim", [TWO_D, THREE_D])
+def test_truncation_error_matches_lommel_tail_oracle(dim):
+    direction = (1.0, 0.0) if dim is TWO_D else (0.0, 0.0, 1.0)
+    for kR in (1e-3, 2.0, 10.0, 40.0):
+        n = truncation_degree(1.0, kR)
+        wv = WaveVector.from_frequency(kR / (2 * math.pi), direction, 1.0)
+        for N in sorted({N for N in (0, n - 5, n, n + 5, n + 20) if N >= 0}):
+            want = lommel_tail_reference(dim, kR, N)
+            assert abs(truncation_error(wv, 1.0, N) - want) <= 1e-12 * want, (kR, N)
+
+
+@pytest.mark.parametrize("dim", [TWO_D, THREE_D])
+def test_truncation_error_is_direction_free(dim):
+    rng = np.random.default_rng(3)
     n = truncation_degree(1.0, 20.0)
-    rankcheck._ball_rule.cache_clear()
-    cold = [truncation_error(wv, 1.0, N, res).hex() for N in (n, n + 5)]
-    info = rankcheck._ball_rule.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-    *arrays, total = rankcheck._ball_rule(dim, 1.0, *res)
-    for a in arrays:
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[...] = 0.0
-    assert total == float(np.sum(arrays[2]))
-    assert [truncation_error(wv, 1.0, N, res).hex() for N in (n, n + 5)] == cold
-    truncation_error(wv, 2.0, n, res)
-    truncation_error(wv, 1.0, n, (res[0] + 1, res[1]))
-    assert [truncation_error(wv, 1.0, N, res).hex() for N in (n, n + 5)] == cold
+    waves = [WaveVector.from_frequency(20.0 / (2 * math.pi),
+                                       rng.normal(size=2 if dim is TWO_D else 3), 1.0)
+             for _ in range(5)]
+    for N in (0, n, n + 5):
+        assert len({truncation_error(wv, 1.0, N).hex() for wv in waves}) == 1, N
+
+
+@pytest.mark.parametrize("f, N", [(1e7 / (2 * math.pi), 0), (1.0, 10**8)],
+                         ids=["huge-kR", "huge-N"])
+def test_truncation_error_cap(f, N):
+    wv = WaveVector.from_frequency(f, (0.0, 0.0, 1.0), 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModeCapError):
+            truncation_error(wv, 1.0, N)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 16
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("radius, f, N, error", [
+    (0.0, 1.0, 3, ConfigError), (-1.0, 1.0, 3, ConfigError),
+    (math.inf, 1.0, 3, ConfigError), (math.nan, 1.0, 3, ConfigError),
+    (1.0, math.inf, 3, ConfigError), (1e300, 1e10, 3, ConfigError),
+    (1.0, 1.0, -1, ValueError)])
+def test_truncation_error_rejects_bad_arguments(radius, f, N, error):
+    wv = WaveVector.from_frequency(f, (0.0, 1.0), 1.0)
+    with pytest.raises(error):
+        truncation_error(wv, radius, N)
 
 
 def test_ball_grid_measures():
