@@ -22,13 +22,13 @@ set, over every bin's wave-number times every radial node.
 :func:`mode_matrix` joins them, column by column, into the dense
 (points x modes) matrix, and :func:`evaluate_mode` is that join on the
 one-node grid through its point. ``project_field`` synthesizes its
-residual with the same join.
+residual with the same join. :func:`diagonal_normalize` alone scales a
+Gram, for ``verify`` and the projection alike.
 
 The Jacobi-Anger partial sum of a plane wave is likewise one radial
-table times one angular table (:func:`jacobi_anger_tables`), which the
-per-point :func:`jacobi_anger_values` reads. The ball-averaged
-``rankcheck.truncation_error`` needs no partial sum: it is a closed-form
-tail sum over one Bessel column.
+table times one angular table (:func:`jacobi_anger_values`). The
+ball-averaged ``rankcheck.truncation_error`` needs no partial sum: it is
+a closed-form tail sum over one Bessel column.
 
 A plane-wave field factors the same way: each wave is a space factor
 times a time factor, so :func:`field_values` evaluates one table over
@@ -42,7 +42,7 @@ table would outgrow points x waves, fall back to one exponential per
 Every array exponential here, in :func:`field_values` and in the
 azimuthal and time factors of :func:`mode_factors`, is
 :func:`~wavedof.specfun.cis`, the library's one e^{i theta} kernel, and
-the 2D angular table cos(m dtheta) of :func:`jacobi_anger_tables` is its
+the 2D angular table cos(m dtheta) of :func:`jacobi_anger_values` is its
 real part from :func:`~wavedof.specfun.cos_sin`; only the scalar
 :func:`plane_wave` keeps ``cmath.exp``, as the independent single-point
 reference.
@@ -124,6 +124,8 @@ class PlaneWaveSet:
     ``directions`` has shape (n, 2 or 3) with unit rows, ``frequencies``
     and ``amplitudes`` shape (n,). :func:`synthesize_field` draws one
     from a seed, which the ``verify`` report records with its generator.
+    Raises ValueError for an empty set or other shapes, and
+    :class:`ConfigError` unless 0 < c < inf.
     """
 
     directions: np.ndarray
@@ -134,6 +136,12 @@ class PlaneWaveSet:
     def __post_init__(self):
         if len(self.directions) == 0:
             raise ValueError("a plane-wave set must be nonempty")
+        if not 0.0 < self.c < math.inf:
+            raise ConfigError(f"wave speed must lie in (0, inf), got {self.c}")
+        n, *d = np.shape(self.directions)
+        if d not in ([2], [3]) or {len(self.frequencies), len(self.amplitudes)} != {n}:
+            raise ValueError("directions must have shape (n, 2 or 3), frequencies "
+                             "and amplitudes shape (n,)")
 
     def __len__(self) -> int:
         return len(self.amplitudes)
@@ -271,45 +279,36 @@ def jacobi_anger_partial(wv: WaveVector, position, N: int) -> complex:
 _J_POWERS = np.array([1, 1j, -1, -1j])
 
 
-def jacobi_anger_tables(wv: WaveVector, r, directions,
-                        N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Radial and angular tables of the degree-N partial sum.
+def jacobi_anger_values(wv: WaveVector, points: np.ndarray, N: int) -> np.ndarray:
+    """Degree-N partial sum of :func:`jacobi_anger_partial` at every row of
+    ``points``: one radial row per distinct radius r times one angular
+    column per point.
 
-    The partial sum of :func:`jacobi_anger_partial` at radius ``r[a]``
-    along the unit vector ``directions[b]`` is ``(radial @ angular)[a, b]``.
-    ``radial`` (len(r), N+1) holds j^n (2n+1) j_n(k r) in 3D, where the
-    addition theorem folds the m-sum into (2n+1) P_n(rhat . khat), and
+    The radial row holds j^n (2n+1) j_n(k r) in 3D, where the addition
+    theorem folds the m-sum into (2n+1) P_n(rhat . khat), and
     j^m eps_m J_m(k r) in 2D, where the +m and -m terms fold into
-    eps_m cos(m dtheta) (eps_0 = 1, eps_m = 2). ``angular`` (N+1, n_dir)
-    holds P_n(rhat . khat) or cos(m dtheta), the latter from
+    eps_m cos(m dtheta) (eps_0 = 1, eps_m = 2). The angular column holds
+    P_n(rhat . khat) or cos(m dtheta), the latter from
     :func:`~wavedof.specfun.cos_sin`.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    n = np.arange(N + 1)
-    u = np.asarray(directions, dtype=float)
-    spherical = wv.dim is Dimension.THREE_D
-    weight = _J_POWERS[n % 4] * ((2 * n + 1) if spherical else np.minimum(n, 1) + 1)
-    radial = specfun.bessel_table(N, wv.k * np.asarray(r, dtype=float),
-                                  spherical=spherical).T * weight
-    if spherical:
-        cos_g = np.clip(u @ np.asarray(wv.k_hat), -1.0, 1.0)
-        return radial, specfun.legendre_table(N, cos_g)
-    dtheta = np.arctan2(u[:, 1], u[:, 0]) - math.atan2(wv.k_hat[1], wv.k_hat[0])
-    return radial, specfun.cos_sin(np.outer(n, dtheta))[0]
-
-
-def jacobi_anger_values(wv: WaveVector, points: np.ndarray, N: int) -> np.ndarray:
-    """Degree-N partial sum of :func:`jacobi_anger_partial` at every row of
-    ``points``, from one radial row per distinct radius and one angular
-    column per point of :func:`jacobi_anger_tables`."""
     pts = np.asarray(points, dtype=float)
     r = np.linalg.norm(pts, axis=-1)
     r_uni, r_inv = np.unique(r, return_inverse=True)
     # At r = 0 only the n = 0 radial entry is nonzero, and its angular
     # entry is 1 whatever the direction.
-    radial, angular = jacobi_anger_tables(
-        wv, r_uni, pts / np.where(r > 0, r, 1.0)[:, None], N)
+    u = pts / np.where(r > 0, r, 1.0)[:, None]
+    n = np.arange(N + 1)
+    spherical = wv.dim is Dimension.THREE_D
+    weight = _J_POWERS[n % 4] * ((2 * n + 1) if spherical else np.minimum(n, 1) + 1)
+    radial = specfun.bessel_table(N, wv.k * r_uni, spherical=spherical).T * weight
+    if spherical:
+        cos_g = np.clip(u @ np.asarray(wv.k_hat), -1.0, 1.0)
+        angular = specfun.legendre_table(N, cos_g)
+    else:
+        dtheta = np.arctan2(u[:, 1], u[:, 0]) - math.atan2(wv.k_hat[1], wv.k_hat[0])
+        angular = specfun.cos_sin(np.outer(n, dtheta))[0]
     return np.einsum("pn,np->p", radial[r_inv], angular)
 
 
@@ -369,20 +368,25 @@ def field_values(pws: PlaneWaveSet, positions: np.ndarray,
     point. When that table would hold more entries than points x waves
     (positions and times far from a product set, e.g. scattered
     points), each point takes one exponential per wave instead, so no
-    array exceeds points x waves either way.
+    array exceeds points x waves either way. Raises :class:`ConfigError`
+    when a wave-number or a phase leaves the float range.
     """
     pos = np.asarray(positions, dtype=float)
     t = np.asarray(times, dtype=float)
-    k = 2.0 * math.pi * pws.frequencies / pws.c
-    omega = 2.0 * math.pi * pws.frequencies
     u, s_inv = _distinct_rows(pos)
     tu, t_inv = _distinct_rows(t[:, None])
-    if len(u) * len(tu) > len(pos) * len(pws):
-        phase = (pos @ pws.directions.T) * k[None, :] + omega[None, :] * t[:, None]
-        return specfun.cis(phase) @ pws.amplitudes
-    space = specfun.cis((u @ pws.directions.T) * k[None, :])
-    in_time = pws.amplitudes[:, None] * specfun.cis(omega[:, None] * tu[:, 0])
-    return (space @ in_time)[s_inv, t_inv]
+    scattered = len(u) * len(tu) > len(pos) * len(pws)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = 2.0 * math.pi * pws.frequencies / pws.c
+        omega = 2.0 * math.pi * pws.frequencies
+        phases = ([(pos @ pws.directions.T) * k + omega * t[:, None]] if scattered
+                  else [(u @ pws.directions.T) * k, omega[:, None] * tu[:, 0]])
+    if not all(np.all(np.isfinite(p)) for p in phases):
+        raise ConfigError("phases of the plane-wave set leave the float range")
+    factors = [specfun.cis(p) for p in phases]
+    if scattered:
+        return factors[0] @ pws.amplitudes
+    return (factors[0] @ (pws.amplitudes[:, None] * factors[1]))[s_inv, t_inv]
 
 
 def mode_factors(modes: Sequence[ModeIndex], axes: dict,
@@ -467,6 +471,26 @@ def weighted_gram(factors: dict, axes: dict, real: bool) -> np.ndarray:
     return g
 
 
+def diagonal_normalize(g: np.ndarray) -> np.ndarray:
+    """Scale a Gram matrix to unit diagonal (scale-free independence test).
+
+    ``verify`` and :func:`project_field` both scale with it. Raises
+    :class:`ConfigError` unless the diagonal d is positive and every
+    1/sqrt(d_p d_q) is finite, which fails when the quadrature weights of
+    the region leave the float range.
+    """
+    d = np.real(np.diag(g))
+    if np.all(d > 0):
+        s = 1.0 / np.sqrt(d)
+        with np.errstate(over="ignore"):
+            scale = np.outer(s, s)
+        if np.all(np.isfinite(scale)):
+            return g * scale
+    raise ConfigError(f"Gram diagonal cannot be normalized (least entry "
+                      f"{d.min():.3g}); the quadrature weights may leave "
+                      "the float range")
+
+
 #: least eigenvalue ratio of the diagonal-normalized normal matrix that
 #: :func:`project_field` accepts
 _RCOND = 1e-10
@@ -484,14 +508,18 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
     then phi, then mu (3D), then r, and the residual synthesizes A c the
     same way, so A itself is never formed. When the normal matrix is
     real (:func:`gram_is_real`), its eigenvectors are real and act on
-    the complex right-hand side directly. Raises
-    :class:`ProjectionRankError` when a mode has no weight on the grid,
-    or when the diagonal-normalized normal matrix has an eigenvalue
-    ratio lambda_min / lambda_max below ``_RCOND`` (1e-10).
+    the complex right-hand side directly. Raises ValueError for
+    non-finite samples, :class:`ConfigError` from
+    :func:`diagonal_normalize`, and :class:`ProjectionRankError` when a
+    mode has no weight on the grid, or when the diagonal-normalized
+    normal matrix has an eigenvalue ratio lambda_min / lambda_max below
+    ``_RCOND`` (1e-10).
     """
     y = np.asarray(samples, dtype=complex)
     if y.shape != (len(grid),):
         raise ValueError("samples must align with grid points")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("samples must be finite")
     if len(modes) > len(y):
         raise ValueError("more modes than grid points")
     factors = mode_factors(modes, grid.axes, cfg)
@@ -501,8 +529,7 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
     if np.any(diag <= 0):
         raise ProjectionRankError(
             f"mode {modes[int(np.argmin(diag))]} has zero norm on the grid")
-    s = 1.0 / np.sqrt(diag)
-    lam, vec = np.linalg.eigh(normal * np.outer(s, s))
+    lam, vec = np.linalg.eigh(diagonal_normalize(normal))
     if lam[0] < _RCOND * lam[-1]:
         raise ProjectionRankError(
             f"normalized Gram eigenvalue ratio {lam[0] / lam[-1]:.1e} < {_RCOND:g}; "
@@ -512,6 +539,7 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
     b = y.reshape(-1, len(wf["t"])) @ wf["t"]
     for a in reversed(axes[:-1]):
         b = np.einsum("anj,nj->aj", b.reshape(-1, *wf[a].shape), wf[a])
+    s = 1.0 / np.sqrt(diag)             # back from unit-diagonal coordinates
     coeffs = s * (vec @ ((vec.conj().T @ (s * b[0])) / lam))
     # A c: the spatial factors joined into (nodes x modes), then t.
     u = _join_columns(coeffs[None, :], [factors[a] for a in axes[:-1]])

@@ -5,13 +5,14 @@ matrices and ensemble covariance spectra, and reduces Hermitian spectra
 to two effective-rank readouts. The Gram of the modes is real on these
 grids for every mode set that ``enumerate_modes`` returns
 (:func:`~wavedof.modes.gram_is_real` gives the reason), so it is
-assembled, normalized and diagonalized as a real symmetric matrix; the
-ensemble dual stays complex. The grid is a tensor product (r x [mu] x
-phi x t), held as its axes only: per-axis nodes and weights, the unit
-``directions`` of the angular nodes, and the weights of the spatial
-nodes (radii x directions). Node coordinates and per-point arrays are
-formed only where read. Every mode and every plane wave is a product
-over the same axes, and so is each weight, so the Gram
+assembled, normalized (:func:`~wavedof.modes.diagonal_normalize`) and
+diagonalized as a real symmetric matrix; the ensemble dual stays
+complex. The grid is a tensor product (r x [mu] x phi x t), laid out by
+:func:`build_grid` alone and held as its axes only: per-axis nodes and
+weights, the unit ``directions`` of the angular nodes, and the weights
+of the spatial nodes (radii x directions). Node coordinates and
+per-point arrays are formed only where read. Every mode and every plane
+wave is a product over the same axes, and so is each weight, so the Gram
 matrix and the ensemble are assembled axis by axis: the Gram matrix is
 the elementwise product of one small weighted Gram per axis, and each
 ensemble field is a (spatial nodes x waves) by (waves x time nodes)
@@ -63,7 +64,8 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import ConfigError, Dimension, PhysicalConfig, check_cap
-from .modes import ModeIndex, PlaneWaveSet, gram_is_real, mode_factors, weighted_gram
+from .modes import (ModeIndex, PlaneWaveSet, diagonal_normalize,  # re-exported
+                    gram_is_real, mode_factors, weighted_gram)
 from .specfun import _miller_start, bessel_table, cos_sin
 
 
@@ -147,31 +149,35 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
-                        n_ang: int) -> dict:
-    """Gauss-Legendre product quadrature over a disc (2D) or ball (3D).
+def build_grid(dim: Dimension, cfg: PhysicalConfig,
+               resolution: tuple) -> SpaceTimeGrid:
+    """Gauss-Legendre product grid over the disc (2D) or ball (3D) of
+    radius R and the time window [0, T], ``resolution`` (n_radial,
+    n_angular, n_time) nodes.
 
     Radial weights carry r (2D) or r^2 (3D). In 3D the angular nodes are
-    n_ang Gauss-Legendre points in mu = cos(theta) crossed with 2*n_ang
-    uniform azimuths; in 2D they are n_ang uniform azimuths. Returns the
-    axes: each axis's nodes and weights, the unit vectors ``directions``
-    (angular nodes, 2 or 3) of the angular nodes in ([mu], phi) order,
-    phi fastest, and ``space_weights`` in (r, [mu], phi) order: the
-    weights of the spatial nodes r x directions, whose coordinates it
-    does not form. In the library only :func:`build_grid` reads it. Raises
-    :class:`ConfigError` when a weight leaves the float range.
+    n_angular Gauss-Legendre mu = cos(theta) crossed with 2 n_angular
+    uniform azimuths; in 2D n_angular uniform azimuths. The axes hold each
+    axis's nodes and weights, the unit ``directions`` (angular nodes, 2
+    or 3) in ([mu], phi) order, phi fastest, and ``space_weights`` of the
+    spatial nodes r x directions, whose coordinates are not formed.
+    Raises :class:`ConfigError` for a count below 1, R <= 0 or T <= 0,
+    or a spatial weight past the float range.
     """
+    n_r, n_ang, n_t = resolution
+    if n_t < 1 or cfg.T <= 0:
+        raise ConfigError("grids need n_time >= 1 and T > 0")
     if min(n_r, n_ang) < 1:
         raise ConfigError("resolution counts must be >= 1")
-    if radius <= 0:
+    if cfg.R <= 0:
         raise ConfigError("radius must be > 0")
     xr, wxr = _gauss_legendre(n_r)
     n_phi = n_ang if dim is Dimension.TWO_D else 2 * n_ang
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wphi = np.full(n_phi, 2.0 * math.pi / n_phi)
     with np.errstate(over="ignore", invalid="ignore"):
-        r = radius * (xr + 1.0) / 2.0
-        wr = wxr * radius / 2.0 * r
+        r = cfg.R * (xr + 1.0) / 2.0
+        wr = wxr * cfg.R / 2.0 * r
         if dim is Dimension.TWO_D:
             w = wr[:, None] * wphi[None, :]
         else:
@@ -179,7 +185,7 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
             wr = wr * r
             w = wr[:, None, None] * wmu[None, :, None] * wphi[None, None, :]
     if not np.all(np.isfinite(w)):
-        raise ConfigError(f"quadrature weights of a region of radius {radius:.3g} "
+        raise ConfigError(f"quadrature weights of a region of radius {cfg.R:.3g} "
                           "leave the float range")
     axes = {"r_nodes": r, "r_weights": wr}
     if dim is Dimension.TWO_D:
@@ -188,20 +194,22 @@ def _spatial_quadrature(dim: Dimension, radius: float, n_r: int,
         axes.update(mu_nodes=mu, mu_weights=wmu)
         rho = np.sqrt(1.0 - mu**2)[:, None]
         directions = (rho * np.cos(phi), rho * np.sin(phi), np.repeat(mu, n_phi))
+    xt, wxt = _gauss_legendre(n_t)
     axes.update(phi_nodes=phi, phi_weights=wphi, space_weights=w.ravel(),
-                directions=np.stack([c.ravel() for c in directions], axis=-1))
-    return axes
+                directions=np.stack([c.ravel() for c in directions], axis=-1),
+                t_nodes=cfg.T * (xt + 1.0) / 2.0, t_weights=wxt * cfg.T / 2.0)
+    return SpaceTimeGrid(axes)
 
 
 def _node_coordinates(r: np.ndarray, directions: np.ndarray) -> np.ndarray:
     """(nodes, 2 or 3) coordinates of the spatial nodes r x directions,
-    radius slowest, as ordered by :func:`_spatial_quadrature`."""
+    radius slowest, as ordered by :func:`build_grid`."""
     return (r[:, None, None] * directions).reshape(-1, directions.shape[1])
 
 
 def _antipodal_fold(axes: dict) -> tuple[np.ndarray, np.ndarray, bool]:
     """(directions, weights, folded): the unit directions the ensemble's
-    sum over the ball quadrature of :func:`_spatial_quadrature` needs,
+    sum over the ball quadrature of :func:`build_grid` needs,
     their (radii x directions) weights, and whether the fold applied.
     In the library only :func:`_weighted_field_blocks` reads it.
 
@@ -220,24 +228,6 @@ def _antipodal_fold(axes: dict) -> tuple[np.ndarray, np.ndarray, bool]:
         return directions, w, False
     keep = np.arange(len(directions)).reshape(-1, n_phi)[:, :n_phi // 2].ravel()
     return directions[keep], 2.0 * w[:, keep], True
-
-
-def build_grid(dim: Dimension, cfg: PhysicalConfig,
-               resolution: tuple) -> SpaceTimeGrid:
-    """Gauss-Legendre grid over the observation region and time window.
-
-    ``resolution`` is (n_radial, n_angular, n_time). The spatial axes
-    are those of :func:`_spatial_quadrature`, which checks R and the
-    spatial counts; the n_time time nodes are Gauss-Legendre points over
-    [0, T]. No node coordinates are formed.
-    """
-    n_r, n_ang, n_t = resolution
-    if n_t < 1 or cfg.T <= 0:
-        raise ConfigError("grids need n_time >= 1 and T > 0")
-    axes = _spatial_quadrature(dim, cfg.R, n_r, n_ang)
-    xt, wxt = _gauss_legendre(n_t)
-    axes.update(t_nodes=cfg.T * (xt + 1.0) / 2.0, t_weights=wxt * cfg.T / 2.0)
-    return SpaceTimeGrid(axes)
 
 
 def check_gram_resolution(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
@@ -282,25 +272,6 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
     check_gram_resolution(modes, grid, cfg)
     factors = mode_factors(modes, grid.axes, cfg)
     return _mirror_upper(weighted_gram(factors, grid.axes, gram_is_real(modes, cfg)))
-
-
-def diagonal_normalize(g: np.ndarray) -> np.ndarray:
-    """Scale a Gram matrix to unit diagonal (scale-free independence test).
-
-    Raises :class:`ConfigError` unless the diagonal d is positive and every
-    1/sqrt(d_p d_q) is finite, which fails when the quadrature weights of
-    the region leave the float range.
-    """
-    d = np.real(np.diag(g))
-    if np.all(d > 0):
-        s = 1.0 / np.sqrt(d)
-        with np.errstate(over="ignore"):
-            scale = np.outer(s, s)
-        if np.all(np.isfinite(scale)):
-            return g * scale
-    raise ConfigError(f"Gram diagonal cannot be normalized (least entry "
-                      f"{d.min():.3g}); the quadrature weights may leave "
-                      "the float range")
 
 
 #: complex entries (2 MB) that bound an ensemble block: its real output

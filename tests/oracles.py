@@ -25,7 +25,7 @@ import mpmath as mp
 import numpy as np
 
 from wavedof import rankcheck, specfun
-from wavedof.bounds import Dimension
+from wavedof.bounds import Dimension, PhysicalConfig
 from wavedof.modes import jacobi_anger_values, mode_matrix
 
 E_PI = math.e * math.pi
@@ -380,7 +380,8 @@ def jacobi_anger_scalar(wv, position, N: int) -> complex:
 
 def pointwise_truncation_error(wv, radius: float, N: int, resolution) -> float:
     """Relative L2 truncation error from one partial sum per ball point."""
-    axes = rankcheck._spatial_quadrature(wv.dim, radius, *resolution)
+    cfg = PhysicalConfig(R=radius, W=0.0, T=1.0, f0=1.0)
+    axes = rankcheck.build_grid(wv.dim, cfg, (*resolution, 1)).axes
     pts = np.concatenate([ri * axes["directions"] for ri in axes["r_nodes"]])
     w = axes["space_weights"]
     exact = np.exp(1j * wv.k * (pts @ np.asarray(wv.k_hat)))

@@ -217,6 +217,12 @@ def test_sweep_csv_roundtrip(tmp_path):
     assert render_sweep_csv(meta, spec, rows) == text
 
 
+def test_parse_sweep_csv_rejects_other_text():
+    for text in ("", "a,b,c\n1,2,3\n", "# axis1 = R:0.1:1:2:linear\naxis1,axis2\n"):
+        with pytest.raises(ValueError, match="^not a sweep CSV$"):
+            parse_sweep_csv(text)
+
+
 @pytest.mark.parametrize("argv", [
     # exact3d past 2^53 (about 8e46 to 1e49)
     ["--axis1", "R:1e20:1e21:2:log", "--axis2", "W:5e5:6e5:2:linear",
@@ -298,7 +304,8 @@ SWEEP_FLAGS = ["--axis1", "R:0.1:1:2:linear", "--axis2", "W:10:100:2:log",
     "missing-config", "config-value", "output-dir", "verify-config-value",
     "verify-config-seed", "modes-two-sided-3d", "config-key-twice", "modes-cap-zero",
     "modes-cap-negative", "flag-number", "flag-int", "flag-choice", "unknown-flag",
-    "no-command", "figure-name", "config-seed-fraction", "config-seed-float"])
+    "no-command", "figure-name", "config-seed-fraction", "config-seed-float",
+    "axis-fields", "axis-name", "axis-scale", "axis-log-min", "quantities-unknown"])
 def test_malformed_input_exits_config(case, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("R = abc\nW = 1\nT = 1\nF0 = 10\n")
@@ -340,6 +347,15 @@ def test_malformed_input_exits_config(case, tmp_path, capsys):
                                  str(tmp_path / "seed-fraction.conf"), "-o", out],
         "config-seed-float": ["verify", "--config",
                               str(tmp_path / "seed-float.conf"), "-o", out],
+        "axis-fields": ["sweep", "--axis1", "R:0.1:1:2", *SWEEP_FLAGS[2:], "-o", out],
+        "axis-name": ["sweep", "--axis1", "Q:0.1:1:2:linear", *SWEEP_FLAGS[2:],
+                      "-o", out],
+        "axis-scale": ["sweep", "--axis1", "R:0.1:1:2:cubic", *SWEEP_FLAGS[2:],
+                       "-o", out],
+        "axis-log-min": ["sweep", "--axis1", "R:0:1:2:log", *SWEEP_FLAGS[2:],
+                         "-o", out],
+        "quantities-unknown": ["sweep", *SWEEP_FLAGS, "--quantities", "thm2,thm9",
+                               "-o", out],
     }[case]
     assert main(argv) == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -659,6 +675,20 @@ def test_verify_determinism(tmp_path):
     d1["metadata"].pop("generated")
     d2["metadata"].pop("generated")
     assert d1 == d2
+
+
+def test_verify_without_output_prints_report(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    argv = ["verify", *NARROW_FLAGS, "--seed", "3"]
+    assert main([*argv, "-o", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    printed, written = json.loads(captured.out), json.loads(out.read_text())
+    for doc in (printed, written):
+        doc["metadata"].pop("generated")
+    assert printed == written
 
 
 def test_verify_single_field_rank_one(tmp_path):

@@ -1,0 +1,134 @@
+"""Every library entry point rejects malformed input with one exception.
+
+Each case calls one function with one bad argument and pins the
+exception type and the start of its message, so a case fails if the
+check is removed or another check fires first.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from wavedof import (Dimension, PhysicalConfig, RankPolicy, WaveVector,
+                     assoc_legendre, build_grid, dof_space, dof_time_band,
+                     effective_rank, ensemble_spectrum, enumerate_modes,
+                     evaluate_mode, legendre_p, mode_wavenumber,
+                     norm_assoc_legendre, project_field, synthesize_field,
+                     truncation_degree)
+from wavedof.bounds import ConfigError, bound_values
+from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values,
+                           jacobi_anger_values)
+from wavedof.specfun import norm_assoc_legendre_table
+
+TWO_D = Dimension.TWO_D
+CAL_2D = PhysicalConfig(R=1.0 / (math.e * math.pi), W=1.0, T=1.0, f0=10.0, c=1.0)
+SMALL_GRID = build_grid(TWO_D, CAL_2D, (2, 3, 2))
+
+
+SHAPES = r"directions must have shape \(n, 2 or 3\), frequencies and amplitudes"
+
+
+def _plane_waves(**change):
+    args = dict(directions=np.array([[1.0, 0.0]]), frequencies=np.array([1.0]),
+                amplitudes=np.array([1.0 + 0.0j]), c=1.0)
+    return PlaneWaveSet(**{**args, **change})
+
+
+REJECTIONS = {
+    # bounds
+    "dof_time_band-negative": (lambda: dof_time_band(-1.0, 1.0),
+                               ConfigError, "W and T must be >= 0"),
+    "dof_space-negative": (lambda: dof_space(TWO_D, 1.0, -1.0),
+                           ConfigError, "f and R must be >= 0"),
+    "truncation_degree-negative": (lambda: truncation_degree(1.0, -1.0),
+                                   ConfigError, "R and k must be >= 0"),
+    "bound_values-overflow": (
+        lambda: bound_values(PhysicalConfig(R=1.0, W=1e200, T=1.0, f0=1e200),
+                             ["avg_density"]),
+        ConfigError, "a closed-form bound overflows"),
+    # modes
+    "WaveVector-4-components": (lambda: WaveVector((0.5, 0.5, 0.5, 0.5), 1.0, 1.0),
+                                ValueError, "k_hat must have 2 or 3 components"),
+    "PlaneWaveSet-empty": (lambda: _plane_waves(directions=np.empty((0, 2))),
+                           ValueError, "a plane-wave set must be nonempty"),
+    "PlaneWaveSet-c-zero": (lambda: _plane_waves(c=0.0),
+                            ConfigError, "wave speed must lie in"),
+    "PlaneWaveSet-c-inf": (lambda: _plane_waves(c=math.inf),
+                           ConfigError, "wave speed must lie in"),
+    "PlaneWaveSet-c-nan": (lambda: _plane_waves(c=math.nan),
+                           ConfigError, "wave speed must lie in"),
+    "PlaneWaveSet-4-columns": (lambda: _plane_waves(directions=np.ones((1, 4))),
+                               ValueError, SHAPES),
+    "PlaneWaveSet-1d-directions": (lambda: _plane_waves(directions=np.ones(2)),
+                                   ValueError, SHAPES),
+    "PlaneWaveSet-frequencies-length": (
+        lambda: _plane_waves(frequencies=np.array([1.0, 2.0])),
+        ValueError, SHAPES),
+    "PlaneWaveSet-amplitudes-length": (
+        lambda: _plane_waves(amplitudes=np.array([], dtype=complex)),
+        ValueError, SHAPES),
+    "field_values-k-overflow": (
+        lambda: field_values(_plane_waves(frequencies=np.array([10.0]), c=1e-307),
+                             np.array([[0.5, 0.0]]), np.array([0.1])),
+        ConfigError, "phases of the plane-wave set leave the float range"),
+    "field_values-phase-overflow": (
+        lambda: field_values(_plane_waves(c=1e-307),
+                             np.array([[100.0, 0.0]]), np.array([0.1])),
+        ConfigError, "phases of the plane-wave set leave the float range"),
+    "field_values-scattered-overflow": (
+        lambda: field_values(_plane_waves(frequencies=np.array([10.0]), c=1e-307),
+                             np.array([[0.5, 0.0], [0.25, 0.0], [0.1, 0.0]]),
+                             np.array([0.1, 0.2, 0.3])),
+        ConfigError, "phases of the plane-wave set leave the float range"),
+    "mode_wavenumber-T-zero": (
+        lambda: mode_wavenumber(1, PhysicalConfig(R=1.0, W=0.0, T=0.0, f0=1.0)),
+        ConfigError, "mode_wavenumber requires T > 0"),
+    "evaluate_mode-position-length": (
+        lambda: evaluate_mode(ModeIndex(10, 0, 0, TWO_D), (0.01, 0.0, 0.0), 0.5, CAL_2D),
+        ValueError, "position must have 2 components"),
+    "jacobi_anger-negative-N": (
+        lambda: jacobi_anger_values(WaveVector.from_frequency(1.0, (1.0, 0.0), 1.0),
+                                    np.zeros((1, 2)), -1),
+        ValueError, "N must be >= 0"),
+    "synthesize_field-no-waves": (lambda: synthesize_field(TWO_D, CAL_2D, 0, seed=1),
+                                  ValueError, "num_waves must be >= 1"),
+    "project_field-misaligned": (
+        lambda: project_field(np.zeros(len(SMALL_GRID) + 1),
+                              enumerate_modes(TWO_D, CAL_2D), SMALL_GRID, CAL_2D),
+        ValueError, "samples must align with grid points"),
+    "project_field-more-modes-than-points": (
+        lambda: project_field(np.zeros(len(SMALL_GRID)),
+                              enumerate_modes(TWO_D, CAL_2D)[:13], SMALL_GRID, CAL_2D),
+        ValueError, "more modes than grid points"),
+    # rankcheck
+    "ensemble_spectrum-empty": (lambda: ensemble_spectrum([], SMALL_GRID),
+                                ValueError, "ensemble must be nonempty"),
+    # specfun
+    "legendre_p-negative-degree": (lambda: legendre_p(-1, 0.5),
+                                   ValueError, "degree must be >= 0"),
+    "assoc_legendre-negative-degree": (lambda: assoc_legendre(-1, 0, 0.5),
+                                       ValueError, "degree must be >= 0"),
+    "assoc_legendre-order-above-degree": (lambda: assoc_legendre(2, -3, 0.5),
+                                          ValueError, r"\|m\| must be <= n"),
+    "norm_assoc_legendre-negative-degree": (lambda: norm_assoc_legendre(-1, 0, 0.5),
+                                            ValueError, "need 0 <= m <= n"),
+    "norm_assoc_legendre-order-above-degree": (lambda: norm_assoc_legendre(2, 3, 0.5),
+                                               ValueError, "need 0 <= m <= n"),
+    "norm_assoc_legendre_table-outside": (
+        lambda: norm_assoc_legendre_table(3, [0.5, 1.5]),
+        ValueError, r"arguments must lie in \[-1, 1\]"),
+}
+
+
+@pytest.mark.parametrize("case", list(REJECTIONS))
+def test_library_rejects_malformed_input(case):
+    call, error, message = REJECTIONS[case]
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
+def test_effective_rank_of_nonpositive_spectrum():
+    # lambda_max <= 0: nothing counts, whatever the policy
+    assert effective_rank([0.0, -1.0], RankPolicy()) == (0, 0)
+    assert effective_rank([-2.0]) == (0, 0)

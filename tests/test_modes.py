@@ -7,15 +7,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavedof import (Dimension, ModeCapError, PhysicalConfig, WaveVector,
-                     build_grid, enumerate_modes, evaluate_mode, exact_mode_sum,
-                     gram_of_modes, jacobi_anger_partial, mode_wavenumber, plane_wave,
-                     project_field, synthesize_field, truncation_degree)
+from wavedof import (ConfigError, Dimension, ModeCapError, PhysicalConfig,
+                     WaveVector, build_grid, enumerate_modes, evaluate_mode,
+                     exact_mode_sum, gram_of_modes, jacobi_anger_partial,
+                     mode_wavenumber, plane_wave, project_field, synthesize_field,
+                     truncation_degree)
 from wavedof.modes import (ModeIndex, PlaneWaveSet, ProjectionRankError,
                            _distinct_rows, field_values, gram_is_real,
-                           jacobi_anger_tables, jacobi_anger_values, mode_factors,
-                           mode_matrix)
-from wavedof.specfun import bessel_table
+                           jacobi_anger_values, mode_factors, mode_matrix)
+from wavedof.specfun import bessel_table, cos_sin
 
 from oracles import (dense_projection, distinct_rows_reference,
                      jacobi_anger_scalar, scalar_mode_value)
@@ -588,7 +588,7 @@ def test_jacobi_anger_2d_angular_table_matches_libm_cos():
         u = np.concatenate([np.stack([np.cos(phi), np.sin(phi)], axis=1),
                             [wv.k_hat, np.negative(wv.k_hat)]])
         dtheta = np.arctan2(u[:, 1], u[:, 0]) - math.atan2(wv.k_hat[1], wv.k_hat[0])
-        _, angular = jacobi_anger_tables(wv, [0.5], u, 80)
+        angular = cos_sin(np.outer(n, dtheta))[0]
         assert np.max(np.abs(angular - np.cos(np.outer(n, dtheta)))) <= 5e-16
 
 
@@ -732,3 +732,31 @@ def test_project_rejects_duplicate_and_zero_norm_modes():
     zero = [ModeIndex(10, 0, 0, THREE_D), ModeIndex(10, 1, 0, THREE_D)]
     with pytest.raises(ProjectionRankError, match="zero norm"):
         project_field(np.ones(len(grid)), zero, grid, CAL_3D)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_project_rejects_non_finite_samples(bad):
+    """One non-finite sample is rejected before any work, where the fit
+    used to report residual 0.0 with NaN coefficients."""
+    modes = enumerate_modes(TWO_D, CAL_2D, two_sided=True)
+    samples = np.ones(len(GRID_2D), dtype=complex)
+    samples[5] = bad
+    with pytest.raises(ValueError, match="samples must be finite"):
+        project_field(samples, modes, GRID_2D, CAL_2D)
+
+
+@pytest.mark.parametrize("dim, radius, resolution", [
+    (THREE_D, 1e-104, (6, 8, 52)),
+    (TWO_D, 1e-156, (6, 24, 52)),
+], ids=["3d", "2d"])
+def test_project_rejects_normal_matrix_past_float_range(dim, radius, resolution):
+    """At these radii the normal matrix's diagonal is subnormal, so its
+    unit-diagonal scaling overflows; the projection raises the same
+    ConfigError as ``verify``'s Gram (``diagonal_normalize``) instead of
+    returning NaN coefficients or failing inside eigh. Warnings are
+    errors in this suite, so none may be printed on the way."""
+    cfg = PhysicalConfig(R=radius, W=1.0, T=1.0, f0=10.0, c=40 * radius)
+    modes = enumerate_modes(dim, cfg)
+    grid = build_grid(dim, cfg, resolution)
+    with pytest.raises(ConfigError, match="^Gram diagonal cannot be normalized"):
+        project_field(np.ones(len(grid), dtype=complex), modes, grid, cfg)

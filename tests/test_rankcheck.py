@@ -716,9 +716,11 @@ def test_truncation_error_rejects_bad_arguments(radius, f, N, error):
 
 
 def test_ball_grid_measures():
-    w = rankcheck._spatial_quadrature(THREE_D, 2.0, 10, 10)["space_weights"]
+    cfg = PhysicalConfig(R=2.0, W=0.0, T=1.0, f0=1.0)
+    w = build_grid(THREE_D, cfg, (10, 10, 1)).axes["space_weights"]
     assert np.sum(w) == pytest.approx(4 * math.pi / 3 * 8.0, rel=1e-10)
-    w = rankcheck._spatial_quadrature(TWO_D, 0.5, 10, 12)["space_weights"]
+    cfg = PhysicalConfig(R=0.5, W=0.0, T=1.0, f0=1.0)
+    w = build_grid(TWO_D, cfg, (10, 12, 1)).axes["space_weights"]
     assert np.sum(w) == pytest.approx(math.pi * 0.25, rel=1e-10)
 
 
