@@ -443,19 +443,17 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
 
     Every ratio divides a rank by ``exact_mode_sum(dim, cfg, two_sided)``,
     the number of modes the Gram matrix is built from. Raises
-    :class:`ModeCapError` before allocating when the grid points, the
-    Gram entries (modes^2), the ensemble's time-factor entries or its
-    dual's entries (fields^2) fail :func:`~wavedof.bounds.check_cap`.
+    :class:`ModeCapError` before allocating when the grid points
+    (:func:`~wavedof.rankcheck.build_grid` checks them), the Gram entries
+    (modes^2), the ensemble's time-factor entries or its dual's entries
+    (fields^2) fail :func:`~wavedof.bounds.check_cap`.
     """
-    n_r, n_ang, n_t = resolution
-    n_space = n_r * n_ang * (2 * n_ang if dim is Dimension.THREE_D else 1)
     exact = exact_mode_sum(dim, cfg, two_sided)
-    for what, size in (("grid points", n_space * n_t),
-                       ("Gram entries", exact ** 2),
-                       ("ensemble time-factor entries", fields * waves * n_t),
+    grid = build_grid(dim, cfg, resolution)
+    for what, size in (("Gram entries", exact ** 2),
+                       ("ensemble time-factor entries", fields * waves * resolution[2]),
                        ("ensemble dual entries", fields ** 2)):
         check_cap(size, what)
-    grid = build_grid(dim, cfg, resolution)
     modes = enumerate_modes(dim, cfg, two_sided=two_sided)
     gram = diagonal_normalize(gram_of_modes(modes, grid, cfg))
     gram_spec = eigen_spectrum(gram, policy)

@@ -17,8 +17,9 @@ On a tensor-product grid each mode is a product of one factor per axis
 those factors once per axis node, and is the only code that evaluates a
 mode. Its radial factors come from one Bessel table for the whole mode
 set, over every bin's wave-number times every radial node.
-:func:`weighted_gram` (the Gram of ``rankcheck``) and
-:func:`project_field` work on them directly, one axis at a time.
+:func:`weighted_gram` returns them with their Gram, formed one axis at a
+time, and alone decides whether that Gram is real; ``rankcheck`` and
+:func:`project_field` both read it.
 :func:`mode_matrix` joins them, column by column, into the dense
 (points x modes) matrix, and :func:`evaluate_mode` is that join on the
 one-node grid through its point. ``project_field`` synthesizes its
@@ -125,7 +126,10 @@ class PlaneWaveSet:
     and ``amplitudes`` shape (n,). :func:`synthesize_field` draws one
     from a seed, which the ``verify`` report records with its generator.
     Raises ValueError for an empty set or other shapes, and
-    :class:`ConfigError` unless 0 < c < inf.
+    :class:`ConfigError` unless 0 < c < inf. The rows are checked by the
+    readers, :func:`field_values` and ``rankcheck.ensemble_spectrum``,
+    once per call over every set they read, not here: an ensemble builds
+    many sets.
     """
 
     directions: np.ndarray
@@ -209,28 +213,6 @@ def _bin_columns(modes: Sequence[ModeIndex],
         f, k[j] = mode_wavenumber(i, cfg)
         cycles[j] = i if f == i / cfg.T else f * cfg.T
     return col, k, cycles
-
-
-def gram_is_real(modes: Sequence[ModeIndex], cfg: PhysicalConfig) -> bool:
-    """Whether the weighted Gram of ``modes`` on a grid of
-    ``rankcheck.build_grid`` is real, decided exactly: it is when the
-    cycles f*T (:func:`_bin_columns`) of every pair of the modes' bins
-    differ by an integer.
-
-    The Gram (:func:`weighted_gram`) is the elementwise product of one
-    Gram per axis. The radial and polar ones sum products of real Bessel
-    and Legendre factors. The azimuthal one is sign_p sign_q (2 pi / n_phi)
-    sum_j e^{i (m_p - m_q) 2 pi j / n_phi}: 2 pi when n_phi divides
-    m_p - m_q, else 0. The time nodes and weights are Gauss-Legendre,
-    symmetric about T/2, so the time one is e^{i pi (c_p - c_q)} times a
-    sum of cos(pi (c_p - c_q) x) over the symmetric nodes x: real
-    whenever c_p - c_q is an integer. Lattice bins have c = i, and a
-    stand-in bin is the only bin of its band, so every mode set of
-    :func:`enumerate_modes` qualifies; a hand-built set mixing a stand-in
-    bin with other bins does not.
-    """
-    frac = np.modf(_bin_columns(modes, cfg)[2])[0]
-    return bool(np.all(frac == frac[:1]))
 
 
 def evaluate_mode(index: ModeIndex, position, t: float,
@@ -333,6 +315,21 @@ def synthesize_field(dim: Dimension, cfg: PhysicalConfig, num_waves: int,
                         c=cfg.c)
 
 
+def _check_directions(directions: np.ndarray, dim: int) -> None:
+    """Raise ValueError unless ``directions`` has ``dim`` columns and every
+    row is a unit vector, |d.d - 1| <= 2e-12; the readers of plane-wave
+    sets call it once per call, on all their rows at once."""
+    if directions.shape[1] != dim:
+        raise ValueError(f"plane-wave directions have {directions.shape[1]} "
+                         f"components, the sample points {dim}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", directions, directions)
+    bad = ~(np.abs(sq - 1.0) <= 2e-12)   # NaN is bad too
+    if bad.any():
+        raise ValueError("plane-wave directions must be unit vectors, got "
+                         f"squared norm {float(sq[bad][0])}")
+
+
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """True at each row of the 2-D ``a`` that differs from the row before."""
     start = np.ones(len(a), dtype=bool)
@@ -368,11 +365,16 @@ def field_values(pws: PlaneWaveSet, positions: np.ndarray,
     point. When that table would hold more entries than points x waves
     (positions and times far from a product set, e.g. scattered
     points), each point takes one exponential per wave instead, so no
-    array exceeds points x waves either way. Raises :class:`ConfigError`
+    array exceeds points x waves either way. Raises ValueError for a
+    non-finite position or time, or a direction row of another dimension
+    than the positions or not of unit length, and :class:`ConfigError`
     when a wave-number or a phase leaves the float range.
     """
     pos = np.asarray(positions, dtype=float)
     t = np.asarray(times, dtype=float)
+    if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(t))):
+        raise ValueError("sample positions and times must be finite")
+    _check_directions(pws.directions, pos.shape[-1])
     u, s_inv = _distinct_rows(pos)
     tu, t_inv = _distinct_rows(t[:, None])
     scattered = len(u) * len(tu) > len(pos) * len(pws)
@@ -447,18 +449,33 @@ def mode_matrix(modes: Sequence[ModeIndex], grid, cfg: PhysicalConfig) -> np.nda
     return _join_columns(np.ones((1, len(modes)), dtype=complex), factors)
 
 
-def weighted_gram(factors: dict, axes: dict, real: bool) -> np.ndarray:
-    """G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)) over a tensor-product grid.
+def weighted_gram(modes: Sequence[ModeIndex], axes: dict,
+                  cfg: PhysicalConfig) -> tuple[dict, np.ndarray]:
+    """(factors, G): the :func:`mode_factors` of ``modes`` on a
+    tensor-product grid of ``rankcheck.build_grid`` with ``axes``, and
+    their Gram G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)).
 
-    ``factors`` is :func:`mode_factors` output and ``axes`` the grid's
-    axes. Modes, points and weights are all products over the axes, so
-    the sum factors: G is the elementwise product of one weighted Gram
-    per axis, and no (points x modes) matrix is formed. With ``real``,
-    which :func:`gram_is_real` decides for the modes, every axis's Gram
-    is real up to rounding, and G is the real float64 product of their
-    real parts; otherwise it is complex. Raises :class:`ConfigError`
+    Modes, points and weights are all products over the axes, so the sum
+    factors: G is the elementwise product of one weighted Gram per axis,
+    and no (points x modes) matrix is formed. G is real, decided exactly,
+    when the cycles f*T (:func:`_bin_columns`) of every pair of the
+    modes' bins differ by an integer; it is then the float64 product of
+    the axis Grams' real parts, and complex otherwise. The radial and
+    polar Grams sum products of real Bessel and Legendre factors. The
+    azimuthal one is sign_p sign_q (2 pi / n_phi)
+    sum_j e^{i (m_p - m_q) 2 pi j / n_phi}: 2 pi when n_phi divides
+    m_p - m_q, else 0. The time nodes and weights are Gauss-Legendre,
+    symmetric about T/2, so the time one is e^{i pi (c_p - c_q)} times a
+    sum of cos(pi (c_p - c_q) x) over the symmetric nodes x: real
+    whenever c_p - c_q is an integer. Lattice bins have c = i, and a
+    stand-in bin is the only bin of its band, so every mode set of
+    :func:`enumerate_modes` has a real Gram; a hand-built set mixing a
+    stand-in bin with other bins does not. Raises :class:`ConfigError`
     when an entry leaves the float range.
     """
+    factors = mode_factors(modes, axes, cfg)
+    frac = np.modf(_bin_columns(modes, cfg)[2])[0]
+    real = bool(np.all(frac == frac[:1]))
     m = factors["t"].shape[1]
     g = np.ones((m, m), dtype=float if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -468,7 +485,7 @@ def weighted_gram(factors: dict, axes: dict, real: bool) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise ConfigError("Gram entries leave the float range; the quadrature "
                           "weights of the region are too large")
-    return g
+    return factors, g
 
 
 def diagonal_normalize(g: np.ndarray) -> np.ndarray:
@@ -507,8 +524,8 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
     conjugate of :func:`weighted_gram`, A^H W y is contracted over t,
     then phi, then mu (3D), then r, and the residual synthesizes A c the
     same way, so A itself is never formed. When the normal matrix is
-    real (:func:`gram_is_real`), its eigenvectors are real and act on
-    the complex right-hand side directly. Raises ValueError for
+    real, which :func:`weighted_gram` decides, its eigenvectors are real
+    and act on the complex right-hand side directly. Raises ValueError for
     non-finite samples, :class:`ConfigError` from
     :func:`diagonal_normalize`, and :class:`ProjectionRankError` when a
     mode has no weight on the grid, or when the diagonal-normalized
@@ -522,9 +539,9 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
         raise ValueError("samples must be finite")
     if len(modes) > len(y):
         raise ValueError("more modes than grid points")
-    factors = mode_factors(modes, grid.axes, cfg)
+    factors, normal = weighted_gram(modes, grid.axes, cfg)
+    normal = normal.conj()
     axes = list(factors)                    # r, [mu], phi, t: t fastest
-    normal = weighted_gram(factors, grid.axes, gram_is_real(modes, cfg)).conj()
     diag = np.real(np.diag(normal))
     if np.any(diag <= 0):
         raise ProjectionRankError(

@@ -4,7 +4,7 @@ Builds Gauss-Legendre product grids over ball x time, assembles Gram
 matrices and ensemble covariance spectra, and reduces Hermitian spectra
 to two effective-rank readouts. The Gram of the modes is real on these
 grids for every mode set that ``enumerate_modes`` returns
-(:func:`~wavedof.modes.gram_is_real` gives the reason), so it is
+(:func:`~wavedof.modes.weighted_gram` decides it), so it is
 assembled, normalized (:func:`~wavedof.modes.diagonal_normalize`) and
 diagonalized as a real symmetric matrix; the ensemble dual stays
 complex. The grid is a tensor product (r x [mu] x phi x t), laid out by
@@ -65,7 +65,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .bounds import ConfigError, Dimension, PhysicalConfig, check_cap
 from .modes import (ModeIndex, PlaneWaveSet, diagonal_normalize,  # re-exported
-                    gram_is_real, mode_factors, weighted_gram)
+                    _check_directions, weighted_gram)
 from .specfun import _miller_start, bessel_table, cos_sin
 
 
@@ -162,7 +162,9 @@ def build_grid(dim: Dimension, cfg: PhysicalConfig,
     or 3) in ([mu], phi) order, phi fastest, and ``space_weights`` of the
     spatial nodes r x directions, whose coordinates are not formed.
     Raises :class:`ConfigError` for a count below 1, R <= 0 or T <= 0,
-    or a spatial weight past the float range.
+    or a spatial weight past the float range, and
+    :class:`~wavedof.bounds.ModeCapError` when its points exceed the cap,
+    before it allocates anything.
     """
     n_r, n_ang, n_t = resolution
     if n_t < 1 or cfg.T <= 0:
@@ -171,8 +173,10 @@ def build_grid(dim: Dimension, cfg: PhysicalConfig,
         raise ConfigError("resolution counts must be >= 1")
     if cfg.R <= 0:
         raise ConfigError("radius must be > 0")
-    xr, wxr = _gauss_legendre(n_r)
     n_phi = n_ang if dim is Dimension.TWO_D else 2 * n_ang
+    check_cap(n_r * (n_ang if dim is Dimension.THREE_D else 1) * n_phi * n_t,
+              "grid points")
+    xr, wxr = _gauss_legendre(n_r)
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     wphi = np.full(n_phi, 2.0 * math.pi / n_phi)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -265,13 +269,12 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
 
     The factored :func:`~wavedof.modes.weighted_gram`, after the grid
     passes :func:`check_gram_resolution`, made exactly Hermitian. It is a
-    real symmetric float64 matrix whenever the Gram is real by
-    construction (:func:`~wavedof.modes.gram_is_real`), which holds for
-    every mode set of ``enumerate_modes``, and complex otherwise.
+    real symmetric float64 matrix whenever ``weighted_gram`` finds the
+    Gram real by construction, which holds for every mode set of
+    ``enumerate_modes``, and complex otherwise.
     """
     check_gram_resolution(modes, grid, cfg)
-    factors = mode_factors(modes, grid.axes, cfg)
-    return _mirror_upper(weighted_gram(factors, grid.axes, gram_is_real(modes, cfg)))
+    return _mirror_upper(weighted_gram(modes, grid.axes, cfg)[1])
 
 
 #: complex entries (2 MB) that bound an ensemble block: its real output
@@ -354,6 +357,8 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     spatial factor.
     """
     t = grid.axes["t_nodes"]
+    dim = grid.axes["directions"].shape[1]
+    _check_directions(np.concatenate([pws.directions for pws in fields]), dim)
     basis = _band_time_basis(fields, grid)
     directions, w, folded = _antipodal_fold(grid.axes)
     space = _node_coordinates(grid.axes["r_nodes"], directions)
@@ -362,15 +367,20 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     n_t, n_b = basis.shape
     # Every field's waves side by side, zero-padded to n_w; padded waves
     # have amplitude 0. kvec holds k times each wave's direction.
-    kvec = np.zeros((space.shape[1], n_f, n_w))
+    kvec = np.zeros((dim, n_f, n_w))
     omega = np.zeros((n_f, n_w))
     amps = np.zeros((n_f, n_w, 1), dtype=complex)
-    for f, pws in enumerate(fields):
-        n = len(pws)
-        omega[f, :n] = 2.0 * math.pi * pws.frequencies
-        kvec[:, f, :n] = pws.directions.T * (omega[f, :n] / pws.c)
-        amps[f, :n, 0] = pws.amplitudes
-    kvec = kvec.reshape(space.shape[1], -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, pws in enumerate(fields):
+            n = len(pws)
+            omega[f, :n] = 2.0 * math.pi * pws.frequencies
+            kvec[:, f, :n] = pws.directions.T * (omega[f, :n] / pws.c)
+            amps[f, :n, 0] = pws.amplitudes
+    # Unit directions make dim max|k_i| max r a bound on every |k.x|.
+    phase_bound = dim * float(np.abs(kvec).max()) * float(grid.axes["r_nodes"].max())
+    if not phase_bound < math.inf:
+        raise ConfigError("phases of the plane-wave set leave the float range")
+    kvec = kvec.reshape(dim, -1)
     wq = basis * np.sqrt(grid.axes["t_weights"])[:, None]
     lift = np.ascontiguousarray(np.concatenate([wq, 1j * wq])).view(float)
     in_time = np.empty((n_f, n_w, 2 * n_b))
@@ -408,7 +418,9 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
     C[s, s'] = (1/F) sum_f sqrt(w_s) x_f(s) conj(x_f(s')) sqrt(w_s').
     The F x F matrix (1/F) Xw Xw^H shares every nonzero eigenvalue and
     the trace with it, so rank readouts are identical while the
-    eigenproblem stays small.
+    eigenproblem stays small. Raises ValueError for an empty ensemble or
+    a direction row of another dimension than the grid or not of unit
+    length, and :class:`ConfigError` when a phase leaves the float range.
     """
     if len(fields) == 0:
         raise ValueError("ensemble must be nonempty")
@@ -462,10 +474,14 @@ def eigen_spectrum(matrix: np.ndarray,
 
 
 def effective_rank(evals, policy: RankPolicy = RankPolicy()) -> tuple[int, int]:
-    """(threshold rank, energy rank) of a descending eigenvalue array."""
+    """(threshold rank, energy rank) of a descending eigenvalue array.
+
+    Raises ValueError for an empty or non-finite spectrum."""
     evals = np.asarray(evals, dtype=float)
     if evals.size == 0:
         raise ValueError("empty spectrum")
+    if not np.all(np.isfinite(evals)):
+        raise ValueError("spectrum must be finite")
     lam_max = evals[0]
     if lam_max <= 0:
         return 0, 0

@@ -129,12 +129,10 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     spherical columns are anchored on the closed form of j_0 or j_1,
     whichever is farther from a zero. Columns whose first step (2m+s)/x
     overflows, at x = 0 and below about 1e-307, take the series limit,
-    which is exact there.
+    which is exact there, in the same pass.
 
-    The recurrence writes and normalizes the table in place, so when
-    every column recurs the call holds about one table of memory; a
-    second table is allocated only when some column takes the series
-    limit.
+    The recurrence writes and normalizes the table in place, so the call
+    holds about one table of memory.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if n_max < 0:
@@ -145,17 +143,14 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     m += m % 2
     # Where the first step (2m+s)/x overflows, at x = 0 and below about
     # 1e-307, the power series rounds to 1 at order 0, x/2 (x/3
-    # spherical) at order 1 and 0 above.
+    # spherical) at order 1 and 0 above. Such a column recurs as a copy
+    # of the largest x, which recurs anyway (of 1.0 when none does), so
+    # m, x_min, every guard and every rescale stay as without it.
     with np.errstate(divide="ignore", over="ignore"):
-        rec = np.isfinite((2 * m + spherical) / x)  # recurrence columns
-    if not rec.all():
-        out = np.zeros((n_max + 1, x.size))
-        out[0, ~rec] = 1.0
-        out[1:2, ~rec] = x[~rec] / (2.0 + spherical)
-        if rec.any():
-            # The largest x recurs, so the recurrence columns keep m.
-            out[:, rec] = bessel_table(n_max, x[rec], spherical)
-        return out
+        series = ~np.isfinite((2 * m + spherical) / x)
+    if series.any():
+        x_series = x[series]
+        x = np.where(series, 1.0 if series.all() else x.max(), x)
     # Orders 0..n_max are written into their table rows and orders above
     # n_max rotate through three scratch rows, so each step writes one row
     # in place.
@@ -206,6 +201,10 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     else:
         scale = 1.0 / (2.0 * total + jc)
     table *= scale
+    if series.any():
+        table[:, series] = 0.0
+        table[0, series] = 1.0
+        table[1:2, series] = x_series / (2.0 + spherical)
     return table
 
 

@@ -81,6 +81,30 @@ REJECTIONS = {
                              np.array([[0.5, 0.0], [0.25, 0.0], [0.1, 0.0]]),
                              np.array([0.1, 0.2, 0.3])),
         ConfigError, "phases of the plane-wave set leave the float range"),
+    "field_values-direction-length": (
+        lambda: field_values(_plane_waves(directions=np.array([[2.0, 0.0]])),
+                             np.array([[0.25, 0.0]]), np.array([0.0])),
+        ValueError, "plane-wave directions must be unit vectors, got squared norm 4"),
+    "field_values-direction-zero": (
+        lambda: field_values(_plane_waves(directions=np.zeros((1, 2))),
+                             np.array([[0.25, 0.0]]), np.array([0.0])),
+        ValueError, "plane-wave directions must be unit vectors, got squared norm 0"),
+    "field_values-direction-nan": (
+        lambda: field_values(_plane_waves(directions=np.array([[math.nan, 0.0]])),
+                             np.array([[0.25, 0.0]]), np.array([0.0])),
+        ValueError, "plane-wave directions must be unit vectors, got squared norm nan"),
+    "field_values-direction-dimension": (
+        lambda: field_values(_plane_waves(directions=np.array([[1.0, 0.0, 0.0]])),
+                             np.array([[0.25, 0.0]]), np.array([0.0])),
+        ValueError, "plane-wave directions have 3 components, the sample points 2"),
+    "field_values-position-nan": (
+        lambda: field_values(_plane_waves(), np.array([[math.nan, 0.0]]),
+                             np.array([0.0])),
+        ValueError, "sample positions and times must be finite"),
+    "field_values-time-inf": (
+        lambda: field_values(_plane_waves(), np.array([[0.25, 0.0]]),
+                             np.array([math.inf])),
+        ValueError, "sample positions and times must be finite"),
     "mode_wavenumber-T-zero": (
         lambda: mode_wavenumber(1, PhysicalConfig(R=1.0, W=0.0, T=0.0, f0=1.0)),
         ConfigError, "mode_wavenumber requires T > 0"),
@@ -104,6 +128,23 @@ REJECTIONS = {
     # rankcheck
     "ensemble_spectrum-empty": (lambda: ensemble_spectrum([], SMALL_GRID),
                                 ValueError, "ensemble must be nonempty"),
+    "ensemble_spectrum-direction-length": (
+        lambda: ensemble_spectrum(
+            [_plane_waves(), _plane_waves(directions=np.array([[0.6, 0.6]]))],
+            SMALL_GRID),
+        ValueError, "plane-wave directions must be unit vectors, got squared norm 0.72"),
+    "ensemble_spectrum-direction-dimension": (
+        lambda: ensemble_spectrum([_plane_waves(directions=np.array([[0.0, 0.0, 1.0]]))],
+                                  SMALL_GRID),
+        ValueError, "plane-wave directions have 3 components, the sample points 2"),
+    "ensemble_spectrum-k-overflow": (
+        lambda: ensemble_spectrum(
+            [_plane_waves(frequencies=np.array([10.0]), c=1e-307)], SMALL_GRID),
+        ConfigError, "phases of the plane-wave set leave the float range"),
+    "effective_rank-nan": (lambda: effective_rank([1.0, math.nan]),
+                           ValueError, "spectrum must be finite"),
+    "effective_rank-inf": (lambda: effective_rank([math.inf, 1.0]),
+                           ValueError, "spectrum must be finite"),
     # specfun
     "legendre_p-negative-degree": (lambda: legendre_p(-1, 0.5),
                                    ValueError, "degree must be >= 0"),

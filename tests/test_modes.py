@@ -13,8 +13,8 @@ from wavedof import (ConfigError, Dimension, ModeCapError, PhysicalConfig,
                      mode_wavenumber, plane_wave, project_field, synthesize_field,
                      truncation_degree)
 from wavedof.modes import (ModeIndex, PlaneWaveSet, ProjectionRankError,
-                           _distinct_rows, field_values, gram_is_real,
-                           jacobi_anger_values, mode_factors, mode_matrix)
+                           _distinct_rows, field_values, jacobi_anger_values,
+                           mode_factors, mode_matrix, weighted_gram)
 from wavedof.specfun import bessel_table, cos_sin
 
 from oracles import (dense_projection, distinct_rows_reference,
@@ -705,13 +705,14 @@ def test_project_matches_dense_oracle(dim, cfg, two_sided, grid):
 
 def test_project_mixed_bins_matches_dense_oracle():
     """A hand-built set mixing the stand-in bin 2 (2.1 cycles over T) with
-    bin 3 has a complex normal matrix (``gram_is_real`` is false); the
-    projection still matches the dense least-squares fit."""
+    bin 3 has a complex normal matrix (``weighted_gram`` finds it not
+    real); the projection still matches the dense least-squares fit."""
     cfg = PhysicalConfig(R=1.0 / E_PI, W=0.001, T=0.2, f0=10.5, c=1.0)
     grid = build_grid(TWO_D, cfg, (8, 31, 20))
     modes = [ModeIndex(i, 0, m, TWO_D) for i in (2, 3) for m in range(-3, 4)]
-    assert not gram_is_real(modes, cfg)
-    assert gram_is_real(modes[:7], cfg) and gram_is_real(modes[7:], cfg)
+    assert weighted_gram(modes, grid.axes, cfg)[1].dtype == complex
+    assert all(weighted_gram(half, grid.axes, cfg)[1].dtype == float
+               for half in (modes[:7], modes[7:]))
     pws = synthesize_field(TWO_D, cfg, 16, seed=3)
     samples = field_values(pws, grid.points, grid.times)
     got = project_field(samples, modes, grid, cfg)

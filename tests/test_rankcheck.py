@@ -143,6 +143,21 @@ def test_axes_only_memory_at_365_modes():
     assert peak < 16 << 20
 
 
+def test_build_grid_over_cap_raises_before_allocating():
+    # 200 x 200 x 400 spatial nodes x 200 times: 3.2e9 points, whose
+    # axes alone would take 137 MiB. build_grid checks its own size.
+    cfg = PhysicalConfig(R=1.0, W=1.0, T=1.0, f0=10.0, c=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ModeCapError,
+                           match="^3200000000 grid points exceed the cap of 10000000$"):
+            build_grid(THREE_D, cfg, (200, 200, 200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("dim, resolution", [
     (TWO_D, (8, 24, 3)), (TWO_D, (3, 7, 2)), (THREE_D, (5, 9, 3)),
 ])

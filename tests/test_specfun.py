@@ -264,6 +264,26 @@ def test_bessel_table_memory():
     assert peak <= 1.1 * table.nbytes
 
 
+def test_bessel_table_series_column_in_one_pass():
+    # One x = 0 column among 20,000: it recurs as a copy of the largest x
+    # and is then overwritten with the series limit, so the call still
+    # holds about one table (124 MiB traced when a second table was
+    # allocated for it), and the other columns come out bit for bit as
+    # without it.
+    x = np.linspace(0.5, 60.0, 20_000)
+    x[0] = 0.0
+    tracemalloc.start()
+    try:
+        table = bessel_table(400, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * table.nbytes
+    assert table[:, 0].tolist() == [1.0] + [0.0] * 400
+    rest = bessel_table(400, x[1:])
+    assert np.array_equal(table[:, 1:].view(np.int64), rest.view(np.int64))
+
+
 def test_assoc_legendre_trivial():
     assert assoc_legendre(0, 0, 0.3) == 1.0
     for u in np.linspace(-1, 1, 7):
