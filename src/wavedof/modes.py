@@ -365,13 +365,17 @@ def field_values(pws: PlaneWaveSet, positions: np.ndarray,
     point. When that table would hold more entries than points x waves
     (positions and times far from a product set, e.g. scattered
     points), each point takes one exponential per wave instead, so no
-    array exceeds points x waves either way. Raises ValueError for a
+    array exceeds points x waves either way. Raises ValueError unless
+    positions have shape (P, 2) or (P, 3) and times (P,), for a
     non-finite position or time, or a direction row of another dimension
     than the positions or not of unit length, and :class:`ConfigError`
     when a wave-number or a phase leaves the float range.
     """
     pos = np.asarray(positions, dtype=float)
     t = np.asarray(times, dtype=float)
+    if pos.ndim != 2 or pos.shape[1] not in (2, 3) or t.shape != pos.shape[:1]:
+        raise ValueError("positions must have shape (P, 2) or (P, 3) and times (P,), "
+                         f"got {pos.shape} and {t.shape}")
     if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(t))):
         raise ValueError("sample positions and times must be finite")
     _check_directions(pws.directions, pos.shape[-1])

@@ -17,8 +17,11 @@ Conventions
   are divided out a block of orders at a time, so each order takes one
   multiply and one subtract in place. Its overflow guard is a running
   bound on the columns' growth; the columns themselves are scanned only
-  when that bound could pass a guard. ``bessel_J`` and
-  ``spherical_bessel_j`` read one entry of a one-column table.
+  when that bound could pass a guard. A one-column table runs the same
+  recurrence on plain floats, bit-identical to the array loop, since
+  numpy's per-call cost on a 1-element array outweighs its arithmetic;
+  ``bessel_J`` and ``spherical_bessel_j`` read one entry of such a
+  table.
 * Legendre values likewise come from one recurrence over the degree n
   at a fixed order m, for Q_n^m = sqrt((n-m)!/(n+m)!) P_n^m. Its m = 0
   column is P_n itself: ``legendre_table`` returns it over an array of
@@ -131,6 +134,12 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     overflows, at x = 0 and below about 1e-307, take the series limit,
     which is exact there, in the same pass.
 
+    A table of one column runs the same steps on plain floats
+    (:func:`_miller_column`), bit-identical to the array loop and several
+    times faster, since numpy's per-call cost on a 1-element array
+    outweighs its arithmetic. An empty x gives an empty (n_max+1, 0)
+    table.
+
     The recurrence writes and normalizes the table in place, so the call
     holds about one table of memory.
     """
@@ -139,7 +148,9 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
         raise ValueError(f"order must be >= 0, got {n_max}")
     if not np.all(np.isfinite(x) & (x >= 0)):
         raise ValueError("arguments must be finite and >= 0")
-    m = _miller_start(n_max, float(x.max(initial=0.0)))
+    if x.size == 0:
+        return np.empty((n_max + 1, 0))
+    m = _miller_start(n_max, float(x.max()))
     m += m % 2
     # Where the first step (2m+s)/x overflows, at x = 0 and below about
     # 1e-307, the power series rounds to 1 at order 0, x/2 (x/3
@@ -151,6 +162,20 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     if series.any():
         x_series = x[series]
         x = np.where(series, 1.0 if series.all() else x.max(), x)
+    if x.size == 1:
+        table = _miller_column(n_max, float(x[0]), m, spherical)[:, None]
+    else:
+        table = _miller_columns(n_max, x, m, spherical)
+    if series.any():
+        table[:, series] = 0.0
+        table[0, series] = 1.0
+        table[1:2, series] = x_series / (2.0 + spherical)
+    return table
+
+
+def _miller_columns(n_max: int, x: np.ndarray, m: int, spherical: bool) -> np.ndarray:
+    """The normalized table of :func:`bessel_table` over two or more
+    columns with no series column, from order m down."""
     # Orders 0..n_max are written into their table rows and orders above
     # n_max rotate through three scratch rows, so each step writes one row
     # in place.
@@ -201,11 +226,43 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     else:
         scale = 1.0 / (2.0 * total + jc)
     table *= scale
-    if series.any():
-        table[:, series] = 0.0
-        table[0, series] = 1.0
-        table[1:2, series] = x_series / (2.0 + spherical)
     return table
+
+
+def _miller_column(n_max: int, x: float, m: int, spherical: bool) -> np.ndarray:
+    """The one column of :func:`bessel_table` at x > 0 that is not a series
+    column, as a 1-D array of orders 0..n_max, from order m down.
+
+    The steps are those of the array loop on Python floats: (2k+s)/x jc -
+    jp, a rescale of every value from order k-1 up by 1/|jc| whenever
+    |jc| passes the guard, and the same anchor, with numpy's sin and cos.
+    Its values are therefore bit-identical to that loop's.
+    """
+    out = np.empty(n_max + 1)
+    jp, jc, total = 0.0, 1e-30, 0.0      # total = 2 sum_k J_{2k}, cylindrical only
+    limit = min(_RESCALE_LIMIT, 1e300 * x / (2 * m + 2))
+    for k in range(m, 0, -1):
+        jp, jc = jc, (2 * k + spherical) / x * jc - jp
+        if k <= n_max + 1:
+            out[k - 1] = jc
+        if not spherical and k % 2 == 0:
+            total += 2.0 * jp            # jp now holds the value at even order k
+        if abs(jc) > limit:
+            f = 1.0 / abs(jc)
+            jp *= f
+            jc *= f
+            total *= f
+            if k <= n_max + 1:
+                out[k - 1:] *= f
+    if spherical:
+        xc = max(x, 1.0)
+        j0 = float(np.sin(x)) / x
+        j1 = float(np.sin(xc)) / (xc * xc) - float(np.cos(xc)) / xc
+        scale = j0 / jc if abs(j0) >= abs(j1) else j1 / jp
+    else:
+        scale = 1.0 / (total + jc)
+    out *= scale
+    return out
 
 
 def spherical_bessel_j(n: int, x: float) -> float:

@@ -27,6 +27,7 @@ SMALL_GRID = build_grid(TWO_D, CAL_2D, (2, 3, 2))
 
 
 SHAPES = r"directions must have shape \(n, 2 or 3\), frequencies and amplitudes"
+POINT_SHAPES = r"positions must have shape \(P, 2\) or \(P, 3\) and times \(P,\), got "
 
 
 def _plane_waves(**change):
@@ -105,6 +106,15 @@ REJECTIONS = {
         lambda: field_values(_plane_waves(), np.array([[0.25, 0.0]]),
                              np.array([math.inf])),
         ValueError, "sample positions and times must be finite"),
+    "field_values-positions-1d": (
+        lambda: field_values(_plane_waves(), np.array([0.25, 0.0]), np.array([0.0])),
+        ValueError, POINT_SHAPES + r"\(2,\) and \(1,\)"),
+    "field_values-times-length": (
+        lambda: field_values(_plane_waves(), np.zeros((2, 2)), np.zeros(3)),
+        ValueError, POINT_SHAPES + r"\(2, 2\) and \(3,\)"),
+    "field_values-times-column": (
+        lambda: field_values(_plane_waves(), np.zeros((2, 2)), np.zeros((2, 1))),
+        ValueError, POINT_SHAPES + r"\(2, 2\) and \(2, 1\)"),
     "mode_wavenumber-T-zero": (
         lambda: mode_wavenumber(1, PhysicalConfig(R=1.0, W=0.0, T=0.0, f0=1.0)),
         ConfigError, "mode_wavenumber requires T > 0"),

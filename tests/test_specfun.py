@@ -152,7 +152,10 @@ def test_bessel_table_bit_identical_to_literal_recurrence(spherical):
     x/2 (x/3 spherical) at order 1, 0 above. The column sets make the
     per-column rescale fire above n_max only ([1e-8, 3] at n_max 5), at
     every order down to 0 (1e-300 and subnormals next to 500), and both
-    ways among random columns."""
+    ways among random columns. A single column runs on plain floats, so
+    the same rescale, large-argument and series cases come again one
+    column at a time, with a sweep of one-column tables from 1e-300 to
+    1e3."""
     _check_literal_recurrence(spherical)
 
 
@@ -178,7 +181,15 @@ def _check_literal_recurrence(spherical):
              (55, [5e-324, 1e-310, 1e-300, 500.0, 0.0]),
              (3, [2.3e-308, 5e-324]),                     # series columns only
              (200, rng.uniform(0, 500, 24)),
-             (1, rng.uniform(0, 40, 24) * rng.uniform(0, 1, 24) ** 8)]
+             (1, rng.uniform(0, 40, 24) * rng.uniform(0, 1, 24) ** 8),
+             # one column each, on plain floats
+             (5, [1e-8]),                                 # rescale above n_max only
+             (60, [1e-300]),                              # rescale down to order 0
+             (200, [500.0]),
+             (3, [0.0]),
+             (3, [5e-324])]                               # a series column alone
+    cases += [(n_max, [x]) for n_max in (0, 1, 5, 60, 200)
+              for x in 10.0 ** rng.uniform(-300, 3, 24)]
     n_series = 0
     for n_max, x in cases:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -195,7 +206,13 @@ def _check_literal_recurrence(spherical):
         limit[1:2] = x[series] / (3.0 if spherical else 2.0)
         assert np.array_equal(got[:, series], limit), (n_max, x)
         n_series += series.sum()
-    assert n_series == 4
+    assert n_series == 5
+
+
+@pytest.mark.parametrize("spherical", [False, True])
+def test_bessel_table_of_no_arguments_is_empty(spherical):
+    table = bessel_table(4, [], spherical=spherical)
+    assert table.shape == (5, 0) and table.dtype == np.float64
 
 
 def test_bessel_rejects_bad_domain():
