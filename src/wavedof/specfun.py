@@ -18,8 +18,7 @@ Conventions
   multiply and one subtract in place. Its overflow guard is a running
   bound on the columns' growth; the columns themselves are scanned only
   when that bound could pass a guard. A one-column table runs the same
-  recurrence on plain floats, bit-identical to the array loop, since
-  numpy's per-call cost on a 1-element array outweighs its arithmetic;
+  recurrence on plain floats, bit-identical to the array loop;
   ``bessel_J`` and ``spherical_bessel_j`` read one entry of such a
   table.
 * Legendre values likewise come from one recurrence over the degree n
