@@ -332,8 +332,12 @@ def _check_directions(directions: np.ndarray, dim: int) -> None:
 
 def _run_starts(a: np.ndarray) -> np.ndarray:
     """True at each row of the 2-D ``a`` that differs from the row before."""
-    start = np.ones(len(a), dtype=bool)
-    np.any(a[1:] != a[:-1], axis=1, out=start[1:])
+    # One != per column, OR-ed: np.any over the (rows x columns) result
+    # of a row-wise != is several times slower.
+    start = np.zeros(len(a), dtype=bool)
+    start[:1] = True
+    for j in range(a.shape[1]):
+        start[1:] |= a[1:, j] != a[:-1, j]
     return start
 
 

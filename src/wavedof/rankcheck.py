@@ -25,17 +25,21 @@ with an odd azimuth count it takes cos + i sin per (node, wave). The
 time factor of every field, with the square roots of the time weights
 folded in, is carried in the band's time basis: L
 orthonormal columns Q spanning sqrt(w_t) e^{2 pi i f t} for every f
-between the fields' lowest and highest frequency, the right singular
-vectors above s_0 n_t eps of those functions sampled at m = 2 n_t + 16
-Chebyshev frequencies. Over a window T a band of width 2W needs only
-about 2WT + O(log 1/eps) such functions (5 of 21 time nodes at NARROW,
-16 of 52 at the 3D benchmark point), while the time grid follows the
-carrier. Each weighted field row y lies in span(Q) up to rounding, and
-with P = I - Q Q^H, Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, so the dual
-moves by about (n_t eps)^2 of its trace. When the time nodes cannot be
-compressed, Q has all n_t columns and is a unitary rotation. The
-coordinates in Q are formed a chunk of fields at a time in real
-arithmetic, so no (fields x waves x time nodes) array is formed. The
+between the fields' lowest and highest frequency. Over a window T a
+band of width 2W needs only about 2WT + O(log 1/eps) such functions
+(5 of 21 time nodes at NARROW, 16 of 52 at the 3D benchmark point),
+while the time grid follows the carrier. Each weighted field row y lies
+in span(Q) up to rounding, and with P = I - Q Q^H,
+Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, so the dual moves by about
+(n_t eps)^2 of its trace. When the time nodes cannot be compressed, Q
+has all n_t columns and is a unitary rotation. The time nodes are
+symmetric about the window's centre t_c, so with tau = t - t_c and the
+band's centre f_c, Q is e^{-2 pi i f_c tau} times real columns, each
+even or odd in tau: two small real SVDs over the nodes with tau >= 0
+find them (:func:`_band_time_halves`), and each wave's coordinates in
+Q are real products over those nodes times one phase per wave
+(:func:`_band_time_coordinates`), formed a chunk of fields at a time,
+so neither Q nor a (fields x waves x time nodes) array is formed. The
 field Gram is summed block by block: a block is a run of spatial nodes
 for every field, its phases taken a chunk of fields at a time as one
 product of the nodes with every wave vector side by side, and the
@@ -282,41 +286,138 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
 _BLOCK_ENTRIES = 1 << 17
 
 
+def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
+    """(centre, tau, mu, even, odd): the band's time basis, centred and split
+    by parity, on the h = ceil(n_t / 2) time nodes at or after the centre
+    t_c of the window.
+
+    The Gauss-Legendre time nodes and weights of :func:`build_grid` are
+    exactly symmetric about t_c, so tau = t - t_c, formed as half the
+    difference of each node and its mirror, is exactly odd; ``tau`` holds
+    its h values >= 0 and ``mu`` their mirror multiplicity, 2, or 1 at
+    the centre node of an odd n_t.
+    With the band's centre f_c = (f_lo + f_hi) / 2 of the fields' lowest
+    and highest frequency and delta = f - f_c,
+    e^{2 pi i f t} = e^{2 pi i f t_c} e^{2 pi i f_c tau} e^{2 pi i delta tau},
+    and over delta in [-D, D], D = (f_hi - f_lo) / 2, the last factor spans
+    what the even cos(2 pi delta tau) and the odd sin(2 pi delta tau) span.
+    Even and odd vectors are orthogonal under the symmetric weights and are
+    fixed by their values at tau >= 0, where rows scaled by sqrt(mu w_t)
+    keep the inner product of all n_t nodes. So each part is one real
+    (n_t + 8 x h) SVD, sampled at the n_t + 8 positive ones of the
+    m = 2 n_t + 16 Chebyshev points of [-D, D]; a pair +-delta spans what
+    cos and sin at delta span. ``even`` (h x L_e) and ``odd`` (h x L_o)
+    keep the right singular vectors whose singular values exceed
+    s_0 n_t eps, s_0 the largest of either part, as columns.
+
+    As a function of delta, e^{2 pi i delta tau} on [-D, D] has the
+    Chebyshev coefficients i^k J_k(2 pi D tau), which fall off
+    super-exponentially past k = 2 pi D |tau| <= pi (f_hi - f_lo) T / 2
+    <= pi W T, so the degree-(m - 1) interpolant through the samples
+    matches every delta in the band to rounding. At the Gram minimum
+    n_t >= 4(F0 + W)T + 8 (see :func:`check_gram_resolution`),
+    m >= 8WT + 32 is well past that degree. On coarser time grids the
+    parts have full or nearly full rank. Raises :class:`ConfigError` when
+    a sampled phase leaves the float range, and ValueError for a time axis
+    whose weights are not symmetric or whose nodes are not symmetric to
+    rounding (4 eps of the largest node), which only a hand-made grid has.
+    """
+    t, wt = grid.axes["t_nodes"], grid.axes["t_weights"]
+    n_t = len(t)
+    if not (np.array_equal(wt, wt[::-1])
+            and np.ptp(t + t[::-1]) <= 4.0 * np.finfo(float).eps * np.abs(t).max()):
+        raise ValueError("the ensemble needs a time axis symmetric about its "
+                         "centre, as build_grid lays it out")
+    tau = ((t - t[::-1]) / 2.0)[n_t // 2:]
+    mu = np.full(len(tau), 2.0)
+    mu[:n_t % 2] = 1.0
+    freqs = np.concatenate([pws.frequencies for pws in fields])
+    lo, hi = float(freqs.min()), float(freqs.max())
+    half = (hi - lo) / 2.0
+    m = 2 * n_t + 16
+    delta = half * np.cos(math.pi * (np.arange(m // 2) + 0.5) / m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.multiply.outer(2.0 * math.pi * delta, tau)
+    if not np.all(np.isfinite(phase)):
+        raise ConfigError("time phases of the ensemble leave the float range")
+    rows = np.sqrt(mu * wt[n_t // 2:])
+    parts = [np.linalg.svd(p * rows, full_matrices=False)[1:]
+             for p in cos_sin(phase, out=(phase, np.empty_like(phase)))]
+    cut = max(s[0] for s, _ in parts) * n_t * np.finfo(float).eps
+    even, odd = (vh[s > cut].T for s, vh in parts)
+    return lo + half, tau, mu, even, odd
+
+
 def _band_time_basis(fields: Sequence[PlaneWaveSet],
                      grid: SpaceTimeGrid) -> np.ndarray:
     """(time nodes, L) orthonormal columns Q whose span holds every weighted
     time function sqrt(w_t) e^{2 pi i f t} with f in [f_lo, f_hi], the
-    fields' lowest and highest frequency, up to rounding.
+    fields' lowest and highest frequency, up to rounding, in the row
+    convention: y Q Q^H = y for such a row y.
 
-    The functions are sampled at m = 2 n_t + 16 Chebyshev points of
-    [f_lo, f_hi], and Q keeps the right singular vectors of that
-    (m x n_t) matrix whose singular values exceed s_0 n_t eps. As a
-    function of f, e^{2 pi i f t} on [f_lo, f_hi] has the Chebyshev
-    coefficients J_k(pi (f_hi - f_lo) t), which fall off
-    super-exponentially past k = pi (f_hi - f_lo) T <= 2 pi W T, so the
-    degree-(m - 1) interpolant through the samples matches every f in the
-    band to rounding, and the span of the samples holds the band's
-    functions. At the Gram minimum n_t >= 4(F0 + W)T + 8 (see
-    :func:`check_gram_resolution`), m >= 8WT + 32 is well past that
-    degree. On coarser time grids the sampled matrix has full or nearly
-    full rank n_t, and at full rank Q is a unitary rotation. Raises
-    :class:`ConfigError` when a sampled phase leaves the float range.
+    Q = e^{-2 pi i f_c tau} [E, O]: E and O are the parts ``even`` and
+    ``odd`` of :func:`_band_time_halves` on every node, v / sqrt(mu) at
+    tau >= 0 and mirrored with the sign of their parity, so both are real
+    and orthonormal and E^T O = 0. The ensemble reads the parts and never
+    forms Q; Q is the basis they stand for. Raises what
+    :func:`_band_time_halves` raises.
     """
+    centre, tau, mu, even, odd = _band_time_halves(fields, grid)
+    skip = len(grid.axes["t_nodes"]) % 2
+    upper = np.hstack([even, odd]) / np.sqrt(mu)[:, None]
+    parity = np.repeat([1.0, -1.0], [even.shape[1], odd.shape[1]])
+    columns = np.concatenate([upper[skip:][::-1] * parity, upper])
+    tau = np.concatenate([-tau[skip:][::-1], tau])
+    return columns * np.exp(-2j * math.pi * centre * tau)[:, None]
+
+
+def _band_time_coordinates(fields: Sequence[PlaneWaveSet],
+                           grid: SpaceTimeGrid) -> np.ndarray:
+    """(fields, waves, 2L) reals: the interleaved real view of each wave's
+    coordinates a sqrt(w_t) e^{iwt} Q in the band's time basis Q
+    (:func:`_band_time_basis`), every field's waves zero-padded to the
+    longest field.
+
+    With t = t_c + tau and the parts of :func:`_band_time_halves`, their
+    rows scaled by sqrt(mu w_t) into A_e and A_o, the coordinates are
+    a e^{iw t_c} [cos(2 pi delta tau) A_e, i sin(2 pi delta tau) A_o],
+    delta = f - f_c: real products over the h nodes tau >= 0, times one
+    phase per wave. They are formed a chunk of fields at a time, so no
+    (fields x waves x time nodes) array is formed. Raises
+    :class:`ConfigError` when a phase w t_c, or a sampled phase of the
+    basis, leaves the float range.
+    """
+    centre, tau, mu, even, odd = _band_time_halves(fields, grid)
     t = grid.axes["t_nodes"]
-    freqs = np.concatenate([pws.frequencies for pws in fields])
-    lo, hi = float(freqs.min()), float(freqs.max())
-    m = 2 * len(t) + 16
-    f = lo + (hi - lo) * (1.0 + np.cos(math.pi * (np.arange(m) + 0.5) / m)) / 2.0
+    rows = np.sqrt(mu * grid.axes["t_weights"][len(t) // 2:])[:, None]
+    even, odd = even * rows, odd * rows
+    n_f, n_w, n_h = len(fields), max(len(pws) for pws in fields), len(tau)
+    n_e, n_b = even.shape[1], even.shape[1] + odd.shape[1]
+    # Padded waves have amplitude 0 and delta 0.
+    delta = np.zeros((n_f, n_w))
+    at_centre = np.zeros((n_f, n_w))
+    amps = np.zeros((n_f, n_w), dtype=complex)
+    t_c = (t[0] + t[-1]) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = np.multiply.outer(2.0 * math.pi * f, t)
-    if not np.all(np.isfinite(phase)):
+        for f, pws in enumerate(fields):
+            n = len(pws)
+            delta[f, :n] = 2.0 * math.pi * (pws.frequencies - centre)
+            at_centre[f, :n] = 2.0 * math.pi * pws.frequencies * t_c
+            amps[f, :n] = pws.amplitudes
+    if not np.all(np.isfinite(at_centre)):
         raise ConfigError("time phases of the ensemble leave the float range")
-    samples = np.empty((m, len(t)), dtype=complex)
-    samples.real, samples.imag = cos_sin(phase, out=(phase, np.empty_like(phase)))
-    del phase  # not held through the SVD
-    samples *= np.sqrt(grid.axes["t_weights"])
-    _, s, vh = np.linalg.svd(samples, full_matrices=False)
-    return vh[s > s[0] * len(t) * np.finfo(float).eps].conj().T
+    c, s = cos_sin(at_centre, out=(at_centre, np.empty_like(at_centre)))
+    amps *= c + 1j * s
+    coords = np.empty((n_f, n_w, n_b), dtype=complex)
+    per = max(1, _BLOCK_ENTRIES // (8 * n_w * n_h))
+    for a in range(0, n_f, per):
+        c = np.multiply.outer(delta[a:a + per], tau).reshape(-1, n_h)
+        c, s = cos_sin(c, out=(c, np.empty_like(c)))
+        g = amps[a:a + per].reshape(-1, 1)
+        chunk = coords[a:a + per].reshape(-1, n_b)
+        np.multiply(c @ even, g, out=chunk[:, :n_e])
+        np.multiply(s @ odd, 1j * g, out=chunk[:, n_e:])
+    return coords.view(float)
 
 
 def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
@@ -328,18 +429,12 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     w_s = w_x w_t is one too, so over a run of spatial nodes a field is
     (nodes x waves) (waves x time nodes), with the amplitudes and
     sqrt(w_t) folded into the time factor Tm once. Each row y of Tm lies
-    in the span of the band's time basis Q (:func:`_band_time_basis`:
-    the functions sampled at m = 2 n_t + 16 Chebyshev frequencies,
-    L <= n_t columns), so Tm is carried as its coordinates Tm Q.
-    With P = I - Q Q^H, Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, and Y P is
-    at the rounding floor, about n_t eps of Y, so the dual moves by about
-    (n_t eps)^2 of its trace. Tm Q is formed a chunk of fields at a time
-    in real arithmetic: with the real (2 n_t x 2L) ``lift`` of
-    sqrt(w_t) Q (rows Re Q, Im Q for cos over rows -Im Q, Re Q for sin,
-    columns interleaved), cos(wt) lift[:n_t] + sin(wt) lift[n_t:] is the
-    interleaved real view of e^{iwt} sqrt(w_t) Q, which is then
-    multiplied by the amplitudes, so no (fields x waves x time nodes)
-    array is formed. With p = cos(k.x) Tm Q and q = sin(k.x) Tm Q, the
+    in the span of the band's time basis Q (:func:`_band_time_basis`,
+    L <= n_t columns), so Tm is carried as its coordinates Tm Q
+    (:func:`_band_time_coordinates`). With P = I - Q Q^H,
+    Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, and Y P is at the rounding floor,
+    about n_t eps of Y, so the dual moves by about (n_t eps)^2 of its
+    trace. With p = cos(k.x) Tm Q and q = sin(k.x) Tm Q, the
     field is p + i q at x and p - i q at -x, and the pair adds
     2 (p p^H + q q^H) to the dual. So on a grid with antipodes (see
     :func:`_antipodal_fold`) a block is sqrt(2 w_x) [p, q] over one node
@@ -356,41 +451,25 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     and writes the block's p and q rows, which are then scaled by the
     spatial factor.
     """
-    t = grid.axes["t_nodes"]
     dim = grid.axes["directions"].shape[1]
     _check_directions(np.concatenate([pws.directions for pws in fields]), dim)
-    basis = _band_time_basis(fields, grid)
+    in_time = _band_time_coordinates(fields, grid)
     directions, w, folded = _antipodal_fold(grid.axes)
     space = _node_coordinates(grid.axes["r_nodes"], directions)
     sw = np.sqrt(w.ravel())
-    n_f, n_w = len(fields), max(len(pws) for pws in fields)
-    n_t, n_b = basis.shape
-    # Every field's waves side by side, zero-padded to n_w; padded waves
-    # have amplitude 0. kvec holds k times each wave's direction.
+    n_f, n_w, n_b = in_time.shape[0], in_time.shape[1], in_time.shape[2] // 2
+    # kvec holds k times each wave's direction, every field's waves side
+    # by side; padded waves have k = 0.
     kvec = np.zeros((dim, n_f, n_w))
-    omega = np.zeros((n_f, n_w))
-    amps = np.zeros((n_f, n_w, 1), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for f, pws in enumerate(fields):
-            n = len(pws)
-            omega[f, :n] = 2.0 * math.pi * pws.frequencies
-            kvec[:, f, :n] = pws.directions.T * (omega[f, :n] / pws.c)
-            amps[f, :n, 0] = pws.amplitudes
+            kvec[:, f, :len(pws)] = pws.directions.T * (2.0 * math.pi * pws.frequencies
+                                                        / pws.c)
     # Unit directions make dim max|k_i| max r a bound on every |k.x|.
     phase_bound = dim * float(np.abs(kvec).max()) * float(grid.axes["r_nodes"].max())
     if not phase_bound < math.inf:
         raise ConfigError("phases of the plane-wave set leave the float range")
     kvec = kvec.reshape(dim, -1)
-    wq = basis * np.sqrt(grid.axes["t_weights"])[:, None]
-    lift = np.ascontiguousarray(np.concatenate([wq, 1j * wq])).view(float)
-    in_time = np.empty((n_f, n_w, 2 * n_b))
-    per = max(1, _BLOCK_ENTRIES // (8 * n_w * n_t))
-    for a in range(0, n_f, per):
-        c = np.multiply.outer(omega[a:a + per], t).reshape(-1, n_t)
-        c, s = cos_sin(c, out=(c, np.empty_like(c)))
-        chunk = np.matmul(c, lift[:n_t], out=in_time[a:a + per].reshape(-1, 2 * n_b))
-        chunk += s @ lift[n_t:]
-    in_time.view(complex)[...] *= amps
     step = max(1, _BLOCK_ENTRIES // (4 * n_f * n_b))
     per = max(1, _BLOCK_ENTRIES // (8 * n_w * step))
     for lo in range(0, len(space), step):
@@ -418,9 +497,11 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
     C[s, s'] = (1/F) sum_f sqrt(w_s) x_f(s) conj(x_f(s')) sqrt(w_s').
     The F x F matrix (1/F) Xw Xw^H shares every nonzero eigenvalue and
     the trace with it, so rank readouts are identical while the
-    eigenproblem stays small. Raises ValueError for an empty ensemble or
-    a direction row of another dimension than the grid or not of unit
-    length, and :class:`ConfigError` when a phase leaves the float range.
+    eigenproblem stays small. Raises ValueError for an empty ensemble, a
+    direction row of another dimension than the grid or not of unit
+    length, or a grid whose time axis is not symmetric about its centre
+    (as every :func:`build_grid` grid is), and :class:`ConfigError` when a
+    phase leaves the float range.
     """
     if len(fields) == 0:
         raise ValueError("ensemble must be nonempty")
@@ -457,12 +538,14 @@ def eigen_spectrum(matrix: np.ndarray,
     # so no difference or norm can overflow.
     scale = peak or 1.0
     unit = m / scale
-    if float(np.max(np.abs(unit - unit.conj().T))) > 1e-10 * max(1.0, peak) / scale:
+    # .conj() copies even a real array, so a real matrix is only transposed.
+    conj = np.conj if np.iscomplexobj(m) else np.asarray
+    if float(np.max(np.abs(unit - conj(unit).T))) > 1e-10 * max(1.0, peak) / scale:
         raise ValueError("matrix is not Hermitian within 1e-10")
     evals, evecs = np.linalg.eigh(m)
     if not np.all(np.isfinite(evals)):
         raise ConfigError("eigenvalues beyond the float range")
-    recon = (evecs * (evals / scale)) @ evecs.conj().T
+    recon = (evecs * (evals / scale)) @ conj(evecs).T
     unorm = float(np.linalg.norm(unit))
     if unorm > 0 and float(np.linalg.norm(unit - recon)) > 1e-8 * unorm:
         raise RuntimeError("eigendecomposition failed to reconstruct input")

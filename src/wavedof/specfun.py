@@ -137,12 +137,15 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     (:func:`_miller_column`), bit-identical to the array loop and several
     times faster, since numpy's per-call cost on a 1-element array
     outweighs its arithmetic. An empty x gives an empty (n_max+1, 0)
-    table.
+    table; an x of two or more dimensions raises ValueError.
 
     The recurrence writes and normalizes the table in place, so the call
     holds about one table of memory.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    if x.ndim > 1:
+        raise ValueError(f"x must be a scalar or 1-D, got shape {x.shape}")
+    x = np.atleast_1d(x)
     if n_max < 0:
         raise ValueError(f"order must be >= 0, got {n_max}")
     if not np.all(np.isfinite(x) & (x >= 0)):

@@ -13,6 +13,8 @@ eigenproblems, scalar spherical-harmonic sums for the Jacobi-Anger
 expansion, the per-point arrays of the space-time grid built eagerly
 by repeat, tile and outer product, the dense per-point routes that
 the factored Gram, projection and the separable ensemble rows replace,
+the band's time basis as one complex SVD over every time node with each
+wave's time coordinates through its real lift, as first written,
 a dense ball quadrature of the truncation error, and the same error's
 Lommel tail sum term by term in extended precision.
 """
@@ -320,6 +322,43 @@ def pointwise_field_rows(fields, grid) -> np.ndarray:
                  + 2.0 * math.pi * pws.frequencies * grid.times[:, None])
         rows.append((np.exp(1j * phase) @ pws.amplitudes) * sw)
     return np.array(rows)
+
+
+def complex_band_time_basis(fields, grid) -> np.ndarray:
+    """The band's time basis Q as first written: one complex SVD of the
+    weighted time functions sqrt(w_t) e^{2 pi i f t} sampled at m =
+    2 n_t + 16 Chebyshev frequencies of [f_lo, f_hi], keeping the right
+    singular vectors above s_0 n_t eps, in the row convention y Q Q^H = y."""
+    t = grid.axes["t_nodes"]
+    freqs = np.concatenate([pws.frequencies for pws in fields])
+    lo, hi = float(freqs.min()), float(freqs.max())
+    m = 2 * len(t) + 16
+    f = lo + (hi - lo) * (1.0 + np.cos(math.pi * (np.arange(m) + 0.5) / m)) / 2.0
+    samples = np.exp(2j * math.pi * np.multiply.outer(f, t))
+    samples *= np.sqrt(grid.axes["t_weights"])
+    _, s, vh = np.linalg.svd(samples, full_matrices=False)
+    return vh[s > s[0] * len(t) * np.finfo(float).eps].conj().T
+
+
+def lift_time_coordinates(fields, grid) -> np.ndarray:
+    """(fields, waves, 2L) reals, the interleaved view of each wave's
+    coordinates a sqrt(w_t) e^{iwt} Q in :func:`complex_band_time_basis`,
+    formed as first written: with the real (2 n_t x 2L) lift of
+    sqrt(w_t) Q (rows Re Q, Im Q over rows -Im Q, Re Q, columns
+    interleaved), cos(wt) lift[:n_t] + sin(wt) lift[n_t:] times the
+    amplitude. Waves are zero-padded to the longest field."""
+    t = grid.axes["t_nodes"]
+    basis = complex_band_time_basis(fields, grid)
+    n_t, n_b = basis.shape
+    n_w = max(len(pws) for pws in fields)
+    wq = basis * np.sqrt(grid.axes["t_weights"])[:, None]
+    lift = np.ascontiguousarray(np.concatenate([wq, 1j * wq])).view(float)
+    out = np.zeros((len(fields), n_w, 2 * n_b))
+    for f, pws in enumerate(fields):
+        phase = np.multiply.outer(2.0 * math.pi * pws.frequencies, t)
+        coords = np.cos(phase) @ lift[:n_t] + np.sin(phase) @ lift[n_t:]
+        out[f, :len(pws)] = (coords.view(complex) * pws.amplitudes[:, None]).view(float)
+    return out
 
 
 def ensemble_covariance(fields, grid) -> np.ndarray:

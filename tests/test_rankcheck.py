@@ -19,9 +19,10 @@ from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values, mode_matrix,
                            project_field)
 from wavedof.specfun import cos_sin
 
-from oracles import (charpoly_eigenvalues, dense_gram, eager_grid_arrays,
-                     ensemble_covariance, lommel_tail_reference,
-                     pointwise_field_rows, pointwise_truncation_error)
+from oracles import (charpoly_eigenvalues, complex_band_time_basis, dense_gram,
+                     eager_grid_arrays, ensemble_covariance, lift_time_coordinates,
+                     lommel_tail_reference, pointwise_field_rows,
+                     pointwise_truncation_error)
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -358,7 +359,7 @@ def test_ensemble_dual_at_large_phases(dim, resolution):
                        rtol=0, atol=1e-12 * spec.trace)
 
 
-@pytest.mark.parametrize("dim, cfg, resolution, waves, columns", [
+BASIS_CASES = pytest.mark.parametrize("dim, cfg, resolution, waves, columns", [
     (TWO_D, NARROW_2D, (8, 24, 21), 64, (1, 6)),
     (THREE_D, HALF_CAL_3D, (8, 13, 52), 16, (1, 17)),
     # The grid of test_ensemble_dual_at_large_phases: all 5 time nodes.
@@ -367,6 +368,9 @@ def test_ensemble_dual_at_large_phases(dim, resolution):
     (TWO_D, PhysicalConfig(R=0.1, W=0.0, T=0.3, f0=10.0, c=1.0), (8, 24, 21), 64,
      (1, 1)),
 ], ids=["narrow2d", "verify3d", "large-phases", "single-frequency"])
+
+
+@BASIS_CASES
 def test_band_time_basis(dim, cfg, resolution, waves, columns):
     g = build_grid(dim, cfg, resolution)
     fields = [synthesize_field(dim, cfg, waves, seed=1 + 1000 * j) for j in range(4)]
@@ -383,8 +387,66 @@ def test_band_time_basis(dim, cfg, resolution, waves, columns):
     assert np.max(residual / np.linalg.norm(y, axis=1)) <= 1e-13
 
 
+@BASIS_CASES
+def test_band_time_basis_is_centred_real_and_parity_split(dim, cfg, resolution,
+                                                          waves, columns):
+    # Q = e^{-2 pi i f_c tau} B with B real and each column even or odd in
+    # tau = t - t_c, which is exactly odd on the symmetric time nodes.
+    g = build_grid(dim, cfg, resolution)
+    fields = [synthesize_field(dim, cfg, waves, seed=1 + 1000 * j) for j in range(4)]
+    q = rankcheck._band_time_basis(fields, g)
+    centre = rankcheck._band_time_halves(fields, g)[0]
+    t = g.axes["t_nodes"]
+    tau = (t - t[::-1]) / 2.0
+    b = q * np.exp(2j * np.pi * centre * tau)[:, None]
+    assert np.max(np.abs(b.imag)) <= 1e-15
+    b = b.real
+    parity = np.minimum(np.max(np.abs(b - b[::-1]), axis=0),
+                        np.max(np.abs(b + b[::-1]), axis=0))
+    assert np.max(parity) <= 1e-15
+
+
+@pytest.mark.parametrize("dim, cfg, resolution, fields, waves", [
+    (TWO_D, NARROW_2D, (8, 24, 21), 128, 64),
+    (TWO_D, NARROW_2D, (8, 25, 20), 128, 64),
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), 4, 16),
+    (TWO_D, PhysicalConfig(R=0.1, W=0.0, T=0.3, f0=10.0, c=1.0), (8, 24, 21), 16, 8),
+], ids=["narrow2d", "even-times-odd-azimuths", "verify3d", "single-frequency"])
+def test_ensemble_matches_complex_basis_reference(dim, cfg, resolution, fields,
+                                                  waves, monkeypatch):
+    # The same ensemble with each wave's time coordinates taken in the
+    # complex-SVD basis through the real lift, as first written.
+    g = build_grid(dim, cfg, resolution)
+    ens = [synthesize_field(dim, cfg, waves, seed=1 + 1000 * j) for j in range(fields)]
+    got = ensemble_spectrum(ens, g)
+    monkeypatch.setattr(rankcheck, "_band_time_coordinates", lift_time_coordinates)
+    want = ensemble_spectrum(ens, g)
+    assert got.eigenvalues.shape == want.eigenvalues.shape
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-15 * want.trace
+    assert (got.rank_threshold, got.rank_energy) == (want.rank_threshold,
+                                                     want.rank_energy)
+    assert round(got.trace, 12) == round(want.trace, 12)
+    assert (rankcheck._band_time_basis(ens, g).shape
+            == complex_band_time_basis(ens, g).shape)
+
+
+def test_ensemble_rejects_an_asymmetric_time_axis():
+    # The centred time basis needs the symmetric axis of build_grid; a
+    # hand-made grid without it fails instead of giving a wrong spectrum.
+    g = build_grid(TWO_D, NARROW_2D, (4, 8, 21))
+    fields = [synthesize_field(TWO_D, NARROW_2D, 8, seed=j) for j in range(3)]
+    for key, warp in (("t_nodes", lambda t: t ** 1.3),
+                      ("t_weights", lambda w: w * np.linspace(1.0, 1.1, len(w)))):
+        axes = dict(g.axes, **{key: warp(g.axes[key])})
+        with pytest.raises(ValueError, match="time axis symmetric"):
+            ensemble_spectrum(fields, SpaceTimeGrid(axes))
+
+
 def test_ensemble_rejects_non_finite_time_phases():
     # 2 pi f t overflows at f = T = 1e300: a clean error, not a failed SVD.
+    # One frequency leaves the basis's phases at 0, so the wave's phase at
+    # the window's centre overflows; with a second frequency at 0 the
+    # basis's sampled phases overflow first.
     cfg = PhysicalConfig(R=1.0, W=0.0, T=1e300, f0=1e300, c=1.0)
     g = build_grid(TWO_D, cfg, (2, 4, 3))
     pws = PlaneWaveSet(directions=np.array([[1.0, 0.0]]),
@@ -392,6 +454,11 @@ def test_ensemble_rejects_non_finite_time_phases():
                        amplitudes=np.array([1.0 + 0.0j]), c=1.0)
     with pytest.raises(ConfigError):
         ensemble_spectrum([pws], g)
+    pair = PlaneWaveSet(directions=np.array([[1.0, 0.0], [0.0, 1.0]]),
+                        frequencies=np.array([0.0, 1e300]),
+                        amplitudes=np.array([1.0 + 0.0j, 1.0 + 0.0j]), c=1.0)
+    with pytest.raises(ConfigError, match="time phases"):
+        ensemble_spectrum([pair], g)
 
 
 @pytest.mark.parametrize("dim, cfg, resolution, fields, waves, bound", [
@@ -408,12 +475,13 @@ def test_ensemble_memory(dim, cfg, resolution, fields, waves, bound):
 
 def test_ensemble_memory_over_a_long_window():
     # 410 time nodes: the time factor is formed by chunks of fields, so no
-    # (128 x 64 x 410) complex array (43 MB) is held. Measured 13.4 MiB,
-    # most of it the time basis's SVD (52.9 MiB with the whole factor).
+    # (128 x 64 x 410) complex array (43 MB) is held. Measured 3.88 MiB
+    # with the two real half-node SVDs of the time basis (13.4 MiB with
+    # one complex SVD over every node, 52.9 MiB with the whole factor).
     cfg = PhysicalConfig(R=0.1, W=0.01, T=10.0, f0=10.0, c=1.0)
     g = build_grid(TWO_D, cfg, (8, 24, 410))
     ens = [synthesize_field(TWO_D, cfg, 64, seed=1 + 1000 * j) for j in range(128)]
-    assert _traced_peak(ensemble_spectrum, ens, g) <= 20 * (1 << 20)
+    assert _traced_peak(ensemble_spectrum, ens, g) <= 5 * (1 << 20)
 
 
 def test_truncation_error_memory():
@@ -607,6 +675,19 @@ def test_eigen_spectrum_reconstruction_contract():
     spec = eigen_spectrum(m)
     assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
     assert spec.trace == pytest.approx(float(np.trace(m)), rel=1e-10)
+
+
+def test_eigen_spectrum_of_the_verify3d_gram_is_plain_eigh():
+    # The real Gram of the 3D benchmark point, 121 modes: the spectrum is
+    # eigh's, bit for bit, with the checks on transposed views.
+    g = build_grid(THREE_D, HALF_CAL_3D, (8, 13, 52))
+    gram = gram_of_modes(enumerate_modes(THREE_D, HALF_CAL_3D), g, HALF_CAL_3D)
+    assert gram.dtype == np.float64 and gram.shape == (121, 121)
+    spec = eigen_spectrum(gram)
+    want = np.linalg.eigh(gram)[0][::-1]
+    assert spec.eigenvalues.tobytes() == want.tobytes()
+    assert spec.trace == float(np.sum(want))
+    assert (spec.rank_threshold, spec.rank_energy) == effective_rank(want)
 
 
 def test_effective_rank_examples():

@@ -1,6 +1,7 @@
 """Special-function accuracy, recurrences, orthonormality."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -213,6 +214,16 @@ def _check_literal_recurrence(spherical):
 def test_bessel_table_of_no_arguments_is_empty(spherical):
     table = bessel_table(4, [], spherical=spherical)
     assert table.shape == (5, 0) and table.dtype == np.float64
+
+
+@pytest.mark.parametrize("x", [[[1.0]], [[1.0, 2.0]], np.ones((2, 1, 3))],
+                         ids=["1x1", "1x2", "2x1x3"])
+def test_bessel_table_rejects_arrays_of_two_or_more_dimensions(x):
+    # One ValueError naming the shape, ahead of every other check.
+    shape = np.shape(x)
+    for n_max in (3, -1):
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            bessel_table(n_max, x)
 
 
 def test_bessel_rejects_bad_domain():
