@@ -271,11 +271,16 @@ def jacobi_anger_values(wv: WaveVector, points: np.ndarray, N: int) -> np.ndarra
     j^m eps_m J_m(k r) in 2D, where the +m and -m terms fold into
     eps_m cos(m dtheta) (eps_0 = 1, eps_m = 2). The angular column holds
     P_n(rhat . khat) or cos(m dtheta), the latter from
-    :func:`~wavedof.specfun.cos_sin`.
+    :func:`~wavedof.specfun.cos_sin`. Raises ValueError for N < 0, or
+    unless ``points`` has shape (P, 2) for a 2D wave, (P, 3) for a 3D one.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     pts = np.asarray(points, dtype=float)
+    d = len(wv.k_hat)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"points of a {d}D wave must have shape (P, {d}), "
+                         f"got {pts.shape}")
     r = np.linalg.norm(pts, axis=-1)
     r_uni, r_inv = np.unique(r, return_inverse=True)
     # At r = 0 only the n = 0 radial entry is nonzero, and its angular
@@ -457,11 +462,11 @@ def mode_matrix(modes: Sequence[ModeIndex], grid, cfg: PhysicalConfig) -> np.nda
     return _join_columns(np.ones((1, len(modes)), dtype=complex), factors)
 
 
-def weighted_gram(modes: Sequence[ModeIndex], axes: dict,
+def weighted_gram(modes: Sequence[ModeIndex], grid,
                   cfg: PhysicalConfig) -> tuple[dict, np.ndarray]:
-    """(factors, G): the :func:`mode_factors` of ``modes`` on a
-    tensor-product grid of ``rankcheck.build_grid`` with ``axes``, and
-    their Gram G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)).
+    """(factors, G): the :func:`mode_factors` of ``modes`` on the axes of
+    a ``rankcheck.SpaceTimeGrid``, and their Gram
+    G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)).
 
     Modes, points and weights are all products over the axes, so the sum
     factors: G is the elementwise product of one weighted Gram per axis,
@@ -472,23 +477,25 @@ def weighted_gram(modes: Sequence[ModeIndex], axes: dict,
     polar Grams sum products of real Bessel and Legendre factors. The
     azimuthal one is sign_p sign_q (2 pi / n_phi)
     sum_j e^{i (m_p - m_q) 2 pi j / n_phi}: 2 pi when n_phi divides
-    m_p - m_q, else 0. The time nodes and weights are Gauss-Legendre,
-    symmetric about T/2, so the time one is e^{i pi (c_p - c_q)} times a
-    sum of cos(pi (c_p - c_q) x) over the symmetric nodes x: real
+    m_p - m_q, else 0. The time nodes and weights are symmetric about
+    their centre (the grid contract, which ``SpaceTimeGrid`` checks when
+    built), T/2 on a ``build_grid`` grid, so the time one is
+    e^{i pi (c_p - c_q)} times a sum of cos(pi (c_p - c_q) x) over the
+    symmetric nodes x: real
     whenever c_p - c_q is an integer. Lattice bins have c = i, and a
     stand-in bin is the only bin of its band, so every mode set of
     :func:`enumerate_modes` has a real Gram; a hand-built set mixing a
     stand-in bin with other bins does not. Raises :class:`ConfigError`
     when an entry leaves the float range.
     """
-    factors = mode_factors(modes, axes, cfg)
+    factors = mode_factors(modes, grid.axes, cfg)
     frac = np.modf(_bin_columns(modes, cfg)[2])[0]
     real = bool(np.all(frac == frac[:1]))
     m = factors["t"].shape[1]
     g = np.ones((m, m), dtype=float if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for axis, f in factors.items():
-            a = (f * axes[f"{axis}_weights"][:, None]).T @ f.conj()
+            a = (f * grid.axes[f"{axis}_weights"][:, None]).T @ f.conj()
             g *= a.real if real else a
     if not np.all(np.isfinite(g)):
         raise ConfigError("Gram entries leave the float range; the quadrature "
@@ -547,7 +554,7 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
         raise ValueError("samples must be finite")
     if len(modes) > len(y):
         raise ValueError("more modes than grid points")
-    factors, normal = weighted_gram(modes, grid.axes, cfg)
+    factors, normal = weighted_gram(modes, grid, cfg)
     normal = normal.conj()
     axes = list(factors)                    # r, [mu], phi, t: t fastest
     diag = np.real(np.diag(normal))

@@ -10,7 +10,8 @@ diagonalized as a real symmetric matrix; the ensemble dual stays
 complex. The grid is a tensor product (r x [mu] x phi x t), laid out by
 :func:`build_grid` alone and held as its axes only: per-axis nodes and
 weights, the unit ``directions`` of the angular nodes, and the weights
-of the spatial nodes (radii x directions). Node coordinates and
+of the spatial nodes (radii x directions), whose layout every reader
+assumes and :class:`SpaceTimeGrid` alone checks. Node coordinates and
 per-point arrays are formed only where read. Every mode and every plane
 wave is a product over the same axes, and so is each weight, so the Gram
 matrix and the ensemble are assembled axis by axis: the Gram matrix is
@@ -33,7 +34,8 @@ in span(Q) up to rounding, and with P = I - Q Q^H,
 Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, so the dual moves by about
 (n_t eps)^2 of its trace. When the time nodes cannot be compressed, Q
 has all n_t columns and is a unitary rotation. The time nodes are
-symmetric about the window's centre t_c, so with tau = t - t_c and the
+symmetric about the window's centre t_c (every grid is: the
+:class:`SpaceTimeGrid` contract), so with tau = t - t_c and the
 band's centre f_c, Q is e^{-2 pi i f_c tau} times real columns, each
 even or odd in tau: two small real SVDs over the nodes with tau >= 0
 find them (:func:`_band_time_halves`), and each wave's coordinates in
@@ -113,18 +115,43 @@ class SpaceTimeGrid:
 
     The grid is a product over the axes r, mu (3D only), phi and t, with
     points in that index order and t fastest. ``axes`` keeps each axis's
-    ``<axis>_nodes`` and ``<axis>_weights``, the unit ``directions`` of
-    the angular nodes and the weights ``space_weights`` (the product of
-    the r, [mu] and phi weights) of the spatial nodes r x directions,
-    and every library path reads these; it holds no node coordinates.
-    The axes alone say the dimension (a ``mu_nodes`` axis is 3D) and the
-    resolution (the node counts of r, mu or else phi, and t).
-    The per-point arrays ``points`` (P, 2 or 3) in meters, ``times``
-    (P,) in seconds and ``weights`` (P,), the full measure (volume x
-    time), are built only on request and then kept.
+    ``<axis>_nodes`` and as many ``<axis>_weights``, the unit
+    ``directions`` of the ([mu] x) phi angular nodes, dim components each,
+    and the weights ``space_weights`` (the product of the r, [mu] and phi
+    weights) of the spatial nodes r x directions; it holds no node
+    coordinates. Its time axis is symmetric about its centre: the weights
+    are bit-equal under reversal and t + reversed(t) is constant to 4 eps
+    of the largest node. That is the grid contract: every library path
+    reads the axes and assumes it, and it is checked here once
+    (:class:`ConfigError` otherwise). The real Gram
+    (:func:`~wavedof.modes.weighted_gram`) and the ensemble's centred time
+    basis rest on the symmetry; :func:`build_grid` keeps it for any T in
+    the normal float range. The axes alone say the dimension (a
+    ``mu_nodes`` axis is 3D) and the resolution (the node counts of r, mu
+    or else phi, and t). The per-point arrays ``points`` (P, 2 or 3) in
+    meters, ``times`` (P,) in seconds and ``weights`` (P,), the full
+    measure (volume x time), are built only on request and then kept.
     """
 
     axes: dict = field(repr=False)
+
+    def __post_init__(self):
+        ax = self.axes
+        angular = ("mu", "phi") if "mu_nodes" in ax else ("phi",)
+        n_dir = math.prod(len(ax[f"{a}_nodes"]) for a in angular)
+        shapes = {f"{a}_weights": (len(ax[f"{a}_nodes"]),) for a in ("r", *angular, "t")}
+        shapes.update(directions=(n_dir, len(angular) + 1),
+                      space_weights=(len(ax["r_nodes"]) * n_dir,))
+        for key, shape in shapes.items():
+            if np.shape(ax[key]) != shape:
+                raise ConfigError(f"grid {key} have shape {np.shape(ax[key])}, "
+                                  f"not {shape}")
+        t, wt = ax["t_nodes"], ax["t_weights"]
+        if not (np.array_equal(wt, wt[::-1])
+                and np.ptp(t + t[::-1]) <= 4.0 * np.finfo(float).eps * np.abs(t).max()):
+            raise ConfigError("the grid needs a time axis symmetric about its "
+                              "centre, to 4 eps of its largest node; build_grid "
+                              "lays one out for any T in the normal float range")
 
     @functools.cached_property
     def points(self) -> np.ndarray:
@@ -278,7 +305,7 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
     ``enumerate_modes``, and complex otherwise.
     """
     check_gram_resolution(modes, grid, cfg)
-    return _mirror_upper(weighted_gram(modes, grid.axes, cfg)[1])
+    return _mirror_upper(weighted_gram(modes, grid, cfg)[1])
 
 
 #: complex entries (2 MB) that bound an ensemble block: its real output
@@ -287,15 +314,15 @@ _BLOCK_ENTRIES = 1 << 17
 
 
 def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
-    """(centre, tau, mu, even, odd): the band's time basis, centred and split
+    """(f_c, t_c, tau, even, odd): the band's time basis, centred and split
     by parity, on the h = ceil(n_t / 2) time nodes at or after the centre
     t_c of the window.
 
-    The Gauss-Legendre time nodes and weights of :func:`build_grid` are
-    exactly symmetric about t_c, so tau = t - t_c, formed as half the
+    The grid's time nodes and weights are symmetric about t_c (the
+    :class:`SpaceTimeGrid` contract), so tau = t - t_c, formed as half the
     difference of each node and its mirror, is exactly odd; ``tau`` holds
-    its h values >= 0 and ``mu`` their mirror multiplicity, 2, or 1 at
-    the centre node of an odd n_t.
+    its h values >= 0, of mirror multiplicity mu = 2, or 1 at the centre
+    node of an odd n_t.
     With the band's centre f_c = (f_lo + f_hi) / 2 of the fields' lowest
     and highest frequency and delta = f - f_c,
     e^{2 pi i f t} = e^{2 pi i f t_c} e^{2 pi i f_c tau} e^{2 pi i delta tau},
@@ -308,7 +335,8 @@ def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     m = 2 n_t + 16 Chebyshev points of [-D, D]; a pair +-delta spans what
     cos and sin at delta span. ``even`` (h x L_e) and ``odd`` (h x L_o)
     keep the right singular vectors whose singular values exceed
-    s_0 n_t eps, s_0 the largest of either part, as columns.
+    s_0 n_t eps, s_0 the largest of either part, as columns, their rows
+    scaled by sqrt(mu w_t).
 
     As a function of delta, e^{2 pi i delta tau} on [-D, D] has the
     Chebyshev coefficients i^k J_k(2 pi D tau), which fall off
@@ -318,16 +346,10 @@ def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     n_t >= 4(F0 + W)T + 8 (see :func:`check_gram_resolution`),
     m >= 8WT + 32 is well past that degree. On coarser time grids the
     parts have full or nearly full rank. Raises :class:`ConfigError` when
-    a sampled phase leaves the float range, and ValueError for a time axis
-    whose weights are not symmetric or whose nodes are not symmetric to
-    rounding (4 eps of the largest node), which only a hand-made grid has.
+    a sampled phase leaves the float range.
     """
     t, wt = grid.axes["t_nodes"], grid.axes["t_weights"]
     n_t = len(t)
-    if not (np.array_equal(wt, wt[::-1])
-            and np.ptp(t + t[::-1]) <= 4.0 * np.finfo(float).eps * np.abs(t).max()):
-        raise ValueError("the ensemble needs a time axis symmetric about its "
-                         "centre, as build_grid lays it out")
     tau = ((t - t[::-1]) / 2.0)[n_t // 2:]
     mu = np.full(len(tau), 2.0)
     mu[:n_t % 2] = 1.0
@@ -344,42 +366,20 @@ def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     parts = [np.linalg.svd(p * rows, full_matrices=False)[1:]
              for p in cos_sin(phase, out=(phase, np.empty_like(phase)))]
     cut = max(s[0] for s, _ in parts) * n_t * np.finfo(float).eps
-    even, odd = (vh[s > cut].T for s, vh in parts)
-    return lo + half, tau, mu, even, odd
-
-
-def _band_time_basis(fields: Sequence[PlaneWaveSet],
-                     grid: SpaceTimeGrid) -> np.ndarray:
-    """(time nodes, L) orthonormal columns Q whose span holds every weighted
-    time function sqrt(w_t) e^{2 pi i f t} with f in [f_lo, f_hi], the
-    fields' lowest and highest frequency, up to rounding, in the row
-    convention: y Q Q^H = y for such a row y.
-
-    Q = e^{-2 pi i f_c tau} [E, O]: E and O are the parts ``even`` and
-    ``odd`` of :func:`_band_time_halves` on every node, v / sqrt(mu) at
-    tau >= 0 and mirrored with the sign of their parity, so both are real
-    and orthonormal and E^T O = 0. The ensemble reads the parts and never
-    forms Q; Q is the basis they stand for. Raises what
-    :func:`_band_time_halves` raises.
-    """
-    centre, tau, mu, even, odd = _band_time_halves(fields, grid)
-    skip = len(grid.axes["t_nodes"]) % 2
-    upper = np.hstack([even, odd]) / np.sqrt(mu)[:, None]
-    parity = np.repeat([1.0, -1.0], [even.shape[1], odd.shape[1]])
-    columns = np.concatenate([upper[skip:][::-1] * parity, upper])
-    tau = np.concatenate([-tau[skip:][::-1], tau])
-    return columns * np.exp(-2j * math.pi * centre * tau)[:, None]
+    even, odd = (vh[s > cut].T * rows[:, None] for s, vh in parts)
+    return lo + half, (t[0] + t[-1]) / 2.0, tau, even, odd
 
 
 def _band_time_coordinates(fields: Sequence[PlaneWaveSet],
                            grid: SpaceTimeGrid) -> np.ndarray:
     """(fields, waves, 2L) reals: the interleaved real view of each wave's
-    coordinates a sqrt(w_t) e^{iwt} Q in the band's time basis Q
-    (:func:`_band_time_basis`), every field's waves zero-padded to the
-    longest field.
+    coordinates a sqrt(w_t) e^{iwt} Q in the band's time basis Q, the
+    e^{-2 pi i f_c tau} [even, odd] columns that the parts of
+    :func:`_band_time_halves` stand for on every node, every field's waves
+    zero-padded to the longest field.
 
-    With t = t_c + tau and the parts of :func:`_band_time_halves`, their
-    rows scaled by sqrt(mu w_t) into A_e and A_o, the coordinates are
+    With t = t_c + tau and the parts A_e and A_o of
+    :func:`_band_time_halves`, the coordinates are
     a e^{iw t_c} [cos(2 pi delta tau) A_e, i sin(2 pi delta tau) A_o],
     delta = f - f_c: real products over the h nodes tau >= 0, times one
     phase per wave. They are formed a chunk of fields at a time, so no
@@ -387,17 +387,13 @@ def _band_time_coordinates(fields: Sequence[PlaneWaveSet],
     :class:`ConfigError` when a phase w t_c, or a sampled phase of the
     basis, leaves the float range.
     """
-    centre, tau, mu, even, odd = _band_time_halves(fields, grid)
-    t = grid.axes["t_nodes"]
-    rows = np.sqrt(mu * grid.axes["t_weights"][len(t) // 2:])[:, None]
-    even, odd = even * rows, odd * rows
+    centre, t_c, tau, even, odd = _band_time_halves(fields, grid)
     n_f, n_w, n_h = len(fields), max(len(pws) for pws in fields), len(tau)
     n_e, n_b = even.shape[1], even.shape[1] + odd.shape[1]
     # Padded waves have amplitude 0 and delta 0.
     delta = np.zeros((n_f, n_w))
     at_centre = np.zeros((n_f, n_w))
     amps = np.zeros((n_f, n_w), dtype=complex)
-    t_c = (t[0] + t[-1]) / 2.0
     with np.errstate(over="ignore", invalid="ignore"):
         for f, pws in enumerate(fields):
             n = len(pws)
@@ -429,13 +425,12 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     w_s = w_x w_t is one too, so over a run of spatial nodes a field is
     (nodes x waves) (waves x time nodes), with the amplitudes and
     sqrt(w_t) folded into the time factor Tm once. Each row y of Tm lies
-    in the span of the band's time basis Q (:func:`_band_time_basis`,
-    L <= n_t columns), so Tm is carried as its coordinates Tm Q
-    (:func:`_band_time_coordinates`). With P = I - Q Q^H,
-    Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, and Y P is at the rounding floor,
-    about n_t eps of Y, so the dual moves by about (n_t eps)^2 of its
-    trace. With p = cos(k.x) Tm Q and q = sin(k.x) Tm Q, the
-    field is p + i q at x and p - i q at -x, and the pair adds
+    in the span of the band's time basis Q (L <= n_t columns), so Tm is
+    carried as its coordinates Tm Q (:func:`_band_time_coordinates`). With
+    P = I - Q Q^H, Y Q Q^H Y^H = Y Y^H - (Y P)(Y P)^H, and Y P is at the
+    rounding floor, about n_t eps of Y, so the dual moves by about
+    (n_t eps)^2 of its trace. With p = cos(k.x) Tm Q and q = sin(k.x) Tm Q,
+    the field is p + i q at x and p - i q at -x, and the pair adds
     2 (p p^H + q q^H) to the dual. So on a grid with antipodes (see
     :func:`_antipodal_fold`) a block is sqrt(2 w_x) [p, q] over one node
     of each pair; otherwise it is sqrt(w_x) (p + i q) over every node.
@@ -497,11 +492,12 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
     C[s, s'] = (1/F) sum_f sqrt(w_s) x_f(s) conj(x_f(s')) sqrt(w_s').
     The F x F matrix (1/F) Xw Xw^H shares every nonzero eigenvalue and
     the trace with it, so rank readouts are identical while the
-    eigenproblem stays small. Raises ValueError for an empty ensemble, a
-    direction row of another dimension than the grid or not of unit
-    length, or a grid whose time axis is not symmetric about its centre
-    (as every :func:`build_grid` grid is), and :class:`ConfigError` when a
-    phase leaves the float range.
+    eigenproblem stays small. Its centred time basis rests on the
+    symmetric time axis of the :class:`SpaceTimeGrid` contract. Raises
+    ValueError for an empty ensemble, or a direction row of another
+    dimension than the grid or not of unit length, and
+    :class:`ConfigError` when a phase leaves the float range or the dual's
+    largest entry is subnormal (a window T near the float minimum).
     """
     if len(fields) == 0:
         raise ValueError("ensemble must be nonempty")
@@ -509,7 +505,12 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
     dual = np.zeros((len(fields), len(fields)), dtype=complex)
     for xw in _weighted_field_blocks(fields, grid):
         dual += xw @ xw.conj().T
-    return eigen_spectrum(_mirror_upper(dual / len(fields)), policy)
+    dual /= len(fields)
+    # The largest entry of a PSD matrix is on its diagonal.
+    if 0.0 < np.max(dual.diagonal().real) < np.finfo(float).tiny:
+        raise ConfigError("the ensemble's covariance falls below the normal "
+                          "float range, where its eigenvalues keep few digits")
+    return eigen_spectrum(_mirror_upper(dual), policy)
 
 
 def eigen_spectrum(matrix: np.ndarray,
@@ -535,19 +536,22 @@ def eigen_spectrum(matrix: np.ndarray,
     if not math.isfinite(peak):
         raise ConfigError("matrix has entries beyond the float range")
     # Both checks run on m / peak, whose entries are at most 1 in modulus,
-    # so no difference or norm can overflow.
+    # so no difference or norm can overflow; a complex m is divided part by
+    # part, since numpy's complex divide multiplies by 1 / peak, which
+    # overflows at a subnormal peak. NaN fails both checks.
     scale = peak or 1.0
-    unit = m / scale
+    unit = (m.real / scale + 1j * (m.imag / scale) if np.iscomplexobj(m)
+            else m / scale)
     # .conj() copies even a real array, so a real matrix is only transposed.
     conj = np.conj if np.iscomplexobj(m) else np.asarray
-    if float(np.max(np.abs(unit - conj(unit).T))) > 1e-10 * max(1.0, peak) / scale:
+    if not float(np.max(np.abs(unit - conj(unit).T))) <= 1e-10 * max(1.0, peak) / scale:
         raise ValueError("matrix is not Hermitian within 1e-10")
     evals, evecs = np.linalg.eigh(m)
     if not np.all(np.isfinite(evals)):
         raise ConfigError("eigenvalues beyond the float range")
     recon = (evecs * (evals / scale)) @ conj(evecs).T
     unorm = float(np.linalg.norm(unit))
-    if unorm > 0 and float(np.linalg.norm(unit - recon)) > 1e-8 * unorm:
+    if unorm > 0 and not float(np.linalg.norm(unit - recon)) <= 1e-8 * unorm:
         raise RuntimeError("eigendecomposition failed to reconstruct input")
     evals = evals[::-1].copy()
     rank_t, rank_e = effective_rank(evals, policy)

@@ -14,7 +14,8 @@ expansion, the per-point arrays of the space-time grid built eagerly
 by repeat, tile and outer product, the dense per-point routes that
 the factored Gram, projection and the separable ensemble rows replace,
 the band's time basis as one complex SVD over every time node with each
-wave's time coordinates through its real lift, as first written,
+wave's time coordinates through its real lift, as first written, and the
+basis that the ensemble's centred parity parts stand for, on every node,
 a dense ball quadrature of the truncation error, and the same error's
 Lommel tail sum term by term in extended precision.
 """
@@ -322,6 +323,31 @@ def pointwise_field_rows(fields, grid) -> np.ndarray:
                  + 2.0 * math.pi * pws.frequencies * grid.times[:, None])
         rows.append((np.exp(1j * phase) @ pws.amplitudes) * sw)
     return np.array(rows)
+
+
+def band_time_basis(fields, grid) -> np.ndarray:
+    """(time nodes, L) orthonormal columns Q whose span holds every weighted
+    time function sqrt(w_t) e^{2 pi i f t} with f in [f_lo, f_hi], the
+    fields' lowest and highest frequency, up to rounding, in the row
+    convention: y Q Q^H = y for such a row y.
+
+    Q = e^{-2 pi i f_c tau} [E, O], the basis that the ensemble's parts
+    stand for: E and O are the parts ``even`` and ``odd`` of
+    ``rankcheck._band_time_halves`` on every node, unscaled from
+    sqrt(mu w_t) to 1 / sqrt(mu) at tau >= 0 and mirrored with the sign of
+    their parity, so both are real and orthonormal and E^T O = 0.
+    """
+    centre, _, tau, even, odd = rankcheck._band_time_halves(fields, grid)
+    n_t = len(grid.axes["t_nodes"])
+    skip = n_t % 2
+    mu = np.full(len(tau), 2.0)
+    mu[:skip] = 1.0
+    rows = mu * np.sqrt(grid.axes["t_weights"][n_t // 2:])
+    upper = np.hstack([even, odd]) / rows[:, None]
+    parity = np.repeat([1.0, -1.0], [even.shape[1], odd.shape[1]])
+    columns = np.concatenate([upper[skip:][::-1] * parity, upper])
+    tau = np.concatenate([-tau[skip:][::-1], tau])
+    return columns * np.exp(-2j * math.pi * centre * tau)[:, None]
 
 
 def complex_band_time_basis(fields, grid) -> np.ndarray:

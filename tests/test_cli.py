@@ -767,6 +767,10 @@ def test_verify_spectrum_csv_export(tmp_path):
     # Gram entries (2D) and quadrature weights (3D) beyond the float range.
     ["--R", "1e154", "--c", "1e159", *EXTREME],
     ["--R", "1e150", "--c", "1e155", "--dim", "3d", *EXTREME],
+    # Subnormal windows: the time nodes round off the symmetric axis (5e-324,
+    # 1e-310), or the ensemble's covariance is subnormal (1e-320).
+    *(["--T", T, "--resolution", "8,24,21", "--fields", "2", "--waves", "3"]
+      for T in ("5e-324", "1e-320", "1e-310")),
 ], ids=lambda bad: " ".join(bad[:4]))
 def test_verify_rejects_bad_arguments(bad, tmp_path, capsys):
     rc = main(["verify", *NARROW_FLAGS, *bad, "-o", str(tmp_path / "v.json")])

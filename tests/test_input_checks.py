@@ -18,7 +18,7 @@ from wavedof import (Dimension, PhysicalConfig, RankPolicy, WaveVector,
                      truncation_degree)
 from wavedof.bounds import ConfigError, bound_values
 from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values,
-                           jacobi_anger_values)
+                           jacobi_anger_partial, jacobi_anger_values)
 from wavedof.specfun import norm_assoc_legendre_table
 
 TWO_D = Dimension.TWO_D
@@ -125,6 +125,18 @@ REJECTIONS = {
         lambda: jacobi_anger_values(WaveVector.from_frequency(1.0, (1.0, 0.0), 1.0),
                                     np.zeros((1, 2)), -1),
         ValueError, "N must be >= 0"),
+    "jacobi_anger-3-components-on-a-2d-wave": (
+        lambda: jacobi_anger_partial(WaveVector.from_frequency(1.0, (1.0, 0.0), 1.0),
+                                     (0.3, 0.1, 0.5), 4),
+        ValueError, r"points of a 2D wave must have shape \(P, 2\), got \(1, 3\)"),
+    "jacobi_anger-1-component": (
+        lambda: jacobi_anger_partial(WaveVector.from_frequency(1.0, (1.0, 0.0), 1.0),
+                                     (0.3,), 4),
+        ValueError, r"points of a 2D wave must have shape \(P, 2\), got \(1, 1\)"),
+    "jacobi_anger-2-components-on-a-3d-wave": (
+        lambda: jacobi_anger_values(
+            WaveVector.from_frequency(1.0, (0.0, 0.0, 1.0), 1.0), np.zeros((4, 2)), 4),
+        ValueError, r"points of a 3D wave must have shape \(P, 3\), got \(4, 2\)"),
     "synthesize_field-no-waves": (lambda: synthesize_field(TWO_D, CAL_2D, 0, seed=1),
                                   ValueError, "num_waves must be >= 1"),
     "project_field-misaligned": (

@@ -710,8 +710,8 @@ def test_project_mixed_bins_matches_dense_oracle():
     cfg = PhysicalConfig(R=1.0 / E_PI, W=0.001, T=0.2, f0=10.5, c=1.0)
     grid = build_grid(TWO_D, cfg, (8, 31, 20))
     modes = [ModeIndex(i, 0, m, TWO_D) for i in (2, 3) for m in range(-3, 4)]
-    assert weighted_gram(modes, grid.axes, cfg)[1].dtype == complex
-    assert all(weighted_gram(half, grid.axes, cfg)[1].dtype == float
+    assert weighted_gram(modes, grid, cfg)[1].dtype == complex
+    assert all(weighted_gram(half, grid, cfg)[1].dtype == float
                for half in (modes[:7], modes[7:]))
     pws = synthesize_field(TWO_D, cfg, 16, seed=3)
     samples = field_values(pws, grid.points, grid.times)

@@ -14,15 +14,16 @@ from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
                      enumerate_modes, gram_of_modes, synthesize_field,
                      truncation_degree, truncation_error)
 from wavedof import cli, rankcheck
+from wavedof import modes as modes_module
 from wavedof.bounds import ConfigError, ModeCapError
 from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values, mode_matrix,
                            project_field)
 from wavedof.specfun import cos_sin
 
-from oracles import (charpoly_eigenvalues, complex_band_time_basis, dense_gram,
-                     eager_grid_arrays, ensemble_covariance, lift_time_coordinates,
-                     lommel_tail_reference, pointwise_field_rows,
-                     pointwise_truncation_error)
+from oracles import (band_time_basis, charpoly_eigenvalues, complex_band_time_basis,
+                     dense_gram, eager_grid_arrays, ensemble_covariance,
+                     lift_time_coordinates, lommel_tail_reference,
+                     pointwise_field_rows, pointwise_truncation_error)
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -194,6 +195,65 @@ def test_grid_rejects_zero_measure():
 
 def test_grid_is_its_axes():
     assert [f.name for f in dataclasses.fields(SpaceTimeGrid)] == ["axes"]
+
+
+def _warped(grid, key, warp):
+    return dict(grid.axes, **{key: warp(grid.axes[key])})
+
+
+@pytest.mark.parametrize("dim, key, warp, message", [
+    (TWO_D, "t_nodes", lambda t: t ** 1.3, "the grid needs a time axis symmetric"),
+    (TWO_D, "t_weights", lambda w: w * np.linspace(1.0, 1.1, len(w)),
+     "the grid needs a time axis symmetric"),
+    (TWO_D, "space_weights", lambda w: np.concatenate([w, w]),
+     r"grid space_weights have shape \(384,\), not \(192,\)"),
+    (TWO_D, "r_weights", lambda w: w[:-1],
+     r"grid r_weights have shape \(7,\), not \(8,\)"),
+    (TWO_D, "directions", lambda d: d[:-1],
+     r"grid directions have shape \(23, 2\), not \(24, 2\)"),
+    (THREE_D, "mu_nodes", lambda mu: mu[1:],
+     r"grid mu_weights have shape \(4,\), not \(3,\)"),
+    (THREE_D, "directions", lambda d: d[:, :2],
+     r"grid directions have shape \(32, 2\), not \(32, 3\)"),
+], ids=["t-nodes-warped", "t-weights-warped", "space-weights-doubled",
+        "r-weights-short", "directions-short", "mu-nodes-short", "directions-2d-in-3d"])
+def test_grid_contract_refuses_a_broken_layout(dim, key, warp, message):
+    # CAL_2D's (8, 24, 52) grid, or a small 3D one (4 mu x 8 phi nodes).
+    resolution = (8, 24, 52) if dim is TWO_D else (2, 4, 6)
+    with pytest.raises(ConfigError, match=f"^{message}"):
+        SpaceTimeGrid(_warped(build_grid(dim, CAL_2D, resolution), key, warp))
+
+
+def test_grid_contract_refuses_before_any_reader_runs(monkeypatch):
+    # The t_nodes**1.3 grid once gave a real Gram 7.3% off dense_gram at
+    # CAL_2D; no reader of its axes now sees it.
+    g = build_grid(TWO_D, CAL_2D, (8, 24, 52))
+    axes = _warped(g, "t_nodes", lambda t: t ** 1.3)
+    modes = enumerate_modes(TWO_D, CAL_2D)
+    fields = [synthesize_field(TWO_D, CAL_2D, 4, seed=j) for j in range(2)]
+
+    def unreached(*args, **kwargs):
+        raise AssertionError("a reader ran on a grid that breaks the contract")
+
+    monkeypatch.setattr(rankcheck, "weighted_gram", unreached)
+    monkeypatch.setattr(rankcheck, "_weighted_field_blocks", unreached)
+    monkeypatch.setattr(modes_module, "weighted_gram", unreached)
+    for call in (lambda: gram_of_modes(modes, SpaceTimeGrid(axes), CAL_2D),
+                 lambda: project_field(np.zeros(len(g)), modes, SpaceTimeGrid(axes),
+                                       CAL_2D),
+                 lambda: ensemble_spectrum(fields, SpaceTimeGrid(axes))):
+        with pytest.raises(ConfigError, match="time axis symmetric"):
+            call()
+
+
+def test_grid_contract_holds_for_build_grid_at_any_scale():
+    # build_grid raises if its grid breaks the contract: 12 windows from
+    # 1e-300 to 1e300 s, 12 time-node counts from 1 to 400.
+    counts = (1, 2, 3, 4, 5, 21, 52, 99, 128, 255, 333, 400)
+    for T in np.logspace(-300, 300, 12):
+        cfg = PhysicalConfig(R=1.0, W=0.0, T=float(T), f0=1.0, c=1.0)
+        for n_t in counts:
+            build_grid(THREE_D if n_t % 2 else TWO_D, cfg, (1, 2, n_t))
 
 
 @pytest.mark.parametrize("kwargs", [{"eta": 2.0}, {"epsilon": 1.0}])
@@ -374,7 +434,7 @@ BASIS_CASES = pytest.mark.parametrize("dim, cfg, resolution, waves, columns", [
 def test_band_time_basis(dim, cfg, resolution, waves, columns):
     g = build_grid(dim, cfg, resolution)
     fields = [synthesize_field(dim, cfg, waves, seed=1 + 1000 * j) for j in range(4)]
-    q = rankcheck._band_time_basis(fields, g)
+    q = band_time_basis(fields, g)
     assert q.shape[0] == resolution[2]
     assert columns[0] <= q.shape[1] <= columns[1]
     assert np.max(np.abs(q.conj().T @ q - np.eye(q.shape[1]))) <= 1e-14
@@ -394,7 +454,7 @@ def test_band_time_basis_is_centred_real_and_parity_split(dim, cfg, resolution,
     # tau = t - t_c, which is exactly odd on the symmetric time nodes.
     g = build_grid(dim, cfg, resolution)
     fields = [synthesize_field(dim, cfg, waves, seed=1 + 1000 * j) for j in range(4)]
-    q = rankcheck._band_time_basis(fields, g)
+    q = band_time_basis(fields, g)
     centre = rankcheck._band_time_halves(fields, g)[0]
     t = g.axes["t_nodes"]
     tau = (t - t[::-1]) / 2.0
@@ -426,7 +486,7 @@ def test_ensemble_matches_complex_basis_reference(dim, cfg, resolution, fields,
     assert (got.rank_threshold, got.rank_energy) == (want.rank_threshold,
                                                      want.rank_energy)
     assert round(got.trace, 12) == round(want.trace, 12)
-    assert (rankcheck._band_time_basis(ens, g).shape
+    assert (band_time_basis(ens, g).shape
             == complex_band_time_basis(ens, g).shape)
 
 
@@ -440,6 +500,16 @@ def test_ensemble_rejects_an_asymmetric_time_axis():
         axes = dict(g.axes, **{key: warp(g.axes[key])})
         with pytest.raises(ValueError, match="time axis symmetric"):
             ensemble_spectrum(fields, SpaceTimeGrid(axes))
+
+
+def test_ensemble_rejects_a_subnormal_covariance():
+    # At T = 1e-320 the grid keeps its symmetric time axis, but the dual
+    # falls to subnormal entries of two or three digits.
+    cfg = dataclasses.replace(NARROW_2D, T=1e-320)
+    g = build_grid(TWO_D, cfg, (8, 24, 21))
+    fields = [synthesize_field(TWO_D, cfg, 3, seed=j) for j in range(2)]
+    with pytest.raises(ConfigError, match="covariance falls below the normal"):
+        ensemble_spectrum(fields, g)
 
 
 def test_ensemble_rejects_non_finite_time_phases():
@@ -642,7 +712,7 @@ def test_eigen_spectrum_rejects_non_hermitian():
         eigen_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         eigen_spectrum(np.zeros((2, 3)))
-    # NaN passes the Hermitian defect test, whose comparison is then False.
+    # Non-finite entries are refused before the Hermitian defect test.
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError):
             eigen_spectrum(np.array([[1.0, bad], [bad, 1.0]]))
@@ -660,6 +730,27 @@ def test_eigen_spectrum_checks_at_any_finite_scale(scale, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda a: (eigh(a)[0], np.eye(2)))
     with pytest.raises(RuntimeError):
         eigen_spectrum(m)
+
+
+def test_eigen_spectrum_at_a_subnormal_scale():
+    # A complex divide by the subnormal peak would overflow to inf and NaN,
+    # which both checks must fail: the non-Hermitian complex matrix is
+    # refused as its real twin is (eigh reads one triangle only).
+    for dtype in (float, complex):
+        m = np.array([[1e-320, 1e-320], [0.0, 1e-320]], dtype=dtype)
+        with pytest.raises(RuntimeError, match="failed to reconstruct"):
+            eigen_spectrum(m)
+    # A Hermitian one gives its spectrum (warnings are errors here).
+    spec = eigen_spectrum(np.array([[1e-320, 4e-321j], [-4e-321j, 1e-320]]))
+    assert spec.eigenvalues.tolist() == [1.4e-320, 6e-321]
+
+
+def test_eigen_spectrum_fails_a_nan_reconstruction(monkeypatch):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: (eigh(a)[0], np.full((2, 2), math.nan)))
+    with pytest.raises(RuntimeError, match="failed to reconstruct"):
+        eigen_spectrum(np.eye(2))
 
 
 def test_eigen_spectrum_rejects_overflowing_eigenvalues():
