@@ -13,18 +13,25 @@ The default 2D order range is m = 0..N(i), matching the counted set;
 m = -N(i)..N(i), which is what a physical field actually excites.
 
 On a tensor-product grid each mode is a product of one factor per axis
-(radial, polar in 3D, azimuthal, time); :func:`mode_factors` evaluates
-those factors once per axis node, and is the only code that evaluates a
-mode. Its radial factors come from one Bessel table for the whole mode
-set, over every bin's wave-number times every radial node.
-:func:`weighted_gram` returns them with their Gram, formed one axis at a
-time, and alone decides whether that Gram is real; ``rankcheck`` and
-:func:`project_field` both read it.
-:func:`mode_matrix` joins them, column by column, into the dense
-(points x modes) matrix, and :func:`evaluate_mode` is that join on the
-one-node grid through its point. ``project_field`` synthesizes its
-residual with the same join. :func:`diagonal_normalize` alone scales a
-Gram, for ``verify`` and the projection alike.
+(radial, polar in 3D, azimuthal, time), and each factor depends on part
+of the mode's index only: the radial one on its (order, bin), the polar
+one on (n, |m|), the azimuthal one on m and the time one on its bin.
+:func:`_factor_columns` evaluates each axis once per distinct column
+and gives each mode its column's index; it is the only code that
+evaluates a mode, and :func:`mode_factors` gathers its per-mode columns
+from it. The radial factors come from one Bessel table for the whole
+mode set, over every bin's wave-number times every radial node.
+:func:`weighted_gram` returns the distinct columns with their Gram,
+formed one axis at a time over the distinct columns and read at every
+pair of modes, and alone decides whether that Gram is real;
+``rankcheck`` and :func:`project_field` both read it. The projection
+contracts its samples over t against one column per bin and
+synthesizes its residual bin by bin, so it forms no (spatial nodes x
+modes) array. :func:`mode_matrix` joins the per-mode factors, column by
+column, into the dense (points x modes) matrix, and
+:func:`evaluate_mode` is that join on the one-node grid through its
+point. :func:`diagonal_normalize` alone scales a Gram, for ``verify``
+and the projection alike.
 
 The Jacobi-Anger partial sum of a plane wave is likewise one radial
 table times one angular table (:func:`jacobi_anger_values`). The
@@ -33,15 +40,16 @@ a closed-form tail sum over one Bessel column.
 
 A plane-wave field factors the same way: each wave is a space factor
 times a time factor, so :func:`field_values` evaluates one table over
-the distinct positions x distinct times of its sample points and reads
-every point from it. On a tensor-product grid that takes one exponential
-per (spatial node, wave) and per (time node, wave), not per (point,
-wave). Point sets far from a product, such as scattered points, whose
-table would outgrow points x waves, fall back to one exponential per
-(point, wave).
+the distinct positions x distinct times of its sample points (one
+lexsort of the runs of equal consecutive positions, one sort of the
+times) and reads every point from it. On a tensor-product grid that
+takes one exponential per (spatial node, wave) and per (time node,
+wave), not per (point, wave). Point sets far from a product, such as
+scattered points, whose table would outgrow points x waves, fall back
+to one exponential per (point, wave).
 
 Every array exponential here, in :func:`field_values` and in the
-azimuthal and time factors of :func:`mode_factors`, is
+azimuthal and time factors of :func:`_factor_columns`, is
 :func:`~wavedof.specfun.cis`, the library's one e^{i theta} kernel, and
 the 2D angular table cos(m dtheta) of :func:`jacobi_anger_values` is its
 real part from :func:`~wavedof.specfun.cos_sin`; only the scalar
@@ -282,7 +290,7 @@ def jacobi_anger_values(wv: WaveVector, points: np.ndarray, N: int) -> np.ndarra
         raise ValueError(f"points of a {d}D wave must have shape (P, {d}), "
                          f"got {pts.shape}")
     r = np.linalg.norm(pts, axis=-1)
-    r_uni, r_inv = np.unique(r, return_inverse=True)
+    r_uni, r_inv = _distinct_values(r)
     # At r = 0 only the n = 0 radial entry is nonzero, and its angular
     # entry is 1 whatever the direction.
     u = pts / np.where(r > 0, r, 1.0)[:, None]
@@ -362,6 +370,25 @@ def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s[first], inverse[np.cumsum(start) - 1]
 
 
+def _distinct_values(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct values of the 1-D ``a`` in sorted order, inverse index),
+    from one stable sort; ``a == distinct[inverse]``. Of equal values,
+    such as 0.0 and -0.0, the first in ``a`` is kept, as
+    :func:`_distinct_rows` keeps it for a one-column ``a``."""
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    first = np.empty(len(a), dtype=bool)
+    first[:1] = True
+    np.not_equal(s[1:], s[:-1], out=first[1:])
+    distinct = s[first]
+    del s
+    rank = np.cumsum(first)
+    rank -= 1
+    inverse = np.empty_like(order)
+    inverse[order] = rank
+    return distinct, inverse
+
+
 def field_values(pws: PlaneWaveSet, positions: np.ndarray,
                  times: np.ndarray) -> np.ndarray:
     """Evaluate a plane-wave set at sample points (vectorized).
@@ -389,19 +416,63 @@ def field_values(pws: PlaneWaveSet, positions: np.ndarray,
         raise ValueError("sample positions and times must be finite")
     _check_directions(pws.directions, pos.shape[-1])
     u, s_inv = _distinct_rows(pos)
-    tu, t_inv = _distinct_rows(t[:, None])
+    tu, t_inv = _distinct_values(t)
     scattered = len(u) * len(tu) > len(pos) * len(pws)
     with np.errstate(over="ignore", invalid="ignore"):
         k = 2.0 * math.pi * pws.frequencies / pws.c
         omega = 2.0 * math.pi * pws.frequencies
         phases = ([(pos @ pws.directions.T) * k + omega * t[:, None]] if scattered
-                  else [(u @ pws.directions.T) * k, omega[:, None] * tu[:, 0]])
+                  else [(u @ pws.directions.T) * k, omega[:, None] * tu])
     if not all(np.all(np.isfinite(p)) for p in phases):
         raise ConfigError("phases of the plane-wave set leave the float range")
     factors = [specfun.cis(p) for p in phases]
     if scattered:
         return factors[0] @ pws.amplitudes
-    return (factors[0] @ (pws.amplitudes[:, None] * factors[1]))[s_inv, t_inv]
+    table = factors[0] @ (pws.amplitudes[:, None] * factors[1])
+    del phases, factors
+    # Each point's flat index into the table, written over s_inv.
+    s_inv *= len(tu)
+    s_inv += t_inv
+    return table.ravel()[s_inv]
+
+
+def _factor_columns(modes: Sequence[ModeIndex], axes: dict,
+                    cfg: PhysicalConfig) -> dict:
+    """The factors of :func:`mode_factors` over their distinct columns:
+    {axis: (columns, index)}, with mode j's factor on the axis in column
+    index[j] of columns (nodes x D). A radial column is one (order,
+    bin), a polar one (n, |m|), an azimuthal one m and a time one a bin,
+    so each is evaluated once however many modes share it. Raises
+    ValueError when ``modes`` is empty or a mode's ``dim`` is not the
+    grid's."""
+    if len(modes) == 0:
+        raise ValueError("modes must be nonempty")
+    spherical = "mu_nodes" in axes
+    if {md.dim for md in modes} - {Dimension.THREE_D if spherical else Dimension.TWO_D}:
+        raise ValueError("modes and grid differ in dimension")
+    m = np.array([md.m for md in modes])
+    order = np.array([md.n for md in modes]) if spherical else np.abs(m)
+    top = int(order.max())
+    # One radial table for the whole mode set, over k r for every bin's
+    # wave-number k and radial node r, up to the highest order; each
+    # (order, bin) reads its order's row at its bin's columns.
+    col, k, cycles = _bin_columns(modes, cfg)
+    r = axes["r_nodes"]
+    table = specfun.bessel_table(top, np.multiply.outer(k, r).ravel(),
+                                 spherical=spherical)
+    pair, index = _distinct_values(order * len(k) + col)
+    rows = np.add.outer(np.arange(len(r)), pair % len(k) * len(r))
+    out = {"r": (table[pair // len(k), rows], index)}
+    if spherical:
+        plm = specfun.norm_assoc_legendre_table(top, axes["mu_nodes"])
+        pair, index = _distinct_values(order * (top + 1) + np.abs(m))
+        out["mu"] = plm[pair // (top + 1), pair % (top + 1)].T, index
+    m_col, index = _distinct_values(m)
+    sign = np.where((m_col < 0) & (m_col % 2 == 1), -1.0, 1.0)
+    out["phi"] = specfun.cis(np.outer(axes["phi_nodes"], m_col)) * sign, index
+    phase = np.outer(axes["t_nodes"], 2.0 * math.pi * cycles) / cfg.T
+    out["t"] = specfun.cis(phase) / math.sqrt(cfg.T), col
+    return out
 
 
 def mode_factors(modes: Sequence[ModeIndex], axes: dict,
@@ -415,32 +486,13 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
     factor: the Bessel radial factor, the orthonormal Legendre factor,
     e^{i m phi} (negated for odd negative m) and exp(2j pi f t) / sqrt(T),
     with the bin's frequency f and wave-number from :func:`mode_wavenumber`.
-    This is the only code that evaluates a mode. Raises ValueError when
-    ``modes`` is empty or a mode's ``dim`` is not the grid's.
+    Each column is read from the distinct columns of
+    :func:`_factor_columns`, the only code that evaluates a mode. Raises
+    ValueError when ``modes`` is empty or a mode's ``dim`` is not the
+    grid's.
     """
-    if len(modes) == 0:
-        raise ValueError("modes must be nonempty")
-    spherical = "mu_nodes" in axes
-    if {md.dim for md in modes} - {Dimension.THREE_D if spherical else Dimension.TWO_D}:
-        raise ValueError("modes and grid differ in dimension")
-    m = np.array([md.m for md in modes])
-    order = np.array([md.n for md in modes]) if spherical else np.abs(m)
-    # One radial table for the whole mode set, over k r for every bin's
-    # wave-number k and radial node r, up to the highest order; each mode
-    # reads its order's row at its bin's columns.
-    col, k, cycles = _bin_columns(modes, cfg)
-    r = axes["r_nodes"]
-    table = specfun.bessel_table(int(order.max()),
-                                 np.multiply.outer(k, r).ravel(), spherical=spherical)
-    out = {"r": table[order, np.add.outer(np.arange(len(r)), col * len(r))]}
-    if spherical:
-        plm = specfun.norm_assoc_legendre_table(int(order.max()), axes["mu_nodes"])
-        out["mu"] = plm[order, np.abs(m)].T
-    sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
-    out["phi"] = specfun.cis(np.outer(axes["phi_nodes"], m)) * sign
-    phase = np.outer(axes["t_nodes"], 2.0 * math.pi * cycles[col]) / cfg.T
-    out["t"] = specfun.cis(phase) / math.sqrt(cfg.T)
-    return out
+    return {axis: f[:, index]
+            for axis, (f, index) in _factor_columns(modes, axes, cfg).items()}
 
 
 def _join_columns(u: np.ndarray, factors) -> np.ndarray:
@@ -464,43 +516,48 @@ def mode_matrix(modes: Sequence[ModeIndex], grid, cfg: PhysicalConfig) -> np.nda
 
 def weighted_gram(modes: Sequence[ModeIndex], grid,
                   cfg: PhysicalConfig) -> tuple[dict, np.ndarray]:
-    """(factors, G): the :func:`mode_factors` of ``modes`` on the axes of
-    a ``rankcheck.SpaceTimeGrid``, and their Gram
-    G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)).
+    """(columns, G): the distinct factor columns of ``modes``
+    (:func:`_factor_columns`) on the axes of a ``rankcheck.SpaceTimeGrid``,
+    and their Gram G[p, q] = sum_s w_s mode_p(s) conj(mode_q(s)).
 
     Modes, points and weights are all products over the axes, so the sum
     factors: G is the elementwise product of one weighted Gram per axis,
-    and no (points x modes) matrix is formed. G is real, decided exactly,
-    when the cycles f*T (:func:`_bin_columns`) of every pair of the
-    modes' bins differ by an integer; it is then the float64 product of
-    the axis Grams' real parts, and complex otherwise. The radial and
-    polar Grams sum products of real Bessel and Legendre factors. The
-    azimuthal one is sign_p sign_q (2 pi / n_phi)
-    sum_j e^{i (m_p - m_q) 2 pi j / n_phi}: 2 pi when n_phi divides
-    m_p - m_q, else 0. The time nodes and weights are symmetric about
-    their centre (the grid contract, which ``SpaceTimeGrid`` checks when
-    built), T/2 on a ``build_grid`` grid, so the time one is
-    e^{i pi (c_p - c_q)} times a sum of cos(pi (c_p - c_q) x) over the
-    symmetric nodes x: real
-    whenever c_p - c_q is an integer. Lattice bins have c = i, and a
-    stand-in bin is the only bin of its band, so every mode set of
-    :func:`enumerate_modes` has a real Gram; a hand-built set mixing a
-    stand-in bin with other bins does not. Raises :class:`ConfigError`
-    when an entry leaves the float range.
+    and no (points x modes) matrix is formed. Each axis Gram is formed
+    over the axis's D distinct columns (D x D) and read at every pair of
+    modes' columns. G is real, decided exactly, when the time axis is
+    centred on T/2 (t_0 + t_last within 4 eps T of T, as on every
+    ``build_grid`` grid) and the cycles f*T (:func:`_bin_columns`) of
+    every pair of the modes' bins differ by an integer; it is then the
+    float64 product of the axis Grams' real parts, and complex
+    otherwise. The radial and polar Grams sum products of real Bessel
+    and Legendre factors. The azimuthal one is sign_p sign_q
+    (2 pi / n_phi) sum_j e^{i (m_p - m_q) 2 pi j / n_phi}: 2 pi when
+    n_phi divides m_p - m_q, else 0. The time nodes and weights are
+    symmetric about their centre t_c (the grid contract, which
+    ``SpaceTimeGrid`` checks when built), so the time one is
+    e^{2i pi (c_p - c_q) t_c / T} times a sum of cos(2 pi (c_p - c_q) x / T)
+    over the nodes x = t - t_c: real when t_c = T/2 and c_p - c_q is an
+    integer. Lattice bins have c = i, and a stand-in bin is the only
+    bin of its band, so every mode set of :func:`enumerate_modes` has a
+    real Gram on a ``build_grid`` grid; a hand-built set mixing a
+    stand-in bin with other bins, or a time axis centred elsewhere, does
+    not. Raises :class:`ConfigError` when an entry leaves the float
+    range.
     """
-    factors = mode_factors(modes, grid.axes, cfg)
+    columns = _factor_columns(modes, grid.axes, cfg)
+    t = grid.axes["t_nodes"]
     frac = np.modf(_bin_columns(modes, cfg)[2])[0]
-    real = bool(np.all(frac == frac[:1]))
-    m = factors["t"].shape[1]
-    g = np.ones((m, m), dtype=float if real else complex)
+    real = bool(abs(t[0] + t[-1] - cfg.T) <= 4.0 * np.finfo(float).eps * cfg.T
+                and np.all(frac == frac[:1]))
+    g = np.ones((len(modes),) * 2, dtype=float if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for axis, f in factors.items():
+        for axis, (f, index) in columns.items():
             a = (f * grid.axes[f"{axis}_weights"][:, None]).T @ f.conj()
-            g *= a.real if real else a
+            g *= (a.real if real else a)[index][:, index]
     if not np.all(np.isfinite(g)):
         raise ConfigError("Gram entries leave the float range; the quadrature "
                           "weights of the region are too large")
-    return factors, g
+    return columns, g
 
 
 def diagonal_normalize(g: np.ndarray) -> np.ndarray:
@@ -536,11 +593,15 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
     least as many points as modes. With A the (points x modes) matrix
     of mode values and W the weights, the normal system
     (A^H W A) c = A^H W y is solved axis by axis: A^H W A is the
-    conjugate of :func:`weighted_gram`, A^H W y is contracted over t,
-    then phi, then mu (3D), then r, and the residual synthesizes A c the
-    same way, so A itself is never formed. When the normal matrix is
-    real, which :func:`weighted_gram` decides, its eigenvectors are real
-    and act on the complex right-hand side directly. Raises ValueError for
+    conjugate of :func:`weighted_gram`, A^H W y is contracted over t
+    against each bin's one time column, then over phi bin by bin, then
+    mu (3D), then r. The residual synthesizes A c the other way round:
+    the r [and mu] factors joined per mode, summed over phi into one
+    (spatial nodes) column per bin, and that times the bins' time
+    columns. So neither A nor any (spatial nodes x modes) array is
+    formed. When the normal matrix is real, which :func:`weighted_gram`
+    decides, its eigenvectors are real and act on the complex right-hand
+    side directly. Raises ValueError for
     non-finite samples, :class:`ConfigError` from
     :func:`diagonal_normalize`, and :class:`ProjectionRankError` when a
     mode has no weight on the grid, or when the diagonal-normalized
@@ -554,9 +615,8 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
         raise ValueError("samples must be finite")
     if len(modes) > len(y):
         raise ValueError("more modes than grid points")
-    factors, normal = weighted_gram(modes, grid, cfg)
+    columns, normal = weighted_gram(modes, grid, cfg)
     normal = normal.conj()
-    axes = list(factors)                    # r, [mu], phi, t: t fastest
     diag = np.real(np.diag(normal))
     if np.any(diag <= 0):
         raise ProjectionRankError(
@@ -566,17 +626,38 @@ def project_field(samples: np.ndarray, modes: Sequence[ModeIndex], grid,
         raise ProjectionRankError(
             f"normalized Gram eigenvalue ratio {lam[0] / lam[-1]:.1e} < {_RCOND:g}; "
             "modes dependent or grid under-resolved")
-    # b = A^H W y: t by one matrix product, then each other axis in turn.
-    wf = {a: factors[a].conj() * grid.axes[f"{a}_weights"][:, None] for a in axes}
-    b = y.reshape(-1, len(wf["t"])) @ wf["t"]
-    for a in reversed(axes[:-1]):
-        b = np.einsum("anj,nj->aj", b.reshape(-1, *wf[a].shape), wf[a])
+    ax = grid.axes
+    t_cols, t_index = columns.pop("t")
+    e_cols, e_index = columns.pop("phi")
+    outer = {a: f[:, index] for a, (f, index) in columns.items()}   # r, [mu]
+    # The modes of each bin d = 0..D_t-1, in order.
+    by_bin = np.argsort(t_index, kind="stable")
+    bins = np.split(by_bin, np.flatnonzero(np.diff(t_index[by_bin])) + 1)
+    n_phi = len(e_cols)
+    # b = A^H W y: t against the D_t bin columns, phi bin by bin, then
+    # each outer axis in turn.
+    yt = (t_cols.conj() * ax["t_weights"][:, None]).T @ y.reshape(-1, len(t_cols)).T
+    we = e_cols.conj() * ax["phi_weights"][:, None]
+    b = np.empty((yt.shape[1] // n_phi, len(modes)), dtype=complex)
+    for d, sel in enumerate(bins):
+        b[:, sel] = yt[d].reshape(-1, n_phi) @ we[:, e_index[sel]]
+    for a in reversed(list(outer)):
+        wa = outer[a].conj() * ax[f"{a}_weights"][:, None]
+        b = np.einsum("anj,nj->aj", b.reshape(-1, *wa.shape), wa)
     s = 1.0 / np.sqrt(diag)             # back from unit-diagonal coordinates
     coeffs = s * (vec @ ((vec.conj().T @ (s * b[0])) / lam))
-    # A c: the spatial factors joined into (nodes x modes), then t.
-    u = _join_columns(coeffs[None, :], [factors[a] for a in axes[:-1]])
-    sw = np.sqrt(grid.axes["space_weights"][:, None] * grid.axes["t_weights"]).ravel()
-    resid = np.linalg.norm(((u @ factors["t"].T).ravel() - y) * sw)
+    # A c: the outer factors joined per mode, summed over phi into one
+    # spatial column per bin, then times the bins' time columns.
+    u = _join_columns(coeffs[None, :], outer.values())
+    v = np.empty((t_cols.shape[1], len(u) * n_phi), dtype=complex)
+    for d, sel in enumerate(bins):
+        v[d] = (u[:, sel] @ e_cols[:, e_index[sel]].T).ravel()
+    sw = np.sqrt(np.multiply.outer(ax["space_weights"], ax["t_weights"]))
+    y = y.reshape(sw.shape)
     denom = np.linalg.norm(y * sw)
+    fit = v.T @ t_cols.T
+    fit -= y
+    fit *= sw
+    resid = np.linalg.norm(fit)
     return CoefficientVector(coefficients=coeffs,
                              residual=float(resid / denom) if denom > 0 else 0.0)

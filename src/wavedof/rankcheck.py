@@ -525,9 +525,12 @@ def eigen_spectrum(matrix: np.ndarray,
     whichever is larger; verifies the eigendecomposition reconstructs
     the input to 1e-8 relative in Frobenius norm. Both checks are made
     on the input divided by its largest entry, so they hold at any
-    finite scale.
+    finite scale. A matrix of another dtype, single precision included,
+    is first cast to complex128 (complex) or float64 (otherwise), so
+    ``eigh`` runs in double precision and the 1e-8 check can hold.
     """
     m = np.asarray(matrix)
+    m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if m.size == 0:

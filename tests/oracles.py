@@ -13,6 +13,8 @@ eigenproblems, scalar spherical-harmonic sums for the Jacobi-Anger
 expansion, the per-point arrays of the space-time grid built eagerly
 by repeat, tile and outer product, the dense per-point routes that
 the factored Gram, projection and the separable ensemble rows replace,
+the per-mode factor columns as first written, one column per mode on
+every axis,
 the band's time basis as one complex SVD over every time node with each
 wave's time coordinates through its real lift, as first written, and the
 basis that the ensemble's centred parity parts stand for, on every node,
@@ -29,7 +31,7 @@ import numpy as np
 
 from wavedof import rankcheck, specfun
 from wavedof.bounds import Dimension, PhysicalConfig
-from wavedof.modes import jacobi_anger_values, mode_matrix
+from wavedof.modes import _bin_columns, jacobi_anger_values, mode_matrix
 
 E_PI = math.e * math.pi
 
@@ -304,6 +306,28 @@ def eager_grid_arrays(grid) -> tuple:
     w_space = w_space.ravel()
     return (np.repeat(space, len(t), axis=0), np.tile(t, len(w_space)),
             (w_space[:, None] * ax["t_weights"][None, :]).ravel())
+
+
+def per_mode_factors(modes, axes, cfg) -> dict:
+    """``modes.mode_factors`` as first written: every axis factor evaluated
+    once per mode, with the same tables and the same arithmetic, so the
+    library's gather from the distinct columns must match it bit for bit."""
+    spherical = "mu_nodes" in axes
+    m = np.array([md.m for md in modes])
+    order = np.array([md.n for md in modes]) if spherical else np.abs(m)
+    col, k, cycles = _bin_columns(modes, cfg)
+    r = axes["r_nodes"]
+    table = specfun.bessel_table(int(order.max()),
+                                 np.multiply.outer(k, r).ravel(), spherical=spherical)
+    out = {"r": table[order, np.add.outer(np.arange(len(r)), col * len(r))]}
+    if spherical:
+        plm = specfun.norm_assoc_legendre_table(int(order.max()), axes["mu_nodes"])
+        out["mu"] = plm[order, np.abs(m)].T
+    sign = np.where((m < 0) & (m % 2 == 1), -1.0, 1.0)
+    out["phi"] = specfun.cis(np.outer(axes["phi_nodes"], m)) * sign
+    phase = np.outer(axes["t_nodes"], 2.0 * math.pi * cycles[col]) / cfg.T
+    out["t"] = specfun.cis(phase) / math.sqrt(cfg.T)
+    return out
 
 
 def dense_gram(modes, grid, cfg) -> np.ndarray:

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 import tracemalloc
 import types
 
@@ -199,6 +200,40 @@ def test_python_dash_m(tmp_path):
     assert proc.stderr == ("configuration error: argument --R: "
                            "invalid float value: 'abc'\n")
     assert proc.stdout == ""
+
+
+def test_runs_import_no_numpy_ma(tmp_path):
+    """numpy.ma takes about 15 ms to import, and np.unique imports it on
+    its first call on an integer array (the hash path, without an
+    inverse), so a library path that called it would put that into
+    every run's set-up. A 2D and a 3D verify and a projection, in a
+    fresh interpreter, import none of it."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = textwrap.dedent("""
+        import math, sys
+        from wavedof import (Dimension, PhysicalConfig, build_grid, cli,
+                             enumerate_modes, project_field, synthesize_field)
+        from wavedof.modes import field_values
+        assert cli.main(["verify", "--R", "0.1", "--W", "0.01", "--T", "0.3",
+                         "--F0", "10", "--c", "1", "--dim", "2d",
+                         "--resolution", "8,24,21", "--fields", "4", "--waves", "8",
+                         "-o", "v2.json"]) == 0
+        cfg = PhysicalConfig(R=0.5 / (math.e * math.pi), W=1.0, T=1.0, f0=2.0, c=1.0)
+        assert cli.main(["verify", "--R", repr(cfg.R), "--W", "1", "--T", "1",
+                         "--F0", "2", "--c", "1", "--dim", "3d",
+                         "--resolution", "4,5,20", "--fields", "2", "--waves", "4",
+                         "-o", "v3.json"]) == 0
+        grid = build_grid(Dimension.THREE_D, cfg, (4, 5, 20))
+        pws = synthesize_field(Dimension.THREE_D, cfg, 4, seed=1)
+        project_field(field_values(pws, grid.points, grid.times),
+                      enumerate_modes(Dimension.THREE_D, cfg), grid, cfg)
+        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_help_exits_zero(capsys):

@@ -13,12 +13,13 @@ from wavedof import (ConfigError, Dimension, ModeCapError, PhysicalConfig,
                      mode_wavenumber, plane_wave, project_field, synthesize_field,
                      truncation_degree)
 from wavedof.modes import (ModeIndex, PlaneWaveSet, ProjectionRankError,
-                           _distinct_rows, field_values, jacobi_anger_values,
-                           mode_factors, mode_matrix, weighted_gram)
+                           _distinct_rows, _distinct_values, _factor_columns,
+                           field_values, jacobi_anger_values, mode_factors,
+                           mode_matrix, weighted_gram)
 from wavedof.specfun import bessel_table, cos_sin
 
-from oracles import (dense_projection, distinct_rows_reference,
-                     jacobi_anger_scalar, scalar_mode_value)
+from oracles import (dense_gram, dense_projection, distinct_rows_reference,
+                     jacobi_anger_scalar, per_mode_factors, scalar_mode_value)
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -27,6 +28,23 @@ CAL_3D = PhysicalConfig(R=1.0 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
 HALF_CAL_3D = PhysicalConfig(R=0.5 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0)
 CAL_2D = CAL_3D
 GRID_2D = build_grid(TWO_D, CAL_2D, (8, 24, 52))
+# No i/T in [F0 - W, F0 + W]: one stand-in bin, i = 2, at F0 = 10.5 Hz.
+STAND_IN = PhysicalConfig(R=1.0 / E_PI, W=0.001, T=0.2, f0=10.5, c=1.0)
+
+#: (dim, cfg, modes, resolution) of the factored-path tests: a hand-built
+#: set last, mixing the stand-in bin 2 with bin 3, whose bins and orders
+#: m repeat out of order
+FACTORED_SETS = [
+    (TWO_D, CAL_2D, enumerate_modes(TWO_D, CAL_2D), (8, 24, 52)),
+    (TWO_D, CAL_2D, enumerate_modes(TWO_D, CAL_2D, two_sided=True), (8, 24, 52)),
+    (THREE_D, HALF_CAL_3D, enumerate_modes(THREE_D, HALF_CAL_3D), (5, 8, 20)),
+    (TWO_D, STAND_IN, enumerate_modes(TWO_D, STAND_IN, two_sided=True), (8, 31, 20)),
+    (TWO_D, STAND_IN, [ModeIndex(i, 0, m, TWO_D) for i, m in
+                       [(3, 2), (2, -1), (3, -3), (2, 2), (3, 0), (2, 0), (2, 3),
+                        (3, 1), (2, 1), (3, -2)]], (8, 31, 20)),
+]
+FACTORED_IDS = ["2d-one-sided", "2d-two-sided", "3d-121-modes", "stand-in-bin",
+                "mixed-bins"]
 
 
 def test_enumerate_counts_match_exact_sums():
@@ -177,6 +195,56 @@ def test_mode_factors_radial_matches_per_bin_tables(dim, cfg, res, two_sided, n_
     floor = 1e-10 * np.max(np.abs(want), axis=0)
     err = np.abs(got - want) / np.maximum(np.abs(want), floor)
     assert err.max() <= 1e-13, err.max()
+
+
+@pytest.mark.parametrize("dim, cfg, modes, res", FACTORED_SETS, ids=FACTORED_IDS)
+def test_mode_factors_gather_matches_per_mode_columns(dim, cfg, modes, res):
+    """Each axis factor is evaluated once per distinct column (one time
+    column per bin) and gathered per mode; the gather is bit-identical
+    to evaluating every mode's own column."""
+    axes = build_grid(dim, cfg, res).axes
+    got, want = mode_factors(modes, axes, cfg), per_mode_factors(modes, axes, cfg)
+    assert list(got) == list(want)
+    for axis in want:
+        assert got[axis].shape == want[axis].shape, axis
+        assert got[axis].tobytes() == want[axis].tobytes(), axis
+    columns = _factor_columns(modes, axes, cfg)
+    assert columns["t"][0].shape[1] == len({md.i for md in modes})
+    assert columns["phi"][0].shape[1] == len({md.m for md in modes})
+
+
+@pytest.mark.parametrize("dim, cfg, modes, res", FACTORED_SETS, ids=FACTORED_IDS)
+def test_factored_gram_and_projection_match_dense_oracles(dim, cfg, modes, res):
+    grid = build_grid(dim, cfg, res)
+    dense = dense_gram(modes, grid, cfg)
+    gram = weighted_gram(modes, grid, cfg)[1]
+    assert np.max(np.abs(gram - dense)) <= 1e-13 * np.max(np.abs(dense))
+    samples = field_values(synthesize_field(dim, cfg, 16, seed=3), grid.points,
+                           grid.times)
+    got = project_field(samples, modes, grid, cfg)
+    coeffs, residual = dense_projection(samples, modes, grid, cfg)
+    assert np.max(np.abs(got.coefficients - coeffs)) <= 1e-10 * np.max(np.abs(coeffs))
+    assert abs(got.residual - residual) <= 1e-10
+
+
+def test_project_memory_forms_no_space_by_modes_array():
+    """At the 3D benchmark point (121 modes, 8,13,52: 140,608 points)
+    the projection's largest arrays are point-sized: the fit and the
+    weights' square roots, or those roots and the weighted samples;
+    it peaks at 4.1 MiB. Joining the spatial factors into (spatial nodes
+    x modes), as it once did, peaked at 10.9 MiB."""
+    grid = build_grid(THREE_D, HALF_CAL_3D, (8, 13, 52))
+    modes = enumerate_modes(THREE_D, HALF_CAL_3D)
+    samples = field_values(synthesize_field(THREE_D, HALF_CAL_3D, 8, seed=2),
+                           grid.points, grid.times)
+    project_field(samples, modes, grid, HALF_CAL_3D)
+    tracemalloc.start()
+    try:
+        project_field(samples, modes, grid, HALF_CAL_3D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * len(grid), peak
 
 
 def test_evaluate_mode_at_center():
@@ -347,6 +415,23 @@ def test_distinct_rows_match_plain_lexsort():
     for a in cases:
         got, want = _distinct_rows(a), distinct_rows_reference(a)
         assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+        assert np.array_equal(got[1], want[1])
+
+
+def test_distinct_values_match_plain_lexsort():
+    """field_values finds its distinct times by one stable sort, with the
+    output of one lexsort over the one-column rows: in grid order,
+    shuffled, with 0.0 and -0.0 (the first of them in the input is
+    kept), a single time and none."""
+    rng = np.random.default_rng(13)
+    t = GRID_2D.times
+    signed = rng.choice([0.0, -0.0, 0.5, -0.5], 200)
+    cases = [t, t[rng.permutation(len(t))], signed, -signed, np.array([-0.0, 0.0]),
+             np.array([0.0, -0.0]), np.array([0.25]), np.zeros(0)]
+    for a in cases:
+        got, want = _distinct_values(a), distinct_rows_reference(a[:, None])
+        assert got[0].tobytes() == want[0][:, 0].tobytes()
+        assert got[0].shape == want[0][:, 0].shape
         assert np.array_equal(got[1], want[1])
 
 

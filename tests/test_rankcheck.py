@@ -17,7 +17,7 @@ from wavedof import cli, rankcheck
 from wavedof import modes as modes_module
 from wavedof.bounds import ConfigError, ModeCapError
 from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values, mode_matrix,
-                           project_field)
+                           project_field, weighted_gram)
 from wavedof.specfun import cos_sin
 
 from oracles import (band_time_basis, charpoly_eigenvalues, complex_band_time_basis,
@@ -254,6 +254,36 @@ def test_grid_contract_holds_for_build_grid_at_any_scale():
         cfg = PhysicalConfig(R=1.0, W=0.0, T=float(T), f0=1.0, c=1.0)
         for n_t in counts:
             build_grid(THREE_D if n_t % 2 else TWO_D, cfg, (1, 2, n_t))
+
+
+def test_build_grid_keeps_the_real_gram_at_any_scale():
+    # Bins 0 and 1 differ by one whole cycle over T; build_grid centres
+    # its time axis on T/2 to within eps T for these 12 windows from
+    # 1e-300 to 1e300 s and 12 node counts, so their Gram stays real.
+    modes = [ModeIndex(0, 0, 0, TWO_D), ModeIndex(1, 0, 1, TWO_D)]
+    for T in np.logspace(-300, 300, 12):
+        cfg = PhysicalConfig(R=1.0, W=0.0, T=float(T), f0=1.0 / T, c=1.0 / T)
+        for n_t in (1, 2, 3, 4, 5, 21, 52, 99, 128, 255, 333, 400):
+            gram = weighted_gram(modes, build_grid(TWO_D, cfg, (1, 3, n_t)), cfg)[1]
+            assert gram.dtype == np.float64, (T, n_t)
+
+
+def test_gram_on_a_time_axis_not_centred_on_half_the_window():
+    """The build_grid time axis times 0.7 is symmetric about 0.35 T, so it
+    keeps the grid contract, but a time Gram about that centre is not
+    real even for lattice bins: the Gram takes the complex path and
+    matches dense_gram, where the real one was 24.6% of its largest
+    entry off."""
+    g = build_grid(TWO_D, CAL_2D, (8, 24, 52))
+    grid = SpaceTimeGrid(dict(g.axes, t_nodes=0.7 * g.axes["t_nodes"],
+                              t_weights=0.7 * g.axes["t_weights"]))
+    modes = enumerate_modes(TWO_D, CAL_2D)
+    dense = dense_gram(modes, grid, CAL_2D)
+    gram = gram_of_modes(modes, grid, CAL_2D)
+    assert gram.dtype == np.complex128
+    assert np.max(np.abs(gram.imag)) > 1e-3 * np.max(np.abs(gram))
+    assert np.max(np.abs(gram - dense)) <= 1e-13 * np.max(np.abs(dense))
+    _assert_spectrum_matches_dense(gram, dense)
 
 
 @pytest.mark.parametrize("kwargs", [{"eta": 2.0}, {"epsilon": 1.0}])
@@ -743,6 +773,22 @@ def test_eigen_spectrum_at_a_subnormal_scale():
     # A Hermitian one gives its spectrum (warnings are errors here).
     spec = eigen_spectrum(np.array([[1e-320, 4e-321j], [-4e-321j, 1e-320]]))
     assert spec.eigenvalues.tolist() == [1.4e-320, 6e-321]
+
+
+@pytest.mark.parametrize("matrix, spectrum", [
+    (np.array([[1, 2j], [-2j, 1]], dtype=np.complex64), [3.0, -1.0]),
+    (np.array([[2, 1], [1, 2]], dtype=np.float32), [3.0, 1.0]),
+], ids=["complex64", "float32"])
+def test_eigen_spectrum_of_single_precision(matrix, spectrum):
+    # eigh runs in double precision, so the 1e-8 reconstruction check
+    # holds and the spectrum is that of the float64 matrix.
+    spec = eigen_spectrum(matrix)
+    want = eigen_spectrum(matrix.astype(complex if matrix.dtype.kind == "c" else float))
+    assert spec.eigenvalues.dtype == np.float64
+    assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert np.allclose(spec.eigenvalues, spectrum, rtol=0, atol=1e-15)
+    assert (spec.trace, spec.rank_threshold, spec.rank_energy) == (
+        want.trace, want.rank_threshold, want.rank_energy)
 
 
 def test_eigen_spectrum_fails_a_nan_reconstruction(monkeypatch):
