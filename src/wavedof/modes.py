@@ -437,12 +437,14 @@ def field_values(pws: PlaneWaveSet, positions: np.ndarray,
 
 
 def _factor_columns(modes: Sequence[ModeIndex], axes: dict,
-                    cfg: PhysicalConfig) -> dict:
-    """The factors of :func:`mode_factors` over their distinct columns:
-    {axis: (columns, index)}, with mode j's factor on the axis in column
-    index[j] of columns (nodes x D). A radial column is one (order,
-    bin), a polar one (n, |m|), an azimuthal one m and a time one a bin,
-    so each is evaluated once however many modes share it. Raises
+                    cfg: PhysicalConfig) -> tuple[dict, np.ndarray]:
+    """(factors, cycles): the factors of :func:`mode_factors` over their
+    distinct columns, {axis: (columns, index)}, with mode j's factor on the
+    axis in column index[j] of columns (nodes x D), and the cycles f*T of
+    the bins, one per time column (:func:`_bin_columns`). A radial column
+    is one (order, bin), a polar one (n, |m|), an azimuthal one m and a
+    time one a bin, so each is evaluated once however many modes share
+    it. Raises
     ValueError when ``modes`` is empty or a mode's ``dim`` is not the
     grid's."""
     if len(modes) == 0:
@@ -472,7 +474,7 @@ def _factor_columns(modes: Sequence[ModeIndex], axes: dict,
     out["phi"] = specfun.cis(np.outer(axes["phi_nodes"], m_col)) * sign, index
     phase = np.outer(axes["t_nodes"], 2.0 * math.pi * cycles) / cfg.T
     out["t"] = specfun.cis(phase) / math.sqrt(cfg.T), col
-    return out
+    return out, cycles
 
 
 def mode_factors(modes: Sequence[ModeIndex], axes: dict,
@@ -492,7 +494,7 @@ def mode_factors(modes: Sequence[ModeIndex], axes: dict,
     grid's.
     """
     return {axis: f[:, index]
-            for axis, (f, index) in _factor_columns(modes, axes, cfg).items()}
+            for axis, (f, index) in _factor_columns(modes, axes, cfg)[0].items()}
 
 
 def _join_columns(u: np.ndarray, factors) -> np.ndarray:
@@ -526,7 +528,7 @@ def weighted_gram(modes: Sequence[ModeIndex], grid,
     over the axis's D distinct columns (D x D) and read at every pair of
     modes' columns. G is real, decided exactly, when the time axis is
     centred on T/2 (t_0 + t_last within 4 eps T of T, as on every
-    ``build_grid`` grid) and the cycles f*T (:func:`_bin_columns`) of
+    ``build_grid`` grid) and the cycles f*T (:func:`_factor_columns`) of
     every pair of the modes' bins differ by an integer; it is then the
     float64 product of the axis Grams' real parts, and complex
     otherwise. The radial and polar Grams sum products of real Bessel
@@ -544,9 +546,9 @@ def weighted_gram(modes: Sequence[ModeIndex], grid,
     not. Raises :class:`ConfigError` when an entry leaves the float
     range.
     """
-    columns = _factor_columns(modes, grid.axes, cfg)
+    columns, cycles = _factor_columns(modes, grid.axes, cfg)
     t = grid.axes["t_nodes"]
-    frac = np.modf(_bin_columns(modes, cfg)[2])[0]
+    frac = np.modf(cycles)[0]
     real = bool(abs(t[0] + t[-1] - cfg.T) <= 4.0 * np.finfo(float).eps * cfg.T
                 and np.all(frac == frac[:1]))
     g = np.ones((len(modes),) * 2, dtype=float if real else complex)

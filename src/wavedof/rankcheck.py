@@ -17,8 +17,18 @@ wave is a product over the same axes, and so is each weight, so the Gram
 matrix and the ensemble are assembled axis by axis: the Gram matrix is
 the elementwise product of one small weighted Gram per axis, and each
 ensemble field is a (spatial nodes x waves) by (waves x time nodes)
-matrix product. When the azimuth count is even, every spatial node x has
-its antipode -x on the grid with the same weight, and a field at -x is
+matrix product. The ensemble's dual has two routes, chosen from its
+shape alone (:func:`_pair_route_is_cheaper`): F fields, the longest of W
+waves, n_t time nodes. For few waves in all, (F W)^2 < 2 F (F + W) n_t
+with F W <= 256, it is summed over pairs of waves
+(:func:`_pair_dual`): the grid's quadratures K_s and K_t of the
+plane-wave correlation e^{i (k_w - k_v).x} e^{2 pi i (f_w - f_v) t}
+(Kennedy, Sadeghi, Abhayapala & Jones, IEEE TSP 55(6), 2007), each the
+symmetric product of one cos and sin table over runs of nodes, with no
+time basis; verify3d (4 x 16) takes it. Otherwise (verify2d, 128 x 64)
+the fields are blocked as follows. When the azimuth count is even,
+every spatial node x has its antipode -x on the grid with the same
+weight, and a field at -x is
 the one at x with its space phases conjugated; so the ensemble takes one
 cos and sin pair per (antipodal node pair, wave) and never forms the two
 fields; the pairs come from one fold, :func:`_antipodal_fold`. In 2D
@@ -313,6 +323,68 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
 _BLOCK_ENTRIES = 1 << 17
 
 
+def _half_time_axis(grid: SpaceTimeGrid) -> tuple[float, np.ndarray, np.ndarray]:
+    """(t_c, tau, rows): the centre t_c of the window, the h = ceil(n_t / 2)
+    offsets tau = t - t_c >= 0 of the time nodes at or after it, and
+    sqrt(mu w_t) at those nodes, mu = 2 for a node and its mirror, 1 at
+    the centre node of an odd n_t.
+
+    The grid's time nodes and weights are symmetric about t_c (the
+    :class:`SpaceTimeGrid` contract), so tau, formed as half the
+    difference of each node and its mirror, is exactly odd, and a sum
+    over every node of w_t times a function even in tau is the sum over
+    these nodes with rows**2 as weights."""
+    t, wt = grid.axes["t_nodes"], grid.axes["t_weights"]
+    n_t = len(t)
+    tau = ((t - t[::-1]) / 2.0)[n_t // 2:]
+    mu = np.full(len(tau), 2.0)
+    mu[:n_t % 2] = 1.0
+    return (t[0] + t[-1]) / 2.0, tau, np.sqrt(mu * wt[n_t // 2:])
+
+
+def _centred_waves(fields: Sequence[PlaneWaveSet], centre: float,
+                   t_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, amps), (fields, waves) each, every field's waves zero-padded
+    to the longest field: delta = 2 pi (f - centre) and a e^{2 pi i f t_c},
+    so that a e^{2 pi i f t} = amps e^{2 pi i centre tau} e^{i delta tau}
+    with tau = t - t_c. Padded waves have amplitude 0 and delta 0. Raises
+    :class:`ConfigError` when a phase 2 pi f t_c leaves the float range."""
+    n_f, n_w = len(fields), max(len(pws) for pws in fields)
+    delta = np.zeros((n_f, n_w))
+    at_centre = np.zeros((n_f, n_w))
+    amps = np.zeros((n_f, n_w), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, pws in enumerate(fields):
+            n = len(pws)
+            delta[f, :n] = 2.0 * math.pi * (pws.frequencies - centre)
+            at_centre[f, :n] = 2.0 * math.pi * pws.frequencies * t_c
+            amps[f, :n] = pws.amplitudes
+    if not np.all(np.isfinite(at_centre)):
+        raise ConfigError("time phases of the ensemble leave the float range")
+    c, s = cos_sin(at_centre, out=(at_centre, np.empty_like(at_centre)))
+    amps *= c + 1j * s
+    return delta, amps
+
+
+def _wave_vectors(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> np.ndarray:
+    """(dim, fields x waves) wave vectors k times each wave's direction,
+    every field's waves side by side and zero-padded to the longest field
+    (padded waves have k = 0). Raises :class:`ConfigError` when a phase
+    k.x on the grid may leave the float range."""
+    dim = grid.axes["directions"].shape[1]
+    n_f, n_w = len(fields), max(len(pws) for pws in fields)
+    kvec = np.zeros((dim, n_f, n_w))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f, pws in enumerate(fields):
+            kvec[:, f, :len(pws)] = pws.directions.T * (2.0 * math.pi * pws.frequencies
+                                                        / pws.c)
+    # Unit directions make dim max|k_i| max r a bound on every |k.x|.
+    phase_bound = dim * float(np.abs(kvec).max()) * float(grid.axes["r_nodes"].max())
+    if not phase_bound < math.inf:
+        raise ConfigError("phases of the plane-wave set leave the float range")
+    return kvec.reshape(dim, -1)
+
+
 def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     """(f_c, t_c, tau, even, odd): the band's time basis, centred and split
     by parity, on the h = ceil(n_t / 2) time nodes at or after the centre
@@ -348,11 +420,8 @@ def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     parts have full or nearly full rank. Raises :class:`ConfigError` when
     a sampled phase leaves the float range.
     """
-    t, wt = grid.axes["t_nodes"], grid.axes["t_weights"]
-    n_t = len(t)
-    tau = ((t - t[::-1]) / 2.0)[n_t // 2:]
-    mu = np.full(len(tau), 2.0)
-    mu[:n_t % 2] = 1.0
+    t_c, tau, rows = _half_time_axis(grid)
+    n_t = len(grid.axes["t_nodes"])
     freqs = np.concatenate([pws.frequencies for pws in fields])
     lo, hi = float(freqs.min()), float(freqs.max())
     half = (hi - lo) / 2.0
@@ -362,12 +431,11 @@ def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
         phase = np.multiply.outer(2.0 * math.pi * delta, tau)
     if not np.all(np.isfinite(phase)):
         raise ConfigError("time phases of the ensemble leave the float range")
-    rows = np.sqrt(mu * wt[n_t // 2:])
     parts = [np.linalg.svd(p * rows, full_matrices=False)[1:]
              for p in cos_sin(phase, out=(phase, np.empty_like(phase)))]
     cut = max(s[0] for s, _ in parts) * n_t * np.finfo(float).eps
     even, odd = (vh[s > cut].T * rows[:, None] for s, vh in parts)
-    return lo + half, (t[0] + t[-1]) / 2.0, tau, even, odd
+    return lo + half, t_c, tau, even, odd
 
 
 def _band_time_coordinates(fields: Sequence[PlaneWaveSet],
@@ -388,22 +456,9 @@ def _band_time_coordinates(fields: Sequence[PlaneWaveSet],
     basis, leaves the float range.
     """
     centre, t_c, tau, even, odd = _band_time_halves(fields, grid)
-    n_f, n_w, n_h = len(fields), max(len(pws) for pws in fields), len(tau)
+    delta, amps = _centred_waves(fields, centre, t_c)
+    (n_f, n_w), n_h = delta.shape, len(tau)
     n_e, n_b = even.shape[1], even.shape[1] + odd.shape[1]
-    # Padded waves have amplitude 0 and delta 0.
-    delta = np.zeros((n_f, n_w))
-    at_centre = np.zeros((n_f, n_w))
-    amps = np.zeros((n_f, n_w), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for f, pws in enumerate(fields):
-            n = len(pws)
-            delta[f, :n] = 2.0 * math.pi * (pws.frequencies - centre)
-            at_centre[f, :n] = 2.0 * math.pi * pws.frequencies * t_c
-            amps[f, :n] = pws.amplitudes
-    if not np.all(np.isfinite(at_centre)):
-        raise ConfigError("time phases of the ensemble leave the float range")
-    c, s = cos_sin(at_centre, out=(at_centre, np.empty_like(at_centre)))
-    amps *= c + 1j * s
     coords = np.empty((n_f, n_w, n_b), dtype=complex)
     per = max(1, _BLOCK_ENTRIES // (8 * n_w * n_h))
     for a in range(0, n_f, per):
@@ -449,22 +504,11 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     dim = grid.axes["directions"].shape[1]
     _check_directions(np.concatenate([pws.directions for pws in fields]), dim)
     in_time = _band_time_coordinates(fields, grid)
+    kvec = _wave_vectors(fields, grid)
     directions, w, folded = _antipodal_fold(grid.axes)
     space = _node_coordinates(grid.axes["r_nodes"], directions)
     sw = np.sqrt(w.ravel())
     n_f, n_w, n_b = in_time.shape[0], in_time.shape[1], in_time.shape[2] // 2
-    # kvec holds k times each wave's direction, every field's waves side
-    # by side; padded waves have k = 0.
-    kvec = np.zeros((dim, n_f, n_w))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for f, pws in enumerate(fields):
-            kvec[:, f, :len(pws)] = pws.directions.T * (2.0 * math.pi * pws.frequencies
-                                                        / pws.c)
-    # Unit directions make dim max|k_i| max r a bound on every |k.x|.
-    phase_bound = dim * float(np.abs(kvec).max()) * float(grid.axes["r_nodes"].max())
-    if not phase_bound < math.inf:
-        raise ConfigError("phases of the plane-wave set leave the float range")
-    kvec = kvec.reshape(dim, -1)
     step = max(1, _BLOCK_ENTRIES // (4 * n_f * n_b))
     per = max(1, _BLOCK_ENTRIES // (8 * n_w * step))
     for lo in range(0, len(space), step):
@@ -484,6 +528,108 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
         yield pq.reshape(n_f, -1)
 
 
+def _blocked_dual(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> np.ndarray:
+    """The ensemble's (fields x fields) dual Xw Xw^H, summed over the blocks
+    of :func:`_weighted_field_blocks`, so no (fields x points) array is
+    formed."""
+    dual = np.zeros((len(fields), len(fields)), dtype=complex)
+    for xw in _weighted_field_blocks(fields, grid):
+        dual += xw @ xw.conj().T
+    return dual
+
+
+def _cos_sin_gram(nodes: np.ndarray, vectors: np.ndarray, root_w: np.ndarray,
+                  cross: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """(G, A): the weighted Gram of the cos and sin tables of the phases
+    k.x, over the rows x of ``nodes`` (n x d) with weights root_w**2 and
+    the columns k of ``vectors`` (d x K). G[a, b] is
+    sum_x w (cos k_a.x cos k_b.x + sin k_a.x sin k_b.x), the real part of
+    sum_x w e^{i (k_a - k_b).x}; with ``cross``, A[a, b] is
+    sum_x w sin k_a.x cos k_b.x, so that A - A^T is its imaginary part
+    (else A is None).
+
+    The tables are taken over runs of nodes, each run's cos and sin side by
+    side in one (2, run, K) array within a quarter of ``_BLOCK_ENTRIES``
+    complex entries, and G gathers Z^T Z, Z the run's table as one
+    (2 run x K) matrix: one symmetric product per run."""
+    n_k = vectors.shape[1]
+    step = max(1, _BLOCK_ENTRIES // (4 * n_k))
+    gram = np.zeros((n_k, n_k))
+    odd = np.zeros((n_k, n_k)) if cross else None
+    for lo in range(0, len(nodes), step):
+        x = nodes[lo:lo + step]
+        cs = np.empty((2, len(x), n_k))
+        np.matmul(x, vectors, out=cs[0])
+        cos_sin(cs[0], out=(cs[0], cs[1]))
+        cs *= root_w[lo:lo + step, None]
+        z = cs.reshape(-1, n_k)
+        gram += z.T @ z
+        if cross:
+            odd += cs[1].T @ cs[0]
+    return gram, odd
+
+
+def _pair_dual(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> np.ndarray:
+    """The ensemble's (fields x fields) dual Xw Xw^H through the wave-pair
+    quadrature kernel, with no time basis.
+
+    Field f is sum_{w in f} a_w e^{i k_w.x} e^{2 pi i f_w t}, and the grid's
+    weight is w_x w_t, so the dual is
+    D[f, g] = sum_{w in f, v in g} a_w conj(a_v) K_s(w, v) K_t(w, v), with
+    K_s(w, v) = sum_x w_x e^{i (k_w - k_v).x} and
+    K_t(w, v) = sum_t w_t e^{2 pi i (f_w - f_v) t}: the grid's quadratures
+    of the plane-wave correlation. With t = t_c + tau and the band's centre
+    f_c (see :func:`_centred_waves`), a_w e^{2 pi i f_w t} is
+    amps_w e^{2 pi i f_c tau} e^{i delta_w tau}; the middle factor cancels
+    in each pair, and on the symmetric time axis (:func:`_half_time_axis`)
+    the rest of K_t is real: sum_tau w_t cos((delta_w - delta_v) tau) over
+    the nodes tau >= 0. On a grid with antipodes (:func:`_antipodal_fold`)
+    K_s is real as well, a sum over one node of each pair; otherwise it
+    has the imaginary part A - A^T of :func:`_cos_sin_gram`. Both kernels
+    are (fields x waves) square, every field's waves zero-padded to the
+    longest field, and D sums amps_w (K_s K_t)(w, v) conj(amps_v) over
+    each pair of fields' blocks of waves. Raises :class:`ConfigError`
+    when a time phase or a space phase leaves the float range.
+    """
+    dim = grid.axes["directions"].shape[1]
+    _check_directions(np.concatenate([pws.directions for pws in fields]), dim)
+    freqs = np.concatenate([pws.frequencies for pws in fields])
+    lo, hi = float(freqs.min()), float(freqs.max())
+    t_c, tau, rows = _half_time_axis(grid)
+    delta, amps = _centred_waves(fields, lo + (hi - lo) / 2.0, t_c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        time_bound = float(np.abs(delta).max()) * float(tau[-1])
+    if not time_bound < math.inf:
+        raise ConfigError("time phases of the ensemble leave the float range")
+    kvec = _wave_vectors(fields, grid)
+    directions, w, folded = _antipodal_fold(grid.axes)
+    space = _node_coordinates(grid.axes["r_nodes"], directions)
+    kernel, odd = _cos_sin_gram(space, kvec, np.sqrt(w.ravel()), not folded)
+    if not folded:
+        kernel = kernel + 1j * (odd - odd.T)
+    kernel *= _cos_sin_gram(tau[:, None], delta.reshape(1, -1), rows, False)[0]
+    n_f, n_w = amps.shape
+    by_field = np.einsum("kgv,gv->kg", kernel.reshape(-1, n_f, n_w), amps.conj())
+    return np.einsum("fwg,fw->fg", by_field.reshape(n_f, n_w, n_f), amps)
+
+
+def _pair_route_is_cheaper(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> bool:
+    """Whether :func:`_pair_dual` suits this ensemble's shape: F fields,
+    the longest of W waves, on n_t time nodes.
+
+    Per spatial node the pair route takes about (F W)^2 multiply-adds, one
+    symmetric product of its cos and sin rows; the blocked route about
+    4 F L (W + 2 F), the fields' time coordinates and their dual over the
+    band's L time functions. L is not known before the basis is found, so
+    n_t / 2 stands for it: the pair route is taken when
+    (F W)^2 < 2 F (F + W) n_t, and only while its (F W)^2 kernels fit
+    in half of ``_BLOCK_ENTRIES`` (F W <= 256)."""
+    n_f, n_w = len(fields), max(len(pws) for pws in fields)
+    n_k = n_f * n_w
+    return (2 * n_k ** 2 <= _BLOCK_ENTRIES
+            and n_k ** 2 < 2 * n_f * (n_f + n_w) * len(grid.axes["t_nodes"]))
+
+
 def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
                       policy: RankPolicy = RankPolicy()) -> SpectrumReport:
     """Spectrum of the ensemble covariance, computed through its dual.
@@ -492,19 +638,21 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
     C[s, s'] = (1/F) sum_f sqrt(w_s) x_f(s) conj(x_f(s')) sqrt(w_s').
     The F x F matrix (1/F) Xw Xw^H shares every nonzero eigenvalue and
     the trace with it, so rank readouts are identical while the
-    eigenproblem stays small. Its centred time basis rests on the
-    symmetric time axis of the :class:`SpaceTimeGrid` contract. Raises
-    ValueError for an empty ensemble, or a direction row of another
-    dimension than the grid or not of unit length, and
-    :class:`ConfigError` when a phase leaves the float range or the dual's
-    largest entry is subnormal (a window T near the float minimum).
+    eigenproblem stays small. The dual is summed by one of two routes,
+    chosen from the ensemble's shape (:func:`_pair_route_is_cheaper`):
+    the wave-pair kernel (:func:`_pair_dual`) for few waves in all, the
+    blocked fields in the band's time basis (:func:`_blocked_dual`)
+    otherwise. Both rest on the symmetric time axis of the
+    :class:`SpaceTimeGrid` contract. Raises ValueError for an empty
+    ensemble, or a direction row of another dimension than the grid or
+    not of unit length, and :class:`ConfigError` when a phase leaves the
+    float range or the dual's largest entry is subnormal (a window T near
+    the float minimum).
     """
     if len(fields) == 0:
         raise ValueError("ensemble must be nonempty")
-    # Summed block by block, so no (fields x points) array is formed.
-    dual = np.zeros((len(fields), len(fields)), dtype=complex)
-    for xw in _weighted_field_blocks(fields, grid):
-        dual += xw @ xw.conj().T
+    route = _pair_dual if _pair_route_is_cheaper(fields, grid) else _blocked_dual
+    dual = route(fields, grid)
     dual /= len(fields)
     # The largest entry of a PSD matrix is on its diagonal.
     if 0.0 < np.max(dual.diagonal().real) < np.finfo(float).tiny:

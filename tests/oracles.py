@@ -411,6 +411,20 @@ def lift_time_coordinates(fields, grid) -> np.ndarray:
     return out
 
 
+#: the two routes of ``ensemble_spectrum`` to its dual, each a private
+#: function of ``rankcheck`` that takes (fields, grid)
+ENSEMBLE_ROUTES = {"blocked": "_blocked_dual", "pair": "_pair_dual"}
+
+
+def each_ensemble_route(monkeypatch):
+    """Yield each route's name, with ``ensemble_spectrum`` sent down that
+    route whatever the ensemble's shape."""
+    for name in ENSEMBLE_ROUTES:
+        monkeypatch.setattr(rankcheck, "_pair_route_is_cheaper",
+                            lambda fields, grid, pair=name == "pair": pair)
+        yield name
+
+
 def ensemble_covariance(fields, grid) -> np.ndarray:
     """Weighted second-moment matrix of an ensemble over grid points.
 

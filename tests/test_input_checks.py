@@ -21,6 +21,8 @@ from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values,
                            jacobi_anger_partial, jacobi_anger_values)
 from wavedof.specfun import norm_assoc_legendre_table
 
+from oracles import each_ensemble_route
+
 TWO_D = Dimension.TWO_D
 CAL_2D = PhysicalConfig(R=1.0 / (math.e * math.pi), W=1.0, T=1.0, f0=10.0, c=1.0)
 SMALL_GRID = build_grid(TWO_D, CAL_2D, (2, 3, 2))
@@ -185,10 +187,13 @@ REJECTIONS = {
 
 
 @pytest.mark.parametrize("case", list(REJECTIONS))
-def test_library_rejects_malformed_input(case):
+def test_library_rejects_malformed_input(case, monkeypatch):
     call, error, message = REJECTIONS[case]
-    with pytest.raises(error, match=f"^{message}"):
-        call()
+    # An ensemble is rejected alike on either route to its dual.
+    routes = each_ensemble_route(monkeypatch) if case.startswith("ensemble") else [None]
+    for _ in routes:
+        with pytest.raises(error, match=f"^{message}"):
+            call()
 
 
 def test_effective_rank_of_nonpositive_spectrum():

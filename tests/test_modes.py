@@ -208,8 +208,8 @@ def test_mode_factors_gather_matches_per_mode_columns(dim, cfg, modes, res):
     for axis in want:
         assert got[axis].shape == want[axis].shape, axis
         assert got[axis].tobytes() == want[axis].tobytes(), axis
-    columns = _factor_columns(modes, axes, cfg)
-    assert columns["t"][0].shape[1] == len({md.i for md in modes})
+    columns, cycles = _factor_columns(modes, axes, cfg)
+    assert columns["t"][0].shape[1] == len(cycles) == len({md.i for md in modes})
     assert columns["phi"][0].shape[1] == len({md.m for md in modes})
 
 

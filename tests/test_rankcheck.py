@@ -20,10 +20,11 @@ from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values, mode_matrix,
                            project_field, weighted_gram)
 from wavedof.specfun import cos_sin
 
-from oracles import (band_time_basis, charpoly_eigenvalues, complex_band_time_basis,
-                     dense_gram, eager_grid_arrays, ensemble_covariance,
-                     lift_time_coordinates, lommel_tail_reference,
-                     pointwise_field_rows, pointwise_truncation_error)
+from oracles import (ENSEMBLE_ROUTES, band_time_basis, charpoly_eigenvalues,
+                     complex_band_time_basis, dense_gram, each_ensemble_route,
+                     eager_grid_arrays, ensemble_covariance, lift_time_coordinates,
+                     lommel_tail_reference, pointwise_field_rows,
+                     pointwise_truncation_error)
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -237,6 +238,7 @@ def test_grid_contract_refuses_before_any_reader_runs(monkeypatch):
 
     monkeypatch.setattr(rankcheck, "weighted_gram", unreached)
     monkeypatch.setattr(rankcheck, "_weighted_field_blocks", unreached)
+    monkeypatch.setattr(rankcheck, "_pair_dual", unreached)
     monkeypatch.setattr(modes_module, "weighted_gram", unreached)
     for call in (lambda: gram_of_modes(modes, SpaceTimeGrid(axes), CAL_2D),
                  lambda: project_field(np.zeros(len(g)), modes, SpaceTimeGrid(axes),
@@ -505,12 +507,14 @@ def test_band_time_basis_is_centred_real_and_parity_split(dim, cfg, resolution,
 def test_ensemble_matches_complex_basis_reference(dim, cfg, resolution, fields,
                                                   waves, monkeypatch):
     # The same ensemble with each wave's time coordinates taken in the
-    # complex-SVD basis through the real lift, as first written.
+    # complex-SVD basis through the real lift, as first written. Only the
+    # blocked route reads the time basis, so it is called directly: the
+    # verify3d ensemble would take the pair route.
     g = build_grid(dim, cfg, resolution)
     ens = [synthesize_field(dim, cfg, waves, seed=1 + 1000 * j) for j in range(fields)]
-    got = ensemble_spectrum(ens, g)
+    got = _route_spectrum("blocked", ens, g)
     monkeypatch.setattr(rankcheck, "_band_time_coordinates", lift_time_coordinates)
-    want = ensemble_spectrum(ens, g)
+    want = _route_spectrum("blocked", ens, g)
     assert got.eigenvalues.shape == want.eigenvalues.shape
     assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-15 * want.trace
     assert (got.rank_threshold, got.rank_energy) == (want.rank_threshold,
@@ -520,53 +524,60 @@ def test_ensemble_matches_complex_basis_reference(dim, cfg, resolution, fields,
             == complex_band_time_basis(ens, g).shape)
 
 
-def test_ensemble_rejects_an_asymmetric_time_axis():
-    # The centred time basis needs the symmetric axis of build_grid; a
-    # hand-made grid without it fails instead of giving a wrong spectrum.
+def test_ensemble_rejects_an_asymmetric_time_axis(monkeypatch):
+    # Both routes need the symmetric axis of build_grid; a hand-made grid
+    # without it fails instead of giving a wrong spectrum.
     g = build_grid(TWO_D, NARROW_2D, (4, 8, 21))
     fields = [synthesize_field(TWO_D, NARROW_2D, 8, seed=j) for j in range(3)]
-    for key, warp in (("t_nodes", lambda t: t ** 1.3),
-                      ("t_weights", lambda w: w * np.linspace(1.0, 1.1, len(w)))):
-        axes = dict(g.axes, **{key: warp(g.axes[key])})
-        with pytest.raises(ValueError, match="time axis symmetric"):
-            ensemble_spectrum(fields, SpaceTimeGrid(axes))
+    for _ in each_ensemble_route(monkeypatch):
+        for key, warp in (("t_nodes", lambda t: t ** 1.3),
+                          ("t_weights", lambda w: w * np.linspace(1.0, 1.1, len(w)))):
+            axes = dict(g.axes, **{key: warp(g.axes[key])})
+            with pytest.raises(ValueError, match="time axis symmetric"):
+                ensemble_spectrum(fields, SpaceTimeGrid(axes))
 
 
-def test_ensemble_rejects_a_subnormal_covariance():
+def test_ensemble_rejects_a_subnormal_covariance(monkeypatch):
     # At T = 1e-320 the grid keeps its symmetric time axis, but the dual
-    # falls to subnormal entries of two or three digits.
+    # falls to subnormal entries of two or three digits, on either route.
     cfg = dataclasses.replace(NARROW_2D, T=1e-320)
     g = build_grid(TWO_D, cfg, (8, 24, 21))
     fields = [synthesize_field(TWO_D, cfg, 3, seed=j) for j in range(2)]
-    with pytest.raises(ConfigError, match="covariance falls below the normal"):
-        ensemble_spectrum(fields, g)
+    for _ in each_ensemble_route(monkeypatch):
+        with pytest.raises(ConfigError, match="covariance falls below the normal"):
+            ensemble_spectrum(fields, g)
 
 
-def test_ensemble_rejects_non_finite_time_phases():
-    # 2 pi f t overflows at f = T = 1e300: a clean error, not a failed SVD.
-    # One frequency leaves the basis's phases at 0, so the wave's phase at
-    # the window's centre overflows; with a second frequency at 0 the
-    # basis's sampled phases overflow first.
+def test_ensemble_rejects_non_finite_time_phases(monkeypatch):
+    # 2 pi f t overflows at f = T = 1e300: a clean error, not a failed SVD,
+    # on either route. One frequency leaves the basis's phases at 0, so the
+    # wave's phase at the window's centre overflows; with a second
+    # frequency at 0 the basis's sampled phases overflow first (the pair
+    # route has no basis, and its phase at the centre overflows).
     cfg = PhysicalConfig(R=1.0, W=0.0, T=1e300, f0=1e300, c=1.0)
     g = build_grid(TWO_D, cfg, (2, 4, 3))
     pws = PlaneWaveSet(directions=np.array([[1.0, 0.0]]),
                        frequencies=np.array([1e300]),
                        amplitudes=np.array([1.0 + 0.0j]), c=1.0)
-    with pytest.raises(ConfigError):
-        ensemble_spectrum([pws], g)
     pair = PlaneWaveSet(directions=np.array([[1.0, 0.0], [0.0, 1.0]]),
                         frequencies=np.array([0.0, 1e300]),
                         amplitudes=np.array([1.0 + 0.0j, 1.0 + 0.0j]), c=1.0)
-    with pytest.raises(ConfigError, match="time phases"):
-        ensemble_spectrum([pair], g)
+    for _ in each_ensemble_route(monkeypatch):
+        for fields in ([pws], [pair]):
+            with pytest.raises(ConfigError, match="^time phases of the ensemble"):
+                ensemble_spectrum(fields, g)
 
 
 @pytest.mark.parametrize("dim, cfg, resolution, fields, waves, bound", [
     # Measured 3.88 MiB (the ensemble before the time basis: 5.82 MiB).
     (TWO_D, NARROW_2D, (8, 24, 21), 128, 64, 4.5),
-    # Measured 2.64 MiB (before: 4.46 MiB).
+    # Measured 1.16 MiB on the pair route (the blocked route: 2.64 MiB,
+    # and 4.46 MiB before the time basis).
     (THREE_D, HALF_CAL_3D, (8, 13, 52), 4, 16, 3.25),
-], ids=["verify2d", "verify3d"])
+    # The largest pair-route shape, F W = 256, on a grid without
+    # antipodes: measured 2.64 MiB.
+    (TWO_D, NARROW_2D, (8, 25, 21), 128, 2, 3.25),
+], ids=["verify2d", "verify3d", "pair-route-largest"])
 def test_ensemble_memory(dim, cfg, resolution, fields, waves, bound):
     g = build_grid(dim, cfg, resolution)
     ens = [synthesize_field(dim, cfg, waves, seed=1 + 1000 * j) for j in range(fields)]
@@ -679,6 +690,78 @@ def test_ensemble_dual_route_matches_covariance():
     assert direct.trace == pytest.approx(dual.trace, rel=1e-10)
     assert (direct.rank_threshold, direct.rank_energy) == \
         (dual.rank_threshold, dual.rank_energy)
+
+
+def _route_spectrum(route, fields, grid):
+    """ensemble_spectrum's readout of one private route's dual."""
+    dual = getattr(rankcheck, ENSEMBLE_ROUTES[route])(fields, grid) / len(fields)
+    return eigen_spectrum(rankcheck._mirror_upper(dual))
+
+
+SINGLE_FREQUENCY = PhysicalConfig(R=0.1, W=0.0, T=0.3, f0=10.0, c=1.0)
+# Folded 3D and even-azimuth 2D grids, an odd azimuth count (no
+# antipodes), and a single frequency (W = 0); fields of unequal wave
+# counts exercise the padding.
+PAIR_GRIDS = pytest.mark.parametrize("dim, cfg, resolution", [
+    (THREE_D, HALF_CAL_3D, (3, 4, 5)),
+    (TWO_D, NARROW_2D, (3, 8, 5)),
+    (TWO_D, NARROW_2D, (3, 9, 5)),
+    (TWO_D, SINGLE_FREQUENCY, (3, 9, 5)),
+], ids=["3d", "2d-even", "2d-odd", "2d-single-frequency"])
+
+
+@PAIR_GRIDS
+@pytest.mark.parametrize("waves, pair", [((4, 3, 4), True), ((12, 9), False)],
+                         ids=["pair-side", "blocked-side"])
+def test_ensemble_routes_match_dense_covariance(dim, cfg, resolution, waves, pair):
+    # On 5 time nodes (F W)^2 < 2 F (F + W) n_t holds for 3 fields of up
+    # to 4 waves and fails for 2 of up to 12: one shape on each side.
+    g = build_grid(dim, cfg, resolution)
+    fields = [synthesize_field(dim, cfg, w, seed=60 + j) for j, w in enumerate(waves)]
+    assert rankcheck._pair_route_is_cheaper(fields, g) is pair
+    direct = eigen_spectrum(ensemble_covariance(fields, g))
+    dual = ensemble_spectrum(fields, g)
+    k = len(fields)
+    assert (np.max(np.abs(direct.eigenvalues[:k] - dual.eigenvalues))
+            <= 1e-12 * direct.trace)
+    assert direct.trace == pytest.approx(dual.trace, rel=1e-12)
+    assert (direct.rank_threshold, direct.rank_energy) == \
+        (dual.rank_threshold, dual.rank_energy)
+
+
+@pytest.mark.parametrize("dim, cfg, resolution, waves", [
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), (16, 16, 16, 16)),
+    (THREE_D, HALF_CAL_3D, (5, 9, 20), (16, 13, 16, 9)),
+    (TWO_D, NARROW_2D, (8, 24, 21), (8, 5, 8, 8)),
+    (TWO_D, NARROW_2D, (8, 25, 21), (8, 5, 8, 8)),
+    (TWO_D, SINGLE_FREQUENCY, (8, 25, 21), (8, 8, 3)),
+], ids=["verify3d", "3d-padded", "2d-even", "2d-odd", "2d-single-frequency"])
+def test_pair_route_matches_blocked_route(dim, cfg, resolution, waves):
+    g = build_grid(dim, cfg, resolution)
+    for seed in (1, 2, 3):
+        fields = [synthesize_field(dim, cfg, w, seed=seed + 1000 * j)
+                  for j, w in enumerate(waves)]
+        pair = _route_spectrum("pair", fields, g)
+        blocked = _route_spectrum("blocked", fields, g)
+        assert (np.max(np.abs(pair.eigenvalues - blocked.eigenvalues))
+                <= 1e-15 * blocked.trace)
+        assert (pair.rank_threshold, pair.rank_energy) == \
+            (blocked.rank_threshold, blocked.rank_energy)
+
+
+@pytest.mark.parametrize("dim, cfg, resolution, fields, waves, pair", [
+    (TWO_D, NARROW_2D, (8, 24, 21), 128, 64, False),
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), 4, 16, True),
+    # F W = 256, the most the pair route takes.
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), 128, 2, True),
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), 16, 16, False),
+    # F W = 512: kernels past half of _BLOCK_ENTRIES.
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), 128, 4, False),
+], ids=["verify2d", "verify3d", "3d-128x2", "3d-16x16", "3d-128x4"])
+def test_ensemble_route_selection(dim, cfg, resolution, fields, waves, pair):
+    g = build_grid(dim, cfg, resolution)
+    ens = [synthesize_field(dim, cfg, waves, seed=1 + j) for j in range(fields)]
+    assert rankcheck._pair_route_is_cheaper(ens, g) is pair
 
 
 def test_ensemble_saturation_under_doubling():
