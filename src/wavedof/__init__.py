@@ -18,7 +18,7 @@ from .modes import (CoefficientVector, ModeIndex, PlaneWaveSet, WaveVector,
 from .rankcheck import (RankPolicy, ResolutionError, SpaceTimeGrid,
                         SpectrumReport, build_grid, diagonal_normalize,
                         effective_rank, eigen_spectrum, ensemble_spectrum,
-                        gram_of_modes, truncation_error)
+                        gram_of_modes, gram_spectrum, truncation_error)
 from .specfun import (Angle, assoc_legendre, bessel_J, legendre_p,
                       norm_assoc_legendre, sph_harm, spherical_bessel_j)
 
@@ -31,7 +31,7 @@ __all__ = [
     "closed_form_bound", "diagonal_normalize", "dof_space", "dof_time_band",
     "effective_rank", "eigen_spectrum", "ensemble_spectrum", "enumerate_modes",
     "evaluate_mode", "exact_mode_sum", "frequency_bins", "gram_of_modes",
-    "jacobi_anger_partial", "legendre_p", "mode_wavenumber",
+    "gram_spectrum", "jacobi_anger_partial", "legendre_p", "mode_wavenumber",
     "norm_assoc_legendre", "plane_wave", "project_field", "sph_harm",
     "spherical_bessel_j", "synthesize_field", "truncation_degree",
     "truncation_error",

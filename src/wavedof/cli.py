@@ -41,8 +41,7 @@ from .bounds import (DEFAULT_MODE_CAP, QUANTITIES, ConfigError, Dimension,
                      bound_report, bound_values, check_cap, exact_mode_sum)
 from .modes import _bin_orders, enumerate_modes, synthesize_field
 from .rankcheck import (RankPolicy, ResolutionError, SpectrumReport,
-                        build_grid, diagonal_normalize, eigen_spectrum,
-                        ensemble_spectrum, gram_of_modes)
+                        build_grid, ensemble_spectrum, gram_spectrum)
 
 PRNG_NAME = "numpy-pcg64"
 
@@ -441,12 +440,17 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
                   policy: RankPolicy, two_sided: bool = False) -> dict:
     """Run the full rank experiment and assemble the JSON document.
 
-    Every ratio divides a rank by ``exact_mode_sum(dim, cfg, two_sided)``,
-    the number of modes the Gram matrix is built from. Raises
-    :class:`ModeCapError` before allocating when the grid points
-    (:func:`~wavedof.rankcheck.build_grid` checks them), the Gram entries
-    (modes^2), the ensemble's time-factor entries or its dual's entries
-    (fields^2) fail :func:`~wavedof.bounds.check_cap`.
+    The Gram spectrum is taken channel by channel
+    (:func:`~wavedof.rankcheck.gram_spectrum`). Every ratio divides a
+    rank by ``exact_mode_sum(dim, cfg, two_sided)``, the number of modes
+    the Gram is built from. Raises :class:`ModeCapError` before
+    allocating when the grid points (:func:`~wavedof.rankcheck.build_grid`
+    checks them), the Gram entries (modes^2), the ensemble's time-factor
+    entries or its dual's entries (fields^2) fail
+    :func:`~wavedof.bounds.check_cap`. The channel spectrum forms no
+    M x M Gram past a few dozen modes, but the pre-flight still counts
+    its modes^2 entries, so the exit code and the cap a mode set meets do
+    not depend on how the Gram splits.
     """
     exact = exact_mode_sum(dim, cfg, two_sided)
     grid = build_grid(dim, cfg, resolution)
@@ -455,8 +459,7 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
                        ("ensemble dual entries", fields ** 2)):
         check_cap(size, what)
     modes = enumerate_modes(dim, cfg, two_sided=two_sided)
-    gram = diagonal_normalize(gram_of_modes(modes, grid, cfg))
-    gram_spec = eigen_spectrum(gram, policy)
+    gram_spec = gram_spectrum(modes, grid, cfg, policy)
     ensemble = [synthesize_field(dim, cfg, waves, seed + 1000 * j)
                 for j in range(fields)]
     ens_spec = ensemble_spectrum(ensemble, grid, policy)

@@ -23,8 +23,11 @@ from it. The radial factors come from one Bessel table for the whole
 mode set, over every bin's wave-number times every radial node.
 :func:`weighted_gram` returns the distinct columns with their Gram,
 formed one axis at a time over the distinct columns and read at every
-pair of modes, and alone decides whether that Gram is real;
-``rankcheck`` and :func:`project_field` both read it. The projection
+pair of modes, and alone decides whether that Gram is real
+(:func:`_axis_grams`); ``rankcheck`` and :func:`project_field` both
+read it. :func:`gram_channels` reads the same axis Grams and gives the
+normalized Gram as its distinct blocks by angular channel, which
+``rankcheck.gram_spectrum`` diagonalizes. The projection
 contracts its samples over t against one column per bin and
 synthesizes its residual bin by bin, so it forms no (spatial nodes x
 modes) array. :func:`mode_matrix` joins the per-mode factors, column by
@@ -516,6 +519,36 @@ def mode_matrix(modes: Sequence[ModeIndex], grid, cfg: PhysicalConfig) -> np.nda
     return _join_columns(np.ones((1, len(modes)), dtype=complex), factors)
 
 
+def _check_gram_entries(*arrays: np.ndarray) -> None:
+    """Raise :class:`ConfigError` unless every entry is finite."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ConfigError("Gram entries leave the float range; the quadrature "
+                          "weights of the region are too large")
+
+
+def _axis_grams(modes: Sequence[ModeIndex], grid,
+                cfg: PhysicalConfig) -> tuple[dict, dict, bool]:
+    """(columns, grams, real): the distinct factor columns of ``modes``
+    (:func:`_factor_columns`), {axis: (A, index)} with A the axis's
+    weighted Gram over its D distinct columns (D x D) and index each
+    mode's column, and whether the Gram is real (see
+    :func:`weighted_gram`), in which case each A is its real part. Mode
+    p and q's Gram entry is the product over the axes, in grid order, of
+    A[index[p], index[q]]."""
+    columns, cycles = _factor_columns(modes, grid.axes, cfg)
+    t = grid.axes["t_nodes"]
+    frac = np.modf(cycles)[0]
+    real = bool(abs(t[0] + t[-1] - cfg.T) <= 4.0 * np.finfo(float).eps * cfg.T
+                and (frac == frac[:1]).all())
+    grams = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for axis, (f, index) in columns.items():
+            a = (f * grid.axes[f"{axis}_weights"][:, None]).T @ (
+                f.conj() if f.dtype.kind == "c" else f)
+            grams[axis] = (a.real if real else a), index
+    return columns, grams, real
+
+
 def weighted_gram(modes: Sequence[ModeIndex], grid,
                   cfg: PhysicalConfig) -> tuple[dict, np.ndarray]:
     """(columns, G): the distinct factor columns of ``modes``
@@ -546,20 +579,159 @@ def weighted_gram(modes: Sequence[ModeIndex], grid,
     not. Raises :class:`ConfigError` when an entry leaves the float
     range.
     """
-    columns, cycles = _factor_columns(modes, grid.axes, cfg)
-    t = grid.axes["t_nodes"]
-    frac = np.modf(cycles)[0]
-    real = bool(abs(t[0] + t[-1] - cfg.T) <= 4.0 * np.finfo(float).eps * cfg.T
-                and np.all(frac == frac[:1]))
+    columns, grams, real = _axis_grams(modes, grid, cfg)
     g = np.ones((len(modes),) * 2, dtype=float if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for axis, (f, index) in columns.items():
-            a = (f * grid.axes[f"{axis}_weights"][:, None]).T @ f.conj()
-            g *= (a.real if real else a)[index][:, index]
-    if not np.all(np.isfinite(g)):
-        raise ConfigError("Gram entries leave the float range; the quadrature "
-                          "weights of the region are too large")
+        for a, index in grams.values():
+            g *= a[index][:, index]
+    _check_gram_entries(g)
     return columns, g
+
+
+#: eps per polar and azimuthal node in the rounding of a normalized
+#: angular Gram entry; past it, :func:`gram_channels` couples two keys
+_ANGULAR_ROUNDING = 8
+
+#: fewest modes whose Gram :func:`gram_channels` splits by channel;
+#: below it one block is cheaper than finding the channels
+_CHANNEL_MODES = 40
+
+
+def gram_channels(modes: Sequence[ModeIndex], grid,
+                  cfg: PhysicalConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The diagonal-normalized Gram of :func:`weighted_gram`, by angular
+    channel: [(blocks, counts)], one pair per block size b, with
+    ``blocks`` (S, b, b) the distinct blocks of that size and ``counts``
+    (S,) how often each occurs. The normalized Gram is, up to rounding,
+    the direct sum of every block taken ``counts`` times, its rows and
+    columns permuted; each block is its modes' entries of the
+    :func:`diagonal_normalize`-d Gram, bit for bit, and not yet mirrored.
+
+    A mode's angular key is its polar and azimuthal columns, (n, m) in
+    3D, its azimuthal one m in 2D; the angular Gram of two keys is the
+    product of their polar and azimuthal Grams. Modes of different keys
+    are orthogonal under the quadrature up to rounding on every
+    ``build_grid`` grid: the uniform azimuths integrate
+    e^{i (m_p - m_q) phi} to 0 and the Gauss mu rule integrates the
+    Legendre product of one m and two degrees to 0. Two keys share a
+    block when their angular Gram, normalized to unit diagonal, exceeds
+    the rounding of its sums, ``_ANGULAR_ROUNDING`` eps per polar and
+    azimuthal node, and blocks are the keys' connected groups. On a grid
+    whose angular rule does not separate them the groups merge, up to
+    one block of every mode: the dense Gram. A set of fewer than
+    ``_CHANNEL_MODES`` modes is that one block, since finding its
+    channels costs more than the dense eigendecomposition saves. The
+    modes of a block are in their order in ``modes``.
+
+    A block of one key is its modes' radial and time Grams times one
+    angular number, which its normalization cancels; so blocks of one
+    key whose modes read the same radial and time columns, such as the
+    2n + 1 orders m of (n, m) in 3D and the pair +m, -m of a two-sided
+    2D set, are formed once and counted. Work and memory are those of
+    the blocks, not of the M x M Gram. Raises ValueError for an empty
+    mode set or modes of another dimension than the grid, and
+    :class:`ConfigError` when a block's entry leaves the float range
+    (the message of :func:`weighted_gram`; an entry between channels is
+    not formed, and is bounded by its modes' diagonal entries) or the
+    diagonal cannot be normalized (that of :func:`diagonal_normalize`).
+    """
+    _, grams, real = _axis_grams(modes, grid, cfg)
+    if len(modes) < _CHANNEL_MODES:
+        members, several = {0: list(range(len(modes)))}, {0}
+    else:
+        members, several = _channel_groups(
+            grams, len(grid.axes["phi_nodes"]) + len(grid.axes.get("mu_nodes", ())))
+    # The groups by size, and of each size the distinct ones, with the
+    # first group of each and its count. A group of one key is told
+    # apart by its modes' radial and time columns, which fix its
+    # normalized block; a group of several keys is its own.
+    r_of, t_of = (grams[axis][1].tolist() for axis in ("r", "t"))
+    by_size: dict = {}
+    for group, ps in members.items():
+        groups, distinct = by_size.setdefault(len(ps), ([], {}))
+        sig = (group if group in several else -1, tuple(r_of[p] for p in ps),
+               tuple(t_of[p] for p in ps))
+        distinct.setdefault(sig, [len(groups), 0])[1] += 1
+        groups.append(ps)
+    # Every group's block, as weighted_gram forms its entries, and every
+    # mode's diagonal entry from them.
+    diag = np.empty(len(modes), dtype=float if real else complex)
+    parts = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b, (groups, distinct) in by_size.items():
+            idx = np.array(groups)
+            g = np.ones((len(idx), b, b), dtype=diag.dtype)
+            for a, index in grams.values():
+                ix = index[idx]
+                g *= a[ix[:, :, None], ix[:, None, :]]
+            diag[idx] = g.diagonal(axis1=1, axis2=2)
+            rep, counts = zip(*distinct.values())
+            parts.append((g, idx, rep, counts))
+    _check_gram_entries(*(g for g, *_ in parts))
+    s = _unit_scale(diag.real)
+    out = []
+    for g, idx, rep, counts in parts:
+        if len(rep) < len(idx):
+            g, idx = g[list(rep)], idx[list(rep)]
+        g *= s[idx][:, :, None] * s[idx][:, None, :]
+        out.append((g, np.array(counts)))
+    return out
+
+
+def _channel_groups(grams: dict, nodes: int) -> tuple[dict, set]:
+    """(members, several): the groups of coupled angular keys of
+    :func:`gram_channels`, {group: its modes in order}, and the groups of
+    more than one key, from the axis Grams of :func:`_axis_grams` and
+    the number of polar and azimuthal nodes."""
+    angular = [grams[axis] for axis in ("mu", "phi") if axis in grams]
+    # Number the angular keys in order of appearance; note each key's
+    # first mode.
+    number: dict = {}
+    key_of, first = [], []
+    for p, key in enumerate(zip(*(index.tolist() for _, index in angular))):
+        j = number.setdefault(key, len(number))
+        if j == len(first):
+            first.append(p)
+        key_of.append(j)
+    # The keys' angular Gram, normalized, and its coupled pairs.
+    first = np.array(first)
+    ang = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, index in angular:
+            ix = index[first]
+            ang = ang * a[ix[:, None], ix]
+        mag = np.abs(ang)
+        root = np.sqrt(mag.diagonal())
+        tol = _ANGULAR_ROUNDING * nodes * np.finfo(float).eps
+        coupled = mag > (tol * root)[:, None] * root
+    coupled |= coupled.T
+    np.fill_diagonal(coupled, True)
+    # Each key's group: the least key it reaches through coupled pairs.
+    label = np.arange(len(first))
+    while True:
+        reach = np.where(coupled, label, len(first)).min(axis=1)
+        if (reach == label).all():
+            break
+        label = reach
+    label = label.tolist()
+    members: dict = {}
+    for p, j in enumerate(key_of):
+        members.setdefault(label[j], []).append(p)
+    return members, {group for j, group in enumerate(label) if group != j}
+
+
+def _unit_scale(d: np.ndarray) -> np.ndarray:
+    """1/sqrt(d), the scale of :func:`diagonal_normalize` for the Gram
+    diagonal d. Raises its :class:`ConfigError` unless every d > 0 and
+    every product of two scales is finite."""
+    if (d > 0).all():
+        s = 1.0 / np.sqrt(d)
+        top = float(s.max())
+        if math.isfinite(top * top):
+            return s
+    raise ConfigError(f"Gram diagonal cannot be normalized (least entry "
+                      f"{d.min():.3g}); the quadrature weights may leave "
+                      "the float range")
 
 
 def diagonal_normalize(g: np.ndarray) -> np.ndarray:
@@ -570,16 +742,8 @@ def diagonal_normalize(g: np.ndarray) -> np.ndarray:
     1/sqrt(d_p d_q) is finite, which fails when the quadrature weights of
     the region leave the float range.
     """
-    d = np.real(np.diag(g))
-    if np.all(d > 0):
-        s = 1.0 / np.sqrt(d)
-        with np.errstate(over="ignore"):
-            scale = np.outer(s, s)
-        if np.all(np.isfinite(scale)):
-            return g * scale
-    raise ConfigError(f"Gram diagonal cannot be normalized (least entry "
-                      f"{d.min():.3g}); the quadrature weights may leave "
-                      "the float range")
+    s = _unit_scale(np.real(np.diag(g)))
+    return g * np.outer(s, s)
 
 
 #: least eigenvalue ratio of the diagonal-normalized normal matrix that

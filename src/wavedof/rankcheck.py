@@ -5,22 +5,29 @@ matrices and ensemble covariance spectra, and reduces Hermitian spectra
 to two effective-rank readouts. The Gram of the modes is real on these
 grids for every mode set that ``enumerate_modes`` returns
 (:func:`~wavedof.modes.weighted_gram` decides it), so it is
-assembled, normalized (:func:`~wavedof.modes.diagonal_normalize`) and
-diagonalized as a real symmetric matrix; the ensemble dual stays
-complex. The grid is a tensor product (r x [mu] x phi x t), laid out by
-:func:`build_grid` alone and held as its axes only: per-axis nodes and
-weights, the unit ``directions`` of the angular nodes, and the weights
-of the spatial nodes (radii x directions), whose layout every reader
-assumes and :class:`SpaceTimeGrid` alone checks. Node coordinates and
-per-point arrays are formed only where read. Every mode and every plane
-wave is a product over the same axes, and so is each weight, so the Gram
-matrix and the ensemble are assembled axis by axis: the Gram matrix is
+normalized (:func:`~wavedof.modes.diagonal_normalize`) and diagonalized
+as a real symmetric matrix; the ensemble dual stays complex.
+:func:`gram_spectrum` diagonalizes it by angular channel: the distinct
+(bins x bins) blocks of :func:`~wavedof.modes.gram_channels`, each
+block size in one stacked ``eigh``, with no M x M matrix past a few
+dozen modes; :func:`gram_of_modes` assembles the dense Gram. Every
+eigendecomposition here, those of :func:`eigen_spectrum` included, goes
+through one checked ``eigh`` (:func:`_checked_eigh`). The grid is a
+tensor product (r x [mu] x phi x t), laid out by :func:`build_grid`
+alone and held as its axes only: per-axis nodes and weights, the unit
+``directions`` of the angular nodes, and the weights of the spatial
+nodes (radii x directions), whose layout every reader assumes and
+:class:`SpaceTimeGrid` alone checks. Node coordinates and per-point
+arrays are formed only where read. Every mode and every plane wave is a
+product over the same axes, and so is each weight, so the Gram matrix
+and the ensemble are assembled axis by axis: the Gram matrix is
 the elementwise product of one small weighted Gram per axis, and each
 ensemble field is a (spatial nodes x waves) by (waves x time nodes)
 matrix product. The ensemble's dual has two routes, chosen from its
 shape alone (:func:`_pair_route_is_cheaper`): F fields, the longest of W
-waves, n_t time nodes. For few waves in all, (F W)^2 < 2 F (F + W) n_t
-with F W <= 256, it is summed over pairs of waves
+waves, n_x kept spatial nodes, n_t time nodes. For few waves in all,
+n_x (F W)^2 < n_x 2 F (F + W) n_t + ``_BLOCKED_FIXED`` with F W <= 256,
+it is summed over pairs of waves
 (:func:`_pair_dual`): the grid's quadratures K_s and K_t of the
 plane-wave correlation e^{i (k_w - k_v).x} e^{2 pi i (f_w - f_v) t}
 (Kennedy, Sadeghi, Abhayapala & Jones, IEEE TSP 55(6), 2007), each the
@@ -81,7 +88,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .bounds import ConfigError, Dimension, PhysicalConfig, check_cap
 from .modes import (ModeIndex, PlaneWaveSet, diagonal_normalize,  # re-exported
-                    _check_directions, weighted_gram)
+                    _check_directions, gram_channels, weighted_gram)
 from .specfun import _miller_start, bessel_table, cos_sin
 
 
@@ -108,7 +115,10 @@ class RankPolicy:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Descending Hermitian eigenvalues plus effective-rank readouts."""
+    """Descending Hermitian eigenvalues plus effective-rank readouts, and
+    the largest relative reconstruction residual of the checked
+    eigendecomposition behind them (:func:`eigen_spectrum`), which the
+    ``verify`` report does not write."""
 
     eigenvalues: np.ndarray
     trace: float
@@ -116,6 +126,7 @@ class SpectrumReport:
     rank_energy: int
     epsilon: float
     eta: float
+    residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -252,6 +263,12 @@ def _node_coordinates(r: np.ndarray, directions: np.ndarray) -> np.ndarray:
     return (r[:, None, None] * directions).reshape(-1, directions.shape[1])
 
 
+def _has_antipodes(axes: dict) -> bool:
+    """Whether every direction of the grid has its antipode: the azimuth
+    count is even (see :func:`_antipodal_fold`)."""
+    return len(axes["phi_nodes"]) % 2 == 0
+
+
 def _antipodal_fold(axes: dict) -> tuple[np.ndarray, np.ndarray, bool]:
     """(directions, weights, folded): the unit directions the ensemble's
     sum over the ball quadrature of :func:`build_grid` needs,
@@ -269,7 +286,7 @@ def _antipodal_fold(axes: dict) -> tuple[np.ndarray, np.ndarray, bool]:
     n_phi = len(axes["phi_nodes"])
     directions = axes["directions"]
     w = axes["space_weights"].reshape(len(axes["r_nodes"]), -1)
-    if n_phi % 2:
+    if not _has_antipodes(axes):
         return directions, w, False
     keep = np.arange(len(directions)).reshape(-1, n_phi)[:, :n_phi // 2].ravel()
     return directions[keep], 2.0 * w[:, keep], True
@@ -298,10 +315,13 @@ def check_gram_resolution(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
 
 
 def _mirror_upper(g: np.ndarray) -> np.ndarray:
-    # Exact Hermitian symmetry (symmetry for a real g): strict upper
-    # triangle mirrored, real diagonal.
+    # Exact Hermitian symmetry (symmetry for a real g) of each matrix of
+    # a (..., n, n) stack: strict upper triangle mirrored, real diagonal.
     strict = np.triu(g, 1)
-    return strict + strict.conj().T + np.diag(np.real(np.diag(g)))
+    out = strict + (strict.conj() if g.dtype.kind == "c" else strict).swapaxes(-1, -2)
+    i = np.arange(g.shape[-1])
+    out[..., i, i] = g[..., i, i].real
+    return out
 
 
 def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
@@ -312,7 +332,9 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
     passes :func:`check_gram_resolution`, made exactly Hermitian. It is a
     real symmetric float64 matrix whenever ``weighted_gram`` finds the
     Gram real by construction, which holds for every mode set of
-    ``enumerate_modes``, and complex otherwise.
+    ``enumerate_modes``, and complex otherwise. ``verify`` reads its
+    spectrum from :func:`gram_spectrum`, which diagonalizes it by
+    channel.
     """
     check_gram_resolution(modes, grid, cfg)
     return _mirror_upper(weighted_gram(modes, grid, cfg)[1])
@@ -613,21 +635,33 @@ def _pair_dual(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> np.ndarra
     return np.einsum("fwg,fw->fg", by_field.reshape(n_f, n_w, n_f), amps)
 
 
+#: the blocked route's fixed cost (two SVDs and about 150 numpy calls),
+#: in (spatial node x kernel entry) multiply-adds of the pair route
+_BLOCKED_FIXED = 1 << 19
+
+
 def _pair_route_is_cheaper(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> bool:
     """Whether :func:`_pair_dual` suits this ensemble's shape: F fields,
-    the longest of W waves, on n_t time nodes.
+    the longest of W waves, on n_x kept spatial nodes (half the nodes on
+    a grid with antipodes, see :func:`_antipodal_fold`) and n_t time
+    nodes.
 
     Per spatial node the pair route takes about (F W)^2 multiply-adds, one
     symmetric product of its cos and sin rows; the blocked route about
     4 F L (W + 2 F), the fields' time coordinates and their dual over the
-    band's L time functions. L is not known before the basis is found, so
-    n_t / 2 stands for it: the pair route is taken when
-    (F W)^2 < 2 F (F + W) n_t, and only while its (F W)^2 kernels fit
-    in half of ``_BLOCK_ENTRIES`` (F W <= 256)."""
+    band's L time functions, plus a fixed cost, ``_BLOCKED_FIXED`` in
+    all. L is not known before the basis is found, so n_t / 2 stands for
+    it: the pair route is taken when
+    n_x (F W)^2 < n_x 2 F (F + W) n_t + ``_BLOCKED_FIXED``, and only
+    while its (F W)^2 kernels fit in half of ``_BLOCK_ENTRIES``
+    (F W <= 256). The fixed cost was fitted to both routes' times over
+    shapes from 1 x 64 to 128 x 64 in 2D and 3D."""
     n_f, n_w = len(fields), max(len(pws) for pws in fields)
     n_k = n_f * n_w
-    return (2 * n_k ** 2 <= _BLOCK_ENTRIES
-            and n_k ** 2 < 2 * n_f * (n_f + n_w) * len(grid.axes["t_nodes"]))
+    ax = grid.axes
+    n_x = len(ax["space_weights"]) // (2 if _has_antipodes(ax) else 1)
+    blocked = n_x * 2 * n_f * (n_f + n_w) * len(ax["t_nodes"]) + _BLOCKED_FIXED
+    return 2 * n_k ** 2 <= _BLOCK_ENTRIES and n_x * n_k ** 2 < blocked
 
 
 def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
@@ -661,21 +695,48 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
     return eigen_spectrum(_mirror_upper(dual), policy)
 
 
+def gram_spectrum(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
+                  cfg: PhysicalConfig,
+                  policy: RankPolicy = RankPolicy()) -> SpectrumReport:
+    """Spectrum of the diagonal-normalized Gram of ``modes``, the
+    spectrum of ``eigen_spectrum(diagonal_normalize(gram_of_modes(...)))``
+    up to rounding, channel by channel.
+
+    After :func:`check_gram_resolution`, the normalized Gram's distinct
+    blocks by angular channel (:func:`~wavedof.modes.gram_channels`) are
+    made exactly Hermitian and diagonalized, each block size in one
+    stacked, checked ``eigh`` (the checks of :func:`eigen_spectrum`), and
+    each block's eigenvalues are counted as often as the block occurs.
+    On every ``build_grid`` grid the work is that of the distinct
+    (bins x bins) blocks, one per degree n in 3D and per |m| in 2D, with
+    no M x M matrix, once the set is large enough to be split (a small
+    set is one block, see :func:`~wavedof.modes.gram_channels`). Raises ValueError for an empty mode set,
+    :class:`ResolutionError` from the resolution check, and
+    :class:`ConfigError` when a Gram entry leaves the float range or the
+    diagonal cannot be normalized.
+    """
+    check_gram_resolution(modes, grid, cfg)
+    evals, residual = [], 0.0
+    for blocks, counts in gram_channels(modes, grid, cfg):
+        lam, res = _checked_eigh(_mirror_upper(blocks))
+        evals.append(lam.repeat(counts, axis=0).ravel())
+        residual = max(residual, res)
+    evals = np.concatenate(evals)
+    evals.sort()
+    return _report(evals[::-1], policy, residual)
+
+
 def eigen_spectrum(matrix: np.ndarray,
                    policy: RankPolicy = RankPolicy()) -> SpectrumReport:
     """Descending eigenvalues and rank readouts of a Hermitian matrix,
     complex or real symmetric; a real one is diagonalized in real
     arithmetic.
 
-    Rejects empty or non-square matrices (ValueError), matrices with a
-    non-finite entry or eigenvalue (:class:`ConfigError`) and matrices
-    whose Hermitian defect exceeds 1e-10 times the largest entry or 1,
-    whichever is larger; verifies the eigendecomposition reconstructs
-    the input to 1e-8 relative in Frobenius norm. Both checks are made
-    on the input divided by its largest entry, so they hold at any
-    finite scale. A matrix of another dtype, single precision included,
-    is first cast to complex128 (complex) or float64 (otherwise), so
-    ``eigh`` runs in double precision and the 1e-8 check can hold.
+    Rejects empty or non-square matrices (ValueError), then makes the
+    checks of :func:`_checked_eigh`. A matrix of another dtype, single
+    precision included, is first cast to complex128 (complex) or float64
+    (otherwise), so ``eigh`` runs in double precision and the 1e-8 check
+    can hold.
     """
     m = np.asarray(matrix)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
@@ -683,6 +744,23 @@ def eigen_spectrum(matrix: np.ndarray,
         raise ValueError("matrix must be square")
     if m.size == 0:
         raise ValueError("matrix must be nonempty")
+    evals, residual = _checked_eigh(m)
+    return _report(evals[::-1].copy(), policy, residual)
+
+
+def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """(evals, residual): ``eigh`` of each nonempty matrix of the float64
+    or complex128 (..., n, n) stack ``m``, ascending, and the largest
+    relative reconstruction residual over the stack.
+
+    Rejects a stack with a non-finite entry or eigenvalue
+    (:class:`ConfigError`) or a matrix whose Hermitian defect exceeds
+    1e-10 times the largest entry or 1, whichever is larger (ValueError),
+    and checks that each eigendecomposition reconstructs its matrix to
+    1e-8 relative in Frobenius norm (RuntimeError otherwise). Both checks
+    are made on the stack divided by its largest entry, so they hold at
+    any finite scale.
+    """
     peak = float(np.max(np.abs(m)))
     if not math.isfinite(peak):
         raise ConfigError("matrix has entries beyond the float range")
@@ -691,24 +769,33 @@ def eigen_spectrum(matrix: np.ndarray,
     # part, since numpy's complex divide multiplies by 1 / peak, which
     # overflows at a subnormal peak. NaN fails both checks.
     scale = peak or 1.0
-    unit = (m.real / scale + 1j * (m.imag / scale) if np.iscomplexobj(m)
-            else m / scale)
+    complex_m = m.dtype.kind == "c"
+    unit = m.real / scale + 1j * (m.imag / scale) if complex_m else m / scale
     # .conj() copies even a real array, so a real matrix is only transposed.
-    conj = np.conj if np.iscomplexobj(m) else np.asarray
-    if not float(np.max(np.abs(unit - conj(unit).T))) <= 1e-10 * max(1.0, peak) / scale:
+    conj = np.conj if complex_m else np.asarray
+    if not (float(np.max(np.abs(unit - conj(unit).swapaxes(-1, -2))))
+            <= 1e-10 * max(1.0, peak) / scale):
         raise ValueError("matrix is not Hermitian within 1e-10")
     evals, evecs = np.linalg.eigh(m)
     if not np.all(np.isfinite(evals)):
         raise ConfigError("eigenvalues beyond the float range")
-    recon = (evecs * (evals / scale)) @ conj(evecs).T
-    unorm = float(np.linalg.norm(unit))
-    if unorm > 0 and not float(np.linalg.norm(unit - recon)) <= 1e-8 * unorm:
+    recon = (evecs * (evals / scale)[..., None, :]) @ conj(evecs).swapaxes(-1, -2)
+    # Squared Frobenius norms; a zero matrix reconstructs as zero, and NaN
+    # fails the check.
+    usq, rsq = ((x * conj(x)).real.sum(axis=(-2, -1)) for x in (unit, unit - recon))
+    residual = np.sqrt(rsq / np.maximum(usq, np.finfo(float).tiny))
+    if not np.all(residual <= 1e-8):
         raise RuntimeError("eigendecomposition failed to reconstruct input")
-    evals = evals[::-1].copy()
+    return evals, float(residual.max())
+
+
+def _report(evals: np.ndarray, policy: RankPolicy, residual: float) -> SpectrumReport:
+    """The :class:`SpectrumReport` of a descending spectrum."""
     rank_t, rank_e = effective_rank(evals, policy)
     return SpectrumReport(eigenvalues=evals, trace=float(np.sum(evals)),
                           rank_threshold=rank_t, rank_energy=rank_e,
-                          epsilon=policy.epsilon, eta=policy.eta)
+                          epsilon=policy.epsilon, eta=policy.eta,
+                          residual=residual)
 
 
 def effective_rank(evals, policy: RankPolicy = RankPolicy()) -> tuple[int, int]:

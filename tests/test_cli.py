@@ -696,6 +696,10 @@ def test_verify_report_contents(tmp_path):
     assert doc["metadata"]["prng"] == "numpy-pcg64"
     assert doc["gram"]["modes"] == 10
     assert doc["gram"]["rank_threshold"] == 10
+    # The spectra's reconstruction residuals are not written.
+    spectrum = {"eigenvalues", "trace", "rank_threshold", "rank_energy", "epsilon", "eta"}
+    assert set(doc["gram"]) == {"modes", *spectrum}
+    assert set(doc["ensemble"]) == {"fields", *spectrum}
     assert doc["bounds"]["d_space2d"] == 10
     assert 0 < doc["ensemble"]["rank_energy"] <= 48
     assert doc["ratios"]["gram_rank_threshold_over_exact"] == 1.0

@@ -11,13 +11,13 @@ from numpy.polynomial.legendre import leggauss
 from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
                      SpaceTimeGrid, WaveVector, build_grid, diagonal_normalize,
                      effective_rank, eigen_spectrum, ensemble_spectrum,
-                     enumerate_modes, gram_of_modes, synthesize_field,
-                     truncation_degree, truncation_error)
+                     enumerate_modes, gram_of_modes, gram_spectrum,
+                     synthesize_field, truncation_degree, truncation_error)
 from wavedof import cli, rankcheck
 from wavedof import modes as modes_module
-from wavedof.bounds import ConfigError, ModeCapError
-from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values, mode_matrix,
-                           project_field, weighted_gram)
+from wavedof.bounds import ConfigError, ModeCapError, bin_degrees
+from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values, gram_channels,
+                           mode_matrix, project_field, weighted_gram)
 from wavedof.specfun import cos_sin
 
 from oracles import (ENSEMBLE_ROUTES, band_time_basis, charpoly_eigenvalues,
@@ -711,11 +711,13 @@ PAIR_GRIDS = pytest.mark.parametrize("dim, cfg, resolution", [
 
 
 @PAIR_GRIDS
-@pytest.mark.parametrize("waves, pair", [((4, 3, 4), True), ((12, 9), False)],
+@pytest.mark.parametrize("waves, pair", [((4, 3, 4), True), ((128, 100), False)],
                          ids=["pair-side", "blocked-side"])
 def test_ensemble_routes_match_dense_covariance(dim, cfg, resolution, waves, pair):
-    # On 5 time nodes (F W)^2 < 2 F (F + W) n_t holds for 3 fields of up
-    # to 4 waves and fails for 2 of up to 12: one shape on each side.
+    # On these grids of 12 to 48 kept spatial nodes and 5 time nodes the
+    # blocked route's fixed cost dominates: 3 fields of up to 4 waves
+    # take the pair route, and 2 fields of up to 128 waves (F W = 256,
+    # the pair route's cap) the blocked one: one shape on each side.
     g = build_grid(dim, cfg, resolution)
     fields = [synthesize_field(dim, cfg, w, seed=60 + j) for j, w in enumerate(waves)]
     assert rankcheck._pair_route_is_cheaper(fields, g) is pair
@@ -757,11 +759,43 @@ def test_pair_route_matches_blocked_route(dim, cfg, resolution, waves):
     (THREE_D, HALF_CAL_3D, (8, 13, 52), 16, 16, False),
     # F W = 512: kernels past half of _BLOCK_ENTRIES.
     (THREE_D, HALF_CAL_3D, (8, 13, 52), 128, 4, False),
-], ids=["verify2d", "verify3d", "3d-128x2", "3d-16x16", "3d-128x4"])
+    # The measured sweep: the pair route was the faster on each of these,
+    # the blocked route on the last two of each dimension.
+    (TWO_D, NARROW_2D, (8, 24, 21), 1, 64, True),
+    (TWO_D, NARROW_2D, (8, 24, 21), 16, 8, True),
+    (TWO_D, NARROW_2D, (8, 24, 21), 4, 16, True),
+    (TWO_D, NARROW_2D, (8, 24, 21), 128, 2, True),
+    (TWO_D, NARROW_2D, (8, 24, 21), 32, 8, False),
+    (TWO_D, NARROW_2D, (8, 24, 21), 4, 64, False),
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), 1, 64, True),
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), 16, 8, True),
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), 4, 32, False),
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), 128, 64, False),
+], ids=["verify2d", "verify3d", "3d-128x2", "3d-16x16", "3d-128x4",
+        "2d-1x64", "2d-16x8", "2d-4x16", "2d-128x2", "2d-32x8", "2d-4x64",
+        "3d-1x64", "3d-16x8", "3d-4x32", "3d-128x64"])
 def test_ensemble_route_selection(dim, cfg, resolution, fields, waves, pair):
     g = build_grid(dim, cfg, resolution)
     ens = [synthesize_field(dim, cfg, waves, seed=1 + j) for j in range(fields)]
     assert rankcheck._pair_route_is_cheaper(ens, g) is pair
+
+
+@pytest.mark.parametrize("resolution", [(3, 8, 5), (3, 9, 5)], ids=["even", "odd"])
+@pytest.mark.parametrize("fields, waves", [(1, 64), (16, 8), (4, 16)],
+                         ids=["1x64", "16x8", "4x16"])
+def test_rerouted_shapes_match_dense_covariance(resolution, fields, waves):
+    # The shapes the fixed cost moved to the pair route, at NARROW on grids
+    # small enough for the (points x points) covariance.
+    g = build_grid(TWO_D, NARROW_2D, resolution)
+    ens = [synthesize_field(TWO_D, NARROW_2D, waves, seed=70 + j) for j in range(fields)]
+    assert rankcheck._pair_route_is_cheaper(ens, g)
+    direct = eigen_spectrum(ensemble_covariance(ens, g))
+    dual = ensemble_spectrum(ens, g)
+    assert (np.max(np.abs(direct.eigenvalues[:fields] - dual.eigenvalues))
+            <= 1e-12 * direct.trace)
+    assert direct.trace == pytest.approx(dual.trace, rel=1e-12)
+    assert (direct.rank_threshold, direct.rank_energy) == \
+        (dual.rank_threshold, dual.rank_energy)
 
 
 def test_ensemble_saturation_under_doubling():
@@ -895,6 +929,24 @@ def test_eigen_spectrum_reconstruction_contract():
     spec = eigen_spectrum(m)
     assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
     assert spec.trace == pytest.approx(float(np.trace(m)), rel=1e-10)
+    assert 0.0 < spec.residual <= 1e-13
+
+
+def test_checked_eigh_of_a_stack():
+    # One call over a stack: each matrix's eigenvalues as eigh gives them
+    # alone, the largest residual, and a check that fails on any matrix.
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    stack = rankcheck._mirror_upper(x)
+    assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
+    evals, residual = rankcheck._checked_eigh(stack)
+    for lam, m in zip(evals, stack):
+        assert np.allclose(lam, np.linalg.eigh(m)[0], rtol=0, atol=1e-14)
+        assert residual >= eigen_spectrum(m).residual
+    assert 0.0 < residual <= 1e-13
+    stack[1, 0, 3] += 1.0
+    with pytest.raises(ValueError, match="^matrix is not Hermitian within 1e-10$"):
+        rankcheck._checked_eigh(stack)
 
 
 def test_eigen_spectrum_of_the_verify3d_gram_is_plain_eigh():
@@ -908,6 +960,133 @@ def test_eigen_spectrum_of_the_verify3d_gram_is_plain_eigh():
     assert spec.eigenvalues.tobytes() == want.tobytes()
     assert spec.trace == float(np.sum(want))
     assert (spec.rank_threshold, spec.rank_energy) == effective_rank(want)
+
+
+def _jittered_azimuths(grid):
+    """The grid with its azimuths moved to phi + 0.05 sin 3 phi, weights
+    kept: an angular rule that no longer separates orders m three apart."""
+    phi = grid.axes["phi_nodes"] + 0.05 * np.sin(3.0 * grid.axes["phi_nodes"])
+    return SpaceTimeGrid(dict(grid.axes, phi_nodes=phi,
+                              directions=np.stack([np.cos(phi), np.sin(phi)], axis=-1)))
+
+
+def _off_centre_time(grid):
+    """The grid's time axis times 0.7: symmetric about 0.35 T, so the Gram
+    of lattice bins is complex."""
+    ax = grid.axes
+    return SpaceTimeGrid(dict(ax, t_nodes=0.7 * ax["t_nodes"],
+                              t_weights=0.7 * ax["t_weights"]))
+
+
+def _channels_forced(monkeypatch, split):
+    """With ``split``, gram_channels finds the channels of every mode set,
+    however few its modes."""
+    if split:
+        monkeypatch.setattr(modes_module, "_CHANNEL_MODES", 1)
+
+
+MIXED_BINS = [ModeIndex(i, 0, m, TWO_D) for i in (2, 3) for m in range(-3, 4)]
+GRAM_SPECTRUM_SETS = pytest.mark.parametrize(
+    "dim, cfg, resolution, two_sided, warp, hand_set", [
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), False, None, None),
+    (THREE_D, CAL_3D, (12, 23, 52), False, None, None),
+    (TWO_D, NARROW_2D, (8, 24, 21), False, None, None),
+    (TWO_D, NARROW_2D, (8, 24, 21), True, None, None),
+    (TWO_D, CAL_2D, (8, 24, 52), True, None, None),
+    (TWO_D, CAL_2D, (8, 24, 52), True, _jittered_azimuths, None),
+    (TWO_D, STAND_IN, (8, 31, 20), True, None, MIXED_BINS),
+    (TWO_D, CAL_2D, (8, 24, 52), False, _off_centre_time, None),
+], ids=["verify3d", "cal3d", "narrow", "narrow-two-sided", "cal2d-two-sided",
+        "jittered-azimuths", "stand-in-mixed-bins", "off-centre-time"])
+
+
+@GRAM_SPECTRUM_SETS
+@pytest.mark.parametrize("split", [False, True], ids=["default", "channels"])
+def test_gram_spectrum_matches_dense_spectrum(dim, cfg, resolution, two_sided, warp,
+                                              hand_set, split, monkeypatch):
+    _channels_forced(monkeypatch, split)
+    g = build_grid(dim, cfg, resolution)
+    g = warp(g) if warp else g
+    modes = hand_set or enumerate_modes(dim, cfg, two_sided=two_sided)
+    want = eigen_spectrum(diagonal_normalize(gram_of_modes(modes, g, cfg)))
+    got = gram_spectrum(modes, g, cfg)
+    assert got.eigenvalues.shape == (len(modes),)
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-13
+    assert got.trace == pytest.approx(want.trace, rel=1e-13)
+    assert (got.rank_threshold, got.rank_energy) == (want.rank_threshold, want.rank_energy)
+    assert 0.0 <= got.residual <= 1e-13 and 0.0 < want.residual <= 1e-13
+
+
+def test_gram_channels_split_where_the_angular_rule_separates(monkeypatch):
+    # Every block is one key's on build_grid grids; the jittered azimuths
+    # couple m with m +- 3, so the 21 keys of two-sided CAL_2D (|m| <= 10)
+    # merge into three blocks of 21 modes, m mod 3 each.
+    _channels_forced(monkeypatch, True)
+    g = build_grid(TWO_D, CAL_2D, (8, 24, 52))
+    modes = enumerate_modes(TWO_D, CAL_2D, two_sided=True)
+    parts = gram_channels(modes, _jittered_azimuths(g), CAL_2D)
+    assert [(b.shape, c.tolist()) for b, c in parts] == [((3, 21, 21), [1, 1, 1])]
+    assert max(b.shape[1] for b, _ in gram_channels(modes, g, CAL_2D)) == 3
+
+
+@pytest.mark.parametrize("dim, cfg, resolution, two_sided", [
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), False),
+    (THREE_D, CAL_3D, (12, 23, 52), False),
+    (TWO_D, NARROW_2D, (8, 24, 21), False),
+    (TWO_D, NARROW_2D, (8, 24, 21), True),
+    (TWO_D, CAL_2D, (8, 24, 52), True),
+], ids=["verify3d", "cal3d", "narrow", "narrow-two-sided", "cal2d-two-sided"])
+def test_gram_channels_count_each_channel_once(dim, cfg, resolution, two_sided,
+                                               monkeypatch):
+    # A degree n (3D) or order |m| (2D) has one block over the bins whose
+    # degree reaches it, counted 2n + 1 times in 3D, twice for m = +-|m| > 0
+    # two-sided and once otherwise.
+    _channels_forced(monkeypatch, True)
+    modes = enumerate_modes(dim, cfg, two_sided=two_sided)
+    degrees = [int(d) for d in bin_degrees(cfg)[2]]
+    want: dict = {}
+    for n in range(max(degrees) + 1):
+        count = 2 * n + 1 if dim is THREE_D else 1 + (two_sided and n > 0)
+        want.setdefault(sum(d >= n for d in degrees), []).append(count)
+    parts = gram_channels(modes, build_grid(dim, cfg, resolution), cfg)
+    got = {b.shape[1]: sorted(c.tolist()) for b, c in parts}
+    assert got == {size: sorted(counts) for size, counts in want.items()}
+    assert sum(b.shape[1] * int(c.sum()) for b, c in parts) == len(modes)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["default", "channels"])
+@pytest.mark.parametrize("dim, cfg, resolution, hand_set, error, message", [
+    (TWO_D, CAL_2D, (8, 24, 52), [], ValueError, "modes must be nonempty"),
+    (TWO_D, CAL_2D, (8, 24, 20), None, ResolutionError, "grid resolution"),
+    (TWO_D, CAL_2D, (8, 10, 52), None, ResolutionError, "grid resolution"),
+    (TWO_D, PhysicalConfig(R=1e154, W=0.0, T=1.0, f0=10.0, c=1e159), (4, 8, 60), None,
+     ConfigError, "Gram entries leave the float range"),
+    (TWO_D, PhysicalConfig(R=1e-153, W=0.0, T=1.0, f0=10.0, c=1e-148), (4, 8, 60), None,
+     ConfigError, "Gram diagonal cannot be normalized"),
+    (THREE_D, PhysicalConfig(R=1e-150, W=0.0, T=1.0, f0=10.0, c=1e-145), (4, 8, 60), None,
+     ConfigError, "Gram diagonal cannot be normalized"),
+], ids=["empty", "few-times", "few-angles", "overflow", "underflow-2d", "underflow-3d"])
+def test_gram_spectrum_fails_as_the_dense_path(dim, cfg, resolution, hand_set, error,
+                                               message, split, monkeypatch):
+    _channels_forced(monkeypatch, split)
+    g = build_grid(dim, cfg, resolution)
+    modes = enumerate_modes(dim, cfg) if hand_set is None else hand_set
+    with pytest.raises(error, match=f"^{message}") as dense:
+        eigen_spectrum(diagonal_normalize(gram_of_modes(modes, g, cfg)))
+    with pytest.raises(error) as channels:
+        gram_spectrum(modes, g, cfg)
+    assert str(channels.value) == str(dense.value)
+
+
+def test_gram_spectrum_memory_at_365_modes():
+    # The dense path holds several 365 x 365 matrices (5.1 MiB traced);
+    # the channel blocks are at most 3 x 3.
+    g = build_grid(THREE_D, CAL_3D, (12, 23, 52))
+    modes = enumerate_modes(THREE_D, CAL_3D)
+    dense = _traced_peak(lambda: eigen_spectrum(diagonal_normalize(
+        gram_of_modes(modes, g, CAL_3D))))
+    channels = _traced_peak(gram_spectrum, modes, g, CAL_3D)
+    assert channels < dense / 2 and channels < 1.5 * (1 << 20)
 
 
 def test_effective_rank_examples():
