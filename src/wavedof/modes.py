@@ -316,28 +316,45 @@ def synthesize_field(dim: Dimension, cfg: PhysicalConfig, num_waves: int,
 
     Directions are isotropic (normalized Gaussian vectors), frequencies
     uniform over [F0 - W, F0 + W], amplitudes unit-variance complex
-    Gaussian. The draw order is fixed, so a seed pins the whole set.
+    Gaussian. The draw order is fixed, so a seed pins the whole set: it
+    is that of ``rng = np.random.default_rng(seed)`` drawing
+    ``rng.normal(size=(n, d))`` (each row divided by its
+    ``np.linalg.norm``), ``rng.uniform(F0 - W, F0 + W, n)`` and two
+    ``rng.standard_normal(n)``, the real and the imaginary parts, whose
+    sum is divided by sqrt 2. The draws here are the same, bit for bit,
+    from fewer numpy calls: one ``standard_normal(2n)`` holds both parts,
+    and numpy's complex divide by a real multiplies each part by its
+    inverse.
     """
     if num_waves < 1:
         raise ValueError("num_waves must be >= 1")
     d = 3 if dim is Dimension.THREE_D else 2
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(num_waves, d))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    rng = np.random.Generator(np.random.PCG64(seed))
+    dirs = rng.standard_normal((num_waves, d))
+    # np.linalg.norm's sum of squares, without its copies.
+    norm = np.add.reduce(dirs * dirs, axis=1)
+    dirs /= np.sqrt(norm, out=norm)[:, None]
     freqs = rng.uniform(cfg.f0 - cfg.W, cfg.f0 + cfg.W, num_waves)
-    amps = (rng.standard_normal(num_waves)
-            + 1j * rng.standard_normal(num_waves)) / math.sqrt(2.0)
+    parts = rng.standard_normal(2 * num_waves)
+    parts *= 1.0 / math.sqrt(2.0)
+    amps = np.empty(num_waves, dtype=complex)
+    amps.real, amps.imag = parts[:num_waves], parts[num_waves:]
     return PlaneWaveSet(directions=dirs, frequencies=freqs, amplitudes=amps,
                         c=cfg.c)
+
+
+def _check_width(directions: np.ndarray, dim: int) -> None:
+    """Raise ValueError unless ``directions`` has ``dim`` columns."""
+    if directions.shape[1] != dim:
+        raise ValueError(f"plane-wave directions have {directions.shape[1]} "
+                         f"components, the sample points {dim}")
 
 
 def _check_directions(directions: np.ndarray, dim: int) -> None:
     """Raise ValueError unless ``directions`` has ``dim`` columns and every
     row is a unit vector, |d.d - 1| <= 2e-12; the readers of plane-wave
     sets call it once per call, on all their rows at once."""
-    if directions.shape[1] != dim:
-        raise ValueError(f"plane-wave directions have {directions.shape[1]} "
-                         f"components, the sample points {dim}")
+    _check_width(directions, dim)
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("ij,ij->i", directions, directions)
     bad = ~(np.abs(sq - 1.0) <= 2e-12)   # NaN is bad too

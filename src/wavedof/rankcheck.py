@@ -6,7 +6,7 @@ to two effective-rank readouts. The Gram of the modes is real on these
 grids for every mode set that ``enumerate_modes`` returns
 (:func:`~wavedof.modes.weighted_gram` decides it), so it is
 normalized (:func:`~wavedof.modes.diagonal_normalize`) and diagonalized
-as a real symmetric matrix; the ensemble dual stays complex.
+as a real symmetric matrix; the ensemble dual is complex Hermitian.
 :func:`gram_spectrum` diagonalizes it by angular channel: the distinct
 (bins x bins) blocks of :func:`~wavedof.modes.gram_channels`, each
 block size in one stacked ``eigh``, with no M x M matrix past a few
@@ -23,8 +23,13 @@ product over the same axes, and so is each weight, so the Gram matrix
 and the ensemble are assembled axis by axis: the Gram matrix is
 the elementwise product of one small weighted Gram per axis, and each
 ensemble field is a (spatial nodes x waves) by (waves x time nodes)
-matrix product. The ensemble's dual has two routes, chosen from its
-shape alone (:func:`_pair_route_is_cheaper`): F fields, the longest of W
+matrix product. The ensemble is read as one stack (:func:`_wave_stack`),
+built once per call: directions (F, W, d), frequencies and amplitudes
+(F, W), every field zero-padded to the longest, with each field's wave
+speed and wave count, so no reader walks the fields. Its direction rows
+are checked there, once. The ensemble's dual has two routes, both
+reading the stack, chosen from its shape alone
+(:func:`_pair_route_is_cheaper`): F fields, the longest of W
 waves, n_x kept spatial nodes, n_t time nodes. For few waves in all,
 n_x (F W)^2 < n_x 2 F (F + W) n_t + ``_BLOCKED_FIXED`` with F W <= 256,
 it is summed over pairs of waves
@@ -62,11 +67,15 @@ so neither Q nor a (fields x waves x time nodes) array is formed. The
 field Gram is summed block by block: a block is a run of spatial nodes
 for every field, its phases taken a chunk of fields at a time as one
 product of the nodes with every wave vector side by side, and the
-spatial weights scale the rows of its product. Every pair comes from
-:func:`~wavedof.specfun.cos_sin`, always on contiguous arrays, and a
-block's temporaries stay within ``_BLOCK_ENTRIES`` complex entries
-(2 MB). No (points x modes), (points x waves) or (points x points)
-array is formed. The harmonic truncation error needs no grid: it is a
+spatial weights scale the columns of its product. Each block holds the
+real and the imaginary parts of its columns apart, so the Hermitian
+dual is summed in real arithmetic (:func:`_blocked_dual`): its real part
+one symmetric product of the block's real view, its imaginary part one
+product of the imaginary and the real parts, antisymmetrized. Every
+pair comes from :func:`~wavedof.specfun.cos_sin`, always on contiguous
+arrays, and a block's temporaries stay within ``_BLOCK_ENTRIES``
+complex entries (2 MB). No (points x modes), (points x waves) or
+(points x points) array is formed. The harmonic truncation error needs no grid: it is a
 closed-form tail sum over one Bessel column (:func:`truncation_error`).
 The readouts are:
 
@@ -81,14 +90,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import ConfigError, Dimension, PhysicalConfig, check_cap
 from .modes import (ModeIndex, PlaneWaveSet, diagonal_normalize,  # re-exported
-                    _check_directions, gram_channels, weighted_gram)
+                    _check_directions, _check_width, gram_channels, weighted_gram)
 from .specfun import _miller_start, bessel_table, cos_sin
 
 
@@ -364,42 +373,82 @@ def _half_time_axis(grid: SpaceTimeGrid) -> tuple[float, np.ndarray, np.ndarray]
     return (t[0] + t[-1]) / 2.0, tau, np.sqrt(mu * wt[n_t // 2:])
 
 
-def _centred_waves(fields: Sequence[PlaneWaveSet], centre: float,
-                   t_c: float) -> tuple[np.ndarray, np.ndarray]:
-    """(delta, amps), (fields, waves) each, every field's waves zero-padded
-    to the longest field: delta = 2 pi (f - centre) and a e^{2 pi i f t_c},
-    so that a e^{2 pi i f t} = amps e^{2 pi i centre tau} e^{i delta tau}
-    with tau = t - t_c. Padded waves have amplitude 0 and delta 0. Raises
+class _WaveStack(NamedTuple):
+    """An ensemble of F plane-wave sets as one array set, each field's
+    waves zero-padded to the longest field's W: ``directions`` (F, W, d),
+    ``frequencies`` and complex ``amplitudes`` (F, W), each field's wave
+    speed ``c`` and wave count ``counts`` (F,), and ``band``, the lowest
+    and highest frequency of the unpadded waves. A padded wave has
+    direction 0, frequency 0 and amplitude 0, so it adds nothing to a
+    field. :func:`_wave_stack` builds it once per
+    :func:`ensemble_spectrum` call, and both routes to the dual read it."""
+
+    directions: np.ndarray
+    frequencies: np.ndarray
+    amplitudes: np.ndarray
+    c: np.ndarray
+    counts: np.ndarray
+    band: tuple[float, float]
+
+    @property
+    def centre(self) -> float:
+        """The band's centre frequency f_c = (f_lo + f_hi) / 2."""
+        lo, hi = self.band
+        return lo + (hi - lo) / 2.0
+
+
+def _wave_stack(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> _WaveStack:
+    """The :class:`_WaveStack` of a nonempty ensemble on ``grid``.
+
+    Raises ValueError when a set's directions have another number of
+    components than the grid's, checked set by set as the stack is built,
+    or when a direction row is not of unit length, checked once over every
+    row (:func:`~wavedof.modes._check_directions`)."""
+    dim = grid.axes["directions"].shape[1]
+    for pws in fields:
+        _check_width(pws.directions, dim)
+    counts = np.array([len(pws) for pws in fields])
+    flat = [np.concatenate([getattr(pws, key) for pws in fields])
+            for key in ("directions", "frequencies", "amplitudes")]
+    _check_directions(flat[0], dim)
+    n_f, n_w = len(fields), int(counts.max())
+    if counts.min() == n_w:
+        padded = [a.reshape(n_f, n_w, *a.shape[1:]) for a in flat]
+    else:
+        valid = np.arange(n_w) < counts[:, None]
+        padded = []
+        for a in flat:
+            padded.append(np.zeros((n_f, n_w, *a.shape[1:]), dtype=a.dtype))
+            padded[-1][valid] = a
+    c = np.array([pws.c for pws in fields])
+    return _WaveStack(*padded, c, counts, (float(flat[1].min()), float(flat[1].max())))
+
+
+def _centred_waves(stack: _WaveStack, t_c: float) -> tuple[np.ndarray, np.ndarray]:
+    """(delta, amps), (fields, waves) each: delta = 2 pi (f - f_c), with
+    the band's centre f_c, and a e^{2 pi i f t_c}, so that
+    a e^{2 pi i f t} = amps e^{2 pi i f_c tau} e^{i delta tau} with
+    tau = t - t_c. Padded waves keep amplitude 0. Raises
     :class:`ConfigError` when a phase 2 pi f t_c leaves the float range."""
-    n_f, n_w = len(fields), max(len(pws) for pws in fields)
-    delta = np.zeros((n_f, n_w))
-    at_centre = np.zeros((n_f, n_w))
-    amps = np.zeros((n_f, n_w), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for f, pws in enumerate(fields):
-            n = len(pws)
-            delta[f, :n] = 2.0 * math.pi * (pws.frequencies - centre)
-            at_centre[f, :n] = 2.0 * math.pi * pws.frequencies * t_c
-            amps[f, :n] = pws.amplitudes
+        delta = 2.0 * math.pi * (stack.frequencies - stack.centre)
+        at_centre = 2.0 * math.pi * stack.frequencies * t_c
     if not np.all(np.isfinite(at_centre)):
         raise ConfigError("time phases of the ensemble leave the float range")
     c, s = cos_sin(at_centre, out=(at_centre, np.empty_like(at_centre)))
-    amps *= c + 1j * s
-    return delta, amps
+    return delta, stack.amplitudes * (c + 1j * s)
 
 
-def _wave_vectors(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> np.ndarray:
-    """(dim, fields x waves) wave vectors k times each wave's direction,
-    every field's waves side by side and zero-padded to the longest field
-    (padded waves have k = 0). Raises :class:`ConfigError` when a phase
-    k.x on the grid may leave the float range."""
-    dim = grid.axes["directions"].shape[1]
-    n_f, n_w = len(fields), max(len(pws) for pws in fields)
-    kvec = np.zeros((dim, n_f, n_w))
+def _wave_vectors(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
+    """(dim, fields x waves) wave vectors 2 pi f / c times each wave's
+    direction, every field's waves side by side (padded waves have k = 0).
+    Raises :class:`ConfigError` when a phase k.x on the grid may leave the
+    float range."""
+    n_f, n_w, dim = stack.directions.shape
+    kvec = np.empty((dim, n_f, n_w))
     with np.errstate(over="ignore", invalid="ignore"):
-        for f, pws in enumerate(fields):
-            kvec[:, f, :len(pws)] = pws.directions.T * (2.0 * math.pi * pws.frequencies
-                                                        / pws.c)
+        np.multiply(stack.directions.transpose(2, 0, 1),
+                    2.0 * math.pi * stack.frequencies / stack.c[:, None], out=kvec)
     # Unit directions make dim max|k_i| max r a bound on every |k.x|.
     phase_bound = dim * float(np.abs(kvec).max()) * float(grid.axes["r_nodes"].max())
     if not phase_bound < math.inf:
@@ -407,7 +456,7 @@ def _wave_vectors(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> np.nda
     return kvec.reshape(dim, -1)
 
 
-def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
+def _band_time_halves(stack: _WaveStack, grid: SpaceTimeGrid):
     """(f_c, t_c, tau, even, odd): the band's time basis, centred and split
     by parity, on the h = ceil(n_t / 2) time nodes at or after the centre
     t_c of the window.
@@ -418,7 +467,7 @@ def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     its h values >= 0, of mirror multiplicity mu = 2, or 1 at the centre
     node of an odd n_t.
     With the band's centre f_c = (f_lo + f_hi) / 2 of the fields' lowest
-    and highest frequency and delta = f - f_c,
+    and highest frequency (``stack.band``) and delta = f - f_c,
     e^{2 pi i f t} = e^{2 pi i f t_c} e^{2 pi i f_c tau} e^{2 pi i delta tau},
     and over delta in [-D, D], D = (f_hi - f_lo) / 2, the last factor spans
     what the even cos(2 pi delta tau) and the odd sin(2 pi delta tau) span.
@@ -444,8 +493,7 @@ def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     """
     t_c, tau, rows = _half_time_axis(grid)
     n_t = len(grid.axes["t_nodes"])
-    freqs = np.concatenate([pws.frequencies for pws in fields])
-    lo, hi = float(freqs.min()), float(freqs.max())
+    lo, hi = stack.band
     half = (hi - lo) / 2.0
     m = 2 * n_t + 16
     delta = half * np.cos(math.pi * (np.arange(m // 2) + 0.5) / m)
@@ -457,46 +505,50 @@ def _band_time_halves(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
              for p in cos_sin(phase, out=(phase, np.empty_like(phase)))]
     cut = max(s[0] for s, _ in parts) * n_t * np.finfo(float).eps
     even, odd = (vh[s > cut].T * rows[:, None] for s, vh in parts)
-    return lo + half, t_c, tau, even, odd
+    return stack.centre, t_c, tau, even, odd
 
 
-def _band_time_coordinates(fields: Sequence[PlaneWaveSet],
-                           grid: SpaceTimeGrid) -> np.ndarray:
-    """(fields, waves, 2L) reals: the interleaved real view of each wave's
-    coordinates a sqrt(w_t) e^{iwt} Q in the band's time basis Q, the
-    e^{-2 pi i f_c tau} [even, odd] columns that the parts of
-    :func:`_band_time_halves` stand for on every node, every field's waves
-    zero-padded to the longest field.
+def _band_time_coordinates(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
+    """(fields, 2L, waves) reals: each wave's coordinates a sqrt(w_t) e^{iwt} Q
+    in the band's time basis Q, the e^{-2 pi i f_c tau} [even, odd] columns
+    that the parts of :func:`_band_time_halves` stand for on every node:
+    their L real parts, then their L imaginary parts, as rows.
 
     With t = t_c + tau and the parts A_e and A_o of
     :func:`_band_time_halves`, the coordinates are
-    a e^{iw t_c} [cos(2 pi delta tau) A_e, i sin(2 pi delta tau) A_o],
-    delta = f - f_c: real products over the h nodes tau >= 0, times one
-    phase per wave. They are formed a chunk of fields at a time, so no
-    (fields x waves x time nodes) array is formed. Raises
-    :class:`ConfigError` when a phase w t_c, or a sampled phase of the
-    basis, leaves the float range.
+    g [cos(2 pi delta tau) A_e, i sin(2 pi delta tau) A_o] with
+    g = a e^{iw t_c} and delta = f - f_c (:func:`_centred_waves`): real
+    products over the h nodes tau >= 0, each times the real and the
+    imaginary part of one factor per wave. They are formed a chunk of
+    fields at a time, so no (fields x waves x time nodes) array is
+    formed. Raises :class:`ConfigError` when a phase w t_c, or a sampled
+    phase of the basis, leaves the float range.
     """
-    centre, t_c, tau, even, odd = _band_time_halves(fields, grid)
-    delta, amps = _centred_waves(fields, centre, t_c)
+    _, t_c, tau, even, odd = _band_time_halves(stack, grid)
+    delta, amps = _centred_waves(stack, t_c)
     (n_f, n_w), n_h = delta.shape, len(tau)
     n_e, n_b = even.shape[1], even.shape[1] + odd.shape[1]
-    coords = np.empty((n_f, n_w, n_b), dtype=complex)
+    coords = np.empty((n_f, 2 * n_b, n_w))
     per = max(1, _BLOCK_ENTRIES // (8 * n_w * n_h))
     for a in range(0, n_f, per):
+        g = amps[a:a + per, :, None]
         c = np.multiply.outer(delta[a:a + per], tau).reshape(-1, n_h)
         c, s = cos_sin(c, out=(c, np.empty_like(c)))
-        g = amps[a:a + per].reshape(-1, 1)
-        chunk = coords[a:a + per].reshape(-1, n_b)
-        np.multiply(c @ even, g, out=chunk[:, :n_e])
-        np.multiply(s @ odd, 1j * g, out=chunk[:, n_e:])
-    return coords.view(float)
+        c = (c @ even).reshape(*g.shape[:2], n_e)
+        s = (s @ odd).reshape(*g.shape[:2], n_b - n_e)
+        chunk = coords[a:a + per].transpose(0, 2, 1)
+        np.multiply(c, g.real, out=chunk[..., :n_e])
+        np.multiply(s, -g.imag, out=chunk[..., n_e:n_b])
+        np.multiply(c, g.imag, out=chunk[..., n_b:n_b + n_e])
+        np.multiply(s, g.real, out=chunk[..., n_b + n_e:])
+    return coords
 
 
-def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
-    """Yield blocks Y of columns whose Y Y^H sum to Xw Xw^H, the ensemble's
-    field-Gram dual, where Xw has the rows sqrt(w_s) x_f(s), up to terms
-    second order in rounding.
+def _weighted_field_blocks(stack: _WaveStack, grid: SpaceTimeGrid):
+    """Yield blocks (fields, 2, K) of reals, the real parts [:, 0] and the
+    imaginary parts [:, 1] of K columns Y, whose Y Y^H sum to Xw Xw^H, the
+    ensemble's field-Gram dual, where Xw has the rows sqrt(w_s) x_f(s), up
+    to terms second order in rounding.
 
     A plane wave is a space factor times a time factor, and the weight
     w_s = w_x w_t is one too, so over a run of spatial nodes a field is
@@ -512,51 +564,62 @@ def _weighted_field_blocks(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid):
     :func:`_antipodal_fold`) a block is sqrt(2 w_x) [p, q] over one node
     of each pair; otherwise it is sqrt(w_x) (p + i q) over every node.
 
-    A block is a run of nodes for every field, its (fields x 2 nodes x
-    2L) reals within half of ``_BLOCK_ENTRIES`` complex entries. Its
-    phases k.x are taken a chunk of fields at a time, one product of the
-    nodes with the side-by-side wave vectors into a fresh contiguous
-    (nodes, fields, waves) array, and the chunk's cos and sin (one
-    :func:`~wavedof.specfun.cos_sin`, both arrays contiguous) take an
-    eighth of ``_BLOCK_ENTRIES``. One batched product each for cos and
-    sin reads them through the transposed (fields, nodes, waves) views
-    and writes the block's p and q rows, which are then scaled by the
-    spatial factor.
+    A block is a run of nodes for every field, its (fields x 2L x 2 nodes)
+    reals within half of ``_BLOCK_ENTRIES`` complex entries, each field's
+    L real-part rows, then its L imaginary-part rows, over the run's p
+    columns, then its q columns. Its phases k.x are taken a chunk of
+    fields at a time, one product of the nodes with the side-by-side wave
+    vectors into a fresh contiguous (nodes, fields, waves) array, and the
+    chunk's cos and sin (one :func:`~wavedof.specfun.cos_sin`, both arrays
+    contiguous) take an eighth of ``_BLOCK_ENTRIES``. One batched product
+    each for cos and sin multiplies the time coordinates by them, read
+    through the transposed (fields, waves, nodes) views, and writes the
+    block's p and q columns, which are then scaled by the spatial factor.
     """
-    dim = grid.axes["directions"].shape[1]
-    _check_directions(np.concatenate([pws.directions for pws in fields]), dim)
-    in_time = _band_time_coordinates(fields, grid)
-    kvec = _wave_vectors(fields, grid)
+    in_time = _band_time_coordinates(stack, grid)
+    kvec = _wave_vectors(stack, grid)
     directions, w, folded = _antipodal_fold(grid.axes)
     space = _node_coordinates(grid.axes["r_nodes"], directions)
     sw = np.sqrt(w.ravel())
-    n_f, n_w, n_b = in_time.shape[0], in_time.shape[1], in_time.shape[2] // 2
+    n_f, n_b, n_w = in_time.shape[0], in_time.shape[1] // 2, in_time.shape[2]
     step = max(1, _BLOCK_ENTRIES // (4 * n_f * n_b))
     per = max(1, _BLOCK_ENTRIES // (8 * n_w * step))
     for lo in range(0, len(space), step):
         x = space[lo:lo + step]
         n = len(x)
-        pq = np.empty((n_f, 2 * n, 2 * n_b))
+        pq = np.empty((n_f, 2 * n_b, 2 * n))
         for a in range(0, n_f, per):
             c = (x @ kvec[:, a * n_w:(a + per) * n_w]).reshape(n, -1, n_w)
             c, s = cos_sin(c, out=(c, np.empty_like(c)))
-            np.matmul(c.transpose(1, 0, 2), in_time[a:a + per], out=pq[a:a + per, :n])
-            np.matmul(s.transpose(1, 0, 2), in_time[a:a + per], out=pq[a:a + per, n:])
+            np.matmul(in_time[a:a + per], c.transpose(1, 2, 0), out=pq[a:a + per, :, :n])
+            np.matmul(in_time[a:a + per], s.transpose(1, 2, 0), out=pq[a:a + per, :, n:])
         run_sw = sw[lo:lo + step]
-        pq *= np.concatenate([run_sw, run_sw])[:, None]
-        pq = pq.view(complex)
+        pq *= np.concatenate([run_sw, run_sw])
         if not folded:
-            pq = pq[:, :n] + 1j * pq[:, n:]
-        yield pq.reshape(n_f, -1)
+            # p + i q: real part p_re - q_im, imaginary part p_im + q_re.
+            y = np.empty((n_f, 2 * n_b, n))
+            np.subtract(pq[:, :n_b, :n], pq[:, n_b:, n:], out=y[:, :n_b])
+            np.add(pq[:, n_b:, :n], pq[:, :n_b, n:], out=y[:, n_b:])
+            pq = y
+        yield pq.reshape(n_f, 2, -1)
 
 
-def _blocked_dual(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> np.ndarray:
-    """The ensemble's (fields x fields) dual Xw Xw^H, summed over the blocks
-    of :func:`_weighted_field_blocks`, so no (fields x points) array is
-    formed."""
-    dual = np.zeros((len(fields), len(fields)), dtype=complex)
-    for xw in _weighted_field_blocks(fields, grid):
-        dual += xw @ xw.conj().T
+def _blocked_dual(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
+    """The ensemble's (fields x fields) dual Xw Xw^H, summed in real
+    arithmetic over the blocks of :func:`_weighted_field_blocks`, so no
+    (fields x points) array is formed. With a block's real parts R and
+    imaginary parts I, Y Y^H = (R R^T + I I^T) + i (I R^T - R I^T): the
+    real part is one symmetric product of the block's real view [R, I],
+    and the imaginary part A - A^T, A the sum of the products I R^T."""
+    n_f = len(stack.c)
+    real, odd = np.zeros((n_f, n_f)), np.zeros((n_f, n_f))
+    for block in _weighted_field_blocks(stack, grid):
+        parts = block.reshape(n_f, -1)
+        real += parts @ parts.T
+        odd += block[:, 1] @ block[:, 0].T
+    dual = np.empty((n_f, n_f), dtype=complex)
+    dual.real = real
+    np.subtract(odd, odd.T, out=dual.imag)
     return dual
 
 
@@ -591,7 +654,7 @@ def _cos_sin_gram(nodes: np.ndarray, vectors: np.ndarray, root_w: np.ndarray,
     return gram, odd
 
 
-def _pair_dual(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> np.ndarray:
+def _pair_dual(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
     """The ensemble's (fields x fields) dual Xw Xw^H through the wave-pair
     quadrature kernel, with no time basis.
 
@@ -608,22 +671,18 @@ def _pair_dual(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> np.ndarra
     the nodes tau >= 0. On a grid with antipodes (:func:`_antipodal_fold`)
     K_s is real as well, a sum over one node of each pair; otherwise it
     has the imaginary part A - A^T of :func:`_cos_sin_gram`. Both kernels
-    are (fields x waves) square, every field's waves zero-padded to the
-    longest field, and D sums amps_w (K_s K_t)(w, v) conj(amps_v) over
-    each pair of fields' blocks of waves. Raises :class:`ConfigError`
-    when a time phase or a space phase leaves the float range.
+    are (fields x waves) square, over the stack's zero-padded waves, and
+    D sums amps_w (K_s K_t)(w, v) conj(amps_v) over each pair of fields'
+    blocks of waves. Raises :class:`ConfigError` when a time phase or a
+    space phase leaves the float range.
     """
-    dim = grid.axes["directions"].shape[1]
-    _check_directions(np.concatenate([pws.directions for pws in fields]), dim)
-    freqs = np.concatenate([pws.frequencies for pws in fields])
-    lo, hi = float(freqs.min()), float(freqs.max())
     t_c, tau, rows = _half_time_axis(grid)
-    delta, amps = _centred_waves(fields, lo + (hi - lo) / 2.0, t_c)
+    delta, amps = _centred_waves(stack, t_c)
     with np.errstate(over="ignore", invalid="ignore"):
         time_bound = float(np.abs(delta).max()) * float(tau[-1])
     if not time_bound < math.inf:
         raise ConfigError("time phases of the ensemble leave the float range")
-    kvec = _wave_vectors(fields, grid)
+    kvec = _wave_vectors(stack, grid)
     directions, w, folded = _antipodal_fold(grid.axes)
     space = _node_coordinates(grid.axes["r_nodes"], directions)
     kernel, odd = _cos_sin_gram(space, kvec, np.sqrt(w.ravel()), not folded)
@@ -640,7 +699,7 @@ def _pair_dual(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> np.ndarra
 _BLOCKED_FIXED = 1 << 19
 
 
-def _pair_route_is_cheaper(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> bool:
+def _pair_route_is_cheaper(stack: _WaveStack, grid: SpaceTimeGrid) -> bool:
     """Whether :func:`_pair_dual` suits this ensemble's shape: F fields,
     the longest of W waves, on n_x kept spatial nodes (half the nodes on
     a grid with antipodes, see :func:`_antipodal_fold`) and n_t time
@@ -656,7 +715,7 @@ def _pair_route_is_cheaper(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) 
     while its (F W)^2 kernels fit in half of ``_BLOCK_ENTRIES``
     (F W <= 256). The fixed cost was fitted to both routes' times over
     shapes from 1 x 64 to 128 x 64 in 2D and 3D."""
-    n_f, n_w = len(fields), max(len(pws) for pws in fields)
+    n_f, n_w = stack.amplitudes.shape
     n_k = n_f * n_w
     ax = grid.axes
     n_x = len(ax["space_weights"]) // (2 if _has_antipodes(ax) else 1)
@@ -672,21 +731,24 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
     C[s, s'] = (1/F) sum_f sqrt(w_s) x_f(s) conj(x_f(s')) sqrt(w_s').
     The F x F matrix (1/F) Xw Xw^H shares every nonzero eigenvalue and
     the trace with it, so rank readouts are identical while the
-    eigenproblem stays small. The dual is summed by one of two routes,
-    chosen from the ensemble's shape (:func:`_pair_route_is_cheaper`):
+    eigenproblem stays small. The fields are read once, into one stack
+    (:func:`_wave_stack`), and the dual is summed from it by one of two
+    routes, chosen from the ensemble's shape (:func:`_pair_route_is_cheaper`):
     the wave-pair kernel (:func:`_pair_dual`) for few waves in all, the
     blocked fields in the band's time basis (:func:`_blocked_dual`)
     otherwise. Both rest on the symmetric time axis of the
     :class:`SpaceTimeGrid` contract. Raises ValueError for an empty
-    ensemble, or a direction row of another dimension than the grid or
-    not of unit length, and :class:`ConfigError` when a phase leaves the
-    float range or the dual's largest entry is subnormal (a window T near
-    the float minimum).
+    ensemble, a set whose directions have another number of components
+    than the grid's, or a direction row not of unit length, and
+    :class:`ConfigError` when a phase leaves the float range or the
+    dual's largest entry is subnormal (a window T near the float
+    minimum).
     """
     if len(fields) == 0:
         raise ValueError("ensemble must be nonempty")
-    route = _pair_dual if _pair_route_is_cheaper(fields, grid) else _blocked_dual
-    dual = route(fields, grid)
+    stack = _wave_stack(fields, grid)
+    route = _pair_dual if _pair_route_is_cheaper(stack, grid) else _blocked_dual
+    dual = route(stack, grid)
     dual /= len(fields)
     # The largest entry of a PSD matrix is on its diagonal.
     if 0.0 < np.max(dual.diagonal().real) < np.finfo(float).tiny:
@@ -770,19 +832,31 @@ def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, float]:
     # overflows at a subnormal peak. NaN fails both checks.
     scale = peak or 1.0
     complex_m = m.dtype.kind == "c"
-    unit = m.real / scale + 1j * (m.imag / scale) if complex_m else m / scale
-    # .conj() copies even a real array, so a real matrix is only transposed.
-    conj = np.conj if complex_m else np.asarray
-    if not (float(np.max(np.abs(unit - conj(unit).swapaxes(-1, -2))))
-            <= 1e-10 * max(1.0, peak) / scale):
+    unit = np.empty(m.shape, dtype=m.dtype)
+    if complex_m:
+        np.divide(m.real, scale, out=unit.real)
+        np.divide(m.imag, scale, out=unit.imag)
+    else:
+        np.divide(m, scale, out=unit)
+    # One difference array: the Hermitian defect, then the reconstruction
+    # error.
+    diff = np.empty_like(unit)
+    np.conjugate(unit.swapaxes(-1, -2), out=diff)
+    np.subtract(unit, diff, out=diff)
+    if not (float(np.max(np.abs(diff))) <= 1e-10 * max(1.0, peak) / scale):
         raise ValueError("matrix is not Hermitian within 1e-10")
     evals, evecs = np.linalg.eigh(m)
     if not np.all(np.isfinite(evals)):
         raise ConfigError("eigenvalues beyond the float range")
-    recon = (evecs * (evals / scale)[..., None, :]) @ conj(evecs).swapaxes(-1, -2)
-    # Squared Frobenius norms; a zero matrix reconstructs as zero, and NaN
-    # fails the check.
-    usq, rsq = ((x * conj(x)).real.sum(axis=(-2, -1)) for x in (unit, unit - recon))
+    scaled = evecs * (evals / scale)[..., None, :]
+    if complex_m:
+        np.conjugate(evecs, out=evecs)
+    np.matmul(scaled, evecs.swapaxes(-1, -2), out=diff)
+    diff -= unit
+    # Squared Frobenius norms of the real views; a zero matrix reconstructs
+    # as zero, and NaN fails the check.
+    usq, rsq = (np.einsum("...ij,...ij->...", x, x)
+                for x in (unit.view(float), diff.view(float)))
     residual = np.sqrt(rsq / np.maximum(usq, np.finfo(float).tiny))
     if not np.all(residual <= 1e-8):
         raise RuntimeError("eigendecomposition failed to reconstruct input")

@@ -18,8 +18,9 @@ every axis,
 the band's time basis as one complex SVD over every time node with each
 wave's time coordinates through its real lift, as first written, and the
 basis that the ensemble's centred parity parts stand for, on every node,
-a dense ball quadrature of the truncation error, and the same error's
-Lommel tail sum term by term in extended precision.
+a dense ball quadrature of the truncation error, the same error's
+Lommel tail sum term by term in extended precision, and a seeded
+plane-wave set drawn as first written, one ``default_rng`` call per draw.
 """
 
 import cmath
@@ -31,7 +32,7 @@ import numpy as np
 
 from wavedof import rankcheck, specfun
 from wavedof.bounds import Dimension, PhysicalConfig
-from wavedof.modes import _bin_columns, jacobi_anger_values, mode_matrix
+from wavedof.modes import PlaneWaveSet, _bin_columns, jacobi_anger_values, mode_matrix
 
 E_PI = math.e * math.pi
 
@@ -349,6 +350,24 @@ def pointwise_field_rows(fields, grid) -> np.ndarray:
     return np.array(rows)
 
 
+def synthesize_field_reference(dim, cfg, num_waves: int, seed: int) -> PlaneWaveSet:
+    """``modes.synthesize_field`` as first written: ``default_rng(seed)``
+    draws ``normal`` directions, each row divided by its ``np.linalg.norm``,
+    ``uniform`` frequencies over [F0 - W, F0 + W], then the real and the
+    imaginary parts of the amplitudes, one ``standard_normal`` each, whose
+    sum is divided by sqrt 2. The library must give these arrays bit for
+    bit."""
+    d = 3 if dim is Dimension.THREE_D else 2
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(num_waves, d))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    freqs = rng.uniform(cfg.f0 - cfg.W, cfg.f0 + cfg.W, num_waves)
+    amps = (rng.standard_normal(num_waves)
+            + 1j * rng.standard_normal(num_waves)) / math.sqrt(2.0)
+    return PlaneWaveSet(directions=dirs, frequencies=freqs, amplitudes=amps,
+                        c=cfg.c)
+
+
 def band_time_basis(fields, grid) -> np.ndarray:
     """(time nodes, L) orthonormal columns Q whose span holds every weighted
     time function sqrt(w_t) e^{2 pi i f t} with f in [f_lo, f_hi], the
@@ -361,7 +380,8 @@ def band_time_basis(fields, grid) -> np.ndarray:
     sqrt(mu w_t) to 1 / sqrt(mu) at tau >= 0 and mirrored with the sign of
     their parity, so both are real and orthonormal and E^T O = 0.
     """
-    centre, _, tau, even, odd = rankcheck._band_time_halves(fields, grid)
+    stack = rankcheck._wave_stack(fields, grid)
+    centre, _, tau, even, odd = rankcheck._band_time_halves(stack, grid)
     n_t = len(grid.axes["t_nodes"])
     skip = n_t % 2
     mu = np.full(len(tau), 2.0)
@@ -412,7 +432,8 @@ def lift_time_coordinates(fields, grid) -> np.ndarray:
 
 
 #: the two routes of ``ensemble_spectrum`` to its dual, each a private
-#: function of ``rankcheck`` that takes (fields, grid)
+#: function of ``rankcheck`` that takes (stack, grid), the ensemble's
+#: ``rankcheck._wave_stack``
 ENSEMBLE_ROUTES = {"blocked": "_blocked_dual", "pair": "_pair_dual"}
 
 
@@ -421,7 +442,7 @@ def each_ensemble_route(monkeypatch):
     route whatever the ensemble's shape."""
     for name in ENSEMBLE_ROUTES:
         monkeypatch.setattr(rankcheck, "_pair_route_is_cheaper",
-                            lambda fields, grid, pair=name == "pair": pair)
+                            lambda stack, grid, pair=name == "pair": pair)
         yield name
 
 

@@ -161,6 +161,13 @@ REJECTIONS = {
         lambda: ensemble_spectrum([_plane_waves(directions=np.array([[0.0, 0.0, 1.0]]))],
                                   SMALL_GRID),
         ValueError, "plane-wave directions have 3 components, the sample points 2"),
+    # One set of each dimension: each set's width is checked as the stack is
+    # built, before the rows of both are joined.
+    "ensemble_spectrum-mixed-dimensions": (
+        lambda: ensemble_spectrum(
+            [_plane_waves(), _plane_waves(directions=np.array([[0.0, 0.0, 1.0]]))],
+            SMALL_GRID),
+        ValueError, "plane-wave directions have 3 components, the sample points 2"),
     "ensemble_spectrum-k-overflow": (
         lambda: ensemble_spectrum(
             [_plane_waves(frequencies=np.array([10.0]), c=1e-307)], SMALL_GRID),

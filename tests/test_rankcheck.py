@@ -369,7 +369,7 @@ def test_separable_field_rows_match_pointwise(dim, cfg, resolution,
               for j in range(5)]
     rows = pointwise_field_rows(fields, g)
     want = rows @ rows.conj().T
-    got = sum(y @ y.conj().T for y in rankcheck._weighted_field_blocks(fields, g))
+    got = rankcheck._blocked_dual(rankcheck._wave_stack(fields, g), g)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     spec = ensemble_spectrum(fields, g)
     assert np.allclose(spec.eigenvalues,
@@ -402,7 +402,7 @@ def test_ensemble_block_edges(dim, cfg, resolution, entries, monkeypatch):
               for j in range(13)]
     rows = pointwise_field_rows(fields, g)
     want = rows @ rows.conj().T
-    got = sum(y @ y.conj().T for y in rankcheck._weighted_field_blocks(fields, g))
+    got = rankcheck._blocked_dual(rankcheck._wave_stack(fields, g), g)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     if entries == 128:
         assert set(chunks) == {(1, 1)}
@@ -442,7 +442,7 @@ def test_ensemble_dual_at_large_phases(dim, resolution):
     fields = [synthesize_field(dim, cfg, 12, seed=70 + j) for j in range(6)]
     rows = pointwise_field_rows(fields, g)
     want = rows @ rows.conj().T
-    got = sum(y @ y.conj().T for y in rankcheck._weighted_field_blocks(fields, g))
+    got = rankcheck._blocked_dual(rankcheck._wave_stack(fields, g), g)
     trace = float(np.real(np.trace(want)))
     assert np.max(np.abs(got - want)) <= 1e-12 * trace
     spec = ensemble_spectrum(fields, g)
@@ -487,7 +487,7 @@ def test_band_time_basis_is_centred_real_and_parity_split(dim, cfg, resolution,
     g = build_grid(dim, cfg, resolution)
     fields = [synthesize_field(dim, cfg, waves, seed=1 + 1000 * j) for j in range(4)]
     q = band_time_basis(fields, g)
-    centre = rankcheck._band_time_halves(fields, g)[0]
+    centre = rankcheck._band_time_halves(rankcheck._wave_stack(fields, g), g)[0]
     t = g.axes["t_nodes"]
     tau = (t - t[::-1]) / 2.0
     b = q * np.exp(2j * np.pi * centre * tau)[:, None]
@@ -513,7 +513,12 @@ def test_ensemble_matches_complex_basis_reference(dim, cfg, resolution, fields,
     g = build_grid(dim, cfg, resolution)
     ens = [synthesize_field(dim, cfg, waves, seed=1 + 1000 * j) for j in range(fields)]
     got = _route_spectrum("blocked", ens, g)
-    monkeypatch.setattr(rankcheck, "_band_time_coordinates", lift_time_coordinates)
+    # The oracle's (fields, waves, 2L) (re, im) pairs, as the library's
+    # (fields, 2L, waves) rows: real parts, then imaginary parts.
+    lifted = lift_time_coordinates(ens, g)
+    lifted = np.concatenate([lifted[..., 0::2], lifted[..., 1::2]], axis=-1)
+    monkeypatch.setattr(rankcheck, "_band_time_coordinates",
+                        lambda stack, grid: lifted.transpose(0, 2, 1))
     want = _route_spectrum("blocked", ens, g)
     assert got.eigenvalues.shape == want.eigenvalues.shape
     assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-15 * want.trace
@@ -694,7 +699,8 @@ def test_ensemble_dual_route_matches_covariance():
 
 def _route_spectrum(route, fields, grid):
     """ensemble_spectrum's readout of one private route's dual."""
-    dual = getattr(rankcheck, ENSEMBLE_ROUTES[route])(fields, grid) / len(fields)
+    stack = rankcheck._wave_stack(fields, grid)
+    dual = getattr(rankcheck, ENSEMBLE_ROUTES[route])(stack, grid) / len(fields)
     return eigen_spectrum(rankcheck._mirror_upper(dual))
 
 
@@ -720,7 +726,7 @@ def test_ensemble_routes_match_dense_covariance(dim, cfg, resolution, waves, pai
     # the pair route's cap) the blocked one: one shape on each side.
     g = build_grid(dim, cfg, resolution)
     fields = [synthesize_field(dim, cfg, w, seed=60 + j) for j, w in enumerate(waves)]
-    assert rankcheck._pair_route_is_cheaper(fields, g) is pair
+    assert rankcheck._pair_route_is_cheaper(rankcheck._wave_stack(fields, g), g) is pair
     direct = eigen_spectrum(ensemble_covariance(fields, g))
     dual = ensemble_spectrum(fields, g)
     k = len(fields)
@@ -729,6 +735,26 @@ def test_ensemble_routes_match_dense_covariance(dim, cfg, resolution, waves, pai
     assert direct.trace == pytest.approx(dual.trace, rel=1e-12)
     assert (direct.rank_threshold, direct.rank_energy) == \
         (dual.rank_threshold, dual.rank_energy)
+
+
+@PAIR_GRIDS
+def test_ensemble_of_mixed_speeds_and_wave_counts(dim, cfg, resolution, monkeypatch):
+    # The stack keeps each field's own wave speed and pads its waves to the
+    # longest field; either route matches the dense covariance.
+    g = build_grid(dim, cfg, resolution)
+    speeds, waves = (1.0, 0.5, 2.0, 1.25), (5, 2, 7, 1)
+    fields = [synthesize_field(dim, dataclasses.replace(cfg, c=c), w, seed=80 + j)
+              for j, (c, w) in enumerate(zip(speeds, waves))]
+    stack = rankcheck._wave_stack(fields, g)
+    assert stack.c.tolist() == list(speeds) and stack.counts.tolist() == list(waves)
+    assert stack.amplitudes.shape == (len(fields), max(waves))
+    direct = eigen_spectrum(ensemble_covariance(fields, g))
+    for _ in each_ensemble_route(monkeypatch):
+        dual = ensemble_spectrum(fields, g)
+        assert (np.max(np.abs(direct.eigenvalues[:len(fields)] - dual.eigenvalues))
+                <= 1e-13 * direct.trace)
+        assert (direct.rank_threshold, direct.rank_energy) == \
+            (dual.rank_threshold, dual.rank_energy)
 
 
 @pytest.mark.parametrize("dim, cfg, resolution, waves", [
@@ -777,7 +803,7 @@ def test_pair_route_matches_blocked_route(dim, cfg, resolution, waves):
 def test_ensemble_route_selection(dim, cfg, resolution, fields, waves, pair):
     g = build_grid(dim, cfg, resolution)
     ens = [synthesize_field(dim, cfg, waves, seed=1 + j) for j in range(fields)]
-    assert rankcheck._pair_route_is_cheaper(ens, g) is pair
+    assert rankcheck._pair_route_is_cheaper(rankcheck._wave_stack(ens, g), g) is pair
 
 
 @pytest.mark.parametrize("resolution", [(3, 8, 5), (3, 9, 5)], ids=["even", "odd"])
@@ -788,7 +814,7 @@ def test_rerouted_shapes_match_dense_covariance(resolution, fields, waves):
     # small enough for the (points x points) covariance.
     g = build_grid(TWO_D, NARROW_2D, resolution)
     ens = [synthesize_field(TWO_D, NARROW_2D, waves, seed=70 + j) for j in range(fields)]
-    assert rankcheck._pair_route_is_cheaper(ens, g)
+    assert rankcheck._pair_route_is_cheaper(rankcheck._wave_stack(ens, g), g)
     direct = eigen_spectrum(ensemble_covariance(ens, g))
     dual = ensemble_spectrum(ens, g)
     assert (np.max(np.abs(direct.eigenvalues[:fields] - dual.eigenvalues))
