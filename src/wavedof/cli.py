@@ -41,7 +41,7 @@ from .bounds import (DEFAULT_MODE_CAP, QUANTITIES, ConfigError, Dimension,
                      bound_report, bound_values, check_cap, exact_mode_sum)
 from .modes import _bin_orders, enumerate_modes, synthesize_field
 from .rankcheck import (RankPolicy, ResolutionError, SpectrumReport,
-                        build_grid, ensemble_spectrum, gram_spectrum)
+                        build_grid, ensemble_spectrum, gram_readout)
 
 PRNG_NAME = "numpy-pcg64"
 
@@ -440,26 +440,22 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
                   policy: RankPolicy, two_sided: bool = False) -> dict:
     """Run the full rank experiment and assemble the JSON document.
 
-    The Gram spectrum is taken channel by channel
-    (:func:`~wavedof.rankcheck.gram_spectrum`). Every ratio divides a
+    The ``gram`` block is :func:`~wavedof.rankcheck.gram_readout`: the
+    spectrum of the identity, which the normalized Gram of the modes is
+    in closed form, and its ``diagonal_defect``. Every ratio divides a
     rank by ``exact_mode_sum(dim, cfg, two_sided)``, the number of modes
     the Gram is built from. Raises :class:`ModeCapError` before
     allocating when the grid points (:func:`~wavedof.rankcheck.build_grid`
-    checks them), the Gram entries (modes^2), the ensemble's time-factor
-    entries or its dual's entries (fields^2) fail
-    :func:`~wavedof.bounds.check_cap`. The channel spectrum forms no
-    M x M Gram past a few dozen modes, but the pre-flight still counts
-    its modes^2 entries, so the exit code and the cap a mode set meets do
-    not depend on how the Gram splits.
+    checks them), the ensemble's time-factor entries or its dual's
+    entries (fields^2) fail :func:`~wavedof.bounds.check_cap`.
     """
     exact = exact_mode_sum(dim, cfg, two_sided)
     grid = build_grid(dim, cfg, resolution)
-    for what, size in (("Gram entries", exact ** 2),
-                       ("ensemble time-factor entries", fields * waves * resolution[2]),
+    for what, size in (("ensemble time-factor entries", fields * waves * resolution[2]),
                        ("ensemble dual entries", fields ** 2)):
         check_cap(size, what)
     modes = enumerate_modes(dim, cfg, two_sided=two_sided)
-    gram_spec = gram_spectrum(modes, grid, cfg, policy)
+    gram_spec, defect = gram_readout(modes, grid, cfg, policy)
     ensemble = [synthesize_field(dim, cfg, waves, seed + 1000 * j)
                 for j in range(fields)]
     ens_spec = ensemble_spectrum(ensemble, grid, policy)
@@ -473,7 +469,8 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
             "two_sided": two_sided,
             "policy": {"epsilon": policy.epsilon, "eta": policy.eta}}),
         "bounds": bounds,
-        "gram": {"modes": len(modes), **_spectrum_doc(gram_spec)},
+        "gram": {"modes": len(modes), **_spectrum_doc(gram_spec),
+                 "diagonal_defect": _round12(defect)},
         "ensemble": {"fields": fields, **_spectrum_doc(ens_spec)},
         "ratios": {
             "gram_rank_threshold_over_exact": _round12(gram_spec.rank_threshold / exact),

@@ -23,11 +23,11 @@ from it. The radial factors come from one Bessel table for the whole
 mode set, over every bin's wave-number times every radial node.
 :func:`weighted_gram` returns the distinct columns with their Gram,
 formed one axis at a time over the distinct columns and read at every
-pair of modes, and alone decides whether that Gram is real
-(:func:`_axis_grams`); ``rankcheck`` and :func:`project_field` both
-read it. :func:`gram_channels` reads the same axis Grams and gives the
-normalized Gram as its distinct blocks by angular channel, which
-``rankcheck.gram_spectrum`` diagonalizes. The projection
+pair of modes, and alone decides whether that Gram is real;
+``rankcheck`` and :func:`project_field` both read it.
+:func:`gram_diagonals` gives its diagonal alone, one weighted squared
+norm per distinct column and axis, with the same norms from Lommel's
+integral, for ``rankcheck.gram_readout``. The projection
 contracts its samples over t against one column per bin and
 synthesizes its residual bin by bin, so it forms no (spatial nodes x
 modes) array. :func:`mode_matrix` joins the per-mode factors, column by
@@ -39,7 +39,7 @@ and the projection alike.
 The Jacobi-Anger partial sum of a plane wave is likewise one radial
 table times one angular table (:func:`jacobi_anger_values`). The
 ball-averaged ``rankcheck.truncation_error`` needs no partial sum: it is
-a closed-form tail sum over one Bessel column.
+a closed-form tail sum of Lommel terms.
 
 A plane-wave field factors the same way: each wave is a space factor
 times a time factor, so :func:`field_values` evaluates one table over
@@ -536,34 +536,11 @@ def mode_matrix(modes: Sequence[ModeIndex], grid, cfg: PhysicalConfig) -> np.nda
     return _join_columns(np.ones((1, len(modes)), dtype=complex), factors)
 
 
-def _check_gram_entries(*arrays: np.ndarray) -> None:
+def _check_gram_entries(a: np.ndarray) -> None:
     """Raise :class:`ConfigError` unless every entry is finite."""
-    if not all(np.isfinite(a).all() for a in arrays):
+    if not np.isfinite(a).all():
         raise ConfigError("Gram entries leave the float range; the quadrature "
                           "weights of the region are too large")
-
-
-def _axis_grams(modes: Sequence[ModeIndex], grid,
-                cfg: PhysicalConfig) -> tuple[dict, dict, bool]:
-    """(columns, grams, real): the distinct factor columns of ``modes``
-    (:func:`_factor_columns`), {axis: (A, index)} with A the axis's
-    weighted Gram over its D distinct columns (D x D) and index each
-    mode's column, and whether the Gram is real (see
-    :func:`weighted_gram`), in which case each A is its real part. Mode
-    p and q's Gram entry is the product over the axes, in grid order, of
-    A[index[p], index[q]]."""
-    columns, cycles = _factor_columns(modes, grid.axes, cfg)
-    t = grid.axes["t_nodes"]
-    frac = np.modf(cycles)[0]
-    real = bool(abs(t[0] + t[-1] - cfg.T) <= 4.0 * np.finfo(float).eps * cfg.T
-                and (frac == frac[:1]).all())
-    grams = {}
-    with np.errstate(over="ignore", invalid="ignore"):
-        for axis, (f, index) in columns.items():
-            a = (f * grid.axes[f"{axis}_weights"][:, None]).T @ (
-                f.conj() if f.dtype.kind == "c" else f)
-            grams[axis] = (a.real if real else a), index
-    return columns, grams, real
 
 
 def weighted_gram(modes: Sequence[ModeIndex], grid,
@@ -596,145 +573,54 @@ def weighted_gram(modes: Sequence[ModeIndex], grid,
     not. Raises :class:`ConfigError` when an entry leaves the float
     range.
     """
-    columns, grams, real = _axis_grams(modes, grid, cfg)
+    columns, cycles = _factor_columns(modes, grid.axes, cfg)
+    t = grid.axes["t_nodes"]
+    frac = np.modf(cycles)[0]
+    real = bool(abs(t[0] + t[-1] - cfg.T) <= 4.0 * np.finfo(float).eps * cfg.T
+                and (frac == frac[:1]).all())
     g = np.ones((len(modes),) * 2, dtype=float if real else complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, index in grams.values():
-            g *= a[index][:, index]
+        for axis, (f, index) in columns.items():
+            a = (f * grid.axes[f"{axis}_weights"][:, None]).T @ (
+                f.conj() if f.dtype.kind == "c" else f)
+            g *= (a.real if real else a)[index][:, index]
     _check_gram_entries(g)
     return columns, g
 
 
-#: eps per polar and azimuthal node in the rounding of a normalized
-#: angular Gram entry; past it, :func:`gram_channels` couples two keys
-_ANGULAR_ROUNDING = 8
+def gram_diagonals(modes: Sequence[ModeIndex], grid,
+                   cfg: PhysicalConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(quadrature, closed): each mode's squared norm on a
+    ``rankcheck.SpaceTimeGrid``, the diagonal of :func:`weighted_gram`
+    with no M x M array, and its exact value over the ball and window;
+    both in units of R^d, so neither leaves the float range.
 
-#: fewest modes whose Gram :func:`gram_channels` splits by channel;
-#: below it one block is cheaper than finding the channels
-_CHANNEL_MODES = 40
-
-
-def gram_channels(modes: Sequence[ModeIndex], grid,
-                  cfg: PhysicalConfig) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The diagonal-normalized Gram of :func:`weighted_gram`, by angular
-    channel: [(blocks, counts)], one pair per block size b, with
-    ``blocks`` (S, b, b) the distinct blocks of that size and ``counts``
-    (S,) how often each occurs. The normalized Gram is, up to rounding,
-    the direct sum of every block taken ``counts`` times, its rows and
-    columns permuted; each block is its modes' entries of the
-    :func:`diagonal_normalize`-d Gram, bit for bit, and not yet mirrored.
-
-    A mode's angular key is its polar and azimuthal columns, (n, m) in
-    3D, its azimuthal one m in 2D; the angular Gram of two keys is the
-    product of their polar and azimuthal Grams. Modes of different keys
-    are orthogonal under the quadrature up to rounding on every
-    ``build_grid`` grid: the uniform azimuths integrate
-    e^{i (m_p - m_q) phi} to 0 and the Gauss mu rule integrates the
-    Legendre product of one m and two degrees to 0. Two keys share a
-    block when their angular Gram, normalized to unit diagonal, exceeds
-    the rounding of its sums, ``_ANGULAR_ROUNDING`` eps per polar and
-    azimuthal node, and blocks are the keys' connected groups. On a grid
-    whose angular rule does not separate them the groups merge, up to
-    one block of every mode: the dense Gram. A set of fewer than
-    ``_CHANNEL_MODES`` modes is that one block, since finding its
-    channels costs more than the dense eigendecomposition saves. The
-    modes of a block are in their order in ``modes``.
-
-    A block of one key is its modes' radial and time Grams times one
-    angular number, which its normalization cancels; so blocks of one
-    key whose modes read the same radial and time columns, such as the
-    2n + 1 orders m of (n, m) in 3D and the pair +m, -m of a two-sided
-    2D set, are formed once and counted. Work and memory are those of
-    the blocks, not of the M x M Gram. Raises ValueError for an empty
-    mode set or modes of another dimension than the grid, and
-    :class:`ConfigError` when a block's entry leaves the float range
-    (the message of :func:`weighted_gram`; an entry between channels is
-    not formed, and is bounded by its modes' diagonal entries) or the
-    diagonal cannot be normalized (that of :func:`diagonal_normalize`).
+    The quadrature norm is the product over the axes of its columns'
+    weighted squared norms, one per distinct column (O(nodes x distinct
+    columns)), checked as :func:`weighted_gram` and
+    :func:`diagonal_normalize` check theirs, with their ConfigErrors. In
+    closed form the time factor has unit norm, the angular one 2 pi
+    (e^{i m phi}) or 1 (Y_n^m), and Lommel's integral gives the radial
+    one, R^d / 2 (Z_n^2 - Z_{n-1} Z_{n+1})(k R) with Z = J_|m| in 2D and
+    j_n in 3D (:func:`~wavedof.specfun._lommel_table`; R^d / d at k = 0).
+    Raises ValueError when ``modes`` is empty or a mode's ``dim`` is not
+    the grid's.
     """
-    _, grams, real = _axis_grams(modes, grid, cfg)
-    if len(modes) < _CHANNEL_MODES:
-        members, several = {0: list(range(len(modes)))}, {0}
-    else:
-        members, several = _channel_groups(
-            grams, len(grid.axes["phi_nodes"]) + len(grid.axes.get("mu_nodes", ())))
-    # The groups by size, and of each size the distinct ones, with the
-    # first group of each and its count. A group of one key is told
-    # apart by its modes' radial and time columns, which fix its
-    # normalized block; a group of several keys is its own.
-    r_of, t_of = (grams[axis][1].tolist() for axis in ("r", "t"))
-    by_size: dict = {}
-    for group, ps in members.items():
-        groups, distinct = by_size.setdefault(len(ps), ([], {}))
-        sig = (group if group in several else -1, tuple(r_of[p] for p in ps),
-               tuple(t_of[p] for p in ps))
-        distinct.setdefault(sig, [len(groups), 0])[1] += 1
-        groups.append(ps)
-    # Every group's block, as weighted_gram forms its entries, and every
-    # mode's diagonal entry from them.
-    diag = np.empty(len(modes), dtype=float if real else complex)
-    parts = []
+    columns, _ = _factor_columns(modes, grid.axes, cfg)
+    quad = np.ones(len(modes))
     with np.errstate(over="ignore", invalid="ignore"):
-        for b, (groups, distinct) in by_size.items():
-            idx = np.array(groups)
-            g = np.ones((len(idx), b, b), dtype=diag.dtype)
-            for a, index in grams.values():
-                ix = index[idx]
-                g *= a[ix[:, :, None], ix[:, None, :]]
-            diag[idx] = g.diagonal(axis1=1, axis2=2)
-            rep, counts = zip(*distinct.values())
-            parts.append((g, idx, rep, counts))
-    _check_gram_entries(*(g for g, *_ in parts))
-    s = _unit_scale(diag.real)
-    out = []
-    for g, idx, rep, counts in parts:
-        if len(rep) < len(idx):
-            g, idx = g[list(rep)], idx[list(rep)]
-        g *= s[idx][:, :, None] * s[idx][:, None, :]
-        out.append((g, np.array(counts)))
-    return out
-
-
-def _channel_groups(grams: dict, nodes: int) -> tuple[dict, set]:
-    """(members, several): the groups of coupled angular keys of
-    :func:`gram_channels`, {group: its modes in order}, and the groups of
-    more than one key, from the axis Grams of :func:`_axis_grams` and
-    the number of polar and azimuthal nodes."""
-    angular = [grams[axis] for axis in ("mu", "phi") if axis in grams]
-    # Number the angular keys in order of appearance; note each key's
-    # first mode.
-    number: dict = {}
-    key_of, first = [], []
-    for p, key in enumerate(zip(*(index.tolist() for _, index in angular))):
-        j = number.setdefault(key, len(number))
-        if j == len(first):
-            first.append(p)
-        key_of.append(j)
-    # The keys' angular Gram, normalized, and its coupled pairs.
-    first = np.array(first)
-    ang = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a, index in angular:
-            ix = index[first]
-            ang = ang * a[ix[:, None], ix]
-        mag = np.abs(ang)
-        root = np.sqrt(mag.diagonal())
-        tol = _ANGULAR_ROUNDING * nodes * np.finfo(float).eps
-        coupled = mag > (tol * root)[:, None] * root
-    coupled |= coupled.T
-    np.fill_diagonal(coupled, True)
-    # Each key's group: the least key it reaches through coupled pairs.
-    label = np.arange(len(first))
-    while True:
-        reach = np.where(coupled, label, len(first)).min(axis=1)
-        if (reach == label).all():
-            break
-        label = reach
-    label = label.tolist()
-    members: dict = {}
-    for p, j in enumerate(key_of):
-        members.setdefault(label[j], []).append(p)
-    return members, {group for j, group in enumerate(label) if group != j}
+        for axis, (f, index) in columns.items():
+            w = grid.axes[f"{axis}_weights"]
+            quad *= np.einsum("n,nd,nd->d", w, f, f.conj()).real[index]
+    _check_gram_entries(quad)
+    _unit_scale(quad)
+    spherical = "mu_nodes" in grid.axes
+    for _ in range(3 if spherical else 2):
+        quad /= cfg.R
+    order = np.array([md.n if spherical else abs(md.m) for md in modes])
+    col, k, _ = _bin_columns(modes, cfg)
+    lommel = specfun._lommel_table(int(order.max()), k * cfg.R, spherical=spherical)
+    return quad, (0.5 if spherical else math.pi) * lommel[order, col]
 
 
 def _unit_scale(d: np.ndarray) -> np.ndarray:

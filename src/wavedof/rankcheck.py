@@ -2,17 +2,14 @@
 
 Builds Gauss-Legendre product grids over ball x time, assembles Gram
 matrices and ensemble covariance spectra, and reduces Hermitian spectra
-to two effective-rank readouts. The Gram of the modes is real on these
-grids for every mode set that ``enumerate_modes`` returns
-(:func:`~wavedof.modes.weighted_gram` decides it), so it is
-normalized (:func:`~wavedof.modes.diagonal_normalize`) and diagonalized
-as a real symmetric matrix; the ensemble dual is complex Hermitian.
-:func:`gram_spectrum` diagonalizes it by angular channel: the distinct
-(bins x bins) blocks of :func:`~wavedof.modes.gram_channels`, each
-block size in one stacked ``eigh``, with no M x M matrix past a few
-dozen modes; :func:`gram_of_modes` assembles the dense Gram. Every
-eigendecomposition here, those of :func:`eigen_spectrum` included, goes
-through one checked ``eigh`` (:func:`_checked_eigh`). The grid is a
+to two effective-rank readouts. The normalized Gram of the modes of
+``enumerate_modes`` is the identity in closed form on these grids, so
+:func:`gram_readout`, which ``verify`` reads, writes that spectrum with
+no M x M array or ``eigh`` and checks the quadrature's diagonal against
+Lommel's norms; :func:`gram_of_modes` assembles the dense Gram, its
+oracle. The ensemble dual is complex Hermitian, and every
+eigendecomposition here goes through one checked ``eigh``
+(:func:`_checked_eigh`). The grid is a
 tensor product (r x [mu] x phi x t), laid out by :func:`build_grid`
 alone and held as its axes only: per-axis nodes and weights, the unit
 ``directions`` of the angular nodes, and the weights of the spatial
@@ -76,7 +73,7 @@ pair comes from :func:`~wavedof.specfun.cos_sin`, always on contiguous
 arrays, and a block's temporaries stay within ``_BLOCK_ENTRIES``
 complex entries (2 MB). No (points x modes), (points x waves) or
 (points x points) array is formed. The harmonic truncation error needs no grid: it is a
-closed-form tail sum over one Bessel column (:func:`truncation_error`).
+closed-form tail sum of Lommel terms (:func:`truncation_error`).
 The readouts are:
 
 * threshold rank: eigenvalues >= epsilon * lambda_max,
@@ -97,8 +94,9 @@ from numpy.polynomial.legendre import leggauss
 
 from .bounds import ConfigError, Dimension, PhysicalConfig, check_cap
 from .modes import (ModeIndex, PlaneWaveSet, diagonal_normalize,  # re-exported
-                    _check_directions, _check_width, gram_channels, weighted_gram)
-from .specfun import _miller_start, bessel_table, cos_sin
+                    _check_directions, _check_width, gram_diagonals,
+                    weighted_gram)
+from .specfun import _lommel_table, _miller_start, cos_sin
 
 
 class ResolutionError(RuntimeError):
@@ -341,9 +339,9 @@ def gram_of_modes(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
     passes :func:`check_gram_resolution`, made exactly Hermitian. It is a
     real symmetric float64 matrix whenever ``weighted_gram`` finds the
     Gram real by construction, which holds for every mode set of
-    ``enumerate_modes``, and complex otherwise. ``verify`` reads its
-    spectrum from :func:`gram_spectrum`, which diagonalizes it by
-    channel.
+    ``enumerate_modes``, and complex otherwise. ``verify`` forms none:
+    it reads :func:`gram_readout`, whose spectrum matches that of this
+    Gram, normalized.
     """
     check_gram_resolution(modes, grid, cfg)
     return _mirror_upper(weighted_gram(modes, grid, cfg)[1])
@@ -757,35 +755,30 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
     return eigen_spectrum(_mirror_upper(dual), policy)
 
 
-def gram_spectrum(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
-                  cfg: PhysicalConfig,
-                  policy: RankPolicy = RankPolicy()) -> SpectrumReport:
-    """Spectrum of the diagonal-normalized Gram of ``modes``, the
-    spectrum of ``eigen_spectrum(diagonal_normalize(gram_of_modes(...)))``
-    up to rounding, channel by channel.
+def gram_readout(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
+                 cfg: PhysicalConfig,
+                 policy: RankPolicy = RankPolicy()) -> tuple[SpectrumReport, float]:
+    """(spectrum, defect) of the diagonal-normalized Gram of a mode set of
+    ``enumerate_modes`` on a :func:`build_grid` grid, with no M x M array
+    and no ``eigh``.
 
-    After :func:`check_gram_resolution`, the normalized Gram's distinct
-    blocks by angular channel (:func:`~wavedof.modes.gram_channels`) are
-    made exactly Hermitian and diagonalized, each block size in one
-    stacked, checked ``eigh`` (the checks of :func:`eigen_spectrum`), and
-    each block's eigenvalues are counted as often as the block occurs.
-    On every ``build_grid`` grid the work is that of the distinct
-    (bins x bins) blocks, one per degree n in 3D and per |m| in 2D, with
-    no M x M matrix, once the set is large enough to be split (a small
-    set is one block, see :func:`~wavedof.modes.gram_channels`). Raises ValueError for an empty mode set,
-    :class:`ResolutionError` from the resolution check, and
-    :class:`ConfigError` when a Gram entry leaves the float range or the
-    diagonal cannot be normalized.
+    Those modes are orthogonal in closed form: angular channels (Kennedy,
+    Sadeghi, Abhayapala & Jones, IEEE TSP 55(6), 2007), which the uniform
+    phi and Gauss mu rules keep apart, and lattice time bins, whose
+    products the time rule sums to sinc(i - i') = 0 (a stand-in bin is
+    alone in its band). So the normalized Gram is I_M to rounding, with M
+    eigenvalues 1. The radial rule's error on the diagonal is not
+    rounding: ``defect`` is max_p |G_quad,pp - G_closed,pp| / max_p
+    G_closed,pp (:func:`~wavedof.modes.gram_diagonals`). A hand-built
+    mode set or grid need not be orthogonal: its spectrum is
+    ``eigen_spectrum(diagonal_normalize(gram_of_modes(...)))``, which
+    raises the same ValueError (empty set), :class:`ResolutionError` and
+    :class:`ConfigError` (a norm out of the float range) as this.
     """
     check_gram_resolution(modes, grid, cfg)
-    evals, residual = [], 0.0
-    for blocks, counts in gram_channels(modes, grid, cfg):
-        lam, res = _checked_eigh(_mirror_upper(blocks))
-        evals.append(lam.repeat(counts, axis=0).ravel())
-        residual = max(residual, res)
-    evals = np.concatenate(evals)
-    evals.sort()
-    return _report(evals[::-1], policy, residual)
+    quad, closed = gram_diagonals(modes, grid, cfg)
+    defect = float(np.max(np.abs(quad - closed)) / np.max(closed))
+    return _report(np.ones(len(modes)), policy, 0.0), defect
 
 
 def eigen_spectrum(matrix: np.ndarray,
@@ -904,9 +897,9 @@ def truncation_error(wv, radius: float, N: int,
     c_n = 3 (2n + 1) / 2 in 3D, with kR = |k| R. It does not depend on
     the wave's direction. The sum runs to the Miller start of order N + 1
     at kR (:func:`~wavedof.specfun._miller_start`), past which the
-    orders no longer count, over one column of
-    :func:`~wavedof.specfun.bessel_table`, and is clamped at 0 before the
-    square root.
+    orders no longer count, over one column of Lommel terms
+    (:func:`~wavedof.specfun._lommel_table`, which the closed-form mode
+    norms read too), and is clamped at 0 before the square root.
 
     ``resolution`` is accepted and ignored, since no quadrature is
     taken; it stays for callers that still pass it. Raises ValueError
@@ -925,7 +918,7 @@ def truncation_error(wv, radius: float, N: int,
     top = _miller_start(N + 1, x)
     check_cap(top + 2, "orders of the truncation tail")
     spherical = wv.dim is Dimension.THREE_D
-    z = bessel_table(top + 1, x, spherical=spherical)[:, 0]
+    tail = _lommel_table(top, x, spherical=spherical)[N + 1:, 0]
     n = np.arange(N + 1, top + 1)
     c = 1.5 * (2 * n + 1) if spherical else 2.0
-    return math.sqrt(max(float(np.sum(c * (z[n] ** 2 - z[n - 1] * z[n + 1]))), 0.0))
+    return math.sqrt(max(float(np.sum(c * tail)), 0.0))

@@ -175,6 +175,25 @@ def bessel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
     return table
 
 
+def _lommel_table(n_max: int, x, spherical: bool = False) -> np.ndarray:
+    """(Z_n^2 - Z_{n-1} Z_{n+1})(x) for n = 0..n_max from one
+    :func:`bessel_table`, Z = J or, with ``spherical``, j: R^d / 2 times
+    it at x = k R is the integral of Z_n(k r)^2 r^(d-1) over [0, R], d = 2
+    or 3 (Lommel; Watson 5.11). Order 0 reads J_{-1} = -J_1 or
+    j_{-1}(x) = cos(x) / x, with j_1(x) / x = 1/3 below the normal range
+    (the entry is 2/3 at x = 0)."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    z = bessel_table(n_max + 1, x, spherical=spherical)
+    out = z[:-1] ** 2
+    out[1:] -= z[:-2] * z[2:]
+    if spherical:
+        small = x < np.finfo(float).tiny
+        out[0] -= np.cos(x) * np.where(small, 1.0 / 3.0, z[1] / np.where(small, 1.0, x))
+    else:
+        out[0] += z[1] ** 2
+    return out
+
+
 def _miller_columns(n_max: int, x: np.ndarray, m: int, spherical: bool) -> np.ndarray:
     """The normalized table of :func:`bessel_table` over two or more
     columns with no series column, from order m down."""

@@ -19,8 +19,10 @@ the band's time basis as one complex SVD over every time node with each
 wave's time coordinates through its real lift, as first written, and the
 basis that the ensemble's centred parity parts stand for, on every node,
 a dense ball quadrature of the truncation error, the same error's
-Lommel tail sum term by term in extended precision, and a seeded
-plane-wave set drawn as first written, one ``default_rng`` call per draw.
+Lommel tail sum term by term in extended precision, each mode's radial
+norm as an extended-precision quadrature of mpmath Bessel values, and
+a seeded plane-wave set drawn as first written, one ``default_rng``
+call per draw.
 """
 
 import cmath
@@ -539,6 +541,33 @@ def lommel_tail_reference(dim, kR: float, N: int, dps: int = 40) -> float:
                 return float(mp.sqrt(total))
             n += 1
             prev, cur, nxt = cur, nxt, z(n + 1)
+
+
+def radial_norm_reference(dim, n: int, kR: float, dps: int = 30) -> float:
+    """The integral of Z_n(kR r)^2 r^(d-1) over 0 <= r <= 1 by dps-digit
+    Gauss-Legendre quadrature: Z = J in 2D (d = 2), and in 3D (d = 3)
+    Z = j with j_n(x) = sqrt(pi / (2x)) J_{n+1/2}(x), each value one
+    mpmath ``besselj``, so no code is shared with ``bessel_table``. At
+    kR = 0, Z_n is 1 for n = 0 and 0 otherwise. The interval is cut into
+    ceil(kR / 4) pieces, about two thirds of an oscillation each, and
+    below kR = 1 the integrand is divided by kR^(2n), its order of
+    magnitude, so that the rule's error is relative."""
+    spherical = dim is Dimension.THREE_D
+    with mp.workdps(dps):
+        k = mp.mpf(kR)
+
+        def z(r):
+            if k == 0:
+                return mp.mpf(1 if n == 0 else 0)
+            if spherical:
+                return mp.sqrt(mp.pi / (2 * k * r)) * mp.besselj(n + mp.mpf(1) / 2, k * r)
+            return mp.besselj(n, k * r)
+
+        scale = min(k, 1) ** (2 * n) if k else mp.mpf(1)
+        power = 2 if spherical else 1
+        pieces = mp.linspace(0, 1, 1 + max(1, math.ceil(kR / 4)))
+        return float(scale * mp.quad(lambda r: z(r) ** 2 / scale * r ** power, pieces,
+                                     method="gauss-legendre"))
 
 
 def distinct_rows_reference(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

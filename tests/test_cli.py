@@ -696,9 +696,11 @@ def test_verify_report_contents(tmp_path):
     assert doc["metadata"]["prng"] == "numpy-pcg64"
     assert doc["gram"]["modes"] == 10
     assert doc["gram"]["rank_threshold"] == 10
-    # The spectra's reconstruction residuals are not written.
+    # The spectra's reconstruction residuals are not written; the Gram's
+    # diagonal defect is.
     spectrum = {"eigenvalues", "trace", "rank_threshold", "rank_energy", "epsilon", "eta"}
-    assert set(doc["gram"]) == {"modes", *spectrum}
+    assert set(doc["gram"]) == {"modes", *spectrum, "diagonal_defect"}
+    assert 0.0 < doc["gram"]["diagonal_defect"] < 1e-6
     assert set(doc["ensemble"]) == {"fields", *spectrum}
     assert doc["bounds"]["d_space2d"] == 10
     assert 0 < doc["ensemble"]["rank_energy"] <= 48
@@ -836,9 +838,6 @@ def test_verify_near_float_range(tmp_path):
     # 3.2e9 grid points: the points array alone would be 71.5 GiB.
     (["--R", "1", "--W", "1", "--T", "1", "--F0", "10", "--c", "1", "--dim", "3d",
       "--resolution", "200,200,200", "--fields", "2", "--waves", "2"], "grid points"),
-    # 171,949 modes: a 2.96e10-entry (440 GiB) Gram.
-    (["--R", "1", "--W", "10", "--T", "10", "--F0", "100", "--c", "1", "--dim", "2d",
-      "--resolution", "2,2,2"], "Gram entries"),
     # 200,000 fields x 64 waves x 200 time nodes: a 41 GB time factor.
     ([*NARROW_FLAGS[:10], "--dim", "2d", "--resolution", "8,24,200",
       "--fields", "200000"], "ensemble time-factor entries"),
@@ -846,7 +845,7 @@ def test_verify_near_float_range(tmp_path):
     # (fields x fields) dual.
     ([*NARROW_FLAGS[:14], "--fields", "60000", "--waves", "1"],
      "ensemble dual entries"),
-], ids=["grid", "gram", "time-factor", "dual"])
+], ids=["grid", "time-factor", "dual"])
 def test_verify_over_cap_exits_before_allocating(flags, what, tmp_path, capsys):
     tracemalloc.start()
     try:

@@ -11,13 +11,13 @@ from numpy.polynomial.legendre import leggauss
 from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
                      SpaceTimeGrid, WaveVector, build_grid, diagonal_normalize,
                      effective_rank, eigen_spectrum, ensemble_spectrum,
-                     enumerate_modes, gram_of_modes, gram_spectrum,
+                     enumerate_modes, gram_of_modes, gram_readout,
                      synthesize_field, truncation_degree, truncation_error)
 from wavedof import cli, rankcheck
 from wavedof import modes as modes_module
-from wavedof.bounds import ConfigError, ModeCapError, bin_degrees
-from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values, gram_channels,
-                           mode_matrix, project_field, weighted_gram)
+from wavedof.bounds import DEFAULT_MODE_CAP, ConfigError, ModeCapError, bin_degrees
+from wavedof.modes import (ModeIndex, PlaneWaveSet, field_values, mode_matrix,
+                           project_field, weighted_gram)
 from wavedof.specfun import cos_sin
 
 from oracles import (ENSEMBLE_ROUTES, band_time_basis, charpoly_eigenvalues,
@@ -988,71 +988,19 @@ def test_eigen_spectrum_of_the_verify3d_gram_is_plain_eigh():
     assert (spec.rank_threshold, spec.rank_energy) == effective_rank(want)
 
 
-def _jittered_azimuths(grid):
-    """The grid with its azimuths moved to phi + 0.05 sin 3 phi, weights
-    kept: an angular rule that no longer separates orders m three apart."""
-    phi = grid.axes["phi_nodes"] + 0.05 * np.sin(3.0 * grid.axes["phi_nodes"])
-    return SpaceTimeGrid(dict(grid.axes, phi_nodes=phi,
-                              directions=np.stack([np.cos(phi), np.sin(phi)], axis=-1)))
+# The band F0 +- W reaches 0 Hz: the lowest bin has k = 0.
+K_ZERO = PhysicalConfig(R=0.2, W=2.0, T=1.0, f0=2.0, c=1.0)
 
 
-def _off_centre_time(grid):
-    """The grid's time axis times 0.7: symmetric about 0.35 T, so the Gram
-    of lattice bins is complex."""
-    ax = grid.axes
-    return SpaceTimeGrid(dict(ax, t_nodes=0.7 * ax["t_nodes"],
-                              t_weights=0.7 * ax["t_weights"]))
+def _by_channel(modes):
+    """The modes grouped by angular channel, (n, m) in 3D and m in 2D,
+    each channel's bins in order."""
+    return sorted(modes, key=lambda md: (md.n, md.m, md.i))
 
 
-def _channels_forced(monkeypatch, split):
-    """With ``split``, gram_channels finds the channels of every mode set,
-    however few its modes."""
-    if split:
-        monkeypatch.setattr(modes_module, "_CHANNEL_MODES", 1)
-
-
-MIXED_BINS = [ModeIndex(i, 0, m, TWO_D) for i in (2, 3) for m in range(-3, 4)]
-GRAM_SPECTRUM_SETS = pytest.mark.parametrize(
-    "dim, cfg, resolution, two_sided, warp, hand_set", [
-    (THREE_D, HALF_CAL_3D, (8, 13, 52), False, None, None),
-    (THREE_D, CAL_3D, (12, 23, 52), False, None, None),
-    (TWO_D, NARROW_2D, (8, 24, 21), False, None, None),
-    (TWO_D, NARROW_2D, (8, 24, 21), True, None, None),
-    (TWO_D, CAL_2D, (8, 24, 52), True, None, None),
-    (TWO_D, CAL_2D, (8, 24, 52), True, _jittered_azimuths, None),
-    (TWO_D, STAND_IN, (8, 31, 20), True, None, MIXED_BINS),
-    (TWO_D, CAL_2D, (8, 24, 52), False, _off_centre_time, None),
-], ids=["verify3d", "cal3d", "narrow", "narrow-two-sided", "cal2d-two-sided",
-        "jittered-azimuths", "stand-in-mixed-bins", "off-centre-time"])
-
-
-@GRAM_SPECTRUM_SETS
-@pytest.mark.parametrize("split", [False, True], ids=["default", "channels"])
-def test_gram_spectrum_matches_dense_spectrum(dim, cfg, resolution, two_sided, warp,
-                                              hand_set, split, monkeypatch):
-    _channels_forced(monkeypatch, split)
-    g = build_grid(dim, cfg, resolution)
-    g = warp(g) if warp else g
-    modes = hand_set or enumerate_modes(dim, cfg, two_sided=two_sided)
-    want = eigen_spectrum(diagonal_normalize(gram_of_modes(modes, g, cfg)))
-    got = gram_spectrum(modes, g, cfg)
-    assert got.eigenvalues.shape == (len(modes),)
-    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) <= 1e-13
-    assert got.trace == pytest.approx(want.trace, rel=1e-13)
-    assert (got.rank_threshold, got.rank_energy) == (want.rank_threshold, want.rank_energy)
-    assert 0.0 <= got.residual <= 1e-13 and 0.0 < want.residual <= 1e-13
-
-
-def test_gram_channels_split_where_the_angular_rule_separates(monkeypatch):
-    # Every block is one key's on build_grid grids; the jittered azimuths
-    # couple m with m +- 3, so the 21 keys of two-sided CAL_2D (|m| <= 10)
-    # merge into three blocks of 21 modes, m mod 3 each.
-    _channels_forced(monkeypatch, True)
-    g = build_grid(TWO_D, CAL_2D, (8, 24, 52))
-    modes = enumerate_modes(TWO_D, CAL_2D, two_sided=True)
-    parts = gram_channels(modes, _jittered_azimuths(g), CAL_2D)
-    assert [(b.shape, c.tolist()) for b, c in parts] == [((3, 21, 21), [1, 1, 1])]
-    assert max(b.shape[1] for b, _ in gram_channels(modes, g, CAL_2D)) == 3
+#: the enumerated modes in their own order, and grouped by channel
+MODE_ORDERS = pytest.mark.parametrize("order", [list, _by_channel],
+                                      ids=["default", "channels"])
 
 
 @pytest.mark.parametrize("dim, cfg, resolution, two_sided", [
@@ -1061,26 +1009,25 @@ def test_gram_channels_split_where_the_angular_rule_separates(monkeypatch):
     (TWO_D, NARROW_2D, (8, 24, 21), False),
     (TWO_D, NARROW_2D, (8, 24, 21), True),
     (TWO_D, CAL_2D, (8, 24, 52), True),
-], ids=["verify3d", "cal3d", "narrow", "narrow-two-sided", "cal2d-two-sided"])
-def test_gram_channels_count_each_channel_once(dim, cfg, resolution, two_sided,
-                                               monkeypatch):
-    # A degree n (3D) or order |m| (2D) has one block over the bins whose
-    # degree reaches it, counted 2n + 1 times in 3D, twice for m = +-|m| > 0
-    # two-sided and once otherwise.
-    _channels_forced(monkeypatch, True)
-    modes = enumerate_modes(dim, cfg, two_sided=two_sided)
-    degrees = [int(d) for d in bin_degrees(cfg)[2]]
-    want: dict = {}
-    for n in range(max(degrees) + 1):
-        count = 2 * n + 1 if dim is THREE_D else 1 + (two_sided and n > 0)
-        want.setdefault(sum(d >= n for d in degrees), []).append(count)
-    parts = gram_channels(modes, build_grid(dim, cfg, resolution), cfg)
-    got = {b.shape[1]: sorted(c.tolist()) for b, c in parts}
-    assert got == {size: sorted(counts) for size, counts in want.items()}
-    assert sum(b.shape[1] * int(c.sum()) for b, c in parts) == len(modes)
+    (TWO_D, STAND_IN, (8, 31, 20), True),
+    (TWO_D, K_ZERO, (16, 20, 30), False),
+    (THREE_D, K_ZERO, (16, 20, 30), False),
+], ids=["verify3d", "cal3d", "narrow", "narrow-two-sided", "cal2d-two-sided",
+        "stand-in", "k-zero-2d", "k-zero-3d"])
+@MODE_ORDERS
+def test_gram_spectrum_matches_dense_spectrum(dim, cfg, resolution, two_sided, order):
+    # verify's gram block as written: eigenvalues and trace to 12 digits,
+    # and the ranks, from the closed form and from the dense normalized
+    # Gram's eigendecomposition.
+    g = build_grid(dim, cfg, resolution)
+    modes = order(enumerate_modes(dim, cfg, two_sided=two_sided))
+    want = eigen_spectrum(diagonal_normalize(gram_of_modes(modes, g, cfg)))
+    got, defect = gram_readout(modes, g, cfg)
+    assert cli._spectrum_doc(got) == cli._spectrum_doc(want)
+    assert got.trace == len(modes) and 0.0 <= defect < 1e-3
 
 
-@pytest.mark.parametrize("split", [False, True], ids=["default", "channels"])
+@MODE_ORDERS
 @pytest.mark.parametrize("dim, cfg, resolution, hand_set, error, message", [
     (TWO_D, CAL_2D, (8, 24, 52), [], ValueError, "modes must be nonempty"),
     (TWO_D, CAL_2D, (8, 24, 20), None, ResolutionError, "grid resolution"),
@@ -1093,26 +1040,65 @@ def test_gram_channels_count_each_channel_once(dim, cfg, resolution, two_sided,
      ConfigError, "Gram diagonal cannot be normalized"),
 ], ids=["empty", "few-times", "few-angles", "overflow", "underflow-2d", "underflow-3d"])
 def test_gram_spectrum_fails_as_the_dense_path(dim, cfg, resolution, hand_set, error,
-                                               message, split, monkeypatch):
-    _channels_forced(monkeypatch, split)
+                                               message, order):
     g = build_grid(dim, cfg, resolution)
-    modes = enumerate_modes(dim, cfg) if hand_set is None else hand_set
+    modes = order(enumerate_modes(dim, cfg) if hand_set is None else hand_set)
     with pytest.raises(error, match=f"^{message}") as dense:
         eigen_spectrum(diagonal_normalize(gram_of_modes(modes, g, cfg)))
-    with pytest.raises(error) as channels:
-        gram_spectrum(modes, g, cfg)
-    assert str(channels.value) == str(dense.value)
+    with pytest.raises(error) as readout:
+        gram_readout(modes, g, cfg)
+    assert str(readout.value) == str(dense.value)
+
+
+@pytest.mark.parametrize("dim, cfg, resolution, defect", [
+    (TWO_D, NARROW_2D, (8, 24, 21), 5.3e-7),
+    (THREE_D, HALF_CAL_3D, (8, 13, 52), 1.8e-9),
+    (TWO_D, CAL_2D, (8, 24, 52), 1.2e-4),
+    (THREE_D, CAL_3D, (12, 23, 52), 7.8e-11),
+], ids=["narrow", "verify3d", "cal2d", "cal3d"])
+def test_gram_diagonal_defect_falls_with_radial_nodes(dim, cfg, resolution, defect):
+    # The radial rule's error on the Gram diagonal, the one quadrature
+    # error that is not rounding: as measured at verify's resolution, and
+    # at rounding by 16 radial nodes.
+    modes = enumerate_modes(dim, cfg)
+    got = [gram_readout(modes, build_grid(dim, cfg, (n_r, *resolution[1:])), cfg)[1]
+           for n_r in (resolution[0], 16)]
+    assert defect / 2 <= got[0] <= 2 * defect
+    assert got[1] <= 1e-14
 
 
 def test_gram_spectrum_memory_at_365_modes():
     # The dense path holds several 365 x 365 matrices (5.1 MiB traced);
-    # the channel blocks are at most 3 x 3.
+    # the readout holds the distinct factor columns and two diagonals
+    # (0.12 MiB).
     g = build_grid(THREE_D, CAL_3D, (12, 23, 52))
     modes = enumerate_modes(THREE_D, CAL_3D)
     dense = _traced_peak(lambda: eigen_spectrum(diagonal_normalize(
         gram_of_modes(modes, g, CAL_3D))))
-    channels = _traced_peak(gram_spectrum, modes, g, CAL_3D)
-    assert channels < dense / 2 and channels < 1.5 * (1 << 20)
+    readout = _traced_peak(gram_readout, modes, g, CAL_3D)
+    assert readout < dense / 2 and readout < 0.5 * (1 << 20)
+
+
+def test_gram_readout_past_the_dense_cap(monkeypatch):
+    # 3,249 modes in one stand-in bin: a dense Gram would hold
+    # M^2 = 1.06e7 entries, past the cap, while the readout holds the
+    # distinct factor columns and takes no eigendecomposition.
+    def unreached(*args):
+        raise AssertionError("the Gram readout takes no eigh")
+
+    monkeypatch.setattr(np.linalg, "eigh", unreached)
+    cfg = PhysicalConfig(R=1.0 / E_PI, W=0.0, T=0.1, f0=56.0, c=1.0)
+    modes = enumerate_modes(THREE_D, cfg)
+    assert len(modes) == 3249 and len(modes) ** 2 > DEFAULT_MODE_CAP
+    g = build_grid(THREE_D, cfg, (12, 113, 31))
+    out = []
+    peak = _traced_peak(lambda: out.append(gram_readout(modes, g, cfg)))
+    spec, defect = out[0]
+    assert spec.rank_threshold == len(modes) == spec.trace
+    assert (spec.rank_threshold, spec.rank_energy) == effective_rank(np.ones(len(modes)))
+    # 12 radial nodes do not resolve j_n(k r)^2 up to kR = 41 (0.57).
+    assert 0.1 < defect < 1.0
+    assert peak < 16 * (1 << 20)
 
 
 def test_effective_rank_examples():

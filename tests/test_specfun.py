@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from wavedof import (Angle, assoc_legendre, bessel_J, legendre_p,
+from wavedof import (Angle, Dimension, assoc_legendre, bessel_J, legendre_p,
                      norm_assoc_legendre, specfun, sph_harm, spherical_bessel_j)
-from wavedof.specfun import (_miller_start, bessel_table, cis, cos_sin,
+from wavedof.specfun import (_lommel_table, _miller_start, bessel_table, cis, cos_sin,
                              legendre_table, norm_assoc_legendre_table)
 
 from oracles import (bessel_column_reference, cyl_bessel_series, ferrers_reference,
-                     miller_table_reference, rodrigues_assoc_legendre,
-                     sph_bessel_reference, sph_bessel_series)
+                     miller_table_reference, radial_norm_reference,
+                     rodrigues_assoc_legendre, sph_bessel_reference, sph_bessel_series)
 
 # frozen from the extended-precision series oracle
 J50_AT_10 = 2.2306960232186468e-31
@@ -31,6 +31,19 @@ def test_sph_bessel_closed_forms():
     j1 = math.sin(2.0) / 4.0 - math.cos(2.0) / 2.0
     assert spherical_bessel_j(1, 2.0) == pytest.approx(j1, rel=1e-14)
     assert spherical_bessel_j(1, 2.0) == pytest.approx(0.4353977749, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("dim", [Dimension.TWO_D, Dimension.THREE_D], ids=["2d", "3d"])
+@pytest.mark.parametrize("kR", [0.0, 1e-3, 0.5, 5.0, 40.0])
+def test_lommel_table_is_the_radial_norm(dim, kR):
+    # Lommel's closed form, half the table entry, against the quadrature
+    # of mpmath Bessel values over the unit ball's radius; orders 0..6,
+    # whose n = 0 entry reads Z_{-1}, and 2/3 for j at x = 0.
+    got = _lommel_table(6, kR, spherical=dim is Dimension.THREE_D)[:, 0] / 2.0
+    for n, value in enumerate(got):
+        want = radial_norm_reference(dim, n, kR)
+        assert abs(value - want) <= 1e-13 * abs(want), (n, value, want)
 
 
 def test_sph_bessel_at_zero():
