@@ -5,7 +5,7 @@ Subcommands
 bounds   print every bound for one configuration (table or JSON)
 sweep    evaluate bound quantities over a 2-axis parameter grid -> CSV
 modes    dump the enumerated mode table -> CSV
-verify   quadrature Gram + ensemble covariance rank experiment -> JSON
+verify   Gram diagonal check + ensemble covariance rank experiment -> JSON
 figure   canned sweeps (fig3 | fig4 | fig5) reproducing the survey plots
 
 Exit codes: 0 success; 2 configuration error (violated invariant, malformed
@@ -17,7 +17,7 @@ resolution below minimum. Each of these prints one line to stderr.
 
 File formats: CSV is UTF-8 with LF line endings, ``# key = value``
 metadata lines, then a header row; numbers carry 12 significant digits
-and integers are written bare. Mode tables and spectrum exports are
+and integers are written bare. Mode tables and the spectrum export are
 written row by row as each row is formed; a sweep CSV is formed whole.
 JSON reports use a stable key order. The optional SVG heatmap maps cell
 values linearly onto a blue-to-red ramp between the grid min and max.
@@ -38,10 +38,10 @@ import numpy as np
 from . import __version__
 from .bounds import (DEFAULT_MODE_CAP, QUANTITIES, ConfigError, Dimension,
                      ModeCapError, PhysicalConfig, _lattice_count, bin_degrees,
-                     bound_report, bound_values, check_cap, exact_mode_sum)
+                     bound_report, bound_values, check_cap)
 from .modes import _bin_orders, enumerate_modes, synthesize_field
-from .rankcheck import (RankPolicy, ResolutionError, SpectrumReport,
-                        build_grid, ensemble_spectrum, gram_readout)
+from .rankcheck import (RankPolicy, ResolutionError, build_grid,
+                        ensemble_spectrum, gram_readout)
 
 PRNG_NAME = "numpy-pcg64"
 
@@ -416,17 +416,9 @@ def cmd_modes(args) -> int:
 # ---------------------------------------------------------------------------
 # verification
 
-def _spectrum_doc(spec: SpectrumReport) -> dict:
-    return {"eigenvalues": [_round12(v) for v in spec.eigenvalues],
-            "trace": _round12(spec.trace),
-            "rank_threshold": spec.rank_threshold,
-            "rank_energy": spec.rank_energy,
-            "epsilon": spec.epsilon, "eta": spec.eta}
-
-
 def write_spectrum_csv(path: str, part: dict, meta: dict) -> None:
-    """A report's ``gram`` or ``ensemble`` block as CSV: index, its rounded
-    eigenvalue and cumsum / total (zeros when the total is 0)."""
+    """A report's ``ensemble`` block as CSV: index, its rounded eigenvalue
+    and cumsum / total (zeros when the total is 0)."""
     evals = np.array(part["eigenvalues"])
     total = float(np.sum(evals))
     fractions = np.cumsum(evals) / total if total else np.zeros_like(evals)
@@ -441,21 +433,21 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
     """Run the full rank experiment and assemble the JSON document.
 
     The ``gram`` block is :func:`~wavedof.rankcheck.gram_readout`: the
-    spectrum of the identity, which the normalized Gram of the modes is
-    in closed form, and its ``diagonal_defect``. Every ratio divides a
-    rank by ``exact_mode_sum(dim, cfg, two_sided)``, the number of modes
-    the Gram is built from. Raises :class:`ModeCapError` before
-    allocating when the grid points (:func:`~wavedof.rankcheck.build_grid`
-    checks them), the ensemble's time-factor entries or its dual's
-    entries (fields^2) fail :func:`~wavedof.bounds.check_cap`.
+    ranks of the identity, which the normalized Gram of the modes is in
+    closed form, and its ``diagonal_defect``. Every ratio divides a rank
+    by the number of modes the Gram is built from, those listed by
+    ``enumerate_modes``. Raises :class:`ModeCapError` before allocating
+    when the grid points (:func:`~wavedof.rankcheck.build_grid` checks
+    them), the ensemble's time-factor entries or its dual's entries
+    (fields^2) fail :func:`~wavedof.bounds.check_cap`.
     """
-    exact = exact_mode_sum(dim, cfg, two_sided)
     grid = build_grid(dim, cfg, resolution)
     for what, size in (("ensemble time-factor entries", fields * waves * resolution[2]),
                        ("ensemble dual entries", fields ** 2)):
         check_cap(size, what)
     modes = enumerate_modes(dim, cfg, two_sided=two_sided)
-    gram_spec, defect = gram_readout(modes, grid, cfg, policy)
+    exact = len(modes)
+    gram_t, gram_e, defect = gram_readout(modes, grid, cfg, policy)
     ensemble = [synthesize_field(dim, cfg, waves, seed + 1000 * j)
                 for j in range(fields)]
     ens_spec = ensemble_spectrum(ensemble, grid, policy)
@@ -469,12 +461,18 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
             "two_sided": two_sided,
             "policy": {"epsilon": policy.epsilon, "eta": policy.eta}}),
         "bounds": bounds,
-        "gram": {"modes": len(modes), **_spectrum_doc(gram_spec),
+        "gram": {"modes": exact, "rank_threshold": gram_t, "rank_energy": gram_e,
+                 "epsilon": policy.epsilon, "eta": policy.eta,
                  "diagonal_defect": _round12(defect)},
-        "ensemble": {"fields": fields, **_spectrum_doc(ens_spec)},
+        "ensemble": {"fields": fields,
+                     "eigenvalues": [_round12(v) for v in ens_spec.eigenvalues],
+                     "trace": _round12(ens_spec.trace),
+                     "rank_threshold": ens_spec.rank_threshold,
+                     "rank_energy": ens_spec.rank_energy,
+                     "epsilon": policy.epsilon, "eta": policy.eta},
         "ratios": {
-            "gram_rank_threshold_over_exact": _round12(gram_spec.rank_threshold / exact),
-            "gram_rank_energy_over_exact": _round12(gram_spec.rank_energy / exact),
+            "gram_rank_threshold_over_exact": _round12(gram_t / exact),
+            "gram_rank_energy_over_exact": _round12(gram_e / exact),
             "ensemble_rank_threshold_over_exact": _round12(ens_spec.rank_threshold / exact),
             "ensemble_rank_energy_over_exact": _round12(ens_spec.rank_energy / exact),
         },
@@ -507,10 +505,9 @@ def cmd_verify(args) -> int:
         print(f"wrote report to {args.output}")
     else:
         print(text)
-    for kind, path in (("gram", args.gram_spectrum_csv),
-                       ("ensemble", args.ensemble_spectrum_csv)):
-        if path:
-            write_spectrum_csv(path, doc[kind], {**doc["metadata"], "spectrum": kind})
+    if args.ensemble_spectrum_csv:
+        write_spectrum_csv(args.ensemble_spectrum_csv, doc["ensemble"],
+                           {**doc["metadata"], "spectrum": "ensemble"})
     return EXIT_OK
 
 
@@ -574,7 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--eta", type=float, default=RankPolicy.eta)
     pv.add_argument("--two-sided", action="store_true")
     pv.add_argument("-o", "--output", default=None)
-    pv.add_argument("--gram-spectrum-csv", default=None)
     pv.add_argument("--ensemble-spectrum-csv", default=None)
     pv.set_defaults(func=cmd_verify)
 

@@ -33,8 +33,8 @@ synthesizes its residual bin by bin, so it forms no (spatial nodes x
 modes) array. :func:`mode_matrix` joins the per-mode factors, column by
 column, into the dense (points x modes) matrix, and
 :func:`evaluate_mode` is that join on the one-node grid through its
-point. :func:`diagonal_normalize` alone scales a Gram, for ``verify``
-and the projection alike.
+point. :func:`diagonal_normalize` alone scales a Gram, for the
+projection and for the dense spectrum of a hand-built mode set.
 
 The Jacobi-Anger partial sum of a plane wave is likewise one radial
 table times one angular table (:func:`jacobi_anger_values`). The
@@ -457,16 +457,15 @@ def field_values(pws: PlaneWaveSet, positions: np.ndarray,
 
 
 def _factor_columns(modes: Sequence[ModeIndex], axes: dict,
-                    cfg: PhysicalConfig) -> tuple[dict, np.ndarray]:
-    """(factors, cycles): the factors of :func:`mode_factors` over their
+                    cfg: PhysicalConfig) -> tuple[dict, tuple]:
+    """(factors, bins): the factors of :func:`mode_factors` over their
     distinct columns, {axis: (columns, index)}, with mode j's factor on the
-    axis in column index[j] of columns (nodes x D), and the cycles f*T of
-    the bins, one per time column (:func:`_bin_columns`). A radial column
-    is one (order, bin), a polar one (n, |m|), an azimuthal one m and a
-    time one a bin, so each is evaluated once however many modes share
-    it. Raises
-    ValueError when ``modes`` is empty or a mode's ``dim`` is not the
-    grid's."""
+    axis in column index[j] of columns (nodes x D), and the bin table
+    (col, k, cycles) of :func:`_bin_columns`, one bin per time column, that
+    they were evaluated from. A radial column is one (order, bin), a polar
+    one (n, |m|), an azimuthal one m and a time one a bin, so each is
+    evaluated once however many modes share it. Raises ValueError when
+    ``modes`` is empty or a mode's ``dim`` is not the grid's."""
     if len(modes) == 0:
         raise ValueError("modes must be nonempty")
     spherical = "mu_nodes" in axes
@@ -494,7 +493,7 @@ def _factor_columns(modes: Sequence[ModeIndex], axes: dict,
     out["phi"] = specfun.cis(np.outer(axes["phi_nodes"], m_col)) * sign, index
     phase = np.outer(axes["t_nodes"], 2.0 * math.pi * cycles) / cfg.T
     out["t"] = specfun.cis(phase) / math.sqrt(cfg.T), col
-    return out, cycles
+    return out, (col, k, cycles)
 
 
 def mode_factors(modes: Sequence[ModeIndex], axes: dict,
@@ -573,7 +572,7 @@ def weighted_gram(modes: Sequence[ModeIndex], grid,
     not. Raises :class:`ConfigError` when an entry leaves the float
     range.
     """
-    columns, cycles = _factor_columns(modes, grid.axes, cfg)
+    columns, (_, _, cycles) = _factor_columns(modes, grid.axes, cfg)
     t = grid.axes["t_nodes"]
     frac = np.modf(cycles)[0]
     real = bool(abs(t[0] + t[-1] - cfg.T) <= 4.0 * np.finfo(float).eps * cfg.T
@@ -606,7 +605,7 @@ def gram_diagonals(modes: Sequence[ModeIndex], grid,
     Raises ValueError when ``modes`` is empty or a mode's ``dim`` is not
     the grid's.
     """
-    columns, _ = _factor_columns(modes, grid.axes, cfg)
+    columns, (col, k, _) = _factor_columns(modes, grid.axes, cfg)
     quad = np.ones(len(modes))
     with np.errstate(over="ignore", invalid="ignore"):
         for axis, (f, index) in columns.items():
@@ -618,7 +617,6 @@ def gram_diagonals(modes: Sequence[ModeIndex], grid,
     for _ in range(3 if spherical else 2):
         quad /= cfg.R
     order = np.array([md.n if spherical else abs(md.m) for md in modes])
-    col, k, _ = _bin_columns(modes, cfg)
     lommel = specfun._lommel_table(int(order.max()), k * cfg.R, spherical=spherical)
     return quad, (0.5 if spherical else math.pi) * lommel[order, col]
 
@@ -640,7 +638,8 @@ def _unit_scale(d: np.ndarray) -> np.ndarray:
 def diagonal_normalize(g: np.ndarray) -> np.ndarray:
     """Scale a Gram matrix to unit diagonal (scale-free independence test).
 
-    ``verify`` and :func:`project_field` both scale with it. Raises
+    :func:`project_field` scales with it, and so does the dense spectrum
+    of a hand-built mode set (``rankcheck.gram_readout``). Raises
     :class:`ConfigError` unless the diagonal d is positive and every
     1/sqrt(d_p d_q) is finite, which fails when the quadrature weights of
     the region leave the float range.

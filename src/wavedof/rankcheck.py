@@ -4,12 +4,12 @@ Builds Gauss-Legendre product grids over ball x time, assembles Gram
 matrices and ensemble covariance spectra, and reduces Hermitian spectra
 to two effective-rank readouts. The normalized Gram of the modes of
 ``enumerate_modes`` is the identity in closed form on these grids, so
-:func:`gram_readout`, which ``verify`` reads, writes that spectrum with
-no M x M array or ``eigh`` and checks the quadrature's diagonal against
-Lommel's norms; :func:`gram_of_modes` assembles the dense Gram, its
-oracle. The ensemble dual is complex Hermitian, and every
-eigendecomposition here goes through one checked ``eigh``
-(:func:`_checked_eigh`). The grid is a
+:func:`gram_readout`, which ``verify`` reads, takes its ranks from M
+unit eigenvalues with no M x M array or ``eigh`` and checks the
+quadrature's diagonal against Lommel's norms; :func:`gram_of_modes`
+assembles the dense Gram, its oracle. The ensemble dual is complex
+Hermitian, and every eigendecomposition here is the one checked
+``eigh`` of :func:`eigen_spectrum`. The grid is a
 tensor product (r x [mu] x phi x t), laid out by :func:`build_grid`
 alone and held as its axes only: per-axis nodes and weights, the unit
 ``directions`` of the angular nodes, and the weights of the spatial
@@ -123,9 +123,9 @@ class RankPolicy:
 @dataclass(frozen=True)
 class SpectrumReport:
     """Descending Hermitian eigenvalues plus effective-rank readouts, and
-    the largest relative reconstruction residual of the checked
-    eigendecomposition behind them (:func:`eigen_spectrum`), which the
-    ``verify`` report does not write."""
+    the relative reconstruction residual of the checked
+    eigendecomposition behind them (:func:`eigen_spectrum`). The
+    ``verify`` report writes the ensemble's, all but the residual."""
 
     eigenvalues: np.ndarray
     trace: float
@@ -322,12 +322,11 @@ def check_gram_resolution(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
 
 
 def _mirror_upper(g: np.ndarray) -> np.ndarray:
-    # Exact Hermitian symmetry (symmetry for a real g) of each matrix of
-    # a (..., n, n) stack: strict upper triangle mirrored, real diagonal.
+    # Exact Hermitian symmetry (symmetry for a real g): strict upper
+    # triangle mirrored, real diagonal.
     strict = np.triu(g, 1)
-    out = strict + (strict.conj() if g.dtype.kind == "c" else strict).swapaxes(-1, -2)
-    i = np.arange(g.shape[-1])
-    out[..., i, i] = g[..., i, i].real
+    out = strict + (strict.conj() if g.dtype.kind == "c" else strict).T
+    np.fill_diagonal(out, g.diagonal().real)
     return out
 
 
@@ -757,20 +756,21 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
 
 def gram_readout(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
                  cfg: PhysicalConfig,
-                 policy: RankPolicy = RankPolicy()) -> tuple[SpectrumReport, float]:
-    """(spectrum, defect) of the diagonal-normalized Gram of a mode set of
-    ``enumerate_modes`` on a :func:`build_grid` grid, with no M x M array
-    and no ``eigh``.
+                 policy: RankPolicy = RankPolicy()) -> tuple[int, int, float]:
+    """(rank_threshold, rank_energy, defect) of the diagonal-normalized
+    Gram of a mode set of ``enumerate_modes`` on a :func:`build_grid`
+    grid, with no M x M array and no ``eigh``.
 
     Those modes are orthogonal in closed form: angular channels (Kennedy,
     Sadeghi, Abhayapala & Jones, IEEE TSP 55(6), 2007), which the uniform
     phi and Gauss mu rules keep apart, and lattice time bins, whose
     products the time rule sums to sinc(i - i') = 0 (a stand-in bin is
-    alone in its band). So the normalized Gram is I_M to rounding, with M
-    eigenvalues 1. The radial rule's error on the diagonal is not
-    rounding: ``defect`` is max_p |G_quad,pp - G_closed,pp| / max_p
-    G_closed,pp (:func:`~wavedof.modes.gram_diagonals`). A hand-built
-    mode set or grid need not be orthogonal: its spectrum is
+    alone in its band). So the normalized Gram is I_M to rounding, and
+    the ranks are :func:`effective_rank` of its M eigenvalues 1. The
+    radial rule's error on the diagonal is not rounding: ``defect`` is
+    max_p |G_quad,pp - G_closed,pp| / max_p G_closed,pp
+    (:func:`~wavedof.modes.gram_diagonals`). A hand-built mode set or
+    grid need not be orthogonal: its spectrum is
     ``eigen_spectrum(diagonal_normalize(gram_of_modes(...)))``, which
     raises the same ValueError (empty set), :class:`ResolutionError` and
     :class:`ConfigError` (a norm out of the float range) as this.
@@ -778,7 +778,7 @@ def gram_readout(modes: Sequence[ModeIndex], grid: SpaceTimeGrid,
     check_gram_resolution(modes, grid, cfg)
     quad, closed = gram_diagonals(modes, grid, cfg)
     defect = float(np.max(np.abs(quad - closed)) / np.max(closed))
-    return _report(np.ones(len(modes)), policy, 0.0), defect
+    return (*effective_rank(np.ones(len(modes)), policy), defect)
 
 
 def eigen_spectrum(matrix: np.ndarray,
@@ -787,11 +787,17 @@ def eigen_spectrum(matrix: np.ndarray,
     complex or real symmetric; a real one is diagonalized in real
     arithmetic.
 
-    Rejects empty or non-square matrices (ValueError), then makes the
-    checks of :func:`_checked_eigh`. A matrix of another dtype, single
-    precision included, is first cast to complex128 (complex) or float64
-    (otherwise), so ``eigh`` runs in double precision and the 1e-8 check
-    can hold.
+    Rejects empty or non-square matrices (ValueError). A matrix of
+    another dtype, single precision included, is first cast to
+    complex128 (complex) or float64 (otherwise), so ``eigh`` runs in
+    double precision and the 1e-8 check can hold. Then rejects a matrix
+    with a non-finite entry or eigenvalue (:class:`ConfigError`) or a
+    Hermitian defect above 1e-10 times the largest entry or 1, whichever
+    is larger (ValueError), and checks that the eigendecomposition
+    reconstructs the matrix to 1e-8 relative in Frobenius norm
+    (RuntimeError otherwise), which ``residual`` reports. Both checks are
+    made on the matrix divided by its largest entry, so they hold at any
+    finite scale.
     """
     m = np.asarray(matrix)
     m = m.astype(complex if np.iscomplexobj(m) else float, copy=False)
@@ -799,23 +805,6 @@ def eigen_spectrum(matrix: np.ndarray,
         raise ValueError("matrix must be square")
     if m.size == 0:
         raise ValueError("matrix must be nonempty")
-    evals, residual = _checked_eigh(m)
-    return _report(evals[::-1].copy(), policy, residual)
-
-
-def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """(evals, residual): ``eigh`` of each nonempty matrix of the float64
-    or complex128 (..., n, n) stack ``m``, ascending, and the largest
-    relative reconstruction residual over the stack.
-
-    Rejects a stack with a non-finite entry or eigenvalue
-    (:class:`ConfigError`) or a matrix whose Hermitian defect exceeds
-    1e-10 times the largest entry or 1, whichever is larger (ValueError),
-    and checks that each eigendecomposition reconstructs its matrix to
-    1e-8 relative in Frobenius norm (RuntimeError otherwise). Both checks
-    are made on the stack divided by its largest entry, so they hold at
-    any finite scale.
-    """
     peak = float(np.max(np.abs(m)))
     if not math.isfinite(peak):
         raise ConfigError("matrix has entries beyond the float range")
@@ -834,30 +823,25 @@ def _checked_eigh(m: np.ndarray) -> tuple[np.ndarray, float]:
     # One difference array: the Hermitian defect, then the reconstruction
     # error.
     diff = np.empty_like(unit)
-    np.conjugate(unit.swapaxes(-1, -2), out=diff)
+    np.conjugate(unit.T, out=diff)
     np.subtract(unit, diff, out=diff)
     if not (float(np.max(np.abs(diff))) <= 1e-10 * max(1.0, peak) / scale):
         raise ValueError("matrix is not Hermitian within 1e-10")
     evals, evecs = np.linalg.eigh(m)
     if not np.all(np.isfinite(evals)):
         raise ConfigError("eigenvalues beyond the float range")
-    scaled = evecs * (evals / scale)[..., None, :]
+    scaled = evecs * (evals / scale)
     if complex_m:
         np.conjugate(evecs, out=evecs)
-    np.matmul(scaled, evecs.swapaxes(-1, -2), out=diff)
+    np.matmul(scaled, evecs.T, out=diff)
     diff -= unit
     # Squared Frobenius norms of the real views; a zero matrix reconstructs
     # as zero, and NaN fails the check.
-    usq, rsq = (np.einsum("...ij,...ij->...", x, x)
-                for x in (unit.view(float), diff.view(float)))
-    residual = np.sqrt(rsq / np.maximum(usq, np.finfo(float).tiny))
-    if not np.all(residual <= 1e-8):
+    usq, rsq = (np.einsum("ij,ij->", x, x) for x in (unit.view(float), diff.view(float)))
+    residual = float(np.sqrt(rsq / max(usq, np.finfo(float).tiny)))
+    if not residual <= 1e-8:
         raise RuntimeError("eigendecomposition failed to reconstruct input")
-    return evals, float(residual.max())
-
-
-def _report(evals: np.ndarray, policy: RankPolicy, residual: float) -> SpectrumReport:
-    """The :class:`SpectrumReport` of a descending spectrum."""
+    evals = evals[::-1].copy()
     rank_t, rank_e = effective_rank(evals, policy)
     return SpectrumReport(eigenvalues=evals, trace=float(np.sum(evals)),
                           rank_threshold=rank_t, rank_energy=rank_e,

@@ -696,15 +696,43 @@ def test_verify_report_contents(tmp_path):
     assert doc["metadata"]["prng"] == "numpy-pcg64"
     assert doc["gram"]["modes"] == 10
     assert doc["gram"]["rank_threshold"] == 10
-    # The spectra's reconstruction residuals are not written; the Gram's
-    # diagonal defect is.
-    spectrum = {"eigenvalues", "trace", "rank_threshold", "rank_energy", "epsilon", "eta"}
-    assert set(doc["gram"]) == {"modes", *spectrum, "diagonal_defect"}
+    # The Gram's closed form has no spectrum to write, only its ranks and
+    # diagonal defect; the ensemble's reconstruction residual is not
+    # written.
+    ranks = {"rank_threshold", "rank_energy", "epsilon", "eta"}
+    assert set(doc["gram"]) == {"modes", *ranks, "diagonal_defect"}
     assert 0.0 < doc["gram"]["diagonal_defect"] < 1e-6
-    assert set(doc["ensemble"]) == {"fields", *spectrum}
+    assert set(doc["ensemble"]) == {"fields", "eigenvalues", "trace", *ranks}
     assert doc["bounds"]["d_space2d"] == 10
     assert 0 < doc["ensemble"]["rank_energy"] <= 48
     assert doc["ratios"]["gram_rank_threshold_over_exact"] == 1.0
+
+
+def test_verify_gram_block_does_not_grow_with_the_modes():
+    # The same keys, and nearly the same length, at 10 modes (NARROW) and
+    # at 365 (CAL_3D): the block writes no per-mode entry.
+    blocks = [cli.verify_report(cfg, dim, waves=4, fields=2, seed=1,
+                                resolution=res, policy=RankPolicy())["gram"]
+              for cfg, dim, res in (
+                  (PhysicalConfig(R=0.1, W=0.01, T=0.3, f0=10.0, c=1.0),
+                   Dimension.TWO_D, (8, 24, 22)),
+                  (PhysicalConfig(R=1.0 / E_PI, W=1.0, T=1.0, f0=10.0, c=1.0),
+                   Dimension.THREE_D, (12, 23, 52)))]
+    assert [block["modes"] for block in blocks] == [10, 365]
+    assert set(blocks[0]) == set(blocks[1])
+    small, large = (len(json.dumps(block, indent=2)) for block in blocks)
+    assert abs(large - small) < 64
+
+
+def test_verify_has_no_gram_spectrum_csv(tmp_path, capsys):
+    # The Gram's spectrum is M ones in closed form, so there is no export
+    # of it: the flag is rejected before anything is written.
+    rc = main(["verify", *NARROW_FLAGS, "--seed", "2", "-o", str(tmp_path / "v.json"),
+               "--gram-spectrum-csv", str(tmp_path / "g.csv")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_determinism(tmp_path):
@@ -779,21 +807,17 @@ def test_verify_policy_flag(tmp_path):
 
 def test_verify_spectrum_csv_export(tmp_path):
     out = tmp_path / "v.json"
-    gcsv = tmp_path / "g.csv"
     ecsv = tmp_path / "e.csv"
     rc = main(["verify", *NARROW_FLAGS, "--seed", "2", "-o", str(out),
-               "--gram-spectrum-csv", str(gcsv),
                "--ensemble-spectrum-csv", str(ecsv)])
     assert rc == EXIT_OK
     doc = json.loads(out.read_text())
-    for kind, path in (("gram", gcsv), ("ensemble", ecsv)):
-        lines = [ln for ln in path.read_text().splitlines()
-                 if not ln.startswith("#")]
-        assert lines[0] == "index,eigenvalue,cumulative_fraction"
-        assert [float(ln.split(",")[1]) for ln in lines[1:]] == doc[kind]["eigenvalues"]
-        fractions = [float(ln.split(",")[2]) for ln in lines[1:]]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0, abs=1e-9)
+    lines = [ln for ln in ecsv.read_text().splitlines() if not ln.startswith("#")]
+    assert lines[0] == "index,eigenvalue,cumulative_fraction"
+    assert [float(ln.split(",")[1]) for ln in lines[1:]] == doc["ensemble"]["eigenvalues"]
+    fractions = [float(ln.split(",")[2]) for ln in lines[1:]]
+    assert fractions == sorted(fractions)
+    assert fractions[-1] == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

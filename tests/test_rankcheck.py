@@ -958,23 +958,6 @@ def test_eigen_spectrum_reconstruction_contract():
     assert 0.0 < spec.residual <= 1e-13
 
 
-def test_checked_eigh_of_a_stack():
-    # One call over a stack: each matrix's eigenvalues as eigh gives them
-    # alone, the largest residual, and a check that fails on any matrix.
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-    stack = rankcheck._mirror_upper(x)
-    assert np.array_equal(stack, stack.conj().swapaxes(1, 2))
-    evals, residual = rankcheck._checked_eigh(stack)
-    for lam, m in zip(evals, stack):
-        assert np.allclose(lam, np.linalg.eigh(m)[0], rtol=0, atol=1e-14)
-        assert residual >= eigen_spectrum(m).residual
-    assert 0.0 < residual <= 1e-13
-    stack[1, 0, 3] += 1.0
-    with pytest.raises(ValueError, match="^matrix is not Hermitian within 1e-10$"):
-        rankcheck._checked_eigh(stack)
-
-
 def test_eigen_spectrum_of_the_verify3d_gram_is_plain_eigh():
     # The real Gram of the 3D benchmark point, 121 modes: the spectrum is
     # eigh's, bit for bit, with the checks on transposed views.
@@ -1016,15 +999,16 @@ MODE_ORDERS = pytest.mark.parametrize("order", [list, _by_channel],
         "stand-in", "k-zero-2d", "k-zero-3d"])
 @MODE_ORDERS
 def test_gram_spectrum_matches_dense_spectrum(dim, cfg, resolution, two_sided, order):
-    # verify's gram block as written: eigenvalues and trace to 12 digits,
-    # and the ranks, from the closed form and from the dense normalized
-    # Gram's eigendecomposition.
+    # verify's gram ranks from the closed form match those of the dense
+    # normalized Gram's eigendecomposition, whose eigenvalues are all 1 to
+    # 12 digits.
     g = build_grid(dim, cfg, resolution)
     modes = order(enumerate_modes(dim, cfg, two_sided=two_sided))
     want = eigen_spectrum(diagonal_normalize(gram_of_modes(modes, g, cfg)))
-    got, defect = gram_readout(modes, g, cfg)
-    assert cli._spectrum_doc(got) == cli._spectrum_doc(want)
-    assert got.trace == len(modes) and 0.0 <= defect < 1e-3
+    rank_t, rank_e, defect = gram_readout(modes, g, cfg)
+    assert (rank_t, rank_e) == (want.rank_threshold, want.rank_energy)
+    assert [cli._round12(v) for v in want.eigenvalues] == [1.0] * len(modes)
+    assert 0.0 <= defect < 1e-3
 
 
 @MODE_ORDERS
@@ -1061,7 +1045,7 @@ def test_gram_diagonal_defect_falls_with_radial_nodes(dim, cfg, resolution, defe
     # error that is not rounding: as measured at verify's resolution, and
     # at rounding by 16 radial nodes.
     modes = enumerate_modes(dim, cfg)
-    got = [gram_readout(modes, build_grid(dim, cfg, (n_r, *resolution[1:])), cfg)[1]
+    got = [gram_readout(modes, build_grid(dim, cfg, (n_r, *resolution[1:])), cfg)[2]
            for n_r in (resolution[0], 16)]
     assert defect / 2 <= got[0] <= 2 * defect
     assert got[1] <= 1e-14
@@ -1093,9 +1077,9 @@ def test_gram_readout_past_the_dense_cap(monkeypatch):
     g = build_grid(THREE_D, cfg, (12, 113, 31))
     out = []
     peak = _traced_peak(lambda: out.append(gram_readout(modes, g, cfg)))
-    spec, defect = out[0]
-    assert spec.rank_threshold == len(modes) == spec.trace
-    assert (spec.rank_threshold, spec.rank_energy) == effective_rank(np.ones(len(modes)))
+    rank_t, rank_e, defect = out[0]
+    assert rank_t == len(modes)
+    assert (rank_t, rank_e) == effective_rank(np.ones(len(modes)))
     # 12 radial nodes do not resolve j_n(k r)^2 up to kR = 41 (0.57).
     assert 0.1 < defect < 1.0
     assert peak < 16 * (1 << 20)
