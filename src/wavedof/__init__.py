@@ -12,9 +12,10 @@ from .bounds import (BoundReport, ConfigError, Dimension, ModeCapError,
                      PhysicalConfig, asymptotic_dof_3d, average_mode_density_3d,
                      bound_report, closed_form_bound, dof_space, dof_time_band,
                      exact_mode_sum, frequency_bins, truncation_degree)
-from .modes import (CoefficientVector, ModeIndex, PlaneWaveSet, WaveVector,
-                    enumerate_modes, evaluate_mode, jacobi_anger_partial,
-                    mode_wavenumber, plane_wave, project_field, synthesize_field)
+from .modes import (CoefficientVector, ModeIndex, PlaneWaveSet, WaveStack,
+                    WaveVector, draw_ensemble, enumerate_modes, evaluate_mode,
+                    jacobi_anger_partial, mode_wavenumber, plane_wave,
+                    project_field, synthesize_field)
 from .rankcheck import (RankPolicy, ResolutionError, SpaceTimeGrid,
                         SpectrumReport, build_grid, diagonal_normalize,
                         effective_rank, eigen_spectrum, ensemble_spectrum,
@@ -26,9 +27,10 @@ __all__ = [
     "Angle", "BoundReport", "CoefficientVector", "ConfigError", "Dimension",
     "ModeCapError", "ModeIndex", "PhysicalConfig", "PlaneWaveSet",
     "RankPolicy", "ResolutionError", "SpaceTimeGrid", "SpectrumReport",
-    "WaveVector", "assoc_legendre", "asymptotic_dof_3d",
+    "WaveStack", "WaveVector", "assoc_legendre", "asymptotic_dof_3d",
     "average_mode_density_3d", "bessel_J", "bound_report", "build_grid",
     "closed_form_bound", "diagonal_normalize", "dof_space", "dof_time_band",
+    "draw_ensemble",
     "effective_rank", "eigen_spectrum", "ensemble_spectrum", "enumerate_modes",
     "evaluate_mode", "exact_mode_sum", "frequency_bins", "gram_of_modes",
     "gram_readout", "jacobi_anger_partial", "legendre_p", "mode_wavenumber",

@@ -39,7 +39,7 @@ from . import __version__
 from .bounds import (DEFAULT_MODE_CAP, QUANTITIES, ConfigError, Dimension,
                      ModeCapError, PhysicalConfig, _lattice_count, bin_degrees,
                      bound_report, bound_values, check_cap)
-from .modes import _bin_orders, enumerate_modes, synthesize_field
+from .modes import _bin_orders, draw_ensemble, enumerate_modes
 from .rankcheck import (RankPolicy, ResolutionError, build_grid,
                         ensemble_spectrum, gram_readout)
 
@@ -427,6 +427,15 @@ def write_spectrum_csv(path: str, part: dict, meta: dict) -> None:
     _write_text(path, _csv_lines(meta, "index,eigenvalue,cumulative_fraction", rows))
 
 
+#: the largest Gram ``diagonal_defect`` (the radial rule's relative error
+#: on the modes' norms, ``rankcheck.gram_readout``) that ``verify``
+#: accepts. Once the radial rule resolves the modes the defect falls about
+#: tenfold per added node (NARROW: 0.24, 0.038, 0.0036 at 3, 4, 5 nodes;
+#: 5.3e-7 at 8); a rule that cannot stays near 0.6 (3D R = 1/(e pi),
+#: F0 = 56, T = 0.1, kR up to 41: 0.64, 0.58, 0.57 at 6, 8, 12 nodes).
+MAX_DIAGONAL_DEFECT = 0.1
+
+
 def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
                   fields: int, seed: int, resolution: tuple,
                   policy: RankPolicy, two_sided: bool = False) -> dict:
@@ -436,10 +445,15 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
     ranks of the identity, which the normalized Gram of the modes is in
     closed form, and its ``diagonal_defect``. Every ratio divides a rank
     by the number of modes the Gram is built from, those listed by
-    ``enumerate_modes``. Raises :class:`ModeCapError` before allocating
-    when the grid points (:func:`~wavedof.rankcheck.build_grid` checks
-    them), the ensemble's time-factor entries or its dual's entries
-    (fields^2) fail :func:`~wavedof.bounds.check_cap`.
+    ``enumerate_modes``. The ensemble is one
+    :func:`~wavedof.modes.draw_ensemble` stack, field j drawn from seed
+    + 1000 j, read by :func:`~wavedof.rankcheck.ensemble_spectrum`.
+    Raises :class:`ModeCapError` before allocating when the grid points
+    (:func:`~wavedof.rankcheck.build_grid` checks them), the ensemble's
+    time-factor entries or its dual's entries (fields^2) fail
+    :func:`~wavedof.bounds.check_cap`, and :class:`ResolutionError`
+    before drawing when the diagonal defect exceeds
+    ``MAX_DIAGONAL_DEFECT``.
     """
     grid = build_grid(dim, cfg, resolution)
     for what, size in (("ensemble time-factor entries", fields * waves * resolution[2]),
@@ -448,9 +462,13 @@ def verify_report(cfg: PhysicalConfig, dim: Dimension, *, waves: int,
     modes = enumerate_modes(dim, cfg, two_sided=two_sided)
     exact = len(modes)
     gram_t, gram_e, defect = gram_readout(modes, grid, cfg, policy)
-    ensemble = [synthesize_field(dim, cfg, waves, seed + 1000 * j)
-                for j in range(fields)]
-    ens_spec = ensemble_spectrum(ensemble, grid, policy)
+    if not defect <= MAX_DIAGONAL_DEFECT:
+        raise ResolutionError(
+            f"Gram diagonal defect {defect:.2g} above {MAX_DIAGONAL_DEFECT:g}: "
+            f"{resolution[0]} radial nodes cannot integrate the modes; "
+            "raise n_radial")
+    stack = draw_ensemble(dim, cfg, waves, range(seed, seed + 1000 * fields, 1000))
+    ens_spec = ensemble_spectrum(stack, grid, policy)
     bounds = _rounded(bound_report(cfg).as_dict())
     return {
         "metadata": run_metadata(seed=seed, extra={

@@ -51,6 +51,12 @@ wave), not per (point, wave). Point sets far from a product, such as
 scattered points, whose table would outgrow points x waves, fall back
 to one exponential per (point, wave).
 
+Random plane-wave fields come from one draw kernel,
+:func:`draw_ensemble`: one seeded generator per field, each drawing
+straight into its rows of one :class:`WaveStack`, which
+``rankcheck.ensemble_spectrum`` reads as drawn; :func:`synthesize_field`
+is its one-seed case.
+
 Every array exponential here, in :func:`field_values` and in the
 azimuthal and time factors of :func:`_factor_columns`, is
 :func:`~wavedof.specfun.cis`, the library's one e^{i theta} kernel, and
@@ -135,7 +141,9 @@ class PlaneWaveSet:
 
     ``directions`` has shape (n, 2 or 3) with unit rows, ``frequencies``
     and ``amplitudes`` shape (n,). :func:`synthesize_field` draws one
-    from a seed, which the ``verify`` report records with its generator.
+    from a seed, and :func:`draw_ensemble` many, one per seed, into a
+    :class:`WaveStack`; the ``verify`` report records the seed with its
+    generator.
     Raises ValueError for an empty set or other shapes, and
     :class:`ConfigError` unless 0 < c < inf. The rows are checked by the
     readers, :func:`field_values` and ``rankcheck.ensemble_spectrum``,
@@ -310,37 +318,87 @@ def jacobi_anger_values(wv: WaveVector, points: np.ndarray, N: int) -> np.ndarra
     return np.einsum("pn,np->p", radial[r_inv], angular)
 
 
-def synthesize_field(dim: Dimension, cfg: PhysicalConfig, num_waves: int,
-                     seed: int) -> PlaneWaveSet:
-    """Random band-limited superposition of plane waves.
+class WaveStack(NamedTuple):
+    """An ensemble of F plane-wave sets as one array set, each field's
+    waves zero-padded to the longest field's W: ``directions`` (F, W, d),
+    ``frequencies`` and complex ``amplitudes`` (F, W), each field's wave
+    speed ``c`` and wave count ``counts`` (F,), and ``band``, the lowest
+    and highest frequency of the unpadded waves. A padded wave has
+    direction 0, frequency 0 and amplitude 0, so it adds nothing to a
+    field. :func:`draw_ensemble` draws one, unpadded, and
+    ``rankcheck.ensemble_spectrum`` reads it, or stacks a list of
+    :class:`PlaneWaveSet` into one; both routes to its dual read the
+    stack."""
+
+    directions: np.ndarray
+    frequencies: np.ndarray
+    amplitudes: np.ndarray
+    c: np.ndarray
+    counts: np.ndarray
+    band: tuple[float, float]
+
+    @property
+    def centre(self) -> float:
+        """The band's centre frequency f_c = (f_lo + f_hi) / 2."""
+        lo, hi = self.band
+        return lo + (hi - lo) / 2.0
+
+
+def draw_ensemble(dim: Dimension, cfg: PhysicalConfig, num_waves: int,
+                  seeds: Sequence[int]) -> WaveStack:
+    """Random band-limited superpositions of plane waves, one field of
+    ``num_waves`` waves per seed, drawn into one :class:`WaveStack`.
 
     Directions are isotropic (normalized Gaussian vectors), frequencies
     uniform over [F0 - W, F0 + W], amplitudes unit-variance complex
-    Gaussian. The draw order is fixed, so a seed pins the whole set: it
-    is that of ``rng = np.random.default_rng(seed)`` drawing
+    Gaussian. The draw order is fixed, so a seed pins its field: it is
+    that of ``rng = np.random.default_rng(seed)`` drawing
     ``rng.normal(size=(n, d))`` (each row divided by its
     ``np.linalg.norm``), ``rng.uniform(F0 - W, F0 + W, n)`` and two
     ``rng.standard_normal(n)``, the real and the imaginary parts, whose
     sum is divided by sqrt 2. The draws here are the same, bit for bit,
-    from fewer numpy calls: one ``standard_normal(2n)`` holds both parts,
-    and numpy's complex divide by a real multiplies each part by its
-    inverse.
+    from fewer numpy calls: each seed's ``Generator(PCG64(seed))`` writes
+    its directions and one ``standard_normal(2n)`` of both amplitude
+    parts straight into its rows of the stacked arrays, and the rows are
+    normalized and the parts scaled once over the whole stack (numpy's
+    complex divide by a real multiplies each part by its inverse).
+    Raises ValueError for ``num_waves`` < 1 or no seeds, and numpy's
+    errors for a seed it cannot take.
     """
     if num_waves < 1:
         raise ValueError("num_waves must be >= 1")
+    if len(seeds) == 0:
+        raise ValueError("an ensemble needs at least one seed")
     d = 3 if dim is Dimension.THREE_D else 2
-    rng = np.random.Generator(np.random.PCG64(seed))
-    dirs = rng.standard_normal((num_waves, d))
+    n_f = len(seeds)
+    dirs = np.empty((n_f, num_waves, d))
+    freqs = np.empty((n_f, num_waves))
+    parts = np.empty((n_f, 2, num_waves))
+    for j, seed in enumerate(seeds):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        rng.standard_normal(out=dirs[j])
+        # uniform takes no out=; low + range * u stays numpy's own, to the bit.
+        freqs[j] = rng.uniform(cfg.f0 - cfg.W, cfg.f0 + cfg.W, num_waves)
+        rng.standard_normal(out=parts[j])
     # np.linalg.norm's sum of squares, without its copies.
-    norm = np.add.reduce(dirs * dirs, axis=1)
-    dirs /= np.sqrt(norm, out=norm)[:, None]
-    freqs = rng.uniform(cfg.f0 - cfg.W, cfg.f0 + cfg.W, num_waves)
-    parts = rng.standard_normal(2 * num_waves)
+    norm = np.add.reduce(dirs * dirs, axis=2)
+    dirs /= np.sqrt(norm, out=norm)[..., None]
     parts *= 1.0 / math.sqrt(2.0)
-    amps = np.empty(num_waves, dtype=complex)
-    amps.real, amps.imag = parts[:num_waves], parts[num_waves:]
-    return PlaneWaveSet(directions=dirs, frequencies=freqs, amplitudes=amps,
-                        c=cfg.c)
+    amps = np.empty((n_f, num_waves), dtype=complex)
+    amps.real, amps.imag = parts[:, 0], parts[:, 1]
+    return WaveStack(dirs, freqs, amps, np.full(n_f, float(cfg.c)),
+                     np.full(n_f, num_waves), (float(freqs.min()), float(freqs.max())))
+
+
+def synthesize_field(dim: Dimension, cfg: PhysicalConfig, num_waves: int,
+                     seed: int) -> PlaneWaveSet:
+    """One random band-limited superposition of plane waves: the one-seed
+    case of :func:`draw_ensemble`, whose draws it returns as a
+    :class:`PlaneWaveSet`, bit for bit those of the documented
+    ``np.random.default_rng(seed)`` sequence."""
+    stack = draw_ensemble(dim, cfg, num_waves, [seed])
+    return PlaneWaveSet(directions=stack.directions[0], frequencies=stack.frequencies[0],
+                        amplitudes=stack.amplitudes[0], c=cfg.c)
 
 
 def _check_width(directions: np.ndarray, dim: int) -> None:

@@ -20,11 +20,14 @@ product over the same axes, and so is each weight, so the Gram matrix
 and the ensemble are assembled axis by axis: the Gram matrix is
 the elementwise product of one small weighted Gram per axis, and each
 ensemble field is a (spatial nodes x waves) by (waves x time nodes)
-matrix product. The ensemble is read as one stack (:func:`_wave_stack`),
-built once per call: directions (F, W, d), frequencies and amplitudes
-(F, W), every field zero-padded to the longest, with each field's wave
-speed and wave count, so no reader walks the fields. Its direction rows
-are checked there, once. The ensemble's dual has two routes, both
+matrix product. The ensemble is read as one
+:class:`~wavedof.modes.WaveStack`: directions (F, W, d), frequencies and
+amplitudes (F, W), every field zero-padded to the longest, with each
+field's wave speed and wave count, so no reader walks the fields.
+``verify`` draws it whole (:func:`~wavedof.modes.draw_ensemble`, each
+seed straight into its rows); a list of plane-wave sets is stacked once
+per call (:func:`_wave_stack`). Either way its direction rows are
+checked once per call, all together. The ensemble's dual has two routes, both
 reading the stack, chosen from its shape alone
 (:func:`_pair_route_is_cheaper`): F fields, the longest of W
 waves, n_x kept spatial nodes, n_t time nodes. For few waves in all,
@@ -87,13 +90,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .bounds import ConfigError, Dimension, PhysicalConfig, check_cap
-from .modes import (ModeIndex, PlaneWaveSet, diagonal_normalize,  # re-exported
+from .modes import (ModeIndex, PlaneWaveSet, WaveStack,
+                    diagonal_normalize,  # re-exported
                     _check_directions, _check_width, gram_diagonals,
                     weighted_gram)
 from .specfun import _lommel_table, _miller_start, cos_sin
@@ -370,32 +374,9 @@ def _half_time_axis(grid: SpaceTimeGrid) -> tuple[float, np.ndarray, np.ndarray]
     return (t[0] + t[-1]) / 2.0, tau, np.sqrt(mu * wt[n_t // 2:])
 
 
-class _WaveStack(NamedTuple):
-    """An ensemble of F plane-wave sets as one array set, each field's
-    waves zero-padded to the longest field's W: ``directions`` (F, W, d),
-    ``frequencies`` and complex ``amplitudes`` (F, W), each field's wave
-    speed ``c`` and wave count ``counts`` (F,), and ``band``, the lowest
-    and highest frequency of the unpadded waves. A padded wave has
-    direction 0, frequency 0 and amplitude 0, so it adds nothing to a
-    field. :func:`_wave_stack` builds it once per
-    :func:`ensemble_spectrum` call, and both routes to the dual read it."""
-
-    directions: np.ndarray
-    frequencies: np.ndarray
-    amplitudes: np.ndarray
-    c: np.ndarray
-    counts: np.ndarray
-    band: tuple[float, float]
-
-    @property
-    def centre(self) -> float:
-        """The band's centre frequency f_c = (f_lo + f_hi) / 2."""
-        lo, hi = self.band
-        return lo + (hi - lo) / 2.0
-
-
-def _wave_stack(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> _WaveStack:
-    """The :class:`_WaveStack` of a nonempty ensemble on ``grid``.
+def _wave_stack(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> WaveStack:
+    """The :class:`~wavedof.modes.WaveStack` of a nonempty list of
+    plane-wave sets on ``grid``.
 
     Raises ValueError when a set's directions have another number of
     components than the grid's, checked set by set as the stack is built,
@@ -418,10 +399,10 @@ def _wave_stack(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid) -> _WaveSta
             padded.append(np.zeros((n_f, n_w, *a.shape[1:]), dtype=a.dtype))
             padded[-1][valid] = a
     c = np.array([pws.c for pws in fields])
-    return _WaveStack(*padded, c, counts, (float(flat[1].min()), float(flat[1].max())))
+    return WaveStack(*padded, c, counts, (float(flat[1].min()), float(flat[1].max())))
 
 
-def _centred_waves(stack: _WaveStack, t_c: float) -> tuple[np.ndarray, np.ndarray]:
+def _centred_waves(stack: WaveStack, t_c: float) -> tuple[np.ndarray, np.ndarray]:
     """(delta, amps), (fields, waves) each: delta = 2 pi (f - f_c), with
     the band's centre f_c, and a e^{2 pi i f t_c}, so that
     a e^{2 pi i f t} = amps e^{2 pi i f_c tau} e^{i delta tau} with
@@ -436,7 +417,7 @@ def _centred_waves(stack: _WaveStack, t_c: float) -> tuple[np.ndarray, np.ndarra
     return delta, stack.amplitudes * (c + 1j * s)
 
 
-def _wave_vectors(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
+def _wave_vectors(stack: WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
     """(dim, fields x waves) wave vectors 2 pi f / c times each wave's
     direction, every field's waves side by side (padded waves have k = 0).
     Raises :class:`ConfigError` when a phase k.x on the grid may leave the
@@ -453,7 +434,7 @@ def _wave_vectors(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
     return kvec.reshape(dim, -1)
 
 
-def _band_time_halves(stack: _WaveStack, grid: SpaceTimeGrid):
+def _band_time_halves(stack: WaveStack, grid: SpaceTimeGrid):
     """(f_c, t_c, tau, even, odd): the band's time basis, centred and split
     by parity, on the h = ceil(n_t / 2) time nodes at or after the centre
     t_c of the window.
@@ -505,7 +486,7 @@ def _band_time_halves(stack: _WaveStack, grid: SpaceTimeGrid):
     return stack.centre, t_c, tau, even, odd
 
 
-def _band_time_coordinates(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
+def _band_time_coordinates(stack: WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
     """(fields, 2L, waves) reals: each wave's coordinates a sqrt(w_t) e^{iwt} Q
     in the band's time basis Q, the e^{-2 pi i f_c tau} [even, odd] columns
     that the parts of :func:`_band_time_halves` stand for on every node:
@@ -541,7 +522,7 @@ def _band_time_coordinates(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray
     return coords
 
 
-def _weighted_field_blocks(stack: _WaveStack, grid: SpaceTimeGrid):
+def _weighted_field_blocks(stack: WaveStack, grid: SpaceTimeGrid):
     """Yield blocks (fields, 2, K) of reals, the real parts [:, 0] and the
     imaginary parts [:, 1] of K columns Y, whose Y Y^H sum to Xw Xw^H, the
     ensemble's field-Gram dual, where Xw has the rows sqrt(w_s) x_f(s), up
@@ -601,7 +582,7 @@ def _weighted_field_blocks(stack: _WaveStack, grid: SpaceTimeGrid):
         yield pq.reshape(n_f, 2, -1)
 
 
-def _blocked_dual(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
+def _blocked_dual(stack: WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
     """The ensemble's (fields x fields) dual Xw Xw^H, summed in real
     arithmetic over the blocks of :func:`_weighted_field_blocks`, so no
     (fields x points) array is formed. With a block's real parts R and
@@ -651,7 +632,7 @@ def _cos_sin_gram(nodes: np.ndarray, vectors: np.ndarray, root_w: np.ndarray,
     return gram, odd
 
 
-def _pair_dual(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
+def _pair_dual(stack: WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
     """The ensemble's (fields x fields) dual Xw Xw^H through the wave-pair
     quadrature kernel, with no time basis.
 
@@ -696,7 +677,7 @@ def _pair_dual(stack: _WaveStack, grid: SpaceTimeGrid) -> np.ndarray:
 _BLOCKED_FIXED = 1 << 19
 
 
-def _pair_route_is_cheaper(stack: _WaveStack, grid: SpaceTimeGrid) -> bool:
+def _pair_route_is_cheaper(stack: WaveStack, grid: SpaceTimeGrid) -> bool:
     """Whether :func:`_pair_dual` suits this ensemble's shape: F fields,
     the longest of W waves, on n_x kept spatial nodes (half the nodes on
     a grid with antipodes, see :func:`_antipodal_fold`) and n_t time
@@ -720,7 +701,8 @@ def _pair_route_is_cheaper(stack: _WaveStack, grid: SpaceTimeGrid) -> bool:
     return 2 * n_k ** 2 <= _BLOCK_ENTRIES and n_x * n_k ** 2 < blocked
 
 
-def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
+def ensemble_spectrum(fields: Sequence[PlaneWaveSet] | WaveStack,
+                      grid: SpaceTimeGrid,
                       policy: RankPolicy = RankPolicy()) -> SpectrumReport:
     """Spectrum of the ensemble covariance, computed through its dual.
 
@@ -728,25 +710,33 @@ def ensemble_spectrum(fields: Sequence[PlaneWaveSet], grid: SpaceTimeGrid,
     C[s, s'] = (1/F) sum_f sqrt(w_s) x_f(s) conj(x_f(s')) sqrt(w_s').
     The F x F matrix (1/F) Xw Xw^H shares every nonzero eigenvalue and
     the trace with it, so rank readouts are identical while the
-    eigenproblem stays small. The fields are read once, into one stack
-    (:func:`_wave_stack`), and the dual is summed from it by one of two
+    eigenproblem stays small. The ensemble is read as one
+    :class:`~wavedof.modes.WaveStack`: the one
+    :func:`~wavedof.modes.draw_ensemble` draws, whose direction rows are
+    checked here, all at once, or a list of plane-wave sets, stacked once
+    (:func:`_wave_stack`). The dual is summed from it by one of two
     routes, chosen from the ensemble's shape (:func:`_pair_route_is_cheaper`):
     the wave-pair kernel (:func:`_pair_dual`) for few waves in all, the
     blocked fields in the band's time basis (:func:`_blocked_dual`)
     otherwise. Both rest on the symmetric time axis of the
     :class:`SpaceTimeGrid` contract. Raises ValueError for an empty
-    ensemble, a set whose directions have another number of components
-    than the grid's, or a direction row not of unit length, and
+    ensemble, directions with another number of components than the
+    grid's, or a direction row not of unit length, and
     :class:`ConfigError` when a phase leaves the float range or the
     dual's largest entry is subnormal (a window T near the float
     minimum).
     """
-    if len(fields) == 0:
+    if isinstance(fields, WaveStack):
+        stack = fields
+        dim = grid.axes["directions"].shape[1]
+        _check_directions(stack.directions.reshape(-1, stack.directions.shape[-1]), dim)
+    elif len(fields) == 0:
         raise ValueError("ensemble must be nonempty")
-    stack = _wave_stack(fields, grid)
+    else:
+        stack = _wave_stack(fields, grid)
     route = _pair_dual if _pair_route_is_cheaper(stack, grid) else _blocked_dual
     dual = route(stack, grid)
-    dual /= len(fields)
+    dual /= len(stack.c)
     # The largest entry of a PSD matrix is on its diagonal.
     if 0.0 < np.max(dual.diagonal().real) < np.finfo(float).tiny:
         raise ConfigError("the ensemble's covariance falls below the normal "

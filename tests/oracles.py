@@ -22,7 +22,9 @@ a dense ball quadrature of the truncation error, the same error's
 Lommel tail sum term by term in extended precision, each mode's radial
 norm as an extended-precision quadrature of mpmath Bessel values, and
 a seeded plane-wave set drawn as first written, one ``default_rng``
-call per draw.
+call per draw, and the ensemble spectrum of seeded fields drawn one
+``synthesize_field`` set at a time and stacked by ``ensemble_spectrum``
+from their list, as ``verify`` once did.
 """
 
 import cmath
@@ -34,7 +36,8 @@ import numpy as np
 
 from wavedof import rankcheck, specfun
 from wavedof.bounds import Dimension, PhysicalConfig
-from wavedof.modes import PlaneWaveSet, _bin_columns, jacobi_anger_values, mode_matrix
+from wavedof.modes import (PlaneWaveSet, _bin_columns, jacobi_anger_values, mode_matrix,
+                           synthesize_field)
 
 E_PI = math.e * math.pi
 
@@ -368,6 +371,15 @@ def synthesize_field_reference(dim, cfg, num_waves: int, seed: int) -> PlaneWave
             + 1j * rng.standard_normal(num_waves)) / math.sqrt(2.0)
     return PlaneWaveSet(directions=dirs, frequencies=freqs, amplitudes=amps,
                         c=cfg.c)
+
+
+def per_field_ensemble_spectrum(dim, cfg, num_waves: int, seeds, grid,
+                                policy=rankcheck.RankPolicy()):
+    """``ensemble_spectrum`` of one ``synthesize_field`` set per seed,
+    passed as a list: the per-field path ``verify`` took before it drew
+    its ensemble into one stack."""
+    fields = [synthesize_field(dim, cfg, num_waves, seed) for seed in seeds]
+    return rankcheck.ensemble_spectrum(fields, grid, policy)
 
 
 def band_time_basis(fields, grid) -> np.ndarray:

@@ -902,6 +902,31 @@ def test_verify_resolution_message_reports_argv_counts(flags, message, tmp_path,
     assert not (tmp_path / "v.json").exists()
 
 
+@pytest.mark.parametrize("flags, nodes, defect", [
+    ([*NARROW_FLAGS[:12], "--resolution", "3,24,22", "--fields", "4", "--waves", "8"],
+     3, "0.23"),
+    # 3,249 modes, kR up to 41: twelve radial nodes cannot integrate them.
+    (["--R", str(1.0 / E_PI), "--W", "0", "--T", "0.1", "--F0", "56", "--c", "1",
+      "--dim", "3d", "--resolution", "12,113,31"], 12, "0.57"),
+], ids=["narrow-3-radial-nodes", "3d-kR-41"])
+def test_verify_rejects_an_unusable_radial_rule(flags, nodes, defect, tmp_path, capsys,
+                                                monkeypatch):
+    # A Gram diagonal defect above the bound exits 4 with one line, before
+    # the ensemble is drawn; NARROW on 4 radial nodes (defect 0.038) passes
+    # in test_verify_config_file_read_once.
+    def no_draw(*args):
+        raise AssertionError("the ensemble was drawn")
+
+    monkeypatch.setattr(cli, "draw_ensemble", no_draw)
+    rc = main(["verify", *flags, "-o", str(tmp_path / "v.json")])
+    assert rc == EXIT_RESOLUTION
+    err = capsys.readouterr().err
+    assert err == (f"resolution too low: Gram diagonal defect {defect} above "
+                   f"{cli.MAX_DIAGONAL_DEFECT:g}: {nodes} radial nodes cannot "
+                   "integrate the modes; raise n_radial\n")
+    assert not (tmp_path / "v.json").exists()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_subnormal_bessel_arguments(tmp_path):
     # kR = 2 pi 10 1e-15 / 1e300 is subnormal: the Bessel tables take the

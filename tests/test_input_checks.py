@@ -12,7 +12,7 @@ import pytest
 
 from wavedof import (Dimension, PhysicalConfig, RankPolicy, WaveVector,
                      assoc_legendre, build_grid, dof_space, dof_time_band,
-                     effective_rank, ensemble_spectrum, enumerate_modes,
+                     draw_ensemble, effective_rank, ensemble_spectrum, enumerate_modes,
                      evaluate_mode, legendre_p, mode_wavenumber,
                      norm_assoc_legendre, project_field, synthesize_field,
                      truncation_degree)
@@ -36,6 +36,14 @@ def _plane_waves(**change):
     args = dict(directions=np.array([[1.0, 0.0]]), frequencies=np.array([1.0]),
                 amplitudes=np.array([1.0 + 0.0j]), c=1.0)
     return PlaneWaveSet(**{**args, **change})
+
+
+def _drawn_stack(row=None, dim=TWO_D):
+    """A drawn 2 x 3 ensemble, its wave (1, 2) given the direction ``row``."""
+    stack = draw_ensemble(dim, CAL_2D, 3, [1, 2])
+    if row is not None:
+        stack.directions[1, 2] = row
+    return stack
 
 
 REJECTIONS = {
@@ -141,6 +149,10 @@ REJECTIONS = {
         ValueError, r"points of a 3D wave must have shape \(P, 3\), got \(4, 2\)"),
     "synthesize_field-no-waves": (lambda: synthesize_field(TWO_D, CAL_2D, 0, seed=1),
                                   ValueError, "num_waves must be >= 1"),
+    "draw_ensemble-no-waves": (lambda: draw_ensemble(TWO_D, CAL_2D, 0, [1]),
+                               ValueError, "num_waves must be >= 1"),
+    "draw_ensemble-no-seeds": (lambda: draw_ensemble(TWO_D, CAL_2D, 4, []),
+                               ValueError, "an ensemble needs at least one seed"),
     "project_field-misaligned": (
         lambda: project_field(np.zeros(len(SMALL_GRID) + 1),
                               enumerate_modes(TWO_D, CAL_2D), SMALL_GRID, CAL_2D),
@@ -167,6 +179,16 @@ REJECTIONS = {
         lambda: ensemble_spectrum(
             [_plane_waves(), _plane_waves(directions=np.array([[0.0, 0.0, 1.0]]))],
             SMALL_GRID),
+        ValueError, "plane-wave directions have 3 components, the sample points 2"),
+    # A drawn stack's rows are checked as a list's are, with the same errors.
+    "ensemble_spectrum-stack-direction-length": (
+        lambda: ensemble_spectrum(_drawn_stack([0.6, 0.6]), SMALL_GRID),
+        ValueError, "plane-wave directions must be unit vectors, got squared norm 0.72"),
+    "ensemble_spectrum-stack-direction-nan": (
+        lambda: ensemble_spectrum(_drawn_stack([math.nan, 0.0]), SMALL_GRID),
+        ValueError, "plane-wave directions must be unit vectors, got squared norm nan"),
+    "ensemble_spectrum-stack-direction-dimension": (
+        lambda: ensemble_spectrum(_drawn_stack(dim=Dimension.THREE_D), SMALL_GRID),
         ValueError, "plane-wave directions have 3 components, the sample points 2"),
     "ensemble_spectrum-k-overflow": (
         lambda: ensemble_spectrum(

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from wavedof import (ConfigError, Dimension, ModeCapError, PhysicalConfig,
-                     WaveVector, build_grid, enumerate_modes, evaluate_mode,
+                     WaveVector, build_grid, draw_ensemble, enumerate_modes,
+                     evaluate_mode,
                      exact_mode_sum, gram_of_modes, jacobi_anger_partial,
                      mode_wavenumber, plane_wave, project_field, synthesize_field,
                      truncation_degree)
@@ -699,6 +700,33 @@ def test_synthesize_field_keeps_the_seeded_stream(dim, cfg, waves):
         want = synthesize_field_reference(dim, cfg, waves, seed)
         for key in ("directions", "frequencies", "amplitudes"):
             assert np.array_equal(getattr(got, key), getattr(want, key)), (key, seed)
+
+
+#: seed lists of the draw kernel: verify's layout seed + 1000 j (from
+#: seeds 1 and 2^32 + 5), seeds past 2^32 and 2^64, and a repeated seed
+KERNEL_SEEDS = [range(1, 1 + 1000 * 7, 1000),
+                range(2**32 + 5, 2**32 + 5 + 1000 * 3, 1000),
+                [0, 2**40 + 7, 2**64 + 3, 5, 5]]
+
+
+@pytest.mark.parametrize("waves", [1, 2, 64, 257])
+@pytest.mark.parametrize("dim, cfg", [(TWO_D, CAL_2D), (THREE_D, CAL_3D)],
+                         ids=["2d", "3d"])
+def test_draw_ensemble_rows_keep_the_seeded_stream(dim, cfg, waves):
+    # Row j of the stack is what default_rng(seeds[j]) draws in the
+    # documented order, bit for bit, so verify's reports stay as they were.
+    for seeds in KERNEL_SEEDS:
+        stack = draw_ensemble(dim, cfg, waves, seeds)
+        d = 3 if dim is THREE_D else 2
+        assert stack.directions.shape == (len(seeds), waves, d)
+        assert stack.c.tolist() == [cfg.c] * len(seeds)
+        assert stack.counts.tolist() == [waves] * len(seeds)
+        assert stack.band == (stack.frequencies.min(), stack.frequencies.max())
+        for j, seed in enumerate(seeds):
+            want = synthesize_field_reference(dim, cfg, waves, seed)
+            for key in ("directions", "frequencies", "amplitudes"):
+                assert np.array_equal(getattr(stack, key)[j], getattr(want, key)), \
+                    (key, seed)
 
 
 def test_synthesize_narrowband_and_band_limits():

@@ -10,8 +10,8 @@ from numpy.polynomial.legendre import leggauss
 
 from wavedof import (Dimension, PhysicalConfig, RankPolicy, ResolutionError,
                      SpaceTimeGrid, WaveVector, build_grid, diagonal_normalize,
-                     effective_rank, eigen_spectrum, ensemble_spectrum,
-                     enumerate_modes, gram_of_modes, gram_readout,
+                     draw_ensemble, effective_rank, eigen_spectrum,
+                     ensemble_spectrum, enumerate_modes, gram_of_modes, gram_readout,
                      synthesize_field, truncation_degree, truncation_error)
 from wavedof import cli, rankcheck
 from wavedof import modes as modes_module
@@ -23,8 +23,8 @@ from wavedof.specfun import cos_sin
 from oracles import (ENSEMBLE_ROUTES, band_time_basis, charpoly_eigenvalues,
                      complex_band_time_basis, dense_gram, each_ensemble_route,
                      eager_grid_arrays, ensemble_covariance, lift_time_coordinates,
-                     lommel_tail_reference, pointwise_field_rows,
-                     pointwise_truncation_error)
+                     lommel_tail_reference, per_field_ensemble_spectrum,
+                     pointwise_field_rows, pointwise_truncation_error)
 
 E_PI = math.e * math.pi
 TWO_D, THREE_D = Dimension.TWO_D, Dimension.THREE_D
@@ -755,6 +755,28 @@ def test_ensemble_of_mixed_speeds_and_wave_counts(dim, cfg, resolution, monkeypa
                 <= 1e-13 * direct.trace)
         assert (direct.rank_threshold, direct.rank_energy) == \
             (dual.rank_threshold, dual.rank_energy)
+
+
+@pytest.mark.parametrize("dim, cfg, resolution, fields, waves", [
+    (THREE_D, HALF_CAL_3D, (3, 4, 5), 6, 12),
+    (TWO_D, NARROW_2D, (3, 8, 5), 6, 12),
+    (TWO_D, NARROW_2D, (3, 9, 5), 6, 12),
+    (TWO_D, SINGLE_FREQUENCY, (3, 9, 5), 6, 12),
+    (TWO_D, NARROW_2D, (8, 24, 21), 16, 64),
+], ids=["3d", "2d-even", "2d-odd", "2d-single-frequency", "narrow"])
+def test_drawn_stack_matches_the_per_field_path(dim, cfg, resolution, fields, waves,
+                                                monkeypatch):
+    # verify's drawn stack and the list of synthesize_field sets it
+    # replaced give the same eigenvalues, bit for bit, on either route.
+    g = build_grid(dim, cfg, resolution)
+    seeds = range(3, 3 + 1000 * fields, 1000)
+    stack = draw_ensemble(dim, cfg, waves, seeds)
+    for _ in each_ensemble_route(monkeypatch):
+        got = ensemble_spectrum(stack, g)
+        want = per_field_ensemble_spectrum(dim, cfg, waves, seeds, g)
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+        assert (got.trace, got.rank_threshold, got.rank_energy) == \
+            (want.trace, want.rank_threshold, want.rank_energy)
 
 
 @pytest.mark.parametrize("dim, cfg, resolution, waves", [
